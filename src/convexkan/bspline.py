@@ -6,6 +6,7 @@ Knot and basis indices follow the usual 1-based convention in docstrings
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,13 +171,21 @@ def reparameterize(raw) -> Array:
     c = np.cumsum(d)
     # Rounding in the cumulative sums can leave the floating-point differences
     # of c violating the constraint by an ulp; nudge entries up until the
-    # constraint holds exactly as evaluated in double precision.
-    prev = 0.0
-    for i in range(1, c.size):
-        while c[i] - c[i - 1] < prev:
-            c[i] = np.nextafter(c[i], np.inf)
-        prev = c[i] - c[i - 1]
-    return c
+    # constraint holds exactly as evaluated in double precision.  Entries
+    # before the first violation need no nudge, so the loop starts there, on
+    # Python floats (the same IEEE doubles, without numpy scalar overhead).
+    diff = np.diff(c)
+    bad = np.flatnonzero(diff < np.concatenate(([0.0], diff[:-1])))
+    if bad.size == 0:
+        return c
+    start = int(bad[0]) + 1
+    vals = c.tolist()
+    prev = vals[start - 1] - vals[start - 2] if start > 1 else 0.0
+    for i in range(start, len(vals)):
+        while vals[i] - vals[i - 1] < prev:
+            vals[i] = math.nextafter(vals[i], math.inf)
+        prev = vals[i] - vals[i - 1]
+    return np.array(vals)
 
 
 def reparameterize_vjp(raw, cbar) -> Array:

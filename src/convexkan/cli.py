@@ -148,13 +148,8 @@ class ParityReport:
 
 
 def _element_invariants(mesh, u):
-    i1 = np.empty(mesh.n_elements)
-    j = np.empty(mesh.n_elements)
-    for e, F in enumerate(deformation_gradients(mesh, u)):
-        st = compute_state(F)
-        i1[e] = st.I1_tilde
-        j[e] = st.J
-    return i1, j
+    st = compute_state(deformation_gradients(mesh, u))
+    return st.I1_tilde, st.J
 
 
 # -- commands ---------------------------------------------------------------
@@ -240,22 +235,20 @@ def cmd_evaluate(args) -> int:
     rows = []
     summary = []
     for path in evaluation_paths(args.samples):
-        data = {name: {"W": [], "P": []} for name in names}
-        for gamma in path.grid():
-            F = path.deformation(gamma)
+        gammas = path.grid()
+        Fs = np.array([path.deformation(g) for g in gammas])
+        data = {
+            name: {"W": m.energy(Fs), "P": m.stress(Fs)[:, :2, :2].reshape(-1, 4)}
+            for name, m in models.items()
+        }
+        for k, gamma in enumerate(gammas):
             row = [path.kind, f"{gamma:.10g}"]
             for name in names:
-                m = models[name]
-                w = m.energy(F)
-                P = m.stress(F)[:2, :2]
-                data[name]["W"].append(w)
-                data[name]["P"].append(P.ravel())
-                row += [f"{w:.10g}"] + [f"{v:.10g}" for v in P.ravel()]
+                row += [f"{data[name]['W'][k]:.10g}"] + [f"{v:.10g}" for v in data[name]["P"][k]]
             rows.append(row)
         for name in names[1:]:
             for q in ("W", "P"):
-                err = rel_rms(np.asarray(data[name][q]), np.asarray(data["true"][q]))
-                summary.append((path.kind, q, name, err))
+                summary.append((path.kind, q, name, rel_rms(data[name][q], data["true"][q])))
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)

@@ -319,30 +319,11 @@ def uniaxial_partition(mesh: Mesh) -> DofPartition:
     )
 
 
-def element_deformation_gradient(mesh: Mesh, u, e: int) -> Array:
-    """F = I + sum_a u^a (x) grad N^a on element e (constant over the element)."""
-    u = np.asarray(u, dtype=np.float64)
-    tri = mesh.triangles[e]
-    return np.eye(2) + u[tri].T @ mesh.grad_N[e]
-
-
 def deformation_gradients(mesh: Mesh, u) -> Array:
-    """Per-element deformation gradients, shape (n_el, 2, 2)."""
+    """Per-element deformation gradients F = I + sum_a u^a (x) grad N^a,
+    constant over each element; shape (n_el, 2, 2)."""
     u = np.asarray(u, dtype=np.float64)
     return np.eye(2) + np.einsum("eai,eaj->eij", u[mesh.triangles], mesh.grad_N)
-
-
-def _element_stresses(mesh: Mesh, u, model: MaterialModel) -> Array:
-    Fs = deformation_gradients(mesh, u)
-    P = np.empty_like(Fs)
-    for e in range(mesh.n_elements):
-        try:
-            P[e] = model.stress(Fs[e])
-        except InadmissibleDeformationError as exc:
-            raise InadmissibleDeformationError(
-                f"element {e}: {exc}"
-            ) from exc
-    return P
 
 
 def nodal_forces(mesh: Mesh, u, model: MaterialModel) -> Array:
@@ -350,10 +331,10 @@ def nodal_forces(mesh: Mesh, u, model: MaterialModel) -> Array:
 
     Single barycenter quadrature: f^a = sum_e area_e P(F_e) grad N^a.  The
     displacement-controlled benchmarks carry no applied tractions, so this is
-    the complete weak-form residual.
+    the complete weak-form residual.  An element with det F <= 0 raises
+    :class:`InadmissibleDeformationError` naming it.
     """
-    P = _element_stresses(mesh, u, model)
-    return scatter_forces(mesh, P)
+    return scatter_forces(mesh, model.stress(deformation_gradients(mesh, u)))
 
 
 def scatter_forces(mesh: Mesh, P: Array) -> Array:
@@ -371,14 +352,11 @@ def reaction(partition: DofPartition, f: Array) -> Array:
 
 def tangent_matrix(mesh: Mesh, u, model: MaterialModel) -> sp.csr_matrix:
     """Assembled tangent stiffness over all 2*n_n DOFs (sparse)."""
-    Fs = deformation_gradients(mesh, u)
     n_el = mesh.n_elements
-    Ke = np.empty((n_el, 6, 6))
-    for e in range(n_el):
-        C = model.tangent(Fs[e])  # (2,2,2,2)
-        G = mesh.grad_N[e]  # (3,2)
-        blk = mesh.area[e] * np.einsum("ijkl,aj,bl->aibk", C, G, G)
-        Ke[e] = blk.reshape(6, 6)
+    T = model.tangent(deformation_gradients(mesh, u))  # (n_el, 2, 2, 2, 2)
+    G = mesh.grad_N  # (n_el, 3, 2)
+    TG = np.einsum("eijkl,eaj->eaikl", T, G * mesh.area[:, None, None])
+    Ke = np.einsum("eaikl,ebl->eaibk", TG, G).reshape(n_el, 6, 6)
     dof = (2 * mesh.triangles[:, :, None] + np.arange(2)[None, None, :]).reshape(n_el, 6)
     rows = np.repeat(dof, 6, axis=1).ravel()
     cols = np.tile(dof, (1, 6)).ravel()
@@ -529,9 +507,14 @@ class SpecimenDataset:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != "convexkan-dataset v1":
             raise DataError("not a dataset file (bad header)")
+
+        def expect(ok: bool, what: str):
+            if not ok:
+                raise DataError(f"malformed dataset file: expected {what}")
+
         try:
             pos = 1
-            assert lines[pos].startswith("noise_sigma ")
+            expect(lines[pos].startswith("noise_sigma "), "'noise_sigma <value>'")
             sigma = float(lines[pos].split()[1])
             pos += 1
             head = lines[pos].split()
@@ -539,13 +522,17 @@ class SpecimenDataset:
             mesh = Mesh.loads("\n".join(lines[pos : pos + 1 + n_n + n_el]))
             pos += 1 + n_n + n_el
             head = lines[pos].split()
-            assert head[:2] == ["partition", "groups"]
+            expect(head[:2] == ["partition", "groups"], "'partition groups <n>'")
             n_beta = int(head[2])
             pos += 1
             groups = []
             for _ in range(n_beta):
                 head = lines[pos].split()
-                assert head[0] == "group" and head[2] == "scale" and head[4] == "dofs"
+                expect(
+                    len(head) == 6 and head[0] == "group" and head[2] == "scale"
+                    and head[4] == "dofs",
+                    "'group <name> scale <s> dofs <m>'",
+                )
                 name, scale, m = head[1], float(head[3]), int(head[5])
                 pos += 1
                 dofs = np.array(
@@ -555,7 +542,7 @@ class SpecimenDataset:
                 pos += m
                 groups.append(FixedGroup(name=name, dofs=dofs, scale=scale))
             head = lines[pos].split()
-            assert head[0] == "snapshots"
+            expect(head[:1] == ["snapshots"], "'snapshots <n>'")
             n_t = int(head[1])
             pos += 1
             deltas = np.empty(n_t)
@@ -563,17 +550,20 @@ class SpecimenDataset:
             reac = np.empty((n_t, n_beta))
             for t in range(n_t):
                 head = lines[pos].split()
-                assert head[:2] == ["snapshot", "delta"]
+                expect(head[:2] == ["snapshot", "delta"], "'snapshot delta <value>'")
                 deltas[t] = float(head[2])
                 pos += 1
                 disp[t] = [[float(v) for v in ln.split()] for ln in lines[pos : pos + n_n]]
                 pos += n_n
                 head = lines[pos].split()
-                assert head[0] == "reactions" and len(head) == 1 + n_beta
+                expect(
+                    head[:1] == ["reactions"] and len(head) == 1 + n_beta,
+                    f"'reactions' and {n_beta} values",
+                )
                 reac[t] = [float(v) for v in head[1:]]
                 pos += 1
-            assert pos == len(lines)
-        except (AssertionError, IndexError, ValueError) as exc:
+            expect(pos == len(lines), "the end of the file")
+        except (IndexError, ValueError) as exc:
             raise DataError(f"malformed dataset file: {exc}") from None
         partition = DofPartition(n_nodes=n_n, groups=tuple(groups))
         return cls(

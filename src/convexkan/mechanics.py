@@ -2,6 +2,10 @@
 second F-derivatives, the strain-energy ansatz over the polyconvex inputs
 (K1, K2, K3), and the classical benchmark material models.
 
+Every entry point takes one deformation gradient or a stack of them: shape
+(2, 2), (3, 3), (N, 2, 2) or (N, 3, 3).  A stack adds a leading axis N to
+every result; a single F gives float invariants and energies.
+
 Plane-strain convention: 2x2 deformation gradients are accepted everywhere and
 expanded internally to 3x3 with F33 = 1; stress and tangent are restricted back
 to the in-plane components when the input was 2x2.
@@ -9,7 +13,6 @@ to the in-plane components when the input was 2x2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -20,163 +23,206 @@ from .errors import ConfigurationError, EvaluationError, InadmissibleDeformation
 
 Array = npt.NDArray[np.float64]
 
-_EYE = np.eye(3)
-_DELTA4 = np.einsum("ik,jl->ijkl", _EYE, _EYE)  # d F_ij / d F_kl
-
 SQRT3 = math.sqrt(3.0)
 
 
-def _embed(F) -> tuple[Array, bool]:
+def _embed(F) -> tuple[Array, bool, bool]:
+    """(F as an (N, 3, 3) stack, whether it was 2x2, whether it was one F)."""
     F = np.asarray(F, dtype=np.float64)
-    if F.shape == (2, 2):
-        F3 = np.eye(3)
-        F3[:2, :2] = F
-        return F3, True
-    if F.shape == (3, 3):
-        return F, False
-    raise ConfigurationError(f"deformation gradient must be 2x2 or 3x3, got {F.shape}")
+    if F.ndim not in (2, 3) or F.shape[-2:] not in ((2, 2), (3, 3)):
+        raise ConfigurationError(
+            f"deformation gradient must be 2x2 or 3x3, or a stack of them; got {F.shape}"
+        )
+    single = F.ndim == 2
+    Fs = F[None] if single else F
+    in_plane = F.shape[-1] == 2
+    if not in_plane:
+        return Fs, in_plane, single
+    F3 = np.zeros((Fs.shape[0], 3, 3))
+    F3[:, :2, :2] = Fs
+    F3[:, 2, 2] = 1.0
+    return F3, in_plane, single
 
 
-@dataclass(frozen=True)
+def _unbatch(x, single: bool):
+    """The one entry of a stack computed for a single F (a float if scalar)."""
+    if not single:
+        return x
+    x = np.asarray(x)[0]
+    return float(x) if x.ndim == 0 else x
+
+
+def _element(e: int, single: bool) -> str:
+    """Error-message prefix naming element e of a stack."""
+    return "" if single else f"element {e}: "
+
+
+def _determinants(F3: Array, single: bool, n_el: int | None = None) -> Array:
+    """det F over an (M, 3, 3) stack.  Raises for the first det F <= 0,
+    naming its element; when the stack holds copies of an ``n_el``-element
+    stack laid end to end, entry m belongs to element m % n_el."""
+    J = np.linalg.det(F3)
+    bad = np.flatnonzero(J <= 0.0)
+    if bad.size:
+        m = int(bad[0])
+        e = m % (n_el or J.size)
+        raise InadmissibleDeformationError(f"{_element(e, single)}det(F) = {J[m]} <= 0")
+    return J
+
+
 class DeformationState:
-    """Invariants and ansatz inputs of one deformation gradient, with their
-    first and second derivatives with respect to F."""
+    """Invariants and ansatz inputs of one deformation gradient, or of a
+    stack of them, with their first and second derivatives with respect to F.
 
-    F: Array
-    C: Array
-    I1: float
-    I2: float
-    I3: float
-    J: float
-    I1_tilde: float
-    I2_star: float
-    K: Array  # (3,)
-    dK_dF: Array  # (3, 3, 3): dK_m / dF_ij
-    d2K_dFdF: Array  # (3, 3, 3, 3, 3): d2K_m / dF_ij dF_kl
-    dI: dict  # base-invariant first derivatives, keys I1/I2/J -> (3,3)
-    d2I: dict  # base-invariant second derivatives, keys I1/I2/J -> (3,3,3,3)
+    Derivatives go through the base invariants (I1, I2, J), indexed
+    a = 0, 1, 2: ``dI[..., a, i, j]`` is dI_a/dF_ij, and ``dK_dI[..., m, a]``
+    and ``d2K_dI[..., m, a, b]`` are the partials of K_m with respect to them.
+    Second F-derivatives are built only when asked for.
+    """
 
+    def __init__(self, F3: Array, in_plane: bool, single: bool):
+        J = _determinants(F3, single)
+        C = np.swapaxes(F3, -1, -2) @ F3
+        I1 = np.trace(C, axis1=-2, axis2=-1)
+        I2 = 0.5 * (I1 * I1 - np.einsum("nij,nji->n", C, C))
+        FinvT = np.swapaxes(np.linalg.inv(F3), -1, -2)
+        I1_tilde = I1 * J ** (-2.0 / 3.0)
+        I2_star = (I2 * J ** (-4.0 / 3.0)) ** 1.5  # equals I2^{3/2} / J^2
 
-def _chain(first: dict, second: dict, dI: dict, d2I: dict) -> tuple[Array, Array]:
-    """First/second F-derivatives of a scalar given its partials with respect
-    to the base invariants. ``second`` keys are unordered pairs."""
-    d = np.zeros((3, 3))
-    for a, fa in first.items():
-        d += fa * dI[a]
-    d2 = np.zeros((3, 3, 3, 3))
-    for a, fa in first.items():
-        d2 += fa * d2I[a]
-    for (a, b), fab in second.items():
-        if a == b:
-            d2 += fab * np.einsum("ij,kl->ijkl", dI[a], dI[a])
-        else:
-            cross = np.einsum("ij,kl->ijkl", dI[a], dI[b])
-            d2 += fab * (cross + cross.transpose(2, 3, 0, 1))
-    return d, d2
+        dI = np.stack(
+            [2.0 * F3, 2.0 * (I1[:, None, None] * F3 - F3 @ C), J[:, None, None] * FinvT],
+            axis=1,
+        )
+        # K1 = I1 J^{-2/3} - 3, K2 = I2^{3/2} J^{-2} - 3 sqrt(3), K3 = (J - 1)^2
+        sI2 = np.sqrt(I2)
+        dK = np.zeros(J.shape + (3, 3))
+        dK[:, 0, 0] = J ** (-2.0 / 3.0)
+        dK[:, 0, 2] = -(2.0 / 3.0) * I1 * J ** (-5.0 / 3.0)
+        dK[:, 1, 1] = 1.5 * sI2 / J**2
+        dK[:, 1, 2] = -2.0 * I2 * sI2 / J**3
+        dK[:, 2, 2] = 2.0 * (J - 1.0)
+        d2K = np.zeros(J.shape + (3, 3, 3))
+        d2K[:, 0, 0, 2] = d2K[:, 0, 2, 0] = -(2.0 / 3.0) * J ** (-5.0 / 3.0)
+        d2K[:, 0, 2, 2] = (10.0 / 9.0) * I1 * J ** (-8.0 / 3.0)
+        d2K[:, 1, 1, 1] = 0.75 / (sI2 * J**2)
+        d2K[:, 1, 1, 2] = d2K[:, 1, 2, 1] = -3.0 * sI2 / J**3
+        d2K[:, 1, 2, 2] = 6.0 * I2 * sI2 / J**4
+        d2K[:, 2, 2, 2] = 2.0
+        K = np.stack([I1_tilde - 3.0, I2_star - 3.0 * SQRT3, (J - 1.0) ** 2], axis=-1)
+
+        self.single = single
+        self.in_plane = in_plane
+        self.F = _unbatch(F3, single)
+        self.C = _unbatch(C, single)
+        self.I1 = _unbatch(I1, single)
+        self.I2 = _unbatch(I2, single)
+        self.I3 = _unbatch(J * J, single)
+        self.J = _unbatch(J, single)
+        self.I1_tilde = _unbatch(I1_tilde, single)
+        self.I2_star = _unbatch(I2_star, single)
+        self.K = _unbatch(K, single)  # (..., 3)
+        self.dI = _unbatch(dI, single)  # (..., 3, 3, 3)
+        self.dK_dI = _unbatch(dK, single)  # (..., 3, 3)
+        self.d2K_dI = _unbatch(d2K, single)  # (..., 3, 3, 3)
+        self._FinvT = _unbatch(FinvT, single)
+
+    @property
+    def dim(self) -> int:
+        """Size of the stress block returned for this input: 2 or 3."""
+        return 2 if self.in_plane else 3
+
+    def d2I(self, dim: int = 3) -> Array:
+        """Second F-derivatives of (I1, I2, J) on the leading dim x dim block
+        of F, shape (..., 3, dim, dim, dim, dim)."""
+        s = slice(0, dim)
+        F, C, G = self.F[..., s, s], self.C[..., s, s], self._FinvT[..., s, s]
+        B = (self.F @ np.swapaxes(self.F, -1, -2))[..., s, s]
+        eye = np.eye(dim)
+        delta4 = np.einsum("ik,jl->ijkl", eye, eye)
+        I1 = np.asarray(self.I1)[..., None, None, None, None]
+        J = np.asarray(self.J)[..., None, None, None, None]
+        d2I1 = np.broadcast_to(2.0 * delta4, np.shape(self.J) + delta4.shape)
+        d2I2 = (
+            4.0 * np.einsum("...kl,...ij->...ijkl", F, F)
+            + 2.0 * I1 * delta4
+            - 2.0
+            * (
+                np.einsum("ik,...lj->...ijkl", eye, C)
+                + np.einsum("...il,...kj->...ijkl", F, F)
+                + np.einsum("...ik,jl->...ijkl", B, eye)
+            )
+        )
+        d2J = J * (
+            np.einsum("...ij,...kl->...ijkl", G, G) - np.einsum("...il,...kj->...ijkl", G, G)
+        )
+        return np.stack([d2I1, d2I2, d2J], axis=-5)
+
+    @cached_property
+    def dK_dF(self) -> Array:
+        """dK_m / dF_ij, shape (..., 3, 3, 3)."""
+        return np.einsum("...ma,...aij->...mij", self.dK_dI, self.dI)
+
+    @cached_property
+    def d2K_dFdF(self) -> Array:
+        """d2K_m / dF_ij dF_kl, shape (..., 3, 3, 3, 3, 3)."""
+        return np.einsum("...ma,...aijkl->...mijkl", self.dK_dI, self.d2I()) + np.einsum(
+            "...aij,...mab,...bkl->...mijkl", self.dI, self.d2K_dI, self.dI
+        )
+
+    def stress_from(self, first: Array) -> Array:
+        """P = sum_a dW/dI_a dI_a/dF on the input's block, given the partials
+        ``first`` (..., 3) of an energy W with respect to (I1, I2, J)."""
+        d = self.dim
+        return np.einsum("...a,...aij->...ij", first, self.dI[..., :d, :d])
+
+    def tangent_from(self, first: Array, second: Array) -> Array:
+        """dP/dF on the input's block from the first (..., 3) and second
+        (..., 3, 3) partials of W with respect to (I1, I2, J)."""
+        d = self.dim
+        dI = self.dI[..., :d, :d]
+        return np.einsum("...a,...aijkl->...ijkl", first, self.d2I(d)) + np.einsum(
+            "...aij,...ab,...bkl->...ijkl", dI, second, dI
+        )
 
 
 def compute_state(F) -> DeformationState:
-    """Full invariant/derivative bundle for one deformation gradient."""
-    F3, _ = _embed(F)
-    J = float(np.linalg.det(F3))
-    if J <= 0.0:
-        raise InadmissibleDeformationError(f"det(F) = {J} <= 0")
-    C = F3.T @ F3
-    I1 = float(np.trace(C))
-    I2 = 0.5 * (I1 * I1 - float(np.trace(C @ C)))
-    I3 = J * J
-    B = F3 @ F3.T
-    FinvT = np.linalg.inv(F3).T
+    """Invariant/derivative bundle of one deformation gradient or a stack.
 
-    dI = {
-        "I1": 2.0 * F3,
-        "I2": 2.0 * (I1 * F3 - F3 @ C),
-        "J": J * FinvT,
-    }
-    d2I2 = (
-        4.0 * np.einsum("kl,ij->ijkl", F3, F3)
-        + 2.0 * I1 * _DELTA4
-        - 2.0
-        * (
-            np.einsum("ik,lj->ijkl", _EYE, C)
-            + np.einsum("il,kj->ijkl", F3, F3)
-            + np.einsum("ik,jl->ijkl", B, _EYE)
-        )
-    )
-    d2J = J * (
-        np.einsum("ij,kl->ijkl", FinvT, FinvT) - np.einsum("il,kj->ijkl", FinvT, FinvT)
-    )
-    d2I = {"I1": 2.0 * _DELTA4, "I2": d2I2, "J": d2J}
-
-    I1_tilde = I1 * J ** (-2.0 / 3.0)
-    I2_tilde = I2 * J ** (-4.0 / 3.0)
-    I2_star = I2_tilde**1.5  # equals I2^{3/2} / J^2
-
-    # K1 = I1 J^{-2/3} - 3
-    dK1, d2K1 = _chain(
-        {"I1": J ** (-2.0 / 3.0), "J": -(2.0 / 3.0) * I1 * J ** (-5.0 / 3.0)},
-        {
-            ("I1", "J"): -(2.0 / 3.0) * J ** (-5.0 / 3.0),
-            ("J", "J"): (10.0 / 9.0) * I1 * J ** (-8.0 / 3.0),
-        },
-        dI,
-        d2I,
-    )
-    # K2 = I2^{3/2} J^{-2} - 3 sqrt(3)
-    sI2 = math.sqrt(I2)
-    dK2, d2K2 = _chain(
-        {"I2": 1.5 * sI2 / J**2, "J": -2.0 * I2 * sI2 / J**3},
-        {
-            ("I2", "I2"): 0.75 / (sI2 * J**2),
-            ("I2", "J"): -3.0 * sI2 / J**3,
-            ("J", "J"): 6.0 * I2 * sI2 / J**4,
-        },
-        dI,
-        d2I,
-    )
-    # K3 = (J - 1)^2
-    dK3, d2K3 = _chain({"J": 2.0 * (J - 1.0)}, {("J", "J"): 2.0}, dI, d2I)
-
-    K = np.array([I1_tilde - 3.0, I2_star - 3.0 * SQRT3, (J - 1.0) ** 2])
-    return DeformationState(
-        F=F3,
-        C=C,
-        I1=I1,
-        I2=I2,
-        I3=I3,
-        J=J,
-        I1_tilde=I1_tilde,
-        I2_star=I2_star,
-        K=K,
-        dK_dF=np.stack([dK1, dK2, dK3]),
-        d2K_dFdF=np.stack([d2K1, d2K2, d2K3]),
-        dI=dI,
-        d2I=d2I,
-    )
+    Raises :class:`InadmissibleDeformationError` for det F <= 0, naming the
+    first such element of a stack.
+    """
+    return DeformationState(*_embed(F))
 
 
 class MaterialModel:
-    """Common interface: scalar energy W(F), stress P = dW/dF, and tangent
-    modulus dP/dF.  2x2 inputs yield in-plane 2x2 / 2x2x2x2 outputs."""
+    """Common interface: energy W(F), stress P = dW/dF and tangent modulus
+    dP/dF, for one F or a stack.  2x2 inputs yield in-plane 2x2 / 2x2x2x2
+    outputs.
+
+    Subclasses either give the energy's partials with respect to the base
+    invariants (I1, I2, J) through :meth:`_partials`, and stress and tangent
+    follow by the chain rule, or override all three methods.
+    """
 
     kind = "?"
 
-    def energy(self, F) -> float:
+    def _partials(self, state: DeformationState, order: int):
+        """(W, dW/dI (..., 3), d2W/dI dI (..., 3, 3)); entries above
+        ``order`` may be None."""
         raise NotImplementedError
+
+    def energy(self, F):
+        w = self._partials(compute_state(F), 0)[0]
+        return float(w) if np.ndim(w) == 0 else w
 
     def stress(self, F) -> Array:
-        raise NotImplementedError
+        state = compute_state(F)
+        return state.stress_from(self._partials(state, 1)[1])
 
     def tangent(self, F) -> Array:
-        raise NotImplementedError
-
-    @staticmethod
-    def _restrict(T: Array, in_plane: bool) -> Array:
-        if not in_plane:
-            return T
-        if T.ndim == 2:
-            return T[:2, :2]
-        return T[:2, :2, :2, :2]
+        state = compute_state(F)
+        _, first, second = self._partials(state, 2)
+        return state.tangent_from(first, second)
 
 
 class InvariantEnergyModel(MaterialModel):
@@ -203,50 +249,33 @@ class InvariantEnergyModel(MaterialModel):
             simultaneous=True,
         )
         syms = (I1, I2, J)
-        names = ("I1", "I2", "J")
-        first = {n: sp.lambdify(syms, sp.diff(w, s), "numpy") for n, s in zip(names, syms)}
-        second = {}
-        for a in range(3):
-            for b in range(a, 3):
-                second[(names[a], names[b])] = sp.lambdify(
-                    syms, sp.diff(w, syms[a], syms[b]), "numpy"
-                )
+        first = [sp.lambdify(syms, sp.diff(w, s), "numpy") for s in syms]
+        second = {
+            (a, b): sp.lambdify(syms, sp.diff(w, syms[a], syms[b]), "numpy")
+            for a in range(3)
+            for b in range(a, 3)
+        }
         cls._cached_lambdas = (sp.lambdify(syms, w, "numpy"), first, second)
         return cls._cached_lambdas
 
     def _check(self, state: DeformationState):
         pass
 
-    def energy(self, F) -> float:
-        state = compute_state(F)
+    def _partials(self, state, order):
         self._check(state)
-        w, _, _ = self._lambdas()
-        return float(w(state.I1, state.I2, state.J))
-
-    def stress(self, F) -> Array:
-        _, in_plane = _embed(F)
-        state = compute_state(F)
-        self._check(state)
-        _, first, _ = self._lambdas()
+        w, first, second = self._lambdas()
         args = (state.I1, state.I2, state.J)
-        P = np.zeros((3, 3))
-        for name, fn in first.items():
-            P += float(fn(*args)) * state.dI[name]
-        return self._restrict(P, in_plane)
-
-    def tangent(self, F) -> Array:
-        _, in_plane = _embed(F)
-        state = compute_state(F)
-        self._check(state)
-        _, first, second = self._lambdas()
-        args = (state.I1, state.I2, state.J)
-        d, d2 = _chain(
-            {n: float(fn(*args)) for n, fn in first.items()},
-            {k: float(fn(*args)) for k, fn in second.items()},
-            state.dI,
-            state.d2I,
-        )
-        return self._restrict(d2, in_plane)
+        shape = np.shape(state.J)
+        W = np.array(np.broadcast_to(w(*args), shape))
+        if order == 0:
+            return W, None, None
+        g = np.stack([np.broadcast_to(fn(*args), shape) for fn in first], axis=-1)
+        if order == 1:
+            return W, g, None
+        H = np.empty(shape + (3, 3))
+        for (a, b), fn in second.items():  # constant partials lambdify to scalars
+            H[..., a, b] = H[..., b, a] = fn(*args)
+        return W, g, H
 
 
 class NeoHookean(InvariantEnergyModel):
@@ -331,66 +360,89 @@ class ArrudaBoyce(InvariantEnergyModel):
         return float(self._offset())
 
     def _check(self, state: DeformationState):
-        y = math.sqrt(state.I1_tilde / 3.0) / math.sqrt(self.n_chain)
-        if abs(y) >= 1.0:
+        y = np.ravel(np.sqrt(state.I1_tilde / 3.0) / math.sqrt(self.n_chain))
+        bad = np.flatnonzero(np.abs(y) >= 1.0)
+        if bad.size:
+            e = int(bad[0])
             raise EvaluationError(
-                f"chain stretch saturated: |lambda/sqrt(N)| = {abs(y):.4f} >= 1"
+                f"{_element(e, state.single)}chain stretch saturated: "
+                f"|lambda/sqrt(N)| = {abs(y[e]):.4f} >= 1"
             )
 
 
 class Ogden(MaterialModel):
     """Principal-stretch model; stress and tangent by central finite
-    differences of the energy (ground-truth data generation only)."""
+    differences of the energy (ground-truth data generation only).
+
+    The differences run over the whole stack at once: stress evaluates the
+    energy at 2 d^2 perturbed copies of the stack (d = 2 for in-plane input,
+    else 3), and the tangent differences the stress at 2 d^2 more.
+    """
 
     kind = "OG"
     mu = 1.3
     eta = 1.3
 
-    def energy(self, F) -> float:
-        state = compute_state(F)
-        lam2 = np.linalg.eigvalsh(state.C)
-        lam2 = np.maximum(lam2, 1e-300)
-        lam_t = state.J ** (-1.0 / 3.0) * np.sqrt(lam2)
-        return float(
-            self.mu / self.eta * (np.sum(lam_t**self.eta) - 3.0)
-            + 1.5 * (state.J - 1.0) ** 2
-        )
+    def _fd_step(self, F3: Array):
+        """Stress difference step of each F in an (N, 3, 3) stack: (N,) or
+        one float for all."""
+        return 1e-6 * np.linalg.norm(F3, axis=(-2, -1))
 
-    def _fd_step(self, F3: Array) -> float:
-        return 1e-6 * float(np.linalg.norm(F3))
+    def _steps(self, F3: Array) -> Array:
+        return np.broadcast_to(np.asarray(self._fd_step(F3), dtype=np.float64), (len(F3),))
+
+    def _energy(self, F3: Array, single: bool, n_el: int | None = None) -> Array:
+        """Energy of an (M, 3, 3) stack from C and J alone."""
+        J = _determinants(F3, single, n_el)
+        lam2 = np.maximum(np.linalg.eigvalsh(np.swapaxes(F3, -1, -2) @ F3), 1e-300)
+        lam_t = (J ** (-1.0 / 3.0))[:, None] * np.sqrt(lam2)
+        p = lam_t**self.eta
+        return self.mu / self.eta * (p[:, 0] + p[:, 1] + p[:, 2] - 3.0) + 1.5 * (J - 1.0) ** 2
+
+    @staticmethod
+    def _shifted(F3: Array, h: Array, dim: int) -> Array:
+        """F3 + h e_ij and F3 - h e_ij for every (i, j) of the dim x dim
+        block: shape (2, dim * dim, N, 3, 3)."""
+        ij = np.arange(dim * dim)
+        E = np.zeros((dim * dim, 3, 3))
+        E[ij, ij // dim, ij % dim] = 1.0
+        step = h[None, :, None, None] * E[:, None]
+        return np.stack([F3[None] + step, F3[None] - step])
+
+    def _stress(self, F3: Array, dim: int, single: bool, n_el: int) -> Array:
+        n, h = len(F3), self._steps(F3)
+        W = self._energy(self._shifted(F3, h, dim).reshape(-1, 3, 3), single, n_el)
+        W = W.reshape(2, dim * dim, n)
+        P = (W[0] - W[1]) / (2 * h)
+        return P.T.reshape(n, dim, dim)
+
+    def energy(self, F):
+        F3, _, single = _embed(F)
+        return _unbatch(self._energy(F3, single), single)
 
     def stress(self, F) -> Array:
-        F3, in_plane = _embed(F)
-        compute_state(F3)  # admissibility check
-        h = self._fd_step(F3)
-        P = np.zeros((3, 3))
-        for i in range(3):
-            for j in range(3):
-                Fp, Fm = F3.copy(), F3.copy()
-                Fp[i, j] += h
-                Fm[i, j] -= h
-                P[i, j] = (self.energy(Fp) - self.energy(Fm)) / (2 * h)
-        return self._restrict(P, in_plane)
+        F3, in_plane, single = _embed(F)
+        _determinants(F3, single)
+        return _unbatch(self._stress(F3, 2 if in_plane else 3, single, len(F3)), single)
 
     def tangent(self, F) -> Array:
-        F3, in_plane = _embed(F)
-        compute_state(F3)
-        h = 10.0 * self._fd_step(F3)  # larger step: second differences
-        T = np.zeros((3, 3, 3, 3))
-        for k in range(3):
-            for l in range(3):
-                Fp, Fm = F3.copy(), F3.copy()
-                Fp[k, l] += h
-                Fm[k, l] -= h
-                T[:, :, k, l] = (self.stress(Fp) - self.stress(Fm)) / (2 * h)
-        return self._restrict(T, in_plane)
+        F3, in_plane, single = _embed(F)
+        _determinants(F3, single)
+        n, dim = len(F3), 2 if in_plane else 3
+        # larger step: second differences
+        h = 10.0 * self._steps(F3)
+        P = self._stress(self._shifted(F3, h, dim).reshape(-1, 3, 3), dim, single, n)
+        P = P.reshape(2, dim, dim, n, dim, dim)  # (sign, k, l, element, i, j)
+        T = (P[0] - P[1]) / (2 * h)[None, None, :, None, None]
+        return _unbatch(T.transpose(2, 3, 4, 0, 1), single)
 
 
 class KEnergyModel(MaterialModel):
     """Material whose energy is a smooth function of the ansatz inputs K.
 
-    Subclasses supply value/gradient/Hessian with respect to K; stress and
-    tangent follow from the chain rule through the invariant derivatives.
+    Subclasses supply value/gradient/Hessian with respect to K, for one K
+    (3,) or a stack (N, 3); stress and tangent follow from the chain rule
+    through the invariant derivatives.
     """
 
     subtract_reference_energy = True
@@ -403,27 +455,19 @@ class KEnergyModel(MaterialModel):
         w, _, _ = self.k_value_grad_hess(np.zeros(3))
         return float(w)
 
-    def energy(self, F) -> float:
-        state = compute_state(F)
-        w, _, _ = self.k_value_grad_hess(state.K)
+    def _partials(self, state, order):
+        w, g, H = self.k_value_grad_hess(state.K)
         if self.subtract_reference_energy:
             w = w - self.reference_energy()
-        return float(w)
-
-    def stress(self, F) -> Array:
-        _, in_plane = _embed(F)
-        state = compute_state(F)
-        _, g, _ = self.k_value_grad_hess(state.K)
-        P = np.einsum("m,mij->ij", g, state.dK_dF)
-        return self._restrict(P, in_plane)
-
-    def tangent(self, F) -> Array:
-        _, in_plane = _embed(F)
-        state = compute_state(F)
-        _, g, H = self.k_value_grad_hess(state.K)
-        T = np.einsum("mn,mij,nkl->ijkl", H, state.dK_dF, state.dK_dF)
-        T += np.einsum("m,mijkl->ijkl", g, state.d2K_dFdF)
-        return self._restrict(T, in_plane)
+        if order == 0:
+            return w, None, None
+        first = np.einsum("...m,...ma->...a", g, state.dK_dI)
+        if order == 1:
+            return w, first, None
+        second = np.einsum(
+            "...ma,...mn,...nb->...ab", state.dK_dI, H, state.dK_dI
+        ) + np.einsum("...m,...mab->...ab", g, state.d2K_dI)
+        return w, first, second
 
 
 class NetworkMaterial(KEnergyModel):
@@ -456,13 +500,13 @@ def random_rotation(rng) -> Array:
     return Q
 
 
-def objectivity_check(model: MaterialModel, F, R) -> float:
+def objectivity_check(model: MaterialModel, F, R):
     """|W(R F) - W(F)| for a proper rotation R."""
     R = np.asarray(R, dtype=np.float64)
     if R.shape != (3, 3) or not np.allclose(R.T @ R, np.eye(3), atol=1e-10) or np.linalg.det(R) < 0:
         raise ConfigurationError("R must be a proper rotation matrix")
-    F3, _ = _embed(F)
-    return abs(model.energy(R @ F3) - model.energy(F3))
+    F3, _, single = _embed(F)
+    return _unbatch(np.abs(model.energy(R @ F3) - model.energy(F3)), single)
 
 
 BENCHMARKS = {

@@ -445,14 +445,18 @@ class KANModel:
                 _, r, i, j = lines[pos].split()
                 r, i, j = int(r), int(i), int(j)
                 lo, hi = (float(v) for v in lines[pos + 1].split()[1:])
-                act = model.acts[r][i][j]
-                act.spline.knots = KnotVector.from_domain(lo, hi, n_coef, order)
-                act.w_s = float(lines[pos + 2].split()[1])
-                act.w_b = float(lines[pos + 3].split()[1])
+                w_s = float(lines[pos + 2].split()[1])
+                w_b = float(lines[pos + 3].split()[1])
                 raw = np.array([float(v) for v in lines[pos + 4].split()[1:]])
                 if raw.size != n_coef:
                     raise DataError(f"activation {r},{i},{j}: expected {n_coef} values")
-                act.spline.raw = raw
+                if not np.all(np.isfinite([lo, hi, w_s, w_b, *raw])):
+                    raise DataError(f"activation {r},{i},{j}: non-finite value")
+                if not hi > lo:
+                    raise DataError(f"activation {r},{i},{j}: empty domain [{lo}, {hi}]")
+                act = model.acts[r][i][j]
+                act.spline.knots = KnotVector.from_domain(lo, hi, n_coef, order)
+                act.w_s, act.w_b, act.spline.raw = w_s, w_b, raw
                 pos += 5
             if lines[pos] != "end":
                 raise DataError("missing end marker")

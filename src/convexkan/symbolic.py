@@ -195,11 +195,8 @@ class Expr:
     """Scalar expression over (K1, K2, K3) with exact gradient and Hessian."""
 
     def vgh(self, K: Array):
-        """(value, gradient (3,), Hessian (3,3)) at one K point."""
-        raise NotImplementedError
-
-    def value(self, K: Array):
-        """Value only, vectorized over the leading axis of K (N, 3)."""
+        """(value, gradient, Hessian) at K of shape (..., 3): shapes (...),
+        (..., 3) and (..., 3, 3)."""
         raise NotImplementedError
 
     def prefix(self) -> list:
@@ -214,10 +211,7 @@ class Const(Expr):
     v: float
 
     def vgh(self, K):
-        return self.v, np.zeros(3), np.zeros((3, 3))
-
-    def value(self, K):
-        return np.full(np.asarray(K).shape[0], self.v)
+        return np.full(K.shape[:-1], self.v), np.zeros(K.shape), _zero_hessian(K)
 
     def prefix(self):
         return ["const", _fmt17(self.v)]
@@ -231,12 +225,9 @@ class Var(Expr):
     index: int
 
     def vgh(self, K):
-        g = np.zeros(3)
-        g[self.index] = 1.0
-        return float(K[self.index]), g, np.zeros((3, 3))
-
-    def value(self, K):
-        return np.asarray(K)[:, self.index]
+        g = np.zeros(K.shape)
+        g[..., self.index] = 1.0
+        return K[..., self.index], g, _zero_hessian(K)
 
     def prefix(self):
         return ["var", VAR_NAMES[self.index]]
@@ -253,11 +244,8 @@ class Affine(Expr):
     const: float
 
     def vgh(self, K):
-        c = np.asarray(self.coeffs)
-        return float(c @ K + self.const), c.astype(float), np.zeros((3, 3))
-
-    def value(self, K):
-        return np.asarray(K) @ np.asarray(self.coeffs) + self.const
+        c = np.asarray(self.coeffs, dtype=np.float64)
+        return K @ c + self.const, np.broadcast_to(c, K.shape).copy(), _zero_hessian(K)
 
     def prefix(self):
         out = ["affine", _fmt17(self.const)]
@@ -285,9 +273,6 @@ class Scaled(Expr):
         v, g, h = self.child.vgh(K)
         return self.weight * v + self.shift, self.weight * g, self.weight * h
 
-    def value(self, K):
-        return self.weight * self.child.value(K) + self.shift
-
     def prefix(self):
         return ["scaled", _fmt17(self.weight), _fmt17(self.shift)] + self.child.prefix()
 
@@ -304,11 +289,8 @@ class ExpOf(Expr):
 
     def vgh(self, K):
         v, g, h = self.child.vgh(K)
-        e = math.exp(v)
-        return e, e * g, e * (np.outer(g, g) + h)
-
-    def value(self, K):
-        return np.exp(self.child.value(K))
+        e = np.exp(v)
+        return e, e[..., None] * g, e[..., None, None] * (_outer(g) + h)
 
     def prefix(self):
         return ["exp"] + self.child.prefix()
@@ -324,18 +306,16 @@ class SoftplusPow(Expr):
 
     def vgh(self, K):
         v, g, h = self.child.vgh(K)
-        s = float(softplus(np.asarray(v)))
-        sig = 1.0 / (1.0 + math.exp(-v))
+        s = softplus(v)
+        with np.errstate(over="ignore"):
+            sig = 1.0 / (1.0 + np.exp(-v))
         d1 = sig  # softplus'
         d2 = sig * (1.0 - sig)  # softplus''
         p = self.power
         f = s**p
-        fp = p * s ** (p - 1) * d1
-        fpp = p * (p - 1) * s ** (p - 2) * d1 * d1 + p * s ** (p - 1) * d2
-        return f, fp * g, fpp * np.outer(g, g) + fp * h
-
-    def value(self, K):
-        return softplus(self.child.value(K)) ** self.power
+        fp = (p * s ** (p - 1) * d1)[..., None]
+        fpp = (p * (p - 1) * s ** (p - 2) * d1 * d1 + p * s ** (p - 1) * d2)[..., None, None]
+        return f, fp * g, fpp * _outer(g) + fp[..., None] * h
 
     def prefix(self):
         return ["softplus", str(self.power)] + self.child.prefix()
@@ -343,6 +323,14 @@ class SoftplusPow(Expr):
     def infix(self):
         inner = f"softplus({self.child.infix()})"
         return inner if self.power == 1 else f"{inner}^{self.power}"
+
+
+def _zero_hessian(K: Array) -> Array:
+    return np.zeros(K.shape + (3,))
+
+
+def _outer(g: Array) -> Array:
+    return g[..., :, None] * g[..., None, :]
 
 
 def _fmt(v: float) -> str:
@@ -426,19 +414,13 @@ class _SumExpr(Expr):
     children: tuple
 
     def vgh(self, K):
-        v, g, h = 0.0, np.zeros(3), np.zeros((3, 3))
+        v, g, h = np.zeros(K.shape[:-1]), np.zeros(K.shape), _zero_hessian(K)
         for ch in self.children:
             cv, cg, chh = ch.vgh(K)
-            v += cv
+            v = v + cv
             g += cg
             h += chh
         return v, g, h
-
-    def value(self, K):
-        out = np.zeros(np.asarray(K).shape[0])
-        for ch in self.children:
-            out = out + ch.value(K)
-        return out
 
     def prefix(self):
         out = ["add", str(len(self.children))]
@@ -462,23 +444,21 @@ class SymbolicEnergy:
     parity_r2: float = float("nan")
 
     def vgh(self, K):
+        """Value, K-gradient and K-Hessian at one K (3,) or a stack (N, 3)."""
         K = np.asarray(K, dtype=np.float64)
-        v = float(self.coeffs @ K + self.const)
-        g = self.coeffs.astype(float).copy()
-        h = np.zeros((3, 3))
+        v = K @ self.coeffs + self.const
+        g = np.broadcast_to(self.coeffs.astype(float), K.shape).copy()
+        h = _zero_hessian(K)
         for t, _ in self.terms:
             tv, tg, th = t.vgh(K)
-            v += tv
+            v = v + tv
             g += tg
             h += th
-        return v, g, h
+        return (float(v), g, h) if K.ndim == 1 else (v, g, h)
 
     def value(self, K):
-        K = np.asarray(K, dtype=np.float64)
-        out = K @ self.coeffs + self.const
-        for t, _ in self.terms:
-            out = out + t.value(K)
-        return out
+        """Value alone, at one K (3,) or a stack (N, 3)."""
+        return self.vgh(K)[0]
 
     def expr(self) -> Expr:
         return _Form(coeffs=self.coeffs, const=self.const, terms=self.terms).to_expr()

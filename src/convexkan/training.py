@@ -151,17 +151,13 @@ class ElementStates:
         self.K = np.empty((n_t * n_el, 3))
         self.dK2 = np.empty((n_t * n_el, 3, 2, 2))  # in-plane block of dK/dF
         for t in range(n_t):
-            Fs = deformation_gradients(mesh, dataset.displacements[t])
-            for e in range(n_el):
-                try:
-                    st = compute_state(Fs[e])
-                except InadmissibleDeformationError as exc:
-                    raise TrainingError(
-                        f"snapshot {t}, element {e}: {exc}"
-                    ) from exc
-                row = t * n_el + e
-                self.K[row] = st.K
-                self.dK2[row] = st.dK_dF[:, :2, :2]
+            try:
+                st = compute_state(deformation_gradients(mesh, dataset.displacements[t]))
+            except InadmissibleDeformationError as exc:  # names the element
+                raise TrainingError(f"snapshot {t}, {exc}") from exc
+            rows = slice(t * n_el, (t + 1) * n_el)
+            self.K[rows] = st.K
+            self.dK2[rows] = st.dK_dF[:, :, :2, :2]
         self.n_t = n_t
         self.n_el = n_el
         self.mesh = mesh

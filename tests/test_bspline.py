@@ -139,6 +139,39 @@ class TestReparameterize:
             assert np.all(d >= 0.0)  # exact, no tolerance
             assert np.all(np.diff(d) >= 0.0)
 
+    @staticmethod
+    def _nudge_every_index(raw):
+        """Reference: the float-exactness loop run over every index."""
+        p = np.asarray(raw, dtype=np.float64)
+        h = np.maximum(p, 0.0)
+        h[0] = p[0]
+        d = np.empty_like(h)
+        d[0] = h[0]
+        d[1:] = np.cumsum(h[1:])
+        c = np.cumsum(d)
+        prev = 0.0
+        for i in range(1, c.size):
+            while c[i] - c[i - 1] < prev:
+                c[i] = np.nextafter(c[i], np.inf)
+            prev = c[i] - c[i - 1]
+        return c
+
+    def test_bit_identical_to_full_nudge_loop(self):
+        rng = np.random.default_rng(5)
+        nudged = 0
+        for trial in range(4000):
+            raw = rng.normal(scale=3.0, size=17)
+            if trial % 2:
+                # curvature-sparse, as the curvature prior leaves them: most
+                # increments clamp to 0 and the control points run linear
+                raw[2:][rng.uniform(size=15) < 0.8] = -1.0
+                raw[1] = abs(raw[1]) * 10.0 ** rng.uniform(-3, 3)
+            want = self._nudge_every_index(raw)
+            plain = np.cumsum(np.concatenate(([raw[0]], np.cumsum(np.maximum(raw[1:], 0.0)))))
+            nudged += int(np.any(want != plain))
+            npt.assert_array_equal(reparameterize(raw), want)
+        assert nudged > 100  # the nudge loop really ran on many of them
+
     def test_vjp_matches_finite_difference(self):
         rng = np.random.default_rng(3)
         raw = rng.normal(size=9)

@@ -255,6 +255,15 @@ class TestEvaluate:
              "--out", str(tmp_path / "e.csv")]
         ) == 2
 
+    def test_non_finite_checkpoint_exits_2(self, tmp_path, checkpoint_file):
+        text = open(checkpoint_file).read().replace("w_s ", "w_s nan #", 1)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text(text)
+        assert main(
+            ["evaluate", "--model", "NH", "--checkpoint", str(bad),
+             "--out", str(tmp_path / "e.csv")]
+        ) == 2
+
 
 class TestDistill:
     def test_writes_tree_and_text(self, tmp_path, checkpoint_file):

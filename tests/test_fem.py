@@ -1,9 +1,15 @@
 """Finite element layer: meshes and meshers, deformation gradients, force
 assembly, reactions, Newton solves, and dataset generation/IO."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import convexkan
 from convexkan.errors import (
     ConfigurationError,
     DataError,
@@ -17,7 +23,6 @@ from convexkan.fem import (
     SpecimenDataset,
     biaxial_partition,
     deformation_gradients,
-    element_deformation_gradient,
     generate_dataset,
     nodal_forces,
     reaction,
@@ -27,7 +32,8 @@ from convexkan.fem import (
     uniaxial_partition,
     unit_square_hole_mesh,
 )
-from convexkan.mechanics import NeoHookean
+from convexkan.mechanics import NeoHookean, NetworkMaterial, benchmark_model
+from convexkan.network import KANModel
 
 
 def unit_square_two_tri():
@@ -152,7 +158,7 @@ class TestPartition:
 class TestDeformationGradient:
     def test_zero_displacement(self):
         m = unit_square_two_tri()
-        npt.assert_array_equal(element_deformation_gradient(m, np.zeros((4, 2)), 0), np.eye(2))
+        npt.assert_array_equal(deformation_gradients(m, np.zeros((4, 2)))[0], np.eye(2))
 
     def test_affine_exact_on_every_element(self):
         m = square_grid_mesh(5)
@@ -169,7 +175,44 @@ class TestDeformationGradient:
         X = np.column_stack([np.ones(3), nodes])
         grads = np.linalg.inv(X)[1:].T  # rows: nabla N^a
         want = np.eye(2) + u.T @ grads
-        npt.assert_allclose(element_deformation_gradient(m, u, 0), want, rtol=1e-12)
+        npt.assert_allclose(deformation_gradients(m, u)[0], want, rtol=1e-12)
+
+
+class TestBatchedAssembly:
+    """One material call per assembly gives what one call per element gives."""
+
+    @staticmethod
+    def case(kind):
+        m = unit_square_hole_mesh(n=7)
+        u = 0.03 * np.random.default_rng(7).normal(size=(m.n_nodes, 2))
+        if kind == "ICKAN":
+            return m, u, NetworkMaterial(KANModel.create(rng=8).grid_initialize())
+        return m, u, benchmark_model(kind)
+
+    @pytest.mark.parametrize("kind", ["NH", "AB", "OG", "ICKAN"])
+    def test_nodal_forces_match_per_element_loop(self, kind):
+        m, u, model = self.case(kind)
+        want = np.zeros((m.n_nodes, 2))
+        for e, F in enumerate(deformation_gradients(m, u)):
+            P = model.stress(F)
+            for a, node in enumerate(m.triangles[e]):
+                want[node] += m.area[e] * P @ m.grad_N[e, a]
+        got = nodal_forces(m, u, model)
+        npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("kind", ["NH", "AB", "OG", "ICKAN"])
+    def test_tangent_matrix_matches_per_element_loop(self, kind):
+        m, u, model = self.case(kind)
+        want = np.zeros((2 * m.n_nodes, 2 * m.n_nodes))
+        for e, F in enumerate(deformation_gradients(m, u)):
+            C = model.tangent(F)
+            G = m.grad_N[e]
+            for a, na in enumerate(m.triangles[e]):
+                for b, nb in enumerate(m.triangles[e]):
+                    blk = m.area[e] * np.einsum("ijkl,j,l->ik", C, G[a], G[b])
+                    want[2 * na : 2 * na + 2, 2 * nb : 2 * nb + 2] += blk
+        got = tangent_matrix(m, u, model).toarray()
+        npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 class TestForcesAndReactions:
@@ -322,6 +365,32 @@ class TestSolve:
             solve(m, part, NeoHookean(), 0.5, max_iter=1, max_halvings=0)
 
 
+# one corruption of each header line the dataset parser checks
+MALFORMED = {
+    "noise_sigma": ("noise_sigma ", "noise "),
+    "partition": ("partition groups", "partition sets"),
+    "group": ("group left scale", "group left factor"),
+    "snapshots": ("snapshots ", "frames "),
+    "snapshot": ("snapshot delta", "snapshot load"),
+    "reactions": ("reactions ", "forces "),
+    "reaction_count": ("reactions 0", "reactions 0 0 0 0 0 0"),
+    "trailing": ("\nreactions", "\nreactions"),
+}
+
+
+def malformed_dataset(case):
+    m = square_grid_mesh(3)
+    part = biaxial_partition(m)
+    text = SpecimenDataset(
+        mesh=m, partition=part, deltas=[0.0], displacements=np.zeros((1, m.n_nodes, 2)),
+        reactions=np.zeros((1, part.n_reactions)),
+    ).dumps()
+    old, new = MALFORMED[case]
+    assert old in text
+    text = text.replace(old, new, 1)
+    return text + "0 0\n" if case == "trailing" else text
+
+
 class TestDataset:
     def test_noiseless_matches_solver(self):
         m = unit_square_hole_mesh(n=11)
@@ -375,6 +444,33 @@ class TestDataset:
     def test_bad_dataset_header(self):
         with pytest.raises(DataError):
             SpecimenDataset.loads("garbage\n")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_dataset_rejected(self, case):
+        with pytest.raises(DataError):
+            SpecimenDataset.loads(malformed_dataset(case))
+
+    def test_malformed_dataset_rejected_without_asserts(self):
+        # python -O strips assert statements; the parser must not rely on them
+        code = (
+            "import sys\n"
+            "from convexkan.errors import DataError\n"
+            "from convexkan.fem import SpecimenDataset\n"
+            "for text in sys.stdin.read().split('\\0'):\n"
+            "    try:\n"
+            "        SpecimenDataset.loads(text)\n"
+            "    except DataError:\n"
+            "        continue\n"
+            "    sys.exit('accepted a malformed file')\n"
+        )
+        src = str(Path(convexkan.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            input="\0".join(malformed_dataset(c) for c in sorted(MALFORMED)),
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_uniaxial_partition_on_two_hole_mesh(self):
         m = two_hole_mesh(n=17)

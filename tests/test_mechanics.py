@@ -22,6 +22,7 @@ from convexkan.mechanics import (
     random_rotation,
 )
 from convexkan.network import KANModel
+from convexkan.symbolic import SymbolicMaterial, distill
 
 
 def random_admissible_F(rng, scale=0.3):
@@ -245,3 +246,98 @@ class TestNetworkMaterial:
         rng = np.random.default_rng(34)
         F = random_admissible_F(rng, scale=0.2)
         assert objectivity_check(material, F, random_rotation(rng)) < 1e-10
+
+
+@pytest.fixture(scope="module")
+def all_materials():
+    models = {kind: benchmark_model(kind) for kind in sorted(BENCHMARKS)}
+    models["ICKAN"] = NetworkMaterial(KANModel.create(rng=35).grid_initialize())
+    models["SYM"] = SymbolicMaterial(distill(KANModel.create(rng=36).grid_initialize()))
+    return models
+
+
+def assert_close_to(got, want, rtol=1e-12):
+    """Agreement relative to the largest entry of ``want``."""
+    want = np.asarray(want)
+    npt.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
+
+
+def random_stack(rng, n, dim):
+    F = np.empty((n, 3, 3))
+    for e in range(n):
+        F[e] = random_admissible_F(rng, scale=0.2)
+    if dim == 2:
+        return F[:, :2, :2]
+    return F
+
+
+class TestBatchedEquivalence:
+    """A stack of deformation gradients gives what one call per F gives."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_compute_state_stack(self, dim):
+        Fs = random_stack(np.random.default_rng(40), 6, dim)
+        st = compute_state(Fs)
+        singles = [compute_state(F) for F in Fs]
+        for name in ("I1", "I2", "I3", "J", "I1_tilde", "I2_star", "K", "dK_dF", "d2K_dFdF"):
+            got = getattr(st, name)
+            assert got.shape[0] == 6, name
+            assert_close_to(got, [getattr(s, name) for s in singles])
+
+    def test_single_shapes_unchanged(self):
+        st = compute_state(np.eye(2))
+        assert isinstance(st.J, float) and isinstance(st.I1_tilde, float)
+        assert st.K.shape == (3,) and st.dK_dF.shape == (3, 3, 3)
+        assert st.d2K_dFdF.shape == (3, 3, 3, 3, 3)
+        assert compute_state(np.eye(2)[None]).K.shape == (1, 3)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["NH", "IH", "HW", "GT", "AB", "OG", "ICKAN", "SYM"])
+    def test_material_stack(self, all_materials, kind, dim):
+        model = all_materials[kind]
+        Fs = random_stack(np.random.default_rng(41), 5, dim)
+        W, P, T = model.energy(Fs), model.stress(Fs), model.tangent(Fs)
+        assert W.shape == (5,)
+        assert P.shape == (5, dim, dim) and T.shape == (5, dim, dim, dim, dim)
+        assert_close_to(W, [model.energy(F) for F in Fs])
+        assert_close_to(P, [model.stress(F) for F in Fs])
+        assert_close_to(T, [model.tangent(F) for F in Fs])
+        # a stack of one is a stack, not a single F
+        one = Fs[:1]
+        assert np.shape(model.energy(one)) == (1,)
+        assert_close_to(model.stress(one)[0], model.stress(Fs[0]))
+        assert_close_to(model.tangent(one)[0], model.tangent(Fs[0]))
+        assert isinstance(model.energy(Fs[0]), float)
+
+    @pytest.mark.parametrize("kind", ["NH", "OG", "ICKAN"])
+    def test_inadmissible_element_named(self, all_materials, kind):
+        model = all_materials[kind]
+        Fs = np.broadcast_to(np.eye(2), (4, 2, 2)).copy()
+        Fs[2] = np.diag([-0.5, 1.0])
+        Fs[3] = np.diag([-0.5, 1.0])
+        for call in (model.energy, model.stress, model.tangent):
+            with pytest.raises(InadmissibleDeformationError, match=r"^element 2: det\(F\) = -0.5"):
+                call(Fs)
+        with pytest.raises(InadmissibleDeformationError, match=r"^det\(F\)"):
+            model.stress(Fs[2])
+
+    def test_og_perturbed_copy_names_its_element(self):
+        # det F > 0, but the difference steps cross det F = 0
+        Fs = np.broadcast_to(np.eye(2), (4, 2, 2)).copy()
+        Fs[2] = np.diag([1e-9, 1.0])
+        for call in (benchmark_model("OG").stress, benchmark_model("OG").tangent):
+            with pytest.raises(InadmissibleDeformationError, match="^element 2: "):
+                call(Fs)
+
+    def test_ab_saturated_element_named(self):
+        Fs = np.broadcast_to(np.eye(3), (3, 3, 3)).copy()
+        Fs[1] = np.diag([80.0, 0.5, 0.5])
+        for call in (ArrudaBoyce().energy, ArrudaBoyce().stress, ArrudaBoyce().tangent):
+            with pytest.raises(EvaluationError, match="^element 1: chain stretch saturated"):
+                call(Fs)
+
+    def test_bad_shape_rejected(self):
+        with pytest.raises(ConfigurationError):
+            compute_state(np.eye(4))
+        with pytest.raises(ConfigurationError):
+            NeoHookean().stress(np.ones((2, 3, 2)))

@@ -237,3 +237,20 @@ class TestCheckpoint:
         text = fresh_model(seed=22).dumps()
         with pytest.raises(DataError):
             KANModel.loads("\n".join(text.splitlines()[:8]))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("raw", "nan"), ("raw", "inf"), ("w_s", "nan"), ("w_b", "-inf"),
+            ("domain", "nan 1"), ("domain", "0 inf"), ("domain", "2 2"), ("domain", "3 1"),
+        ],
+    )
+    def test_bad_values_rejected(self, key, value):
+        lines = fresh_model(seed=23).dumps().splitlines()
+        row = next(k for k, ln in enumerate(lines) if ln.startswith(f"{key} "))
+        if key == "raw":
+            lines[row] = " ".join(lines[row].split()[:-1] + [value])
+        else:
+            lines[row] = f"{key} {value}"
+        with pytest.raises(DataError, match="activation 0,0,0"):
+            KANModel.loads("\n".join(lines))

@@ -277,9 +277,9 @@ class TestErrors:
             ),
             reactions=np.zeros((1, 4)),
         )
-        with pytest.raises(TrainingError, match="snapshot 0"):
+        with pytest.raises(TrainingError, match=r"^snapshot 0, element 0: det\(F\)"):
             ElementStates(bad)
-        with pytest.raises(TrainingError, match="snapshot 0"):
+        with pytest.raises(TrainingError, match=r"^snapshot 0: element 0: det\(F\)"):
             loss(flat_network(), bad)
 
     def test_loss_rejects_unknown_object(self):
