@@ -7,7 +7,7 @@ Knot and basis indices follow the usual 1-based convention in docstrings
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
@@ -156,50 +156,55 @@ def eval_basis_derivatives(x, knots: KnotVector, order: int) -> Array:
 def reparameterize(raw) -> Array:
     """Map unconstrained parameters to convex non-decreasing control points.
 
-    The first entry passes through; the rest are clamped at zero from below,
-    then two cumulative sums turn non-negative increments into control points
-    whose consecutive differences are non-negative and non-decreasing.
+    Acts along the last axis, so ``raw`` may be one parameter vector or a
+    stack of them.  The first entry passes through; the rest are clamped at
+    zero from below, then two cumulative sums turn non-negative increments
+    into control points whose consecutive differences are non-negative and
+    non-decreasing.
     """
     p = np.asarray(raw, dtype=np.float64)
-    if p.size < 3:
-        raise ConfigurationError(f"need at least 3 parameters, got {p.size}")
+    if p.ndim == 0 or p.shape[-1] < 3:
+        raise ConfigurationError(f"need at least 3 parameters, got shape {p.shape}")
     h = np.maximum(p, 0.0)
-    h[0] = p[0]
+    h[..., 0] = p[..., 0]
     d = np.empty_like(h)
-    d[0] = h[0]
-    d[1:] = np.cumsum(h[1:])
-    c = np.cumsum(d)
+    d[..., 0] = h[..., 0]
+    d[..., 1:] = np.cumsum(h[..., 1:], axis=-1)
+    c = np.cumsum(d, axis=-1)
     # Rounding in the cumulative sums can leave the floating-point differences
     # of c violating the constraint by an ulp; nudge entries up until the
     # constraint holds exactly as evaluated in double precision.  Entries
-    # before the first violation need no nudge, so the loop starts there, on
-    # Python floats (the same IEEE doubles, without numpy scalar overhead).
-    diff = np.diff(c)
-    bad = np.flatnonzero(diff < np.concatenate(([0.0], diff[:-1])))
-    if bad.size == 0:
-        return c
-    start = int(bad[0]) + 1
-    vals = c.tolist()
-    prev = vals[start - 1] - vals[start - 2] if start > 1 else 0.0
-    for i in range(start, len(vals)):
-        while vals[i] - vals[i - 1] < prev:
-            vals[i] = math.nextafter(vals[i], math.inf)
-        prev = vals[i] - vals[i - 1]
-    return np.array(vals)
+    # before a row's first violation need no nudge, so its loop starts there,
+    # on Python floats (the same IEEE doubles, without numpy scalar overhead).
+    diff = np.diff(c, axis=-1)
+    prev = np.concatenate((np.zeros_like(diff[..., :1]), diff[..., :-1]), axis=-1)
+    bad = (diff < prev).reshape(-1, diff.shape[-1])
+    rows = c.reshape(-1, c.shape[-1])  # a view: c is a fresh contiguous array
+    for r in np.flatnonzero(bad.any(axis=1)):
+        start = int(np.argmax(bad[r])) + 1
+        vals = rows[r].tolist()
+        prev = vals[start - 1] - vals[start - 2] if start > 1 else 0.0
+        for i in range(start, len(vals)):
+            while vals[i] - vals[i - 1] < prev:
+                vals[i] = math.nextafter(vals[i], math.inf)
+            prev = vals[i] - vals[i - 1]
+        rows[r] = vals
+    return c
 
 
 def reparameterize_vjp(raw, cbar) -> Array:
-    """Pull a gradient w.r.t. control points back to the raw parameters.
+    """Pull a gradient w.r.t. control points back to the raw parameters,
+    along the last axis like :func:`reparameterize`.
 
     Subgradient of the clamp: 0 for negative raw entries, 1 otherwise.
     """
     p = np.asarray(raw, dtype=np.float64)
-    g_d = np.cumsum(np.asarray(cbar, dtype=np.float64)[::-1])[::-1]
+    g_d = np.cumsum(np.asarray(cbar, dtype=np.float64)[..., ::-1], axis=-1)[..., ::-1]
     g_h = np.empty_like(g_d)
-    g_h[0] = g_d[0]
-    g_h[1:] = np.cumsum(g_d[:0:-1])[::-1]
+    g_h[..., 0] = g_d[..., 0]
+    g_h[..., 1:] = np.cumsum(g_d[..., :0:-1], axis=-1)[..., ::-1]
     g_p = g_h.copy()
-    g_p[1:] *= (p[1:] >= 0.0).astype(np.float64)
+    g_p[..., 1:] *= (p[..., 1:] >= 0.0).astype(np.float64)
     return g_p
 
 
@@ -208,20 +213,21 @@ class BSplineCurve:
     """A spline curve ``psi(x) = sum_i c_i B_i(x)`` with linear extrapolation
     beyond the natural domain.
 
-    The base class uses the raw parameters directly as control points
-    (unconstrained); :class:`ConvexSpline` reparameterizes them to enforce a
-    convex non-decreasing curve.
+    ``raw`` is one parameter vector of length ``n_b`` or an ``(m, n_b)``
+    stack of them, one curve per row on the shared knots.  The base class
+    uses the raw parameters directly as control points (unconstrained);
+    :class:`ConvexSpline` reparameterizes them to enforce a convex
+    non-decreasing curve.
     """
 
     knots: KnotVector
     raw: Array
-    eps_extrap: float | None = None  # None: analytic endpoint slope (exact C1)
 
     def __post_init__(self):
         self.raw = np.asarray(self.raw, dtype=np.float64)
-        if self.raw.size != self.knots.n_b:
+        if self.raw.ndim not in (1, 2) or self.raw.shape[-1] != self.knots.n_b:
             raise ConfigurationError(
-                f"expected {self.knots.n_b} parameters, got {self.raw.size}"
+                f"expected {self.knots.n_b} parameters per curve, got shape {self.raw.shape}"
             )
 
     @property
@@ -246,7 +252,7 @@ class BSplineCurve:
         outside = (xs < lo) | (xs > hi)
         if np.any(outside):
             edge = np.where(xs < lo, lo, hi)[outside]
-            slope_rows = self._edge_slope_rows(edge)
+            slope_rows = eval_basis_derivatives(edge, self.knots, 1)
             b0[outside] = b0[outside] + (xs[outside] - edge)[:, None] * slope_rows
             b1[outside] = slope_rows
             b2[outside] = 0.0
@@ -254,26 +260,15 @@ class BSplineCurve:
             return b0[0], b1[0], b2[0]
         return b0, b1, b2
 
-    def _edge_slope_rows(self, edge: Array) -> Array:
-        if self.eps_extrap is None:
-            return eval_basis_derivatives(edge, self.knots, 1)
-        # finite-difference compatibility mode (one-sided, into the domain)
-        eps = self.eps_extrap
-        lo, hi = self.knots.domain
-        inward = np.where(edge <= lo, edge + eps, edge - eps)
-        sign = np.where(edge <= lo, 1.0, -1.0)
-        rows = (eval_basis(inward, self.knots) - eval_basis(edge, self.knots)) / eps
-        return sign[:, None] * rows
-
     def eval_extended(self, x):
-        """Value, first and second derivative at ``x`` (scalar or array).
+        """Value, first and second derivative at ``x`` (scalar or array), of
+        shape ``x.shape`` for one curve and ``x.shape + (m,)`` for a stack.
 
         Inside the natural domain these are the exact spline derivatives;
         outside, the curve continues linearly with the endpoint slope.
         """
-        b0, b1, b2 = self.design_rows(x)
-        c = self.control_points
-        return b0 @ c, b1 @ c, b2 @ c
+        c = self.control_points.T
+        return tuple(b @ c for b in self.design_rows(x))
 
 
 @dataclass
@@ -286,8 +281,3 @@ class ConvexSpline(BSplineCurve):
 
     def coeff_vjp(self, cbar: Array) -> Array:
         return reparameterize_vjp(self.raw, cbar)
-
-
-def eval_extended(spline: BSplineCurve, x):
-    """Functional alias for :meth:`BSplineCurve.eval_extended`."""
-    return spline.eval_extended(x)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
-
 import numpy as np
 import numpy.typing as npt
 
@@ -46,72 +44,30 @@ def _silu(x):
     return x * s, s * (1.0 + x * (1.0 - s)), s * (1.0 - s) * (2.0 + x * (1.0 - 2.0 * s))
 
 
-@dataclass
-class Activation:
-    """One trainable edge function ``phi``.
+class KANModel:
+    """Spline network with ``R`` layers; dims ``(3, ..., 1)``.
 
-    Constrained: ``phi(x) = softplus(w_s) * psi(x)`` with a convex
-    non-decreasing spline ``psi``.  Vanilla: ``phi(x) = w_b*silu(x) +
-    w_s*psi(x)`` with unconstrained control points.
+    Layer ``r`` is one array ``params[r]`` of shape ``(n_out, n_in, width)``:
+    per edge ``(i, j)`` the ``n_coef`` raw spline parameters, then ``w_s``,
+    then ``w_b`` in vanilla mode.  Constrained edges compute
+    ``phi(x) = softplus(w_s) * psi(x)`` with a convex non-decreasing spline
+    ``psi``; vanilla edges compute ``phi(x) = w_b*silu(x) + w_s*psi(x)`` with
+    unconstrained control points.  All edges reading input column ``j`` of
+    layer ``r`` share the knot vector ``knots[r][j]``.  The parameter vector
+    is the layers' arrays flattened in order.
     """
 
-    spline: BSplineCurve
-    w_s: float
-    mode: str = CONSTRAINED
-    w_b: float = 0.0
-
-    def scale(self) -> float:
-        return float(softplus(self.w_s)) if self.mode == CONSTRAINED else self.w_s
-
-    def value_and_derivatives(self, x):
-        """phi, phi', phi'' at (an array of) points x."""
-        psi, dpsi, d2psi = self.spline.eval_extended(x)
-        if self.mode == CONSTRAINED:
-            s = self.scale()
-            return s * psi, s * dpsi, s * d2psi
-        b, db, d2b = _silu(np.asarray(x, dtype=np.float64))
-        return (
-            self.w_b * b + self.w_s * psi,
-            self.w_b * db + self.w_s * dpsi,
-            self.w_b * d2b + self.w_s * d2psi,
-        )
-
-
-@dataclass
-class ActivationGradient:
-    raw: Array
-    w_s: float = 0.0
-    w_b: float = 0.0
-
-
-@dataclass
-class ParameterGradient:
-    """Objective gradient laid out congruently with the model's activations."""
-
-    layers: list  # [r][i][j] -> ActivationGradient
-    mode: str
-
-    def to_vector(self) -> Array:
-        parts = []
-        for layer in self.layers:
-            for row in layer:
-                for g in row:
-                    parts.append(g.raw)
-                    parts.append([g.w_s])
-                    if self.mode == VANILLA:
-                        parts.append([g.w_b])
-        return np.concatenate(parts)
-
-
-class KANModel:
-    """Spline network with ``R`` layers; dims ``(3, ..., 1)``."""
-
-    def __init__(self, dims, order, n_coef, mode, acts):
+    def __init__(self, dims, order, n_coef, mode, params, knots):
+        if dims[0] != 3 or dims[-1] != 1:
+            raise ConfigurationError(f"dims must map 3 inputs to 1 output, got {dims}")
+        if mode not in (CONSTRAINED, VANILLA):
+            raise ConfigurationError(f"unknown mode {mode!r}")
         self.dims = tuple(int(d) for d in dims)
         self.order = int(order)
         self.n_coef = int(n_coef)
         self.mode = mode
-        self.acts = acts  # [layer r][out i][in j] -> Activation
+        self.params = params  # [layer r] -> (n_out, n_in, width)
+        self.knots = knots  # [layer r][input column j] -> KnotVector
         self.grid_ready = False
 
     # -- construction ------------------------------------------------------
@@ -119,63 +75,40 @@ class KANModel:
     @classmethod
     def create(cls, dims=(3, 2, 1), order=5, n_coef=17, mode=CONSTRAINED, rng=None,
                init_scale=0.1):
-        if dims[0] != 3 or dims[-1] != 1:
-            raise ConfigurationError(f"dims must map 3 inputs to 1 output, got {dims}")
-        if mode not in (CONSTRAINED, VANILLA):
-            raise ConfigurationError(f"unknown mode {mode!r}")
         rng = np.random.default_rng(rng)
-        lo, hi = GRID_INIT_RANGE
-        kv = KnotVector.from_domain(lo, hi, n_coef, order)
-        spline_cls = ConvexSpline if mode == CONSTRAINED else BSplineCurve
-        acts = []
-        for r in range(len(dims) - 1):
-            layer = []
-            for _ in range(dims[r + 1]):
-                row = []
-                for _ in range(dims[r]):
-                    raw = rng.uniform(-init_scale, init_scale, size=n_coef)
-                    if mode == CONSTRAINED:
-                        # a negative base slope raw[1] would be clamped to 0
-                        # with zero gradient, freezing the activation flat
-                        raw[1] = abs(raw[1])
-                    sp = spline_cls(knots=kv, raw=raw)
-                    row.append(
-                        Activation(
-                            spline=sp,
-                            w_s=W_S_UNIT if mode == CONSTRAINED else float(rng.uniform(-0.1, 0.1)),
-                            mode=mode,
-                            w_b=float(rng.uniform(-0.1, 0.1)) if mode == VANILLA else 0.0,
-                        )
-                    )
-                layer.append(row)
-            acts.append(layer)
-        return cls(dims, order, n_coef, mode, acts)
+        kv = KnotVector.from_domain(*GRID_INIT_RANGE, n_coef, order)
+        params = []
+        for n_in, n_out in zip(dims[:-1], dims[1:]):
+            p = np.full((n_out, n_in, n_coef + (2 if mode == VANILLA else 1)), W_S_UNIT)
+            for i, j in np.ndindex(n_out, n_in):
+                p[i, j, :n_coef] = rng.uniform(-init_scale, init_scale, size=n_coef)
+                if mode == VANILLA:  # w_s, w_b
+                    p[i, j, n_coef:] = rng.uniform(-0.1, 0.1, size=2)
+            if mode == CONSTRAINED:
+                # a negative base slope raw[1] would be clamped to 0 with zero
+                # gradient, freezing the activation flat
+                p[..., 1] = np.abs(p[..., 1])
+            params.append(p)
+        knots = [[kv] * n_in for n_in in dims[:-1]]
+        return cls(dims, order, n_coef, mode, params, knots)
 
     @property
     def n_layers(self) -> int:
         return len(self.dims) - 1
 
-    def activations(self):
-        """Iterate ``(r, i, j, activation)`` in parameter-packing order."""
-        for r, layer in enumerate(self.acts):
-            for i, row in enumerate(layer):
-                for j, act in enumerate(row):
-                    yield r, i, j, act
+    def curves(self, r: int, j: int) -> BSplineCurve:
+        """The splines ``psi`` of layer ``r`` reading input column ``j``, one
+        row per output."""
+        spline_cls = ConvexSpline if self.mode == CONSTRAINED else BSplineCurve
+        return spline_cls(knots=self.knots[r][j], raw=self.params[r][:, j, : self.n_coef])
 
     # -- parameter packing -------------------------------------------------
 
     def n_parameters(self) -> int:
-        per = self.n_coef + (2 if self.mode == VANILLA else 1)
-        return per * sum(len(r) * len(r[0]) for r in self.acts)
+        return sum(p.size for p in self.params)
 
     def parameter_vector(self) -> Array:
-        parts = []
-        for _, _, _, act in self.activations():
-            parts.append(act.spline.raw)
-            parts.append([act.w_s])
-            if self.mode == VANILLA:
-                parts.append([act.w_b])
-        return np.concatenate(parts)
+        return np.concatenate([p.ravel() for p in self.params])
 
     def set_parameter_vector(self, v: Array):
         v = np.asarray(v, dtype=np.float64)
@@ -183,15 +116,10 @@ class KANModel:
             raise ConfigurationError(
                 f"expected {self.n_parameters()} parameters, got {v.size}"
             )
-        pos = 0
-        for _, _, _, act in self.activations():
-            act.spline.raw = v[pos : pos + self.n_coef].copy()
-            pos += self.n_coef
-            act.w_s = float(v[pos])
-            pos += 1
-            if self.mode == VANILLA:
-                act.w_b = float(v[pos])
-                pos += 1
+        splits = np.cumsum([p.size for p in self.params])[:-1]
+        self.params = [
+            part.reshape(p.shape).copy() for p, part in zip(self.params, np.split(v, splits))
+        ]
 
     # -- grid initialization ----------------------------------------------
 
@@ -200,17 +128,15 @@ class KANModel:
         layer by layer; domains are frozen afterwards."""
         ranges = [GRID_INIT_RANGE] * self.dims[0]
         for r in range(self.n_layers):
-            for j, (lo, hi) in enumerate(ranges):
-                kv = KnotVector.from_domain(lo, hi, self.n_coef, self.order)
-                for i in range(self.dims[r + 1]):
-                    self.acts[r][i][j].spline.knots = kv
+            self.knots[r] = [
+                KnotVector.from_domain(lo, hi, self.n_coef, self.order) for lo, hi in ranges
+            ]
             z = np.column_stack(
                 [np.linspace(lo, hi, GRID_INIT_POINTS) for lo, hi in ranges]
             )
-            y = self._layer_forward(r, z)
+            y = self._layer(r, z)[0]
             ranges = []
-            for i in range(self.dims[r + 1]):
-                lo, hi = float(y[:, i].min()), float(y[:, i].max())
+            for lo, hi in zip(y.min(axis=0).tolist(), y.max(axis=0).tolist()):
                 if hi - lo < MIN_DOMAIN_WIDTH:
                     mid = 0.5 * (lo + hi)
                     lo, hi = mid - 0.5 * MIN_DOMAIN_WIDTH, mid + 0.5 * MIN_DOMAIN_WIDTH
@@ -232,20 +158,57 @@ class KANModel:
             raise ConfigurationError("model must be grid-initialized before evaluation")
         return Kb, scalar
 
-    def _layer_forward(self, r, z):
-        n_out = self.dims[r + 1]
-        y = np.zeros((z.shape[0], n_out))
+    def _column(self, r: int, j: int, x, order: int = 0, rows=None) -> list:
+        """``phi`` and its first ``order`` derivatives at points ``x`` for
+        every edge of layer ``r`` reading input column ``j``: a list of
+        ``(N, n_out)`` arrays.  ``rows`` are the column's design rows at
+        ``x``, if already computed."""
+        curves = self.curves(r, j)
+        if rows is None:
+            rows = curves.design_rows(x)
+        c = curves.control_points.T
+        psi = [b @ c for b in rows[: order + 1]]
+        w_s = self.params[r][:, j, self.n_coef]
+        if self.mode == CONSTRAINED:
+            s = softplus(w_s)
+            return [s * v for v in psi]
+        w_b = self.params[r][:, j, self.n_coef + 1]
+        return [w_b * b[:, None] + w_s * v for b, v in zip(_silu(x), psi)]
+
+    def _layer(self, r, z, A=None, H=None, rows=None):
+        """Outputs ``y`` of layer ``r`` at inputs ``z`` (N, n_in), and, given
+        the inputs' Jacobian ``A`` (N, n_in, d0) and Hessian ``H``
+        (N, n_in, d0, d0) with respect to the network input, the outputs'
+        ones.  Returns ``(y, Ay, Hy)``, with None for what was not asked.
+        A ``rows`` list receives each column's design rows."""
+        order = 0 if A is None else 1 if H is None else 2
+        shape = (z.shape[0], self.dims[r + 1])
+        y = np.zeros(shape)
+        Ay = None if A is None else np.zeros(shape + A.shape[2:])
+        Hy = None if H is None else np.zeros(shape + H.shape[2:])
         for j in range(self.dims[r]):
             x = z[:, j]
-            for i in range(n_out):
-                y[:, i] += self.acts[r][i][j].value_and_derivatives(x)[0]
-        return y
+            if rows is None:
+                phi = self._column(r, j, x, order)
+            else:
+                rows.append(self.curves(r, j).design_rows(x))
+                phi = self._column(r, j, x, order, rows[-1])
+            y += phi[0]
+            if order >= 1:
+                Aj = A[:, None, j, :]
+                Ay += phi[1][:, :, None] * Aj
+            if order == 2:
+                outer = Aj[:, :, :, None] * Aj[:, :, None, :]
+                Hy += (
+                    phi[2][:, :, None, None] * outer
+                    + phi[1][:, :, None, None] * H[:, None, j]
+                )
+        return y, Ay, Hy
 
     def forward(self, K):
-        Kb, scalar = self._check_input(K)
-        z = Kb
+        z, scalar = self._check_input(K)
         for r in range(self.n_layers):
-            z = self._layer_forward(r, z)
+            z = self._layer(r, z)[0]
         out = z[:, 0]
         return float(out[0]) if scalar else out
 
@@ -261,40 +224,11 @@ class KANModel:
         A = np.broadcast_to(np.eye(d0), (N, d0, d0)).copy()
         H = np.zeros((N, d0, d0, d0))
         for r in range(self.n_layers):
-            n_out = self.dims[r + 1]
-            y = np.zeros((N, n_out))
-            Ay = np.zeros((N, n_out, d0))
-            Hy = np.zeros((N, n_out, d0, d0))
-            for j in range(self.dims[r]):
-                x = z[:, j]
-                Aj = A[:, j, :]
-                outer = Aj[:, :, None] * Aj[:, None, :]
-                for i in range(n_out):
-                    phi, dphi, d2phi = self.acts[r][i][j].value_and_derivatives(x)
-                    y[:, i] += phi
-                    Ay[:, i, :] += dphi[:, None] * Aj
-                    Hy[:, i, :, :] += (
-                        d2phi[:, None, None] * outer + dphi[:, None, None] * H[:, j]
-                    )
-            z, A, H = y, Ay, Hy
+            z, A, H = self._layer(r, z, A, H)
         W, g, Hess = z[:, 0], A[:, 0, :], H[:, 0]
         if scalar:
             return float(W[0]), g[0], Hess[0]
         return W, g, Hess
-
-    def forward_with_gradient(self, K):
-        """Output and input gradient only (needs k >= 2)."""
-        if self.order < 2:
-            raise ConfigurationError(
-                f"input gradient needs spline order k >= 2, got k={self.order}"
-            )
-        Kb, scalar = self._check_input(K)
-        cache = self._forward_cache(Kb)
-        W = cache["z"][-1][:, 0]
-        g = cache["A"][-1][:, 0, :]
-        if scalar:
-            return float(W[0]), g[0]
-        return W, g
 
     # -- reverse accumulation ---------------------------------------------
 
@@ -305,41 +239,15 @@ class KANModel:
         As = [np.broadcast_to(np.eye(d0), (N, d0, d0)).copy()]
         rows = []  # rows[r][j] = (b0, b1, b2) shared by all outputs i
         for r in range(self.n_layers):
-            z, A = zs[-1], As[-1]
-            n_out = self.dims[r + 1]
-            y = np.zeros((N, n_out))
-            Ay = np.zeros((N, n_out, d0))
-            layer_rows = []
-            for j in range(self.dims[r]):
-                x = z[:, j]
-                b = self.acts[r][0][j].spline.design_rows(x)
-                layer_rows.append(b)
-                Aj = A[:, j, :]
-                for i in range(n_out):
-                    act = self.acts[r][i][j]
-                    c = act.spline.control_points
-                    psi, dpsi = b[0] @ c, b[1] @ c
-                    if act.mode == CONSTRAINED:
-                        s = act.scale()
-                        phi, dphi = s * psi, s * dpsi
-                    else:
-                        sv, sd, _ = _silu(x)
-                        phi = act.w_b * sv + act.w_s * psi
-                        dphi = act.w_b * sd + act.w_s * dpsi
-                    y[:, i] += phi
-                    Ay[:, i, :] += dphi[:, None] * Aj
-            rows.append(layer_rows)
+            rows.append([])
+            y, Ay, _ = self._layer(r, zs[-1], As[-1], rows=rows[-1])
             zs.append(y)
             As.append(Ay)
         return {"z": zs, "A": As, "rows": rows}
 
-    def backward(self, K, seed: float = 1.0) -> ParameterGradient:
-        """Gradient of ``seed * W(K)`` with respect to all trainable parameters."""
-        Kb, _ = self._check_input(K)
-        return self.backward_batch(Kb, seed_w=np.full(Kb.shape[0], float(seed)))
-
-    def backward_batch(self, Kb, seed_w=None, seed_g=None, cache=None) -> ParameterGradient:
-        """Gradient of ``sum_n [seed_w_n * W(K_n) + seed_g_n . grad_K W(K_n)]``.
+    def backward_batch(self, Kb, seed_w=None, seed_g=None, cache=None) -> Array:
+        """Gradient of ``sum_n [seed_w_n * W(K_n) + seed_g_n . grad_K W(K_n)]``
+        with respect to the parameter vector.
 
         The gradient-seeded path is what force-residual training needs, since
         the stress depends on the input gradient of the energy.  A forward
@@ -352,54 +260,39 @@ class KANModel:
             seed_w = np.zeros(N)
         if cache is None:
             cache = self._forward_cache(Kb)
-        grads = [
-            [
-                [ActivationGradient(raw=np.zeros(self.n_coef)) for _ in row]
-                for row in layer
-            ]
-            for layer in self.acts
-        ]
-        zbar = np.asarray(seed_w, dtype=np.float64)[:, None]  # (N, 1)
-        Abar = (
-            np.asarray(seed_g, dtype=np.float64)[:, None, :]
-            if seed_g is not None
-            else np.zeros((N, 1, d0))
-        )
+        if seed_g is None:
+            seed_g = np.zeros((N, d0))
+        n = self.n_coef
+        grads = [np.zeros_like(p) for p in self.params]
+        zbar = np.asarray(seed_w, dtype=np.float64)[:, None]  # (N, n_out)
+        Abar = np.asarray(seed_g, dtype=np.float64)[:, None, :]  # (N, n_out, d0)
         for r in reversed(range(self.n_layers)):
             z, A = cache["z"][r], cache["A"][r]
-            n_in, n_out = self.dims[r], self.dims[r + 1]
-            new_zbar = np.zeros((N, n_in))
-            new_Abar = np.zeros((N, n_in, d0))
-            for j in range(n_in):
+            new_zbar, new_Abar = np.zeros(z.shape), np.zeros(A.shape)
+            for j in range(self.dims[r]):
                 x = z[:, j]
-                b0, b1, b2 = cache["rows"][r][j]
-                Aj = A[:, j, :]
+                rows = cache["rows"][r][j]
+                curves = self.curves(r, j)
+                c = curves.control_points.T
+                psi, dpsi, d2psi = (b @ c for b in rows)  # (N, n_out)
+                m = np.einsum("nik,nk->ni", Abar, A[:, j, :])
+                p, g = self.params[r][:, j], grads[r][:, j]
+                w = softplus(p[:, n]) if self.mode == CONSTRAINED else p[:, n]
+                dw = sigmoid(p[:, n]) if self.mode == CONSTRAINED else 1.0
+                dphi, d2phi = w * dpsi, w * d2psi
+                cbar = w[:, None] * (zbar.T @ rows[0] + m.T @ rows[1])
+                g[:, :n] += curves.coeff_vjp(cbar)
+                g[:, n] += dw * (np.sum(zbar * psi, axis=0) + np.sum(m * dpsi, axis=0))
                 if self.mode == VANILLA:
                     sv, sd, sd2 = _silu(x)
-                for i in range(n_out):
-                    act = self.acts[r][i][j]
-                    c = act.spline.control_points
-                    psi, dpsi, d2psi = b0 @ c, b1 @ c, b2 @ c
-                    yb = zbar[:, i]
-                    m = np.einsum("nk,nk->n", Abar[:, i, :], Aj)
-                    g = grads[r][i][j]
-                    if act.mode == CONSTRAINED:
-                        s = act.scale()
-                        dphi, d2phi = s * dpsi, s * d2psi
-                        cbar = s * (b0.T @ yb + b1.T @ m)
-                        g.raw += act.spline.coeff_vjp(cbar)
-                        g.w_s += float(sigmoid(act.w_s)) * (yb @ psi + m @ dpsi)
-                    else:
-                        dphi = act.w_b * sd + act.w_s * dpsi
-                        d2phi = act.w_b * sd2 + act.w_s * d2psi
-                        cbar = act.w_s * (b0.T @ yb + b1.T @ m)
-                        g.raw += act.spline.coeff_vjp(cbar)
-                        g.w_s += yb @ psi + m @ dpsi
-                        g.w_b += yb @ sv + m @ sd
-                    new_zbar[:, j] += yb * dphi + m * d2phi
-                    new_Abar[:, j, :] += dphi[:, None] * Abar[:, i, :]
+                    w_b = p[:, n + 1]
+                    dphi += w_b * sd[:, None]
+                    d2phi += w_b * sd2[:, None]
+                    g[:, n + 1] += sv @ zbar + sd @ m
+                new_zbar[:, j] = np.sum(zbar * dphi + m * d2phi, axis=1)
+                new_Abar[:, j, :] = np.einsum("ni,nik->nk", dphi, Abar)
             zbar, Abar = new_zbar, new_Abar
-        return ParameterGradient(layers=grads, mode=self.mode)
+        return np.concatenate([g.ravel() for g in grads])
 
     # -- checkpointing -----------------------------------------------------
 
@@ -414,13 +307,16 @@ class KANModel:
         buf.write("dims " + " ".join(str(d) for d in self.dims) + "\n")
         buf.write(f"order {self.order}\n")
         buf.write(f"n_coef {self.n_coef}\n")
-        for r, i, j, act in self.activations():
-            lo, hi = act.spline.knots.domain
-            buf.write(f"activation {r} {i} {j}\n")
-            buf.write(f"domain {lo:.17g} {hi:.17g}\n")
-            buf.write(f"w_s {act.w_s:.17g}\n")
-            buf.write(f"w_b {act.w_b:.17g}\n")
-            buf.write("raw " + " ".join(f"{v:.17g}" for v in act.spline.raw) + "\n")
+        n = self.n_coef
+        for r, p in enumerate(self.params):
+            for i, j in np.ndindex(p.shape[:2]):
+                lo, hi = self.knots[r][j].domain
+                w_b = p[i, j, n + 1] if self.mode == VANILLA else 0.0
+                buf.write(f"activation {r} {i} {j}\n")
+                buf.write(f"domain {lo:.17g} {hi:.17g}\n")
+                buf.write(f"w_s {p[i, j, n]:.17g}\n")
+                buf.write(f"w_b {w_b:.17g}\n")
+                buf.write("raw " + " ".join(f"{v:.17g}" for v in p[i, j, :n]) + "\n")
         buf.write("end\n")
         return buf.getvalue()
 
@@ -439,28 +335,41 @@ class KANModel:
             dims = tuple(int(v) for v in lines[2].split()[1:])
             order = int(lines[3].split()[1])
             n_coef = int(lines[4].split()[1])
-            model = cls.create(dims=dims, order=order, n_coef=n_coef, mode=mode)
+            width = n_coef + (2 if mode == VANILLA else 1)
+            params = [np.empty((n_out, n_in, width)) for n_in, n_out in zip(dims[:-1], dims[1:])]
+            domains = [{} for _ in dims[:-1]]  # [r][j] -> (lo, hi)
             pos = 5
-            for _ in range(sum(dims[r + 1] * dims[r] for r in range(len(dims) - 1))):
-                _, r, i, j = lines[pos].split()
-                r, i, j = int(r), int(i), int(j)
-                lo, hi = (float(v) for v in lines[pos + 1].split()[1:])
-                w_s = float(lines[pos + 2].split()[1])
-                w_b = float(lines[pos + 3].split()[1])
-                raw = np.array([float(v) for v in lines[pos + 4].split()[1:]])
-                if raw.size != n_coef:
-                    raise DataError(f"activation {r},{i},{j}: expected {n_coef} values")
-                if not np.all(np.isfinite([lo, hi, w_s, w_b, *raw])):
-                    raise DataError(f"activation {r},{i},{j}: non-finite value")
-                if not hi > lo:
-                    raise DataError(f"activation {r},{i},{j}: empty domain [{lo}, {hi}]")
-                act = model.acts[r][i][j]
-                act.spline.knots = KnotVector.from_domain(lo, hi, n_coef, order)
-                act.w_s, act.w_b, act.spline.raw = w_s, w_b, raw
-                pos += 5
+            for r, p in enumerate(params):
+                for i, j in np.ndindex(p.shape[:2]):
+                    name = f"activation {r},{i},{j}"
+                    tag, *index = lines[pos].split()
+                    if tag != "activation" or [int(v) for v in index] != [r, i, j]:
+                        raise DataError(f"expected {name}, got {lines[pos]!r}")
+                    lo, hi = (float(v) for v in lines[pos + 1].split()[1:])
+                    w_s = float(lines[pos + 2].split()[1])
+                    w_b = float(lines[pos + 3].split()[1])
+                    raw = np.array([float(v) for v in lines[pos + 4].split()[1:]])
+                    if raw.size != n_coef:
+                        raise DataError(f"{name}: expected {n_coef} values")
+                    if not np.all(np.isfinite([lo, hi, w_s, w_b, *raw])):
+                        raise DataError(f"{name}: non-finite value")
+                    if not hi > lo:
+                        raise DataError(f"{name}: empty domain [{lo}, {hi}]")
+                    if mode == CONSTRAINED and w_b != 0.0:
+                        raise DataError(f"{name}: constrained activations have no w_b, got {w_b}")
+                    # all activations reading one input column share its knots
+                    first = domains[r].setdefault(j, (lo, hi))
+                    if first != (lo, hi):
+                        raise DataError(f"{name}: domain [{lo}, {hi}] differs from "
+                                        f"{list(first)} of activation {r},0,{j}")
+                    p[i, j] = np.append(raw, (w_s, w_b))[:width]  # constrained: no w_b
+                    pos += 5
             if lines[pos] != "end":
                 raise DataError("missing end marker")
         except (IndexError, ValueError) as exc:
             raise DataError(f"malformed checkpoint: {exc}") from exc
+        knots = [[KnotVector.from_domain(lo, hi, n_coef, order) for lo, hi in layer.values()]
+                 for layer in domains]
+        model = cls(dims, order, n_coef, mode, params, knots)
         model.grid_ready = True
         return model

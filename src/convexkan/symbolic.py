@@ -571,18 +571,18 @@ def distill(
     if model.mode != CONSTRAINED:
         raise ConfigurationError("distillation requires a constrained model")
     fits = {}
-    for r, i, j, act in model.activations():
-        domain = act.spline.knots.domain
+    for r, layer in enumerate(model.params):
+        for i, j in np.ndindex(layer.shape[:2]):
 
-        def phi(x, act=act):
-            return act.scale() * act.spline.eval_extended(x)[0]
+            def phi(x, r=r, i=i, j=j):
+                return model._column(r, j, x)[0][:, i]
 
-        try:
-            fits[(r, i, j)] = fit_activation(phi, domain, lambda_sym)
-        except EvaluationError as exc:
-            raise EvaluationError(
-                f"activation (layer {r}, out {i}, in {j}) failed to fit: {exc}"
-            ) from exc
+            try:
+                fits[(r, i, j)] = fit_activation(phi, model.knots[r][j].domain, lambda_sym)
+            except EvaluationError as exc:
+                raise EvaluationError(
+                    f"activation (layer {r}, out {i}, in {j}) failed to fit: {exc}"
+                ) from exc
 
     forms = [_Form.variable(m) for m in range(model.dims[0])]
     for r in range(model.n_layers):

@@ -227,7 +227,7 @@ def loss_and_grad(model: KANModel, states: ElementStates):
             "eai,eaj->eij", fbar[tris], grad_N
         )
     seed_g = np.einsum("nij,nmij->nm", Pbar, states.dK2)
-    grad = model.backward_batch(Kb, seed_g=seed_g, cache=cache).to_vector()
+    grad = model.backward_batch(Kb, seed_g=seed_g, cache=cache)
     return total, grad
 
 

@@ -158,34 +158,39 @@ class TestReparameterize:
 
     def test_bit_identical_to_full_nudge_loop(self):
         rng = np.random.default_rng(5)
-        nudged = 0
-        for trial in range(4000):
-            raw = rng.normal(scale=3.0, size=17)
-            if trial % 2:
-                # curvature-sparse, as the curvature prior leaves them: most
-                # increments clamp to 0 and the control points run linear
-                raw[2:][rng.uniform(size=15) < 0.8] = -1.0
-                raw[1] = abs(raw[1]) * 10.0 ** rng.uniform(-3, 3)
-            want = self._nudge_every_index(raw)
-            plain = np.cumsum(np.concatenate(([raw[0]], np.cumsum(np.maximum(raw[1:], 0.0)))))
-            nudged += int(np.any(want != plain))
-            npt.assert_array_equal(reparameterize(raw), want)
-        assert nudged > 100  # the nudge loop really ran on many of them
+        raws = rng.normal(scale=3.0, size=(4000, 17))
+        # curvature-sparse rows, as the curvature prior leaves them: most
+        # increments clamp to 0 and the control points run linear
+        sparse = raws[1::2]
+        sparse[:, 2:][rng.uniform(size=sparse[:, 2:].shape) < 0.8] = -1.0
+        sparse[:, 1] = np.abs(sparse[:, 1]) * 10.0 ** rng.uniform(-3, 3, size=len(sparse))
+        want = np.array([self._nudge_every_index(raw) for raw in raws])
+        plain = np.cumsum(
+            np.column_stack((raws[:, 0], np.cumsum(np.maximum(raws[:, 1:], 0.0), axis=1))),
+            axis=1,
+        )
+        assert np.sum(np.any(want != plain, axis=1)) > 100  # the nudge loop ran often
+        # the stack acts row by row, and each row as a vector of its own
+        npt.assert_array_equal(reparameterize(raws), want)
+        for raw, row in zip(raws[:200], want):
+            npt.assert_array_equal(reparameterize(raw), row)
 
     def test_vjp_matches_finite_difference(self):
         rng = np.random.default_rng(3)
-        raw = rng.normal(size=9)
+        raw = rng.normal(size=(4, 9))
         raw[np.abs(raw) < 1e-3] = 0.5  # stay away from the clamp kink
-        cbar = rng.normal(size=9)
+        cbar = rng.normal(size=(4, 9))
         got = reparameterize_vjp(raw, cbar)
         h = 1e-7
         fd = np.empty_like(raw)
-        for i in range(raw.size):
+        for idx in np.ndindex(raw.shape):
             rp, rm = raw.copy(), raw.copy()
-            rp[i] += h
-            rm[i] -= h
-            fd[i] = cbar @ (reparameterize(rp) - reparameterize(rm)) / (2 * h)
+            rp[idx] += h
+            rm[idx] -= h
+            fd[idx] = np.sum(cbar * (reparameterize(rp) - reparameterize(rm))) / (2 * h)
         npt.assert_allclose(got, fd, rtol=1e-6, atol=1e-6)
+        for row in range(raw.shape[0]):
+            npt.assert_array_equal(reparameterize_vjp(raw[row], cbar[row]), got[row])
 
 
 def random_convex_spline(rng, n_coef=17, k=5, lo=-5.0, hi=25.0):
@@ -256,17 +261,6 @@ class TestEvalExtended:
             assert np.min(d1a) >= -1e-12 and np.min(d1b) >= -1e-12
             assert np.min(d2a) >= -1e-10 and np.min(d2b) >= -1e-10
 
-    def test_fd_compat_mode_close_to_analytic(self):
-        kv = KnotVector.from_domain(-5.0, 25.0, 17, 5)
-        rng = np.random.default_rng(9)
-        raw = rng.uniform(-1.0, 1.0, size=17)
-        exact = ConvexSpline(knots=kv, raw=raw)
-        approx = ConvexSpline(knots=kv, raw=raw, eps_extrap=1e-6 * kv.s)
-        x = np.array([-7.0, 30.0])
-        npt.assert_allclose(
-            approx.eval_extended(x)[0], exact.eval_extended(x)[0], rtol=1e-6
-        )
-
 
 class TestUnconstrainedCurve:
     def test_raw_used_directly(self):
@@ -275,3 +269,25 @@ class TestUnconstrainedCurve:
         sp = BSplineCurve(knots=kv, raw=raw)
         npt.assert_array_equal(sp.control_points, raw)
         npt.assert_array_equal(sp.coeff_vjp(raw * 2), raw * 2)
+
+
+class TestCurveStack:
+    def test_rows_evaluate_like_single_curves(self):
+        rng = np.random.default_rng(10)
+        kv = KnotVector.from_domain(-5.0, 25.0, n_coef=17, k=5)
+        raws = rng.uniform(-1.0, 1.0, size=(4, 17))
+        x = np.linspace(-10.0, 30.0, 300)
+        for spline_cls in (ConvexSpline, BSplineCurve):
+            stack = spline_cls(knots=kv, raw=raws)
+            got = stack.eval_extended(x)
+            for row, raw in enumerate(raws):
+                single = spline_cls(knots=kv, raw=raw)
+                npt.assert_array_equal(stack.control_points[row], single.control_points)
+                for g, w in zip(got, single.eval_extended(x)):
+                    assert g.shape == (300, 4)
+                    npt.assert_allclose(g[:, row], w, rtol=1e-13, atol=1e-13 * np.abs(w).max())
+
+    def test_rejects_wrong_length(self):
+        kv = KnotVector.from_domain(0.0, 1.0, 8, 3)
+        with pytest.raises(ConfigurationError):
+            BSplineCurve(knots=kv, raw=np.zeros((2, 7)))

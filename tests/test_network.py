@@ -4,8 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from convexkan.bspline import BSplineCurve, ConvexSpline
 from convexkan.errors import ConfigurationError, DataError, EvaluationError
-from convexkan.network import CONSTRAINED, VANILLA, KANModel, W_S_UNIT, softplus
+from convexkan.network import CONSTRAINED, VANILLA, KANModel, sigmoid, softplus
 
 
 def fresh_model(seed=0, mode=CONSTRAINED, dims=(3, 2, 1), order=5, n_coef=17):
@@ -16,9 +17,15 @@ def fresh_model(seed=0, mode=CONSTRAINED, dims=(3, 2, 1), order=5, n_coef=17):
 
 def flat_model():
     m = KANModel.create(rng=0)
-    for _, _, _, act in m.activations():
-        act.spline.raw[:] = 0.0
+    for p in m.params:
+        p[..., : m.n_coef] = 0.0
     return m.grid_initialize()
+
+
+def edge_spline(m, r, i, j):
+    """The spline of edge (r, i, j) as a curve of its own."""
+    spline_cls = ConvexSpline if m.mode == CONSTRAINED else BSplineCurve
+    return spline_cls(knots=m.knots[r][j], raw=m.params[r][i, j, : m.n_coef].copy())
 
 
 class TestCreate:
@@ -26,11 +33,11 @@ class TestCreate:
         # raw[1] < 0 would be clamped with zero gradient: the slope never moves
         for seed in range(20):
             m = KANModel.create(rng=seed)
-            assert all(act.spline.raw[1] >= 0.0 for *_, act in m.activations())
+            assert all(np.all(p[..., 1] >= 0.0) for p in m.params)
 
     def test_vanilla_draw_unchanged(self):
         m = KANModel.create(rng=0, mode=VANILLA)
-        assert min(act.spline.raw[1] for *_, act in m.activations()) < 0.0
+        assert min(p[..., 1].min() for p in m.params) < 0.0
 
 
 class TestForward:
@@ -45,8 +52,8 @@ class TestForward:
         K = np.random.default_rng(3).uniform(-4.0, 20.0, size=(20, 3))
         want = np.zeros(20)
         for j in range(3):
-            act = m.acts[0][0][j]
-            want += softplus(act.w_s) * act.spline.eval_extended(K[:, j])[0]
+            w_s = m.params[0][0, j, m.n_coef]
+            want += softplus(w_s) * edge_spline(m, 0, 0, j).eval_extended(K[:, j])[0]
         npt.assert_allclose(m.forward(K), want, rtol=1e-12)
 
     def test_monotone_in_each_input(self):
@@ -131,21 +138,21 @@ class TestConvexityProperties:
 class TestBackward:
     def test_zero_seed_zero_gradient(self):
         m = fresh_model(seed=13)
-        g = m.backward([1.0, 2.0, 3.0], seed=0.0).to_vector()
+        g = m.backward_batch(np.array([[1.0, 2.0, 3.0]]), seed_w=np.zeros(1))
         npt.assert_array_equal(g, 0.0)
 
     def test_linear_in_seed(self):
         m = fresh_model(seed=14)
-        K = [0.5, 1.0, 2.0]
-        g1 = m.backward(K, seed=1.0).to_vector()
-        g3 = m.backward(K, seed=3.0).to_vector()
+        K = np.array([[0.5, 1.0, 2.0]])
+        g1 = m.backward_batch(K, seed_w=np.ones(1))
+        g3 = m.backward_batch(K, seed_w=np.full(1, 3.0))
         npt.assert_allclose(g3, 3.0 * g1, rtol=1e-12)
 
     @pytest.mark.parametrize("mode", [CONSTRAINED, VANILLA])
     def test_value_seed_matches_parameter_fd(self, mode):
         m = fresh_model(seed=15, mode=mode)
         K = np.array([[0.3, 1.7, 4.0], [-1.0, 0.2, 8.0]])
-        got = m.backward_batch(K, seed_w=np.ones(2)).to_vector()
+        got = m.backward_batch(K, seed_w=np.ones(2))
         v0 = m.parameter_vector()
         h = 1e-5
         fd = np.empty_like(v0)
@@ -167,12 +174,12 @@ class TestBackward:
         K = np.array([[0.3, 1.7, 4.0], [2.0, -0.5, 12.0]])
         rng = np.random.default_rng(17)
         seed_g = rng.normal(size=(2, 3))
-        got = m.backward_batch(K, seed_g=seed_g).to_vector()
+        got = m.backward_batch(K, seed_g=seed_g)
         v0 = m.parameter_vector()
         h = 1e-5
 
         def objective():
-            _, g = m.forward_with_gradient(K)
+            _, g, _ = m.forward_with_input_derivatives(K)
             return float(np.sum(seed_g * g))
 
         fd = np.empty_like(v0)
@@ -194,11 +201,11 @@ class TestGridInit:
         m = fresh_model(seed=18)
         for i in range(m.dims[1]):
             for j in range(3):
-                npt.assert_allclose(m.acts[0][i][j].spline.knots.domain, (-5.0, 25.0))
+                npt.assert_allclose(m.knots[0][j].domain, (-5.0, 25.0))
 
     def test_flat_model_degenerate_range_widened(self):
         m = flat_model()
-        lo, hi = m.acts[1][0][0].spline.knots.domain
+        lo, hi = m.knots[1][0].domain
         assert hi - lo >= 1e-6 * (1 - 1e-12)
 
     def test_second_layer_bounds_match_independent_propagation(self):
@@ -208,9 +215,9 @@ class TestGridInit:
         for i in range(m.dims[1]):
             vals = np.zeros(100)
             for j in range(3):
-                act = m.acts[0][i][j]
-                vals += softplus(act.w_s) * act.spline.eval_extended(x)[0]
-            lo, hi = m.acts[1][0][i].spline.knots.domain
+                w_s = m.params[0][i, j, m.n_coef]
+                vals += softplus(w_s) * edge_spline(m, 0, i, j).eval_extended(x)[0]
+            lo, hi = m.knots[1][i].domain
             npt.assert_allclose((lo, hi), (vals.min(), vals.max()), rtol=1e-12)
 
 
@@ -224,8 +231,8 @@ class TestCheckpoint:
         assert m2.mode == m.mode
         assert m2.dims == m.dims
         npt.assert_array_equal(m2.parameter_vector(), m.parameter_vector())
-        for (r, i, j, a), (_, _, _, b) in zip(m.activations(), m2.activations()):
-            assert a.spline.knots.domain == b.spline.knots.domain
+        for a, b in zip(m.knots, m2.knots):
+            assert [kv.domain for kv in a] == [kv.domain for kv in b]
         K = np.random.default_rng(21).uniform(-2.0, 10.0, size=(5, 3))
         npt.assert_array_equal(m.forward(K), m2.forward(K))
 
@@ -241,7 +248,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "key, value",
         [
-            ("raw", "nan"), ("raw", "inf"), ("w_s", "nan"), ("w_b", "-inf"),
+            ("raw", "nan"), ("raw", "inf"), ("w_s", "nan"), ("w_b", "-inf"), ("w_b", "0.5"),
             ("domain", "nan 1"), ("domain", "0 inf"), ("domain", "2 2"), ("domain", "3 1"),
         ],
     )
@@ -254,3 +261,124 @@ class TestCheckpoint:
             lines[row] = f"{key} {value}"
         with pytest.raises(DataError, match="activation 0,0,0"):
             KANModel.loads("\n".join(lines))
+
+    def test_headers_must_follow_packing_order(self):
+        text = fresh_model(seed=24).dumps()
+        # a duplicated header would leave edge 0,0,1 unset, and index -1
+        # would overwrite edge 0,0,2
+        for bad in ("activation 0 0 0\n", "activation 0 0 -1\n"):
+            with pytest.raises(DataError, match="expected activation 0,0,1"):
+                KANModel.loads(text.replace("activation 0 0 1\n", bad))
+        # two whole blocks swapped: every edge is set, but out of order
+        lines = text.splitlines()
+        first = lines.index("activation 0 0 0")
+        lines[first : first + 10] = lines[first + 5 : first + 10] + lines[first : first + 5]
+        with pytest.raises(DataError, match="expected activation 0,0,0"):
+            KANModel.loads("\n".join(lines))
+
+    def test_column_domains_must_agree(self):
+        # edges 0,0,0 and 0,1,0 read input column 0 and share its knots
+        lines = fresh_model(seed=25).dumps().splitlines()
+        row = lines.index("activation 0 1 0") + 1
+        assert lines[row] == "domain -5 25"
+        lines[row] = "domain -5 24"
+        with pytest.raises(DataError, match="activation 0,1,0: domain"):
+            KANModel.loads("\n".join(lines))
+
+
+# ---------------------------------------------------------------------------
+# per-edge reference: every activation evaluated as a spline of its own
+
+
+def edge_values(m, r, i, j, x):
+    """phi, phi', phi'' of edge (r, i, j) at points x."""
+    psi = edge_spline(m, r, i, j).eval_extended(x)
+    w_s = m.params[r][i, j, m.n_coef]
+    if m.mode == CONSTRAINED:
+        return [softplus(w_s) * v for v in psi]
+    w_b = m.params[r][i, j, m.n_coef + 1]
+    s = sigmoid(x)
+    silu = (x * s, s * (1 + x * (1 - s)), s * (1 - s) * (2 + x * (1 - 2 * s)))
+    return [w_b * b + w_s * v for b, v in zip(silu, psi)]
+
+
+def reference_forward(m, K):
+    """W, its input gradient and Hessian, and each layer's (z, A)."""
+    N, d0 = K.shape
+    z, A, H = K, np.broadcast_to(np.eye(d0), (N, d0, d0)), np.zeros((N, d0, d0, d0))
+    tape = []
+    for r in range(m.n_layers):
+        tape.append((z, A))
+        n_out = m.dims[r + 1]
+        y, Ay, Hy = np.zeros((N, n_out)), np.zeros((N, n_out, d0)), np.zeros((N, n_out, d0, d0))
+        for i in range(n_out):
+            for j in range(m.dims[r]):
+                phi, dphi, d2phi = edge_values(m, r, i, j, z[:, j])
+                outer = A[:, j, :, None] * A[:, j, None, :]
+                y[:, i] += phi
+                Ay[:, i] += dphi[:, None] * A[:, j]
+                Hy[:, i] += d2phi[:, None, None] * outer + dphi[:, None, None] * H[:, j]
+        z, A, H = y, Ay, Hy
+    return z[:, 0], A[:, 0], H[:, 0], tape
+
+
+def reference_backward(m, K, seed_w, seed_g):
+    """Gradient of sum(seed_w * W + seed_g . grad W) by reverse accumulation
+    edge by edge."""
+    _, _, _, tape = reference_forward(m, K)
+    n = m.n_coef
+    grads = [np.zeros_like(p) for p in m.params]
+    zbar, Abar = seed_w[:, None], seed_g[:, None, :]
+    for r in reversed(range(m.n_layers)):
+        z, A = tape[r]
+        new_zbar, new_Abar = np.zeros(z.shape), np.zeros(A.shape)
+        for i in range(m.dims[r + 1]):
+            for j in range(m.dims[r]):
+                x = z[:, j]
+                spline = edge_spline(m, r, i, j)
+                b0, b1, _ = spline.design_rows(x)
+                psi, dpsi, _ = spline.eval_extended(x)
+                _, dphi, d2phi = edge_values(m, r, i, j, x)
+                yb, mb = zbar[:, i], np.sum(Abar[:, i] * A[:, j], axis=1)
+                w_s = m.params[r][i, j, n]
+                g = grads[r][i, j]
+                if m.mode == CONSTRAINED:
+                    g[:n] += softplus(w_s) * spline.coeff_vjp(b0.T @ yb + b1.T @ mb)
+                    g[n] += sigmoid(w_s) * (yb @ psi + mb @ dpsi)
+                else:
+                    s = sigmoid(x)
+                    g[:n] += w_s * (b0.T @ yb + b1.T @ mb)
+                    g[n] += yb @ psi + mb @ dpsi
+                    g[n + 1] += yb @ (x * s) + mb @ (s * (1 + x * (1 - s)))
+                new_zbar[:, j] += yb * dphi + mb * d2phi
+                new_Abar[:, j] += dphi[:, None] * Abar[:, i]
+        zbar, Abar = new_zbar, new_Abar
+    return np.concatenate([g.ravel() for g in grads])
+
+
+def assert_close_relative(got, want, rtol=1e-12):
+    npt.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
+
+
+class TestAgainstPerEdgeReference:
+    @pytest.mark.parametrize("mode", [CONSTRAINED, VANILLA])
+    @pytest.mark.parametrize("dims", [(3, 2, 1), (3, 4, 3, 1), (3, 1)])
+    def test_forward_derivatives_and_gradients(self, mode, dims):
+        for seed in range(3):
+            m = fresh_model(seed=30 + seed, mode=mode, dims=dims)
+            rng = np.random.default_rng(seed)
+            # reaches past the first layer's domain on both sides
+            K = rng.uniform(-8.0, 30.0, size=(40, 3))
+            W, g, H, _ = reference_forward(m, K)
+            assert_close_relative(m.forward(K), W)
+            for got, want in zip(m.forward_with_input_derivatives(K), (W, g, H)):
+                assert_close_relative(got, want)
+            seed_w, seed_g = rng.normal(size=40), rng.normal(size=(40, 3))
+            assert_close_relative(
+                m.backward_batch(K, seed_w=seed_w),
+                reference_backward(m, K, seed_w, np.zeros((40, 3))),
+            )
+            assert_close_relative(
+                m.backward_batch(K, seed_g=seed_g),
+                reference_backward(m, K, np.zeros(40), seed_g),
+            )

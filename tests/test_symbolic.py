@@ -133,15 +133,14 @@ def linear_network(alpha=(0.5, 0.0, 1.5)):
     spacing), so raw[1] is scaled by the spacing to hit the wanted slope.
     """
     m = KANModel.create(dims=(3, 2, 1), rng=0)
-    for _, _, _, act in m.activations():
-        act.spline.raw[:] = 0.0
-        act.w_s = W_S_UNIT  # softplus(w_s) = 1
-    for j in range(3):
-        act = m.acts[0][0][j]  # first output node carries alpha . K
-        act.spline.raw[1] = alpha[j] * act.spline.knots.s
+    n = m.n_coef
+    for p in m.params:
+        p[..., :n] = 0.0
+        p[..., n] = W_S_UNIT  # softplus(w_s) = 1
+    for j in range(3):  # first output node carries alpha . K
+        m.params[0][0, j, 1] = alpha[j] * m.knots[0][j].s
     m.grid_initialize()
-    act = m.acts[1][0][0]  # identity pass-through of the first node
-    act.spline.raw[1] = act.spline.knots.s
+    m.params[1][0, 0, 1] = m.knots[1][0].s  # identity pass-through of the first node
     return m
 
 

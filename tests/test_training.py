@@ -37,8 +37,8 @@ def two_element_dataset(delta=0.1, model=None, n_t=1):
 
 def flat_network():
     m = KANModel.create(rng=0)
-    for _, _, _, act in m.activations():
-        act.spline.raw[:] = 0.0
+    for p in m.params:
+        p[..., : m.n_coef] = 0.0
     return m.grid_initialize()
 
 
@@ -146,9 +146,7 @@ class TestLoss:
 class TestCurvaturePrior:
     def test_value_is_weighted_sum_of_clamped_increments(self):
         net = KANModel.create(rng=4).grid_initialize()
-        want = sum(
-            np.maximum(act.spline.raw[2:], 0.0).sum() for *_, act in net.activations()
-        )
+        want = sum(np.maximum(p[..., 2 : net.n_coef], 0.0).sum() for p in net.params)
         value, _ = curvature_prior(net, 0.3)
         npt.assert_allclose(value, 0.3 * want, rtol=1e-14)
         assert curvature_prior(net, 0.0)[0] == 0.0
