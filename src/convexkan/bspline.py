@@ -6,6 +6,7 @@ Knot and basis indices follow the usual 1-based convention in docstrings
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,29 +80,56 @@ class KnotVector:
         return float(self.t[self.k]), float(self.t[self.m_b - self.k - 1])
 
 
-def _basis_all_orders(x: Array, t: Array, order: int) -> Array:
-    """All basis functions of the given order at points ``x``.
+@functools.lru_cache(maxsize=None)
+def _span_matrices(k: int) -> Array:
+    """Matrix form (Qin 2000, *The Visual Computer* 16:177) of the k + 1
+    uniform B-splines non-zero on a knot span: ``sum_p u**p M[d, p, r]`` is
+    ``s**d`` times the ``d``-th derivative of ``B_{mu-k+r}`` at ``t_mu + u*s``
+    (zero for ``d > k``), from the uniform Cox-de Boor recursion."""
+    V = [np.eye(k + 1, 1)]  # V[d][p, r]: u**p coefficient of B_{mu-d+r}, order d
+    for d in range(1, k + 1):
+        # B_i = ((u + d - r) B'_i + (r + 1 - u) B'_{i+1}) / d, B' of order d - 1
+        P, r = np.pad(V[-1], ((0, 0), (1, 1))), np.arange(d + 1)
+        uP = np.roll(P, 1, axis=0)  # times u: the top coefficient of P is 0
+        V.append(((d - r) * P[:, :-1] + uP[:, :-1] + (r + 1) * P[:, 1:] - uP[:, 1:]) / d)
+    M = np.zeros((3, k + 1, k + 1))
+    for d in range(min(k, 2) + 1):
+        D = V[k - d]
+        for _ in range(d):  # d-th derivative: d-th difference of order k - d
+            D = -np.diff(np.pad(D, ((0, 0), (1, 1))), axis=1)  # D[r-1] - D[r]
+        M[d] = D
+    M.flags.writeable = False  # shared by every caller through the cache
+    return M
 
-    Returns an array of shape ``(len(x), m_b - order - 1)`` built by the
-    Cox-de Boor recursion, vectorized over points.
+
+def _basis_rows(x, knots: KnotVector, orders) -> Array:
+    """Dense rows of all ``n_b`` basis functions' derivatives of the given
+    ``orders`` at ``x``: shape ``(len(orders), len(x), n_b)``, or
+    ``(len(orders), n_b)`` for a scalar.
+
+    Each point evaluates only the k + 1 functions non-zero on its knot span
+    ``[t_mu, t_mu+1)``, half-open as in the Cox-de Boor recursion (so a
+    derivative that jumps at a knot takes its right-hand value).  Points off
+    ``[t_1, t_{m_b})`` get zero rows, points in the outer spans the partial
+    values of the functions defined there.
     """
-    x = np.asarray(x, dtype=np.float64)
-    m = t.size
-    # zero order: half-open indicator on each knot interval
-    B = ((t[:-1][None, :] <= x[:, None]) & (x[:, None] < t[1:][None, :])).astype(
-        np.float64
-    )
-    for r in range(1, order + 1):
-        n_fun = m - r - 1
-        i = np.arange(n_fun)
-        left_den = t[i + r] - t[i]
-        right_den = t[i + r + 1] - t[i + 1]
-        left = (x[:, None] - t[i][None, :]) / left_den[None, :] * B[:, :n_fun]
-        right = (
-            (t[i + r + 1][None, :] - x[:, None]) / right_den[None, :] * B[:, 1 : n_fun + 1]
+    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    k, t, n_b, orders = knots.k, knots.t, knots.n_b, list(orders)
+    if k < max(orders):
+        raise ConfigurationError(
+            f"order-{max(orders)} derivative needs spline order k >= {max(orders)}, got k={k}"
         )
-        B = left + right
-    return B
+    mu = np.clip(np.searchsorted(t, xs, side="right") - 1, 0, t.size - 2)
+    M = _span_matrices(k)[orders] / knots.s ** np.array(orders, dtype=np.float64)[:, None, None]
+    vals = np.vander((xs - t[mu]) / knots.s, k + 1, increasing=True) @ M
+    vals[:, (xs < t[0]) | (xs >= t[-1])] = 0.0
+    # columns shifted by k, so that B_{mu-k} .. B_mu of every span fit
+    width = n_b + 2 * k
+    rows = np.zeros((len(orders), xs.size, width))
+    rows.reshape(len(orders), -1)[:, (np.arange(xs.size) * width + mu)[:, None]
+                                  + np.arange(k + 1)] = vals
+    rows = rows[:, :, k : k + n_b]
+    return rows[:, 0] if np.ndim(x) == 0 else rows
 
 
 def eval_basis(x, knots: KnotVector) -> Array:
@@ -110,47 +138,17 @@ def eval_basis(x, knots: KnotVector) -> Array:
     ``x`` may be a scalar or 1-D array; the result has shape ``(n_b,)`` or
     ``(len(x), n_b)``.  Within the natural domain the values sum to one.
     """
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    B = _basis_all_orders(xs, knots.t, knots.k)[:, : knots.n_b]
-    return B[0] if scalar else B
+    return _basis_rows(x, knots, (0,))[0]
 
 
 def eval_basis_derivatives(x, knots: KnotVector, order: int) -> Array:
-    """First or second derivatives of all basis functions at ``x``.
-
-    Uses the closed-form knot-difference formulas; requires ``knots.k >= order``.
+    """First or second derivatives of all basis functions at ``x``: on
+    uniform knots, the first and second differences of the order k - 1 and
+    k - 2 basis over ``s`` and ``s**2``.  Requires ``knots.k >= order``.
     """
     if order not in (1, 2):
         raise ConfigurationError(f"derivative order must be 1 or 2, got {order}")
-    k = knots.k
-    if k < order:
-        raise ConfigurationError(
-            f"order-{order} derivative needs spline order k >= {order}, got k={k}"
-        )
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    t = knots.t
-    n_b = knots.n_b
-    if order == 1:
-        Blow = _basis_all_orders(xs, t, k - 1)  # (N, m_b - k)
-        i = np.arange(n_b)
-        a = k / (t[i + k] - t[i])
-        b = k / (t[i + k + 1] - t[i + 1])
-        D = a[None, :] * Blow[:, :n_b] - b[None, :] * Blow[:, 1 : n_b + 1]
-    else:
-        Blow = _basis_all_orders(xs, t, k - 2)  # (N, m_b - k + 1)
-        i = np.arange(n_b)
-        ca = k / (t[i + k] - t[i])
-        cb = k / (t[i + k + 1] - t[i + 1])
-        da = (k - 1) / (t[i + k - 1] - t[i])
-        db = (k - 1) / (t[i + k] - t[i + 1])
-        dc = (k - 1) / (t[i + k + 1] - t[i + 2])
-        D = (
-            ca[None, :] * (da[None, :] * Blow[:, :n_b] - db[None, :] * Blow[:, 1 : n_b + 1])
-            - cb[None, :] * (db[None, :] * Blow[:, 1 : n_b + 1] - dc[None, :] * Blow[:, 2 : n_b + 2])
-        )
-    return D[0] if scalar else D
+    return _basis_rows(x, knots, (order,))[0]
 
 
 def reparameterize(raw) -> Array:
@@ -246,15 +244,11 @@ class BSplineCurve:
         xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
         lo, hi = self.knots.domain
         xc = np.clip(xs, lo, hi)
-        b0 = eval_basis(xc, self.knots)
-        b1 = eval_basis_derivatives(xc, self.knots, 1)
-        b2 = eval_basis_derivatives(xc, self.knots, 2)
+        b0, b1, b2 = _basis_rows(xc, self.knots, (0, 1, 2))
         outside = (xs < lo) | (xs > hi)
         if np.any(outside):
-            edge = np.where(xs < lo, lo, hi)[outside]
-            slope_rows = eval_basis_derivatives(edge, self.knots, 1)
-            b0[outside] = b0[outside] + (xs[outside] - edge)[:, None] * slope_rows
-            b1[outside] = slope_rows
+            # linear extension: b1 already holds the slope rows at the edge
+            b0[outside] += (xs - xc)[outside, None] * b1[outside]
             b2[outside] = 0.0
         if scalar:
             return b0[0], b1[0], b2[0]

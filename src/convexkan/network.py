@@ -158,15 +158,13 @@ class KANModel:
             raise ConfigurationError("model must be grid-initialized before evaluation")
         return Kb, scalar
 
-    def _column(self, r: int, j: int, x, order: int = 0, rows=None) -> list:
+    def _column(self, r: int, j: int, x, order: int = 0, col=None) -> list:
         """``phi`` and its first ``order`` derivatives at points ``x`` for
         every edge of layer ``r`` reading input column ``j``: a list of
-        ``(N, n_out)`` arrays.  ``rows`` are the column's design rows at
-        ``x``, if already computed."""
+        ``(N, n_out)`` arrays.  ``col`` is the column's design rows at ``x``
+        and control points ``(rows, c)``, if already computed."""
         curves = self.curves(r, j)
-        if rows is None:
-            rows = curves.design_rows(x)
-        c = curves.control_points.T
+        rows, c = col or (curves.design_rows(x), curves.control_points.T)
         psi = [b @ c for b in rows[: order + 1]]
         w_s = self.params[r][:, j, self.n_coef]
         if self.mode == CONSTRAINED:
@@ -175,24 +173,19 @@ class KANModel:
         w_b = self.params[r][:, j, self.n_coef + 1]
         return [w_b * b[:, None] + w_s * v for b, v in zip(_silu(x), psi)]
 
-    def _layer(self, r, z, A=None, H=None, rows=None):
+    def _layer(self, r, z, A=None, H=None, cols=None):
         """Outputs ``y`` of layer ``r`` at inputs ``z`` (N, n_in), and, given
         the inputs' Jacobian ``A`` (N, n_in, d0) and Hessian ``H``
         (N, n_in, d0, d0) with respect to the network input, the outputs'
         ones.  Returns ``(y, Ay, Hy)``, with None for what was not asked.
-        A ``rows`` list receives each column's design rows."""
+        ``cols`` holds each column's ``(rows, c)``, if already computed."""
         order = 0 if A is None else 1 if H is None else 2
         shape = (z.shape[0], self.dims[r + 1])
         y = np.zeros(shape)
         Ay = None if A is None else np.zeros(shape + A.shape[2:])
         Hy = None if H is None else np.zeros(shape + H.shape[2:])
         for j in range(self.dims[r]):
-            x = z[:, j]
-            if rows is None:
-                phi = self._column(r, j, x, order)
-            else:
-                rows.append(self.curves(r, j).design_rows(x))
-                phi = self._column(r, j, x, order, rows[-1])
+            phi = self._column(r, j, z[:, j], order, None if cols is None else cols[j])
             y += phi[0]
             if order >= 1:
                 Aj = A[:, None, j, :]
@@ -232,18 +225,21 @@ class KANModel:
 
     # -- reverse accumulation ---------------------------------------------
 
-    def _forward_cache(self, Kb):
-        """Forward pass storing everything the reverse pass needs."""
+    def _forward_cache(self, Kb, rows0=None):
+        """Forward pass storing everything the reverse pass needs; ``rows0``
+        are layer 0's design rows at ``Kb`` per input column, if computed."""
         N, d0 = Kb.shape
         zs = [Kb]
         As = [np.broadcast_to(np.eye(d0), (N, d0, d0)).copy()]
-        rows = []  # rows[r][j] = (b0, b1, b2) shared by all outputs i
+        cols = []  # cols[r][j] = (rows, c): design rows shared by all outputs i
         for r in range(self.n_layers):
-            rows.append([])
-            y, Ay, _ = self._layer(r, zs[-1], As[-1], rows=rows[-1])
+            z, curves = zs[-1], [self.curves(r, j) for j in range(self.dims[r])]
+            rows = rows0 if r == 0 and rows0 else [cv.design_rows(x) for cv, x in zip(curves, z.T)]
+            cols.append([(b, cv.control_points.T) for b, cv in zip(rows, curves)])
+            y, Ay, _ = self._layer(r, z, As[-1], cols=cols[-1])
             zs.append(y)
             As.append(Ay)
-        return {"z": zs, "A": As, "rows": rows}
+        return {"z": zs, "A": As, "cols": cols}
 
     def backward_batch(self, Kb, seed_w=None, seed_g=None, cache=None) -> Array:
         """Gradient of ``sum_n [seed_w_n * W(K_n) + seed_g_n . grad_K W(K_n)]``
@@ -271,9 +267,7 @@ class KANModel:
             new_zbar, new_Abar = np.zeros(z.shape), np.zeros(A.shape)
             for j in range(self.dims[r]):
                 x = z[:, j]
-                rows = cache["rows"][r][j]
-                curves = self.curves(r, j)
-                c = curves.control_points.T
+                rows, c = cache["cols"][r][j]
                 psi, dpsi, d2psi = (b @ c for b in rows)  # (N, n_out)
                 m = np.einsum("nik,nk->ni", Abar, A[:, j, :])
                 p, g = self.params[r][:, j], grads[r][:, j]
@@ -281,7 +275,7 @@ class KANModel:
                 dw = sigmoid(p[:, n]) if self.mode == CONSTRAINED else 1.0
                 dphi, d2phi = w * dpsi, w * d2psi
                 cbar = w[:, None] * (zbar.T @ rows[0] + m.T @ rows[1])
-                g[:, :n] += curves.coeff_vjp(cbar)
+                g[:, :n] += self.curves(r, j).coeff_vjp(cbar)
                 g[:, n] += dw * (np.sum(zbar * psi, axis=0) + np.sum(m * dpsi, axis=0))
                 if self.mode == VANILLA:
                     sv, sd, sd2 = _silu(x)

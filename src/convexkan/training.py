@@ -142,7 +142,7 @@ class ElementStates:
 
     The measured displacements are fixed during training, so the ansatz
     inputs K and their in-plane F-derivatives never change; only the energy
-    network does.
+    network does, and its layer-0 design rows only with its layer-0 knots.
     """
 
     def __init__(self, dataset: SpecimenDataset):
@@ -164,11 +164,20 @@ class ElementStates:
         self.partition = dataset.partition
         self.reactions = dataset.reactions
         self.free = dataset.partition.free_flat_indices()
+        self._rows0_key = None
+
+    def layer0_rows(self, model: KANModel) -> list:
+        """The model's layer-0 design rows at K, one ``(b0, b1, b2)`` per input
+        column, recomputed only when its layer-0 knots change."""
+        key = [(kv.k, kv.t.tobytes()) for kv in model.knots[0]]
+        if key != self._rows0_key:
+            self._rows0_key = key
+            self._rows0 = [model.curves(0, j).design_rows(x) for j, x in enumerate(self.K.T)]
+        return self._rows0
 
 
-def _residual_loss(partition, f: Array, R_obs: Array):
+def _residual_loss(partition, free: Array, f: Array, R_obs: Array):
     """Loss contribution of one snapshot and its force adjoint dL/df."""
-    free = partition.free_flat_indices()
     f_flat = f.ravel()
     fbar = np.zeros_like(f)
     value = float(np.sum(f_flat[free] ** 2))
@@ -190,13 +199,14 @@ def loss(model, dataset: SpecimenDataset) -> float:
     material = NetworkMaterial(model) if isinstance(model, KANModel) else model
     if not isinstance(material, MaterialModel):
         raise ConfigurationError(f"cannot evaluate loss for {type(model).__name__}")
+    free = dataset.partition.free_flat_indices()
     total = 0.0
     for t in range(dataset.n_snapshots):
         try:
             f = nodal_forces(dataset.mesh, dataset.displacements[t], material)
         except InadmissibleDeformationError as exc:
             raise TrainingError(f"snapshot {t}: {exc}") from exc
-        value, _ = _residual_loss(dataset.partition, f, dataset.reactions[t])
+        value, _ = _residual_loss(dataset.partition, free, f, dataset.reactions[t])
         total += value
     return total
 
@@ -209,7 +219,7 @@ def loss_and_grad(model: KANModel, states: ElementStates):
     K-gradient, then through the network in one batched reverse pass.
     """
     Kb, _ = model._check_input(states.K)
-    cache = model._forward_cache(Kb)
+    cache = model._forward_cache(Kb, states.layer0_rows(model))
     g = cache["A"][-1][:, 0, :]
     P2 = np.einsum("nm,nmij->nij", g, states.dK2)  # per-element 2x2 stress
     n_el = states.n_el
@@ -221,7 +231,7 @@ def loss_and_grad(model: KANModel, states: ElementStates):
     for t in range(states.n_t):
         rows = slice(t * n_el, (t + 1) * n_el)
         f = scatter_forces(states.mesh, P2[rows])
-        value, fbar = _residual_loss(states.partition, f, states.reactions[t])
+        value, fbar = _residual_loss(states.partition, states.free, f, states.reactions[t])
         total += value
         Pbar[rows] = area[:, None, None] * np.einsum(
             "eai,eaj->eij", fbar[tris], grad_N

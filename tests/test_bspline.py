@@ -18,12 +18,20 @@ from convexkan.bspline import (
 from convexkan.errors import ConfigurationError
 
 
-def rational_basis(x, t, i, k):
+def rational_basis(x, t, i, k, deriv=0):
     """Straight-from-definition Cox-de Boor recursion in exact rationals.
 
     Independent oracle: no arrays, no shared code with the implementation.
     1-based index ``i`` maps to ``t[i-1]`` here (0-based python list).
+    ``deriv`` > 0 applies the knot-difference derivative formula
+    ``B'_{i,k} = k B_{i,k-1} / (t_{i+k} - t_i) - k B_{i+1,k-1} / (t_{i+k+1} - t_{i+1})``
+    that many times; like the order-0 indicator it is right-continuous.
     """
+    if deriv:
+        return k * (
+            rational_basis(x, t, i, k - 1, deriv - 1) / (t[i + k] - t[i])
+            - rational_basis(x, t, i + 1, k - 1, deriv - 1) / (t[i + k + 1] - t[i + 1])
+        )
     if k == 0:
         return Fraction(1) if t[i] <= x < t[i + 1] else Fraction(0)
     left = Fraction(0)
@@ -116,6 +124,108 @@ class TestBasisDerivatives:
         kv = KnotVector.from_domain(0.0, 1.0, n_coef=5, k=1)
         with pytest.raises(ConfigurationError):
             eval_basis_derivatives(0.5, kv, 2)
+
+
+def dense_design_rows(x, knots):
+    """The dense Cox-de Boor rows ``(b0, b1, b2)`` with linear extension that
+    ``BSplineCurve.design_rows`` computed before the local kernel: every
+    basis function at every point, by the general knot-difference formulas."""
+    t, k, n_b = knots.t, knots.k, knots.n_b
+
+    def all_orders(x, order):
+        B = ((t[:-1] <= x[:, None]) & (x[:, None] < t[1:])).astype(np.float64)
+        for r in range(1, order + 1):
+            i = np.arange(t.size - r - 1)
+            B = (x[:, None] - t[i]) / (t[i + r] - t[i]) * B[:, :-1] + (
+                (t[i + r + 1] - x[:, None]) / (t[i + r + 1] - t[i + 1]) * B[:, 1:]
+            )
+        return B
+
+    def derivative_rows(x, order):
+        i = np.arange(n_b)
+        ca, cb = k / (t[i + k] - t[i]), k / (t[i + k + 1] - t[i + 1])
+        if order == 1:
+            B = all_orders(x, k - 1)
+            return ca * B[:, :n_b] - cb * B[:, 1 : n_b + 1]
+        B = all_orders(x, k - 2)
+        da, db = (k - 1) / (t[i + k - 1] - t[i]), (k - 1) / (t[i + k] - t[i + 1])
+        dc = (k - 1) / (t[i + k + 1] - t[i + 2])
+        return ca * (da * B[:, :n_b] - db * B[:, 1 : n_b + 1]) - cb * (
+            db * B[:, 1 : n_b + 1] - dc * B[:, 2 : n_b + 2]
+        )
+
+    lo, hi = knots.domain
+    xc = np.clip(x, lo, hi)
+    b0, b1, b2 = all_orders(xc, k), derivative_rows(xc, 1), derivative_rows(xc, 2)
+    outside = (x < lo) | (x > hi)
+    edge = np.where(x < lo, lo, hi)[outside]
+    slope = derivative_rows(edge, 1)
+    b0[outside] += (x[outside] - edge)[:, None] * slope
+    b1[outside], b2[outside] = slope, 0.0
+    return b0, b1, b2
+
+
+class TestLocalKernel:
+    """The local span kernel against the exact-rational oracle and against
+    the dense recursion it replaced.
+
+    Each point evaluates only the k + 1 functions non-zero on the half-open
+    span ``[t_mu, t_mu+1)`` that holds it, the span the Cox-de Boor indicator
+    picks.  So even where a derivative jumps at a knot (the first derivative
+    for k = 1, the second for k = 2) the kernel gives the right-hand value,
+    as the oracle and the dense recursion do: there is no difference to
+    allow for at knots, for any k.
+    """
+
+    @staticmethod
+    def knots_and_points(k):
+        # dyadic knots and points: exact in floats and in the oracle
+        t = [Fraction(-5, 4) + Fraction(3, 4) * i for i in range(k + 9)]
+        kv = KnotVector(t=np.array([float(v) for v in t]), k=k)
+        eps = Fraction(1, 2**30)
+        xs = [t[0] - 1, t[0] - eps, t[-1], t[-1] + eps]  # off the knots: zero
+        for a, b in zip(t[:-1], t[1:]):  # every span, outer spans included
+            xs += [a, a + eps, (3 * a + b) / 4, (a + b) / 2, b - eps]
+        return t, kv, xs
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_matches_exact_rational_oracle(self, k):
+        t, kv, xs = self.knots_and_points(k)
+        x = np.array([float(v) for v in xs])
+        got = [eval_basis(x, kv), eval_basis_derivatives(x, kv, 1),
+               eval_basis_derivatives(x, kv, 2)]
+        for deriv, rows in enumerate(got):
+            want = np.array(
+                [[float(rational_basis(v, t, i, k, deriv)) for i in range(kv.n_b)] for v in xs]
+            )
+            scale = np.abs(want).max()
+            npt.assert_allclose(rows, want, rtol=0, atol=1e-13 * scale, err_msg=f"deriv {deriv}")
+        # a point of an outer span sees only the functions defined there
+        assert np.count_nonzero(got[0][xs.index((t[0] + t[1]) / 2)]) == 1
+        for rows in got:  # off [t_1, t_{m_b}): exact zeros
+            npt.assert_array_equal(rows[:4], 0.0)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("domain", [(-5.0, 25.0), (0.1234, 0.98765), (-3.3e-3, 7.77)])
+    def test_design_rows_match_dense_recursion(self, k, domain):
+        kv = KnotVector.from_domain(*domain, n_coef=k + 9, k=k)
+        rng = np.random.default_rng(k)
+        pad = 0.5 * (kv.t[-1] - kv.t[0])
+        x = np.concatenate((
+            rng.uniform(kv.t[0] - pad, kv.t[-1] + pad, 500),
+            kv.t, np.nextafter(kv.t, -np.inf), np.nextafter(kv.t, np.inf),
+        ))
+        curve = BSplineCurve(knots=kv, raw=np.zeros(kv.n_b))
+        for got, want in zip(curve.design_rows(x), dense_design_rows(x, kv)):
+            npt.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_scalar_and_single_point(self):
+        kv = KnotVector.from_domain(-5.0, 25.0, n_coef=17, k=5)
+        for got, want in zip(BSplineCurve(kv, np.zeros(17)).design_rows(3.7),
+                             dense_design_rows(np.array([3.7]), kv)):
+            assert got.shape == (17,)
+            npt.assert_allclose(got, want[0], rtol=0, atol=1e-14 * np.abs(want).max())
+        assert eval_basis_derivatives(3.7, kv, 2).shape == (17,)
 
 
 class TestReparameterize:

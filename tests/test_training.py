@@ -143,6 +143,58 @@ class TestLoss:
         npt.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
 
 
+def edit_layer0_domains(model, lo, hi):
+    """The model reloaded from its checkpoint text with every layer-0 domain
+    replaced by ``[lo, hi]``."""
+    lines = model.dumps().splitlines()
+    for n, line in enumerate(lines):
+        if line.startswith("activation 0 "):
+            lines[n + 1] = f"domain {lo!r} {hi!r}"
+    return KANModel.loads("\n".join(lines))
+
+
+class TestLayer0RowCache:
+    """ElementStates keeps the layer-0 design rows at K, keyed on the
+    layer-0 knots."""
+
+    def test_cached_rows_match_cache_free_pass(self, monkeypatch):
+        ds = two_element_dataset(n_t=2)
+        states = ElementStates(ds)
+        for seed, mode in ((3, CONSTRAINED), (4, VANILLA)):
+            net = KANModel.create(rng=seed, mode=mode).grid_initialize()
+            loss_and_grad(net, states)  # fills the cache
+            value, grad = loss_and_grad(net, states)
+            with monkeypatch.context() as mp:
+                mp.setattr(states, "layer0_rows", lambda model: None)  # every row fresh
+                want_value, want_grad = loss_and_grad(net, states)
+            npt.assert_allclose(value, want_value, rtol=1e-12)
+            npt.assert_allclose(grad, want_grad, rtol=0, atol=1e-12 * np.abs(want_grad).max())
+
+    def test_rows_shared_by_models_with_the_same_knots(self):
+        states = ElementStates(two_element_dataset())
+        a = KANModel.create(rng=5).grid_initialize()
+        b = KANModel.create(rng=6).grid_initialize()  # ensemble members share knots
+        assert states.layer0_rows(a) is states.layer0_rows(b)
+
+    def test_edited_domains_get_fresh_rows(self):
+        ds = two_element_dataset(n_t=2)
+        states = ElementStates(ds)
+        net = KANModel.create(rng=7).grid_initialize()
+        before = loss_and_grad(net, states)
+        edited = edit_layer0_domains(net, -0.5, 0.75)
+        assert edited.knots[0][0].domain == (-0.5, 0.75)
+        got = loss_and_grad(edited, states)
+        want = loss_and_grad(edited, ElementStates(ds))
+        npt.assert_allclose(got[0], want[0], rtol=1e-12)
+        npt.assert_allclose(got[1], want[1], rtol=0, atol=1e-12 * np.abs(want[1]).max())
+        npt.assert_allclose(got[0], loss(edited, ds), rtol=1e-10)
+        # the edited model differs from net only in its layer-0 knots, so
+        # with net's stale rows it would have reproduced net's loss
+        assert abs(want[0] - before[0]) > 1e-3 * abs(want[0])
+        # and the original knots get their own rows back
+        npt.assert_array_equal(loss_and_grad(net, states)[1], before[1])
+
+
 class TestCurvaturePrior:
     def test_value_is_weighted_sum_of_clamped_increments(self):
         net = KANModel.create(rng=4).grid_initialize()
