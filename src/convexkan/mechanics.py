@@ -446,14 +446,17 @@ class KEnergyModel(MaterialModel):
     """
 
     subtract_reference_energy = True
+    _w0 = None
 
     def k_value_grad_hess(self, K: Array):
         raise NotImplementedError
 
     def reference_energy(self) -> float:
-        """Value at K = 0, subtracted so W(I) = 0."""
-        w, _, _ = self.k_value_grad_hess(np.zeros(3))
-        return float(w)
+        """Value at K = 0, subtracted so W(I) = 0.  The energy is treated as
+        frozen, so the value is computed once per material."""
+        if self._w0 is None:
+            self._w0 = float(self.k_value_grad_hess(np.zeros(3))[0])
+        return self._w0
 
     def _partials(self, state, order):
         w, g, H = self.k_value_grad_hess(state.K)
@@ -478,17 +481,9 @@ class NetworkMaterial(KEnergyModel):
 
     def __init__(self, model):
         self.model = model
-        self._w0 = None
 
     def k_value_grad_hess(self, K):
         return self.model.forward_with_input_derivatives(K)
-
-    def reference_energy(self) -> float:
-        # the wrapped network is treated as frozen, so the correction is
-        # computed once
-        if self._w0 is None:
-            self._w0 = super().reference_energy()
-        return self._w0
 
 
 def random_rotation(rng) -> Array:

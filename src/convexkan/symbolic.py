@@ -2,20 +2,21 @@
 
 Each activation is approximated by ``c * f(a x + b) + d`` with a candidate
 ``f`` drawn from a small library of convex non-decreasing functions, chosen
-by a complexity-vs-fit score.  The fits are then composed layer by layer,
-collapsing affine pieces, into a readable expression over K1, K2, K3.
+by a complexity-vs-fit score.  The fits are then composed layer by layer
+into one normal form over K1, K2, K3: an affine part plus weighted
+candidate terms, each of which wraps another such form.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import numpy.typing as npt
 
 from .errors import ConfigurationError, DataError, EvaluationError
 from .mechanics import KEnergyModel
-from .network import CONSTRAINED, KANModel, softplus
+from .network import CONSTRAINED, GRID_INIT_RANGE, KANModel, softplus
 
 Array = npt.NDArray[np.float64]
 
@@ -48,6 +49,22 @@ class CandidateFunction:
         if self.name == "exp":
             return np.exp(x)
         return softplus(x) ** self.power
+
+    def derivatives(self, x):
+        """f, f' and f'' at x."""
+        x = np.asarray(x, dtype=np.float64)
+        if self.name == "x":
+            return x, np.ones_like(x), np.zeros_like(x)
+        if self.name == "exp":
+            e = np.exp(x)
+            return e, e, e
+        s = softplus(x)
+        with np.errstate(over="ignore"):
+            sig = 1.0 / (1.0 + np.exp(-x))  # softplus'
+        p = self.power
+        d1 = p * s ** (p - 1) * sig
+        d2 = p * (p - 1) * s ** (p - 2) * sig * sig + p * s ** (p - 1) * sig * (1.0 - sig)
+        return s**p, d1, d2
 
 
 LIBRARY = (
@@ -90,20 +107,20 @@ def _r2(y: Array, resid_ss: float) -> float:
     return 1.0 - resid_ss / tot
 
 
-def _fit_cd(fx: Array, y: Array):
-    """Least squares for (c, d) in c*fx + d ~ y with c >= 0 (active-set)."""
-    n = fx.size
-    sf, sy = fx.sum(), y.sum()
-    sff, sfy = float(fx @ fx), float(fx @ y)
+def _fit_cd(F: Array, y: Array):
+    """Least squares for (c, d) in c*F[k] + d ~ y with c >= 0 (active set),
+    for every row k of F at once: arrays c, d and residual sums, each (rows,)."""
+    n = y.size
+    sf, sy = F.sum(axis=1), y.sum()
+    sff, sfy = np.einsum("kn,kn->k", F, F), F @ y
     det = n * sff - sf * sf
-    if abs(det) < 1e-30:
-        c = 0.0
-    else:
+    with np.errstate(divide="ignore", invalid="ignore"):
         c = (n * sfy - sf * sy) / det
-    if c < 0.0 or not np.isfinite(c):
-        c = 0.0
+    # a constant row has det = 0 up to rounding, which leaves c arbitrary
+    flat = (np.abs(det) < 1e-30) | np.all(F == F[:, :1], axis=1)
+    c[flat | ~(np.isfinite(c) & (c >= 0.0))] = 0.0
     d = (sy - c * sf) / n
-    resid = float(np.sum((c * fx + d - y) ** 2))
+    resid = np.sum((c[:, None] * F + d[:, None] - y) ** 2, axis=1)
     return c, d, resid
 
 
@@ -112,7 +129,9 @@ def fit_candidate(phi, domain, candidate: CandidateFunction) -> FittedActivation
 
     Samples ``phi`` at 100 uniform points, then grid-searches (a, b) over
     [0, 10] x [-10, 10] with three refinement rounds (21 x 21 grid, shrink
-    factor 5); (c, d) come from constrained least squares at each grid point.
+    factor 5); (c, d) come from constrained least squares at each grid
+    point, all points of a round in one array pass.  The first minimum in
+    a-major order wins, and a later round must improve on it strictly.
     """
     lo, hi = float(domain[0]), float(domain[1])
     if not hi > lo:
@@ -124,30 +143,33 @@ def fit_candidate(phi, domain, candidate: CandidateFunction) -> FittedActivation
 
     if candidate.name == "x":
         # affine target: the closed-form slope/intercept fit is exact
-        c, d, resid = _fit_cd(x, y)
-        return FittedActivation(candidate, a=1.0, b=0.0, c=c, d=d, r2=_r2(y, resid))
+        c, d, resid = _fit_cd(x[None], y)
+        return FittedActivation(
+            candidate, a=1.0, b=0.0, c=float(c[0]), d=float(d[0]), r2=_r2(y, resid[0])
+        )
 
     a_lo, a_hi = _A_RANGE
     b_lo, b_hi = _B_RANGE
     a_c, b_c = 0.5 * (a_lo + a_hi), 0.5 * (b_lo + b_hi)
     a_w, b_w = 0.5 * (a_hi - a_lo), 0.5 * (b_hi - b_lo)
-    best = None
+    best = (math.inf,)
     for _ in range(_ROUNDS):
         a_grid = np.clip(np.linspace(a_c - a_w, a_c + a_w, _GRID), *_A_RANGE)
         b_grid = np.clip(np.linspace(b_c - b_w, b_c + b_w, _GRID), *_B_RANGE)
-        for a in a_grid:
-            with np.errstate(over="ignore"):
-                fvals = candidate(a * x[:, None] + b_grid[None, :])
-            for k, b in enumerate(b_grid):
-                fx = fvals[:, k]
-                # huge-but-finite values would still overflow the normal
-                # equations; such fits are never competitive anyway
-                if not np.all(np.isfinite(fx)) or np.abs(fx).max() > 1e120:
-                    continue
-                c, d, resid = _fit_cd(fx, y)
-                if best is None or resid < best[0]:
-                    best = (resid, float(a), float(b), c, d)
-        if best is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            F = candidate(a_grid[:, None, None] * x + b_grid[:, None])
+        F = F.reshape(_GRID * _GRID, FIT_POINTS)  # row k is (a_grid[k // 21], b_grid[k % 21])
+        # huge-but-finite values would still overflow the normal equations;
+        # such fits are never competitive anyway
+        bad = ~(np.abs(F).max(axis=1) <= 1e120)  # also catches inf and nan
+        F[bad] = 0.0
+        c, d, resid = _fit_cd(F, y)
+        resid[bad | ~np.isfinite(resid)] = np.inf
+        k = int(np.argmin(resid))
+        if resid[k] < best[0]:
+            best = (float(resid[k]), float(a_grid[k // _GRID]), float(b_grid[k % _GRID]),
+                    float(c[k]), float(d[k]))
+        elif math.isinf(best[0]):
             raise EvaluationError(
                 f"candidate {candidate.name} not evaluable anywhere on the grid"
             )
@@ -188,289 +210,147 @@ def fit_activation(phi, domain, lambda_sym: float = LAMBDA_SYM) -> FittedActivat
     )
 
 
-# -- expression trees -------------------------------------------------------
-
-
-class Expr:
-    """Scalar expression over (K1, K2, K3) with exact gradient and Hessian."""
-
-    def vgh(self, K: Array):
-        """(value, gradient, Hessian) at K of shape (..., 3): shapes (...),
-        (..., 3) and (..., 3, 3)."""
-        raise NotImplementedError
-
-    def prefix(self) -> list:
-        raise NotImplementedError
-
-    def infix(self) -> str:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Const(Expr):
-    v: float
-
-    def vgh(self, K):
-        return np.full(K.shape[:-1], self.v), np.zeros(K.shape), _zero_hessian(K)
-
-    def prefix(self):
-        return ["const", _fmt17(self.v)]
-
-    def infix(self):
-        return _fmt(self.v)
-
-
-@dataclass(frozen=True)
-class Var(Expr):
-    index: int
-
-    def vgh(self, K):
-        g = np.zeros(K.shape)
-        g[..., self.index] = 1.0
-        return K[..., self.index], g, _zero_hessian(K)
-
-    def prefix(self):
-        return ["var", VAR_NAMES[self.index]]
-
-    def infix(self):
-        return VAR_NAMES[self.index]
-
-
-@dataclass(frozen=True)
-class Affine(Expr):
-    """coeffs . K + const; the collapsed form of stacked linear fits."""
-
-    coeffs: tuple
-    const: float
-
-    def vgh(self, K):
-        c = np.asarray(self.coeffs, dtype=np.float64)
-        return K @ c + self.const, np.broadcast_to(c, K.shape).copy(), _zero_hessian(K)
-
-    def prefix(self):
-        out = ["affine", _fmt17(self.const)]
-        out += [_fmt17(c) for c in self.coeffs]
-        return out
-
-    def infix(self):
-        parts = [
-            f"{_fmt(c)}*{VAR_NAMES[m]}" for m, c in enumerate(self.coeffs) if c != 0.0
-        ]
-        if self.const != 0.0 or not parts:
-            parts.append(_fmt(self.const))
-        return " + ".join(parts)
-
-
-@dataclass(frozen=True)
-class Scaled(Expr):
-    """weight * child (+ shift), the outer (c, d) of a fitted candidate."""
-
-    weight: float
-    child: Expr
-    shift: float = 0.0
-
-    def vgh(self, K):
-        v, g, h = self.child.vgh(K)
-        return self.weight * v + self.shift, self.weight * g, self.weight * h
-
-    def prefix(self):
-        return ["scaled", _fmt17(self.weight), _fmt17(self.shift)] + self.child.prefix()
-
-    def infix(self):
-        s = f"{_fmt(self.weight)}*{self.child.infix()}"
-        if self.shift != 0.0:
-            s += f" + {_fmt(self.shift)}"
-        return s
-
-
-@dataclass(frozen=True)
-class ExpOf(Expr):
-    child: Expr
-
-    def vgh(self, K):
-        v, g, h = self.child.vgh(K)
-        e = np.exp(v)
-        return e, e[..., None] * g, e[..., None, None] * (_outer(g) + h)
-
-    def prefix(self):
-        return ["exp"] + self.child.prefix()
-
-    def infix(self):
-        return f"exp({self.child.infix()})"
-
-
-@dataclass(frozen=True)
-class SoftplusPow(Expr):
-    child: Expr
-    power: int
-
-    def vgh(self, K):
-        v, g, h = self.child.vgh(K)
-        s = softplus(v)
-        with np.errstate(over="ignore"):
-            sig = 1.0 / (1.0 + np.exp(-v))
-        d1 = sig  # softplus'
-        d2 = sig * (1.0 - sig)  # softplus''
-        p = self.power
-        f = s**p
-        fp = (p * s ** (p - 1) * d1)[..., None]
-        fpp = (p * (p - 1) * s ** (p - 2) * d1 * d1 + p * s ** (p - 1) * d2)[..., None, None]
-        return f, fp * g, fpp * _outer(g) + fp[..., None] * h
-
-    def prefix(self):
-        return ["softplus", str(self.power)] + self.child.prefix()
-
-    def infix(self):
-        inner = f"softplus({self.child.infix()})"
-        return inner if self.power == 1 else f"{inner}^{self.power}"
-
-
-def _zero_hessian(K: Array) -> Array:
-    return np.zeros(K.shape + (3,))
-
-
-def _outer(g: Array) -> Array:
-    return g[..., :, None] * g[..., None, :]
+# -- the normal form ----------------------------------------------------------
 
 
 def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
 
-def _fmt17(v: float) -> str:
-    return f"{v:.17g}"
+@dataclass
+class Term:
+    """weight * f(inner), tagged with the activation (layer, i, j) that
+    introduced it, or None when read from a file."""
 
-
-# -- assembly ---------------------------------------------------------------
+    weight: float
+    f: CandidateFunction
+    inner: "Form"
+    provenance: tuple | None = None
 
 
 @dataclass
-class _Form:
-    """Affine-plus-nonlinear normal form used while composing fits.
+class Form:
+    """coeffs . K + const + sum of terms, over K = (K1, K2, K3)."""
 
-    value = coeffs . K + const + sum_k terms[k].  Terms carry provenance of
-    the activation (layer, i, j) that introduced them.
-    """
-
-    coeffs: Array
-    const: float
-    terms: list = field(default_factory=list)  # (Expr, provenance)
+    coeffs: Array = field(default_factory=lambda: np.zeros(3))
+    const: float = 0.0
+    terms: list = field(default_factory=list)  # [Term]
 
     @classmethod
-    def variable(cls, m):
-        c = np.zeros(3)
-        c[m] = 1.0
-        return cls(coeffs=c, const=0.0)
+    def variable(cls, m: int) -> "Form":
+        return cls(coeffs=np.eye(3)[m])
 
-    def is_affine(self) -> bool:
-        return not self.terms
+    def __add__(self, other: "Form") -> "Form":
+        return Form(self.coeffs + other.coeffs, self.const + other.const,
+                    self.terms + other.terms)
 
-    def to_expr(self) -> Expr:
-        inner: Expr = Affine(coeffs=tuple(self.coeffs), const=self.const)
-        if not self.terms:
-            return inner
-        # keep the affine part only when it contributes
-        exprs = [t for t, _ in self.terms]
-        if np.any(self.coeffs != 0.0) or self.const != 0.0:
-            exprs = [inner] + exprs
-        if len(exprs) == 1:
-            return exprs[0]
-        return _SumExpr(tuple(exprs))
+    def scaled(self, w: float, s: float = 0.0) -> "Form":
+        """w * self + s."""
+        return Form(w * self.coeffs, w * self.const + s,
+                    [replace(t, weight=w * t.weight) for t in self.terms])
 
-    def apply(self, fit: FittedActivation, provenance) -> "_Form":
-        cand = fit.candidate
-        if cand.name == "x":
-            # c*(a*x + b) + d stays in normal form
-            s = fit.c * fit.a
-            return _Form(
-                coeffs=s * self.coeffs,
-                const=s * self.const + fit.c * fit.b + fit.d,
-                terms=[(Scaled(s, t), p) for t, p in self.terms],
-            )
-        inner = _Form(
-            coeffs=fit.a * self.coeffs,
-            const=fit.a * self.const + fit.b,
-            terms=[(Scaled(fit.a, t), p) for t, p in self.terms],
-        ).to_expr()
-        wrapped: Expr = (
-            ExpOf(inner) if cand.name == "exp" else SoftplusPow(inner, cand.power)
-        )
-        return _Form(
-            coeffs=np.zeros(3),
-            const=fit.d,
-            terms=[(Scaled(fit.c, wrapped), provenance)],
-        )
+    def apply(self, fit: FittedActivation, provenance) -> "Form":
+        """The fitted activation c * f(a * self + b) + d; a linear fit stays
+        in the affine part."""
+        if fit.candidate.name == "x":
+            return self.scaled(fit.c * fit.a, fit.c * fit.b + fit.d)
+        term = Term(fit.c, fit.candidate, self.scaled(fit.a, fit.b), provenance)
+        return Form(const=fit.d, terms=[term])
 
-    def add(self, other: "_Form") -> "_Form":
-        return _Form(
-            coeffs=self.coeffs + other.coeffs,
-            const=self.const + other.const,
-            terms=self.terms + other.terms,
-        )
-
-
-@dataclass(frozen=True)
-class _SumExpr(Expr):
-    children: tuple
-
-    def vgh(self, K):
-        v, g, h = np.zeros(K.shape[:-1]), np.zeros(K.shape), _zero_hessian(K)
-        for ch in self.children:
-            cv, cg, chh = ch.vgh(K)
-            v = v + cv
-            g += cg
-            h += chh
+    def vgh(self, K: Array):
+        """(value, gradient, Hessian) at K of shape (..., 3): shapes (...),
+        (..., 3) and (..., 3, 3)."""
+        v = K @ self.coeffs + self.const
+        g = np.broadcast_to(self.coeffs, K.shape).copy()
+        h = np.zeros(K.shape + (3,))
+        for t in self.terms:
+            iv, ig, ih = t.inner.vgh(K)
+            f, f1, f2 = t.f.derivatives(iv)
+            w1, w2 = (t.weight * f1)[..., None], (t.weight * f2)[..., None, None]
+            v = v + t.weight * f
+            g += w1 * ig
+            h += w2 * (ig[..., :, None] * ig[..., None, :]) + w1[..., None] * ih
         return v, g, h
 
-    def prefix(self):
-        out = ["add", str(len(self.children))]
-        for ch in self.children:
-            out += ch.prefix()
-        return out
+    def prefix(self) -> list:
+        """Prefix tokens: ``affine const c1 c2 c3``, ``scaled w 0 <f> <inner>``
+        per term, joined by ``add n`` when there is more than one part."""
+        parts = []
+        if np.any(self.coeffs != 0.0) or self.const != 0.0 or not self.terms:
+            parts.append(["affine"] + [f"{v:.17g}" for v in (self.const, *self.coeffs)])
+        for t in self.terms:
+            f = ["exp"] if t.f.name == "exp" else ["softplus", str(t.f.power)]
+            parts.append(["scaled", f"{t.weight:.17g}", "0", *f, *t.inner.prefix()])
+        if len(parts) == 1:
+            return parts[0]
+        return ["add", str(len(parts))] + [tok for part in parts for tok in part]
 
-    def infix(self):
-        return " + ".join(ch.infix() for ch in self.children)
+    def infix(self) -> str:
+        parts = [f"{_fmt(c)}*{VAR_NAMES[m]}" for m, c in enumerate(self.coeffs) if c != 0.0]
+        if self.const != 0.0 or not (parts or self.terms):
+            parts.append(_fmt(self.const))
+        for t in self.terms:
+            name, _, power = t.f.name.partition("^")
+            text = f"{_fmt(t.weight)}*{name}({t.inner.infix()})"
+            parts.append(f"{text}^{power}" if power else text)
+        return " + ".join(parts)
+
+
+def _number(tokens) -> float:
+    v = float(next(tokens))
+    if not math.isfinite(v):
+        raise DataError(f"non-finite number {v} in expression")
+    return v
+
+
+def _parse(tokens) -> Form:
+    """Read one prefix expression from an iterator over its tokens."""
+    head = next(tokens)
+    if head == "const":
+        return Form(const=_number(tokens))
+    if head == "var":
+        return Form.variable(VAR_NAMES.index(next(tokens)))
+    if head == "affine":
+        const = _number(tokens)
+        return Form(np.array([_number(tokens) for _ in range(3)]), const)
+    if head == "scaled":
+        w, s = _number(tokens), _number(tokens)
+        return _parse(tokens).scaled(w, s)
+    if head == "exp":
+        return Form(terms=[Term(1.0, LIBRARY[1], _parse(tokens))])
+    if head == "softplus":
+        p = int(next(tokens))
+        if p < 1:  # below 1 the term is no longer convex and non-decreasing
+            raise DataError(f"softplus power {p} is below 1")
+        f = CandidateFunction("softplus" if p == 1 else f"softplus^{p}", 2, power=p)
+        return Form(terms=[Term(1.0, f, _parse(tokens))])
+    if head == "add":
+        return sum([_parse(tokens) for _ in range(int(next(tokens)))], Form())
+    raise DataError(f"unknown expression token {head!r}")
 
 
 @dataclass
-class SymbolicEnergy:
-    """Closed-form energy: explicit linear K coefficients plus nonlinear
-    candidate terms, each term tagged with the activation it came from."""
+class SymbolicEnergy(Form):
+    """Closed-form energy: the composed normal form, with the fit behind
+    each activation and the whole-model parity R^2 against the network."""
 
-    coeffs: Array  # (3,) linear coefficients of K1, K2, K3
-    const: float
-    terms: list  # (Expr, (layer, i, j))
     activation_fits: dict = field(default_factory=dict)  # (r,i,j) -> FittedActivation
     parity_r2: float = float("nan")
 
     def vgh(self, K):
         """Value, K-gradient and K-Hessian at one K (3,) or a stack (N, 3)."""
         K = np.asarray(K, dtype=np.float64)
-        v = K @ self.coeffs + self.const
-        g = np.broadcast_to(self.coeffs.astype(float), K.shape).copy()
-        h = _zero_hessian(K)
-        for t, _ in self.terms:
-            tv, tg, th = t.vgh(K)
-            v = v + tv
-            g += tg
-            h += th
+        v, g, h = super().vgh(K)
         return (float(v), g, h) if K.ndim == 1 else (v, g, h)
 
     def value(self, K):
         """Value alone, at one K (3,) or a stack (N, 3)."""
         return self.vgh(K)[0]
 
-    def expr(self) -> Expr:
-        return _Form(coeffs=self.coeffs, const=self.const, terms=self.terms).to_expr()
-
-    def infix(self) -> str:
-        return self.expr().infix()
-
     def dumps(self) -> str:
-        lines = ["convexkan-symbolic v1"]
-        lines.append("energy " + " ".join(self.expr().prefix()))
-        lines.append(f"# {self.infix()}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(
+            ["convexkan-symbolic v1", "energy " + " ".join(self.prefix()), f"# {self.infix()}"]
+        ) + "\n"
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -484,76 +364,22 @@ class SymbolicEnergy:
         body = [ln for ln in lines[1:] if not ln.startswith("#")]
         if len(body) != 1 or not body[0].startswith("energy "):
             raise DataError("expected a single 'energy <prefix...>' line")
-        tokens = body[0].split()[1:]
-        expr, rest = _parse_prefix(tokens)
+        tokens = iter(body[0].split()[1:])
+        try:
+            form = _parse(tokens)
+        except StopIteration:
+            raise DataError("unexpected end of expression") from None
+        except ValueError as exc:
+            raise DataError(f"malformed expression: {exc}") from None
+        rest = list(tokens)
         if rest:
             raise DataError(f"trailing tokens in expression: {rest}")
-        coeffs, const, terms = _flatten(expr)
-        return cls(coeffs=coeffs, const=const, terms=terms)
+        return cls(form.coeffs, form.const, form.terms)
 
     @classmethod
     def load(cls, path) -> "SymbolicEnergy":
         with open(path) as fh:
             return cls.loads(fh.read())
-
-
-def _parse_prefix(tokens):
-    if not tokens:
-        raise DataError("unexpected end of expression")
-    head, rest = tokens[0], tokens[1:]
-    try:
-        if head == "const":
-            return Const(float(rest[0])), rest[1:]
-        if head == "var":
-            return Var(VAR_NAMES.index(rest[0])), rest[1:]
-        if head == "affine":
-            const = float(rest[0])
-            coeffs = tuple(float(v) for v in rest[1:4])
-            return Affine(coeffs=coeffs, const=const), rest[4:]
-        if head == "scaled":
-            w, s = float(rest[0]), float(rest[1])
-            child, rem = _parse_prefix(rest[2:])
-            return Scaled(w, child, s), rem
-        if head == "exp":
-            child, rem = _parse_prefix(rest)
-            return ExpOf(child), rem
-        if head == "softplus":
-            p = int(rest[0])
-            child, rem = _parse_prefix(rest[1:])
-            return SoftplusPow(child, p), rem
-        if head == "add":
-            n = int(rest[0])
-            rem = rest[1:]
-            children = []
-            for _ in range(n):
-                ch, rem = _parse_prefix(rem)
-                children.append(ch)
-            return _SumExpr(tuple(children)), rem
-    except (IndexError, ValueError) as exc:
-        raise DataError(f"malformed expression near {head!r}: {exc}") from None
-    raise DataError(f"unknown expression token {head!r}")
-
-
-def _flatten(expr: Expr):
-    """Split a parsed expression into (linear coeffs, const, nonlinear terms)."""
-    coeffs = np.zeros(3)
-    const = 0.0
-    terms = []
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, _SumExpr):
-            stack.extend(e.children)
-        elif isinstance(e, Const):
-            const += e.v
-        elif isinstance(e, Var):
-            coeffs[e.index] += 1.0
-        elif isinstance(e, Affine):
-            coeffs += np.asarray(e.coeffs)
-            const += e.const
-        else:
-            terms.append((e, None))
-    return coeffs, const, terms
 
 
 def distill(
@@ -584,36 +410,20 @@ def distill(
                     f"activation (layer {r}, out {i}, in {j}) failed to fit: {exc}"
                 ) from exc
 
-    forms = [_Form.variable(m) for m in range(model.dims[0])]
+    forms = [Form.variable(m) for m in range(model.dims[0])]
     for r in range(model.n_layers):
         forms = [
-            _sum_forms(
-                forms[j].apply(fits[(r, i, j)], (r, i, j))
-                for j in range(model.dims[r])
-            )
+            sum([forms[j].apply(fits[(r, i, j)], (r, i, j)) for j in range(model.dims[r])],
+                Form())
             for i in range(model.dims[r + 1])
         ]
     out = forms[0]
-    energy = SymbolicEnergy(
-        coeffs=out.coeffs, const=out.const, terms=out.terms, activation_fits=fits
-    )
-    rng = np.random.default_rng(parity_seed)
-    from .network import GRID_INIT_RANGE
-
-    K = rng.uniform(*GRID_INIT_RANGE, size=(parity_samples, 3))
+    energy = SymbolicEnergy(out.coeffs, out.const, out.terms, activation_fits=fits)
+    K = np.random.default_rng(parity_seed).uniform(*GRID_INIT_RANGE, size=(parity_samples, 3))
     y_net = model.forward(K)
-    y_sym = energy.value(K)
-    ss_res = float(np.sum((y_net - y_sym) ** 2))
+    ss_res = float(np.sum((y_net - energy.value(K)) ** 2))
     energy.parity_r2 = _r2(y_net, ss_res)
     return energy
-
-
-def _sum_forms(forms) -> _Form:
-    it = iter(forms)
-    acc = next(it)
-    for f in it:
-        acc = acc.add(f)
-    return acc
 
 
 class SymbolicMaterial(KEnergyModel):

@@ -306,6 +306,16 @@ class TestSimulate:
         F = np.diag([1.4, 0.9, 1.0])
         npt.assert_allclose(mat.energy(F), NeoHookean().energy(F), rtol=1e-10)
 
+    @pytest.mark.parametrize("expr", ["affine 0 0.5", "softplus -2 var K1", "scaled nan 0 exp var K1"])
+    def test_malformed_symbolic_exits_2(self, tmp_path, mesh_file, expr):
+        sym = tmp_path / "bad.sym"
+        sym.write_text(f"convexkan-symbolic v1\nenergy {expr}\n")
+        assert main(
+            ["simulate", "--model", "NH", "--symbolic", str(sym), "--mesh", mesh_file,
+             "--delta", "0.1", "--steps", "1", "--out", str(tmp_path / "s")]
+        ) == 2
+        assert not (tmp_path / "s.parity.csv").exists()
+
     def test_needs_exactly_one_model_exits_2(self, tmp_path, mesh_file):
         assert main(
             ["simulate", "--model", "NH", "--mesh", mesh_file,

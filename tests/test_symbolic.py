@@ -1,6 +1,7 @@
 """Symbolic distillation: candidate fitting, selection scoring, expression
 assembly, serialization, and the distilled material model."""
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -9,16 +10,21 @@ import pytest
 from convexkan.errors import ConfigurationError, DataError
 from convexkan.network import CONSTRAINED, VANILLA, KANModel, W_S_UNIT, softplus
 from convexkan.symbolic import (
+    FIT_POINTS,
     LIBRARY,
     FittedActivation,
     SymbolicEnergy,
     SymbolicMaterial,
+    _fit_cd,
+    _r2,
     distill,
     fit_activation,
     fit_candidate,
     select_candidate,
     selection_score,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def by_name(name):
@@ -87,6 +93,103 @@ class TestFitting:
     def test_degenerate_domain(self):
         with pytest.raises(ConfigurationError):
             fit_candidate(lambda x: x, (1.0, 1.0), by_name("x"))
+
+
+def reference_cd(fx, y):
+    """Scalar least squares for (c, d) in c*fx + d ~ y with c >= 0."""
+    n = fx.size
+    sf, sy = fx.sum(), y.sum()
+    sff, sfy = float(fx @ fx), float(fx @ y)
+    det = n * sff - sf * sf
+    if abs(det) < 1e-30:
+        c = 0.0
+    else:
+        c = (n * sfy - sf * sy) / det
+    if c < 0.0 or not np.isfinite(c):
+        c = 0.0
+    d = (sy - c * sf) / n
+    resid = float(np.sum((c * fx + d - y) ** 2))
+    return c, d, resid
+
+
+def reference_fit(x, y, candidate):
+    """The scalar grid search that the array fit replaced: one (a, b) point
+    at a time, 21 x 21 points, three rounds shrinking by 5.  Returns
+    (residual, a, b, c, d)."""
+    if candidate.name == "x":
+        c, d, resid = reference_cd(x, y)
+        return resid, 1.0, 0.0, c, d
+    a_c, b_c, a_w, b_w = 5.0, 0.0, 5.0, 10.0
+    best = None
+    for _ in range(3):
+        a_grid = np.clip(np.linspace(a_c - a_w, a_c + a_w, 21), 0.0, 10.0)
+        b_grid = np.clip(np.linspace(b_c - b_w, b_c + b_w, 21), -10.0, 10.0)
+        for a in a_grid:
+            with np.errstate(over="ignore"):
+                fvals = candidate(a * x[:, None] + b_grid[None, :])
+            for k, b in enumerate(b_grid):
+                fx = fvals[:, k]
+                if not np.all(np.isfinite(fx)) or np.abs(fx).max() > 1e120:
+                    continue
+                c, d, resid = reference_cd(fx, y)
+                if best is None or resid < best[0]:
+                    best = (resid, float(a), float(b), c, d)
+        _, a_c, b_c, _, _ = best
+        a_w /= 5.0
+        b_w /= 5.0
+    return best
+
+
+REFERENCE_TARGETS = {
+    **{
+        f"self-{c.name}": (lambda x, c=c: 1.3 * c(0.7 * x + 0.4) + 0.2)
+        for c in LIBRARY
+    },
+    "saturating-softplus": lambda x: softplus(x) - softplus(x - 2.0),
+    "flat": lambda x: np.full_like(x, 2.5),
+    "decreasing": lambda x: -x,
+}
+
+
+class TestArrayFitAgainstScalarReference:
+    @pytest.mark.parametrize("target", REFERENCE_TARGETS)
+    def test_same_selection_r2_and_residual(self, target):
+        phi, domain = REFERENCE_TARGETS[target], (-4.0, 4.0)
+        x = np.linspace(*domain, FIT_POINTS)
+        y = phi(x)
+        # a near-exact fit's residual is rounding noise of the normal
+        # equations in either code (softplus on the linear target differs by
+        # 1e-9 of itself, 1e-21 of the target's variance), so residuals are
+        # also compared on the scale of that variance
+        floor = 1e-12 * np.sum((y - y.mean()) ** 2) + 1e-28
+        fits, refs = [], []
+        for cand in LIBRARY:
+            fit = fit_candidate(phi, domain, cand)
+            resid, a, b, c, d = reference_fit(x, y, cand)
+            ref = FittedActivation(cand, a=a, b=b, c=c, d=d, r2=_r2(y, resid))
+            fits.append(fit)
+            refs.append(ref)
+            npt.assert_allclose(fit.r2, ref.r2, rtol=0.0, atol=1e-12)
+            npt.assert_allclose(
+                np.sum((fit(x) - y) ** 2), np.sum((ref(x) - y) ** 2), rtol=1e-12, atol=floor
+            )
+            if (fit.a, fit.b) != (a, b):
+                # allowed only where the reference's own residuals tie
+                tie = reference_cd(cand(fit.a * x + fit.b), y)[2]
+                npt.assert_allclose(tie, resid, rtol=1e-12, atol=floor)
+        assert select_candidate(fits).candidate == select_candidate(refs).candidate
+
+    @pytest.mark.parametrize("v", [0.1, 1.3, math.exp(3.7), float(softplus(-10.0)), 7.0 / 3.0])
+    def test_constant_column_gives_zero_slope(self, v):
+        # the a = 0 grid column: f(b) at every sample point
+        y = np.linspace(-1.0, 2.0, FIT_POINTS) ** 2
+        F = np.full((2, FIT_POINTS), v)
+        F[1] = np.linspace(0.0, 1.0, FIT_POINTS)
+        c, d, resid = _fit_cd(F, y)
+        assert c[0] == 0.0
+        npt.assert_allclose(d[0], y.mean(), rtol=1e-14)
+        npt.assert_allclose(resid[0], np.sum((y - y.mean()) ** 2), rtol=1e-12)
+        assert c[1] > 0.0  # the constant row does not disturb its neighbours
 
 
 class TestSelection:
@@ -226,6 +329,102 @@ class TestSerialization:
         with pytest.raises(DataError):
             SymbolicEnergy.loads("convexkan-symbolic v1\nenergy add 2 const 1\n")
 
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "affine 0 0.5",  # short affine: used to broadcast 0.5 to every K
+            "add 2 affine 0 0.5 scaled 1 0 exp var K1",
+            "affine nan 0.5 0 1.5",
+            "affine 0 0.5 0 inf",
+            "scaled inf 0 softplus 1 var K1",
+            "scaled 1 -inf exp var K2",
+            "softplus -2 var K1",  # would make dW/dK1 negative
+            "softplus 0 var K1",
+            "softplus 1.5 var K1",
+            "var K4",
+            "var K1 var K2",  # trailing tokens
+        ],
+    )
+    def test_malformed_expression_rejected(self, expr):
+        with pytest.raises(DataError):
+            SymbolicEnergy.loads(f"convexkan-symbolic v1\nenergy {expr}\n")
+
+
+# W, dW/dK and d2W/dK2 of tests/data/distilled_v1.sym, written and evaluated
+# by the expression-tree implementation that first defined the format
+V1_K = np.array(
+    [[0.0, 0.0, 0.0], [1.0, 4.0, 0.5], [-5.0, -5.0, -5.0], [25.0, 25.0, 25.0], [3.0, -2.0, 12.0]]
+)
+V1_W = np.array(
+    [0.6569842741927574, 0.7911487190587704, 0.4162950050771008, 5.3980487120692695,
+     1.0137792727428334]
+)
+V1_G = np.array(
+    [[0.016092892110262096, 0.023971235846865502, 0.01840297161809811],
+     [0.018285638723871647, 0.029936997006443297, 0.02020577366191567],
+     [0.010351506745595096, 0.0171336228900781, 0.011930935274369244],
+     [0.10626235715510006, 0.15524989669186934, 0.15278223505205135],
+     [0.023051098413599008, 0.025530264382604254, 0.04288969150574046]]
+)
+V1_H_UPPER = np.array(  # H11 H12 H13 H22 H23 H33
+    [[1.3190726985948410e-03, 1.5329408208433141e-04, 1.1137975137808935e-04,
+      1.2635254331849418e-03, 2.2746621194600944e-04, 1.2991239996166287e-03],
+     [1.5346080031433656e-03, 2.0266334385970217e-04, 1.3136424468330218e-04,
+      1.5806026505132511e-03, 2.7644851624317987e-04, 1.4094586873594341e-03],
+     [6.8327758606000167e-04, 7.4812326030450021e-05, 3.9759995226128244e-05,
+      9.1179440009439170e-04, 1.4232682816278051e-04, 8.2373277451065850e-04],
+     [2.3815814938217003e-03, 1.7351323584217115e-03, 1.7339536087746634e-03,
+      8.0055726111425158e-03, 2.5212837232710048e-03, 6.5463315379924170e-03],
+     [1.9528266194951431e-03, 1.9476710774544840e-04, 3.2708768895619878e-04,
+      1.3125274803979846e-03, 3.8655893017724557e-04, 2.8582780059288101e-03]]
+)
+
+WRITTEN_TOKENS = {"affine", "scaled", "exp", "softplus", "add"}
+
+
+def words(text):
+    """Non-numeric tokens of a file's energy line."""
+    line = next(ln for ln in text.splitlines() if ln.startswith("energy "))
+    out = set()
+    for tok in line.split()[1:]:
+        try:
+            float(tok)
+        except ValueError:
+            out.add(tok)
+    return out
+
+
+class TestFileCompatibility:
+    def test_fixture_has_every_construct(self):
+        text = (DATA / "distilled_v1.sym").read_text()
+        assert " exp " in text and "softplus 4" in text
+        assert "scaled 1.3999999999999999 0 scaled" in text  # a stacked chain
+
+    def test_v1_file_loads_to_its_writer_values(self):
+        energy = SymbolicEnergy.load(DATA / "distilled_v1.sym")
+        v, g, h = energy.vgh(V1_K)
+        iu = np.triu_indices(3)
+        npt.assert_allclose(v, V1_W, rtol=1e-12)
+        npt.assert_allclose(g, V1_G, rtol=1e-12)
+        npt.assert_allclose(h[:, iu[0], iu[1]], V1_H_UPPER, rtol=1e-12)
+        npt.assert_array_equal(h, np.swapaxes(h, 1, 2))
+
+    @pytest.mark.parametrize("source", ["fixture", "distilled"])
+    def test_writer_uses_core_tokens_and_is_stable(self, source):
+        if source == "fixture":
+            energy = SymbolicEnergy.load(DATA / "distilled_v1.sym")
+        else:
+            energy = distill(KANModel.create(rng=11).grid_initialize())
+        text = energy.dumps()
+        assert words(text) <= WRITTEN_TOKENS
+        assert SymbolicEnergy.loads(text).dumps() == text
+
+    def test_stacked_weights_multiplied_out(self):
+        text = SymbolicEnergy.loads(
+            "convexkan-symbolic v1\nenergy scaled 2 0 scaled 0.5 1 softplus 2 var K1\n"
+        ).dumps()
+        assert "energy add 2 affine 2 0 0 0 scaled 1 0 softplus 2 affine 0 1 0 0\n" in text
+
 
 class TestSymbolicMaterial:
     def test_stress_matches_fd_of_energy(self):
@@ -247,6 +446,20 @@ class TestSymbolicMaterial:
         energy = distill(KANModel.create(rng=23).grid_initialize())
         mat = SymbolicMaterial(energy)
         npt.assert_allclose(mat.stress(np.eye(3)), 0.0, atol=1e-10)
+
+    def test_reference_energy_evaluated_once(self):
+        energy = SymbolicEnergy.loads(
+            "convexkan-symbolic v1\nenergy add 2 affine 0.3 0.5 0 1.5 scaled 1 0 exp var K1\n"
+        )
+        mat = SymbolicMaterial(energy, zero_at_identity=True)
+        at_zero = []
+        vgh = energy.vgh
+        energy.vgh = lambda K: at_zero.append(not np.any(K)) or vgh(K)
+        F = np.diag([1.2, 0.9, 1.0])
+        for _ in range(3):
+            mat.stress(F)
+            mat.tangent(F)
+        assert len(at_zero) == 7 and sum(at_zero) == 1
 
     def test_offset_flag(self):
         energy = distill(KANModel.create(rng=23).grid_initialize())
