@@ -102,10 +102,13 @@ def _span_matrices(k: int) -> Array:
     return M
 
 
-def _basis_rows(x, knots: KnotVector, orders) -> Array:
+def _basis_rows(x, t, k: int, orders) -> Array:
     """Dense rows of all ``n_b`` basis functions' derivatives of the given
-    ``orders`` at ``x``: shape ``(len(orders), len(x), n_b)``, or
-    ``(len(orders), n_b)`` for a scalar.
+    ``orders`` at ``x`` on the uniform knots ``t``.
+
+    ``x`` is ``(..., N)`` and ``t`` is ``(..., m_b)``; their leading axes
+    broadcast, so one call evaluates many point sets, each on its own knots.
+    The result has shape ``(len(orders), ..., N, n_b)``.
 
     Each point evaluates only the k + 1 functions non-zero on its knot span
     ``[t_mu, t_mu+1)``, half-open as in the Cox-de Boor recursion (so a
@@ -113,23 +116,64 @@ def _basis_rows(x, knots: KnotVector, orders) -> Array:
     ``[t_1, t_{m_b})`` get zero rows, points in the outer spans the partial
     values of the functions defined there.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    k, t, n_b, orders = knots.k, knots.t, knots.n_b, list(orders)
+    x, t, orders = np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64), list(orders)
     if k < max(orders):
         raise ConfigurationError(
             f"order-{max(orders)} derivative needs spline order k >= {max(orders)}, got k={k}"
         )
-    mu = np.clip(np.searchsorted(t, xs, side="right") - 1, 0, t.size - 2)
-    M = _span_matrices(k)[orders] / knots.s ** np.array(orders, dtype=np.float64)[:, None, None]
-    vals = np.vander((xs - t[mu]) / knots.s, k + 1, increasing=True) @ M
-    vals[:, (xs < t[0]) | (xs >= t[-1])] = 0.0
+    m_b = t.shape[-1]
+    n_b, n_d = m_b - k - 1, len(orders)
+    shape = np.broadcast_shapes(x.shape[:-1], t.shape[:-1]) + x.shape[-1:]
+    x = np.broadcast_to(x, shape)
+    t = t.reshape((1,) * (len(shape) - t.ndim) + t.shape)
+    # the span from the spacing, settled against the knots themselves: the
+    # estimate is off by at most one
+    flat = t.ravel()
+    first = np.arange(0, flat.size, m_b).reshape(t.shape[:-1] + (1,))
+    s = t[..., 1:2] - t[..., :1]
+    mu = np.clip(np.floor((x - t[..., :1]) / s), 0, m_b - 2).astype(np.intp)
+    at = first + mu
+    mu += (flat[at + 1] <= x) & (mu < m_b - 2)
+    mu -= (flat[at] > x) & (mu > 0)
+    u = (x - flat[first + mu]) / s
+    powers = np.empty((k + 1,) + shape)  # u**p, p = 0..k, as np.vander forms them
+    powers[0] = 1.0
+    for p in range(1, k + 1):
+        np.multiply(powers[p - 1], u, out=powers[p])
+    lead = (1,) * (len(shape) - 1)
+    d = np.array(orders, dtype=np.float64).reshape((n_d,) + lead + (1, 1))
+    M = _span_matrices(k)[orders].reshape((n_d,) + lead + (k + 1, k + 1))
+    vals = np.moveaxis(powers, 0, -1) @ (M / s[..., None] ** d)
+    outside = (x < t[..., :1]) | (x >= t[..., -1:])
+    if outside.any():
+        vals[:, outside] = 0.0
     # columns shifted by k, so that B_{mu-k} .. B_mu of every span fit
     width = n_b + 2 * k
-    rows = np.zeros((len(orders), xs.size, width))
-    rows.reshape(len(orders), -1)[:, (np.arange(xs.size) * width + mu)[:, None]
-                                  + np.arange(k + 1)] = vals
-    rows = rows[:, :, k : k + n_b]
-    return rows[:, 0] if np.ndim(x) == 0 else rows
+    rows = np.zeros((n_d, x.size * width))
+    at = ((np.arange(x.size) * width + mu.ravel())[:, None] + np.arange(k + 1)).ravel()
+    for order_rows, order_vals in zip(rows, vals):
+        order_rows[at] = order_vals.ravel()
+    return rows.reshape((n_d,) + shape + (width,))[..., k : k + n_b]
+
+
+def design_rows(x, t, k: int) -> Array:
+    """Rows ``(b0, b1, b2)``, stacked on a leading axis, such that the value,
+    slope and curvature at ``x`` of the spline with control points ``c`` on
+    the uniform knots ``t`` of order ``k`` are ``b0 @ c``, ``b1 @ c`` and
+    ``b2 @ c``, with the linear extension beyond the natural domain baked in.
+
+    Shapes as in :func:`_basis_rows`: ``x`` is ``(..., N)``, ``t`` is
+    ``(..., m_b)`` and the rows are ``(3, ..., N, n_b)``.
+    """
+    x, t = np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64)
+    lo, hi = t[..., k : k + 1], t[..., t.shape[-1] - k - 1 : t.shape[-1] - k]
+    xc = np.clip(x, lo, hi)
+    b = _basis_rows(xc, t, k, (0, 1, 2))
+    outside = np.nonzero(x != xc)
+    if outside[0].size:  # b1 already holds the slope rows at the edge
+        b[(0, *outside)] += (x - xc)[outside][:, None] * b[(1, *outside)]
+        b[(2, *outside)] = 0.0
+    return b
 
 
 def eval_basis(x, knots: KnotVector) -> Array:
@@ -138,7 +182,7 @@ def eval_basis(x, knots: KnotVector) -> Array:
     ``x`` may be a scalar or 1-D array; the result has shape ``(n_b,)`` or
     ``(len(x), n_b)``.  Within the natural domain the values sum to one.
     """
-    return _basis_rows(x, knots, (0,))[0]
+    return _point_rows(x, knots, 0)
 
 
 def eval_basis_derivatives(x, knots: KnotVector, order: int) -> Array:
@@ -148,7 +192,12 @@ def eval_basis_derivatives(x, knots: KnotVector, order: int) -> Array:
     """
     if order not in (1, 2):
         raise ConfigurationError(f"derivative order must be 1 or 2, got {order}")
-    return _basis_rows(x, knots, (order,))[0]
+    return _point_rows(x, knots, order)
+
+
+def _point_rows(x, knots: KnotVector, order: int) -> Array:
+    rows = _basis_rows(np.atleast_1d(x), knots.t, knots.k, (order,))[0]
+    return rows[0] if np.ndim(x) == 0 else rows
 
 
 def reparameterize(raw) -> Array:
@@ -240,19 +289,8 @@ class BSplineCurve:
         """Rows ``(b0, b1, b2)`` such that value/slope/curvature at ``x`` are
         ``b0 @ c``, ``b1 @ c``, ``b2 @ c``, with the linear extension baked in
         for points outside the natural domain."""
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        lo, hi = self.knots.domain
-        xc = np.clip(xs, lo, hi)
-        b0, b1, b2 = _basis_rows(xc, self.knots, (0, 1, 2))
-        outside = (xs < lo) | (xs > hi)
-        if np.any(outside):
-            # linear extension: b1 already holds the slope rows at the edge
-            b0[outside] += (xs - xc)[outside, None] * b1[outside]
-            b2[outside] = 0.0
-        if scalar:
-            return b0[0], b1[0], b2[0]
-        return b0, b1, b2
+        b = design_rows(np.atleast_1d(x), self.knots.t, self.knots.k)
+        return tuple(b[:, 0] if np.ndim(x) == 0 else b)
 
     def eval_extended(self, x):
         """Value, first and second derivative at ``x`` (scalar or array), of

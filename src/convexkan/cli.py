@@ -306,10 +306,11 @@ def cmd_simulate(args) -> int:
     curves = []
     fields = {}
     for name, model in (("true", truth), (label, material)):
-        u = np.zeros((mesh.n_nodes, 2))
+        u, reached = np.zeros((mesh.n_nodes, 2)), 0.0
         rows = []
         for g in gammas:
-            u = solve(mesh, part, model, g, u0=u)
+            u = solve(mesh, part, model, g, u0=u, delta0=reached)
+            reached = g
             rows.append(reaction(part, nodal_forces(mesh, u, model)))
         fields[name] = u
         curves.append(np.asarray(rows))

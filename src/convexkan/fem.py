@@ -401,6 +401,7 @@ def solve(
     delta: float,
     steps: int = 1,
     u0: Array | None = None,
+    delta0: float = 0.0,
     tol: float = 1e-9,
     max_iter: int = 25,
     max_halvings: int = 4,
@@ -408,17 +409,18 @@ def solve(
 ):
     """Quasi-static solve at load parameter ``delta``.
 
-    Applies the load in uniform increments (``steps``), halving an increment
-    up to ``max_halvings`` times when Newton fails to converge.  Returns the
-    nodal displacement array, plus the final Newton residual history when
-    ``return_residuals`` is set.
+    Starts from the field ``u0`` (default: zero), in equilibrium at the load
+    parameter ``delta0``, and applies the rest of the load in uniform
+    increments (``steps``), halving an increment up to ``max_halvings`` times
+    when Newton fails to converge.  Returns the nodal displacement array,
+    plus the final Newton residual history when ``return_residuals`` is set.
     """
     if steps < 1:
         raise ConfigurationError(f"need at least one load step, got {steps}")
     fixed = partition.fixed_mask()
     u = np.zeros((mesh.n_nodes, 2)) if u0 is None else np.array(u0, dtype=np.float64)
-    reached = 0.0
-    inc = delta / steps if delta != 0.0 else 0.0
+    reached = delta0
+    inc = (delta - delta0) / steps
     history = []
     while True:
         remaining = delta - reached
@@ -428,7 +430,7 @@ def solve(
             inc = remaining
         halvings = 0
         while True:
-            target = reached + inc
+            target = delta if inc == remaining else reached + inc  # land on delta exactly
             trial = u.copy()
             trial[fixed] = partition.prescribed(target)[fixed]
             try:
@@ -444,7 +446,7 @@ def solve(
                         residual=getattr(exc, "residual", None),
                     ) from exc
                 inc *= 0.5
-    if delta == 0.0:
+    if delta == delta0:
         # still verify equilibrium of the start state (one residual check)
         u, history = _newton(mesh, partition, model, u, tol, max_iter)
     return (u, history) if return_residuals else u
@@ -595,17 +597,19 @@ def generate_dataset(
     (optionally noisy) displacement fields with the noiseless reactions.
 
     Snapshots are solved by continuation: each solve starts from the previous
-    converged field.  Noise is one independent normal draw per displacement
-    DOF per snapshot; with ``noise_per_dof_constant`` a single per-DOF draw is
-    reused across all snapshots.
+    converged field at the previous load.  Noise is one independent normal
+    draw per displacement DOF per snapshot; with ``noise_per_dof_constant`` a
+    single per-DOF draw is reused across all snapshots.
     """
     deltas = np.atleast_1d(np.asarray(deltas, dtype=np.float64))
     n_t = deltas.size
     disp = np.empty((n_t, mesh.n_nodes, 2))
     reac = np.empty((n_t, partition.n_reactions))
-    u = np.zeros((mesh.n_nodes, 2))
+    u, reached = np.zeros((mesh.n_nodes, 2)), 0.0
     for t in range(n_t):
-        u = solve(mesh, partition, model, deltas[t], steps=steps_per_snapshot, u0=u)
+        u = solve(mesh, partition, model, deltas[t], steps=steps_per_snapshot, u0=u,
+                  delta0=reached)
+        reached = deltas[t]
         disp[t] = u
         reac[t] = reaction(partition, nodal_forces(mesh, u, model))
     if noise_sigma > 0.0:

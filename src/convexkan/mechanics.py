@@ -495,15 +495,6 @@ def random_rotation(rng) -> Array:
     return Q
 
 
-def objectivity_check(model: MaterialModel, F, R):
-    """|W(R F) - W(F)| for a proper rotation R."""
-    R = np.asarray(R, dtype=np.float64)
-    if R.shape != (3, 3) or not np.allclose(R.T @ R, np.eye(3), atol=1e-10) or np.linalg.det(R) < 0:
-        raise ConfigurationError("R must be a proper rotation matrix")
-    F3, _, single = _embed(F)
-    return _unbatch(np.abs(model.energy(R @ F3) - model.energy(F3)), single)
-
-
 BENCHMARKS = {
     "NH": NeoHookean,
     "IH": Isihara,

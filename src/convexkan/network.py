@@ -14,7 +14,7 @@ import math
 import numpy as np
 import numpy.typing as npt
 
-from .bspline import BSplineCurve, ConvexSpline, KnotVector
+from .bspline import KnotVector, design_rows, reparameterize, reparameterize_vjp
 from .errors import ConfigurationError, DataError, EvaluationError
 
 Array = npt.NDArray[np.float64]
@@ -44,6 +44,56 @@ def _silu(x):
     return x * s, s * (1.0 + x * (1.0 - s)), s * (1.0 - s) * (2.0 + x * (1.0 - 2.0 * s))
 
 
+class KANStack:
+    """``M`` networks of one architecture with their parameters on a leading
+    member axis.
+
+    ``params[r]`` is ``(M, n_out, n_in, width)``.  ``t[r]`` holds the knots
+    of layer ``r``'s input columns, ``(M, n_in, m_b)``, or ``(1, n_in, m_b)``
+    when every member has the same ones, so that their design rows are
+    computed once for all.  ``arch`` is one of the networks: its methods run
+    the layer sweep over the whole stack.
+    """
+
+    def __init__(self, arch: "KANModel", params: list, t: list):
+        self.arch = arch
+        self.params = params
+        self.t = t
+
+    @classmethod
+    def of(cls, models) -> "KANStack":
+        """Stack models of one architecture.  Each model's ``params`` become
+        views of the stack's, so writing the stack updates every model."""
+        arch = models[0]
+        spec = (arch.dims, arch.order, arch.n_coef, arch.mode)
+        if any((m.dims, m.order, m.n_coef, m.mode) != spec for m in models):
+            raise ConfigurationError("stacked models must share one architecture")
+        params = [np.stack(layer) for layer in zip(*(m.params for m in models))]
+        for member, model in enumerate(models):
+            model.params = [p[member] for p in params]
+        t = []
+        for r in range(arch.n_layers):
+            tr = np.stack([m._knot_array(r) for m in models])
+            t.append(tr[:1] if np.all(tr == tr[:1]) else tr)
+        return cls(arch, params, t)
+
+    @property
+    def size(self) -> int:
+        return self.params[0].shape[0]
+
+    def parameter_vectors(self) -> Array:
+        """One parameter vector per member, ``(M, n_parameters)``."""
+        return np.concatenate([p.reshape(self.size, -1) for p in self.params], axis=1)
+
+    def set_parameter_vectors(self, V: Array):
+        """Write ``(M, n_parameters)`` vectors into the stack in place."""
+        start = 0
+        for p in self.params:
+            width = p[0].size
+            p[...] = V[:, start : start + width].reshape(p.shape)
+            start += width
+
+
 class KANModel:
     """Spline network with ``R`` layers; dims ``(3, ..., 1)``.
 
@@ -55,6 +105,9 @@ class KANModel:
     unconstrained control points.  All edges reading input column ``j`` of
     layer ``r`` share the knot vector ``knots[r][j]``.  The parameter vector
     is the layers' arrays flattened in order.
+
+    The layer sweep runs over a :class:`KANStack` of ``M`` networks of this
+    architecture; on its own a model is the stack of one.
     """
 
     def __init__(self, dims, order, n_coef, mode, params, knots):
@@ -96,11 +149,14 @@ class KANModel:
     def n_layers(self) -> int:
         return len(self.dims) - 1
 
-    def curves(self, r: int, j: int) -> BSplineCurve:
-        """The splines ``psi`` of layer ``r`` reading input column ``j``, one
-        row per output."""
-        spline_cls = ConvexSpline if self.mode == CONSTRAINED else BSplineCurve
-        return spline_cls(knots=self.knots[r][j], raw=self.params[r][:, j, : self.n_coef])
+    def _knot_array(self, r: int) -> Array:
+        """Layer ``r``'s knots, one row per input column: ``(n_in, m_b)``."""
+        return np.stack([kv.t for kv in self.knots[r]])
+
+    def _stack(self) -> KANStack:
+        """This model as a stack of one, sharing its parameter arrays."""
+        return KANStack(self, [p[None] for p in self.params],
+                        [self._knot_array(r)[None] for r in range(self.n_layers)])
 
     # -- parameter packing -------------------------------------------------
 
@@ -134,7 +190,7 @@ class KANModel:
             z = np.column_stack(
                 [np.linspace(lo, hi, GRID_INIT_POINTS) for lo, hi in ranges]
             )
-            y = self._layer(r, z)[0]
+            y = self._layer(r, z[None])[0][0]
             ranges = []
             for lo, hi in zip(y.min(axis=0).tolist(), y.max(axis=0).tolist()):
                 if hi - lo < MIN_DOMAIN_WIDTH:
@@ -158,51 +214,50 @@ class KANModel:
             raise ConfigurationError("model must be grid-initialized before evaluation")
         return Kb, scalar
 
-    def _column(self, r: int, j: int, x, order: int = 0, col=None) -> list:
-        """``phi`` and its first ``order`` derivatives at points ``x`` for
-        every edge of layer ``r`` reading input column ``j``: a list of
-        ``(N, n_out)`` arrays.  ``col`` is the column's design rows at ``x``
-        and control points ``(rows, c)``, if already computed."""
-        curves = self.curves(r, j)
-        rows, c = col or (curves.design_rows(x), curves.control_points.T)
-        psi = [b @ c for b in rows[: order + 1]]
-        w_s = self.params[r][:, j, self.n_coef]
+    def _edges(self, r: int, x, rows=None, stack=None):
+        """Every edge of layer ``r`` for every member of ``stack`` (default:
+        this model alone) at the layer's column inputs ``x``, ``(M or 1,
+        n_in, N)``.  Returns ``(phi, psi, rows)``: ``phi`` and its first two
+        derivatives and the splines ``psi`` and theirs, each ``(3, M, n_in,
+        N, n_out)``, and the design rows ``(3, M or 1, n_in, N, n_b)``, which
+        may be passed in if already computed."""
+        stack = stack or self._stack()
+        p, n = stack.params[r], self.n_coef
+        x = np.ascontiguousarray(x)
+        if rows is None:
+            rows = design_rows(x, stack.t[r], self.order)
+        c = reparameterize(p[..., :n]) if self.mode == CONSTRAINED else p[..., :n]
+        psi = rows @ c.transpose(0, 2, 3, 1)
+        w_s = p[..., n].transpose(0, 2, 1)[:, :, None, :]  # (M, n_in, 1, n_out)
         if self.mode == CONSTRAINED:
-            s = softplus(w_s)
-            return [s * v for v in psi]
-        w_b = self.params[r][:, j, self.n_coef + 1]
-        return [w_b * b[:, None] + w_s * v for b, v in zip(_silu(x), psi)]
+            return softplus(w_s) * psi, psi, rows
+        w_b = p[..., n + 1].transpose(0, 2, 1)[:, :, None, :]
+        return w_b * np.stack(_silu(x))[..., None] + w_s * psi, psi, rows
 
-    def _layer(self, r, z, A=None, H=None, cols=None):
-        """Outputs ``y`` of layer ``r`` at inputs ``z`` (N, n_in), and, given
-        the inputs' Jacobian ``A`` (N, n_in, d0) and Hessian ``H``
-        (N, n_in, d0, d0) with respect to the network input, the outputs'
-        ones.  Returns ``(y, Ay, Hy)``, with None for what was not asked.
-        ``cols`` holds each column's ``(rows, c)``, if already computed."""
-        order = 0 if A is None else 1 if H is None else 2
-        shape = (z.shape[0], self.dims[r + 1])
-        y = np.zeros(shape)
-        Ay = None if A is None else np.zeros(shape + A.shape[2:])
-        Hy = None if H is None else np.zeros(shape + H.shape[2:])
-        for j in range(self.dims[r]):
-            phi = self._column(r, j, z[:, j], order, None if cols is None else cols[j])
-            y += phi[0]
-            if order >= 1:
-                Aj = A[:, None, j, :]
-                Ay += phi[1][:, :, None] * Aj
-            if order == 2:
-                outer = Aj[:, :, :, None] * Aj[:, :, None, :]
-                Hy += (
-                    phi[2][:, :, None, None] * outer
-                    + phi[1][:, :, None, None] * H[:, None, j]
-                )
-        return y, Ay, Hy
+    def _layer(self, r, z, A=None, H=None, rows=None, stack=None):
+        """Outputs ``y`` (M, N, n_out) of layer ``r`` at inputs ``z``
+        (M or 1, N, n_in), and, given the inputs' Jacobian ``A``
+        (M or 1, N, n_in, d0) and Hessian ``H`` (M, N, n_in, d0, d0) with
+        respect to the network input, the outputs' ones.  Returns
+        ``(y, Ay, Hy, edges)``, with None for what was not asked and the
+        :meth:`_edges` of the layer."""
+        edges = self._edges(r, z.transpose(0, 2, 1), rows, stack)
+        phi = edges[0]
+        y = phi[0].sum(axis=1)
+        Ay = None if A is None else phi[1].transpose(0, 2, 3, 1) @ A
+        Hy = None
+        if H is not None:
+            Hy = np.einsum("mjni,mnjk,mnjl->mnikl", phi[2], A, A) + np.einsum(
+                "mjni,mnjkl->mnikl", phi[1], H
+            )
+        return y, Ay, Hy, edges
 
     def forward(self, K):
         z, scalar = self._check_input(K)
+        z, stack = z[None], self._stack()
         for r in range(self.n_layers):
-            z = self._layer(r, z)[0]
-        out = z[:, 0]
+            z = self._layer(r, z, stack=stack)[0]
+        out = z[0, :, 0]
         return float(out[0]) if scalar else out
 
     def forward_with_input_derivatives(self, K):
@@ -213,33 +268,38 @@ class KANModel:
             )
         Kb, scalar = self._check_input(K)
         N, d0 = Kb.shape
-        z = Kb
-        A = np.broadcast_to(np.eye(d0), (N, d0, d0)).copy()
-        H = np.zeros((N, d0, d0, d0))
+        z, stack = Kb[None], self._stack()
+        A = np.broadcast_to(np.eye(d0), (1, N, d0, d0))
+        H = np.zeros((1, N, d0, d0, d0))
         for r in range(self.n_layers):
-            z, A, H = self._layer(r, z, A, H)
-        W, g, Hess = z[:, 0], A[:, 0, :], H[:, 0]
+            z, A, H, _ = self._layer(r, z, A, H, stack=stack)
+        W, g, Hess = z[0, :, 0], A[0, :, 0, :], H[0, :, 0]
         if scalar:
             return float(W[0]), g[0], Hess[0]
         return W, g, Hess
 
     # -- reverse accumulation ---------------------------------------------
 
-    def _forward_cache(self, Kb, rows0=None):
-        """Forward pass storing everything the reverse pass needs; ``rows0``
-        are layer 0's design rows at ``Kb`` per input column, if computed."""
+    def _forward_cache(self, Kb, rows0=None, stack=None):
+        """Forward pass over every member of ``stack`` (default: this model
+        alone) at the shared inputs ``Kb``, storing everything the reverse
+        pass needs; ``rows0`` are layer 0's design rows at ``Kb``, if
+        computed."""
+        stack = stack or self._stack()
         N, d0 = Kb.shape
-        zs = [Kb]
-        As = [np.broadcast_to(np.eye(d0), (N, d0, d0)).copy()]
-        cols = []  # cols[r][j] = (rows, c): design rows shared by all outputs i
+        zs = [Kb[None]]
+        As = [np.broadcast_to(np.eye(d0), (1, N, d0, d0))]
+        edges = []
         for r in range(self.n_layers):
-            z, curves = zs[-1], [self.curves(r, j) for j in range(self.dims[r])]
-            rows = rows0 if r == 0 and rows0 else [cv.design_rows(x) for cv, x in zip(curves, z.T)]
-            cols.append([(b, cv.control_points.T) for b, cv in zip(rows, curves)])
-            y, Ay, _ = self._layer(r, z, As[-1], cols=cols[-1])
+            if r == 0:  # the inputs are K itself: the Jacobian is the identity
+                y, _, _, e = self._layer(0, zs[0], rows=rows0, stack=stack)
+                Ay = e[0][1].transpose(0, 2, 3, 1)
+            else:
+                y, Ay, _, e = self._layer(r, zs[-1], As[-1], stack=stack)
             zs.append(y)
             As.append(Ay)
-        return {"z": zs, "A": As, "cols": cols}
+            edges.append(e)
+        return {"stack": stack, "z": zs, "A": As, "edges": edges}
 
     def backward_batch(self, Kb, seed_w=None, seed_g=None, cache=None) -> Array:
         """Gradient of ``sum_n [seed_w_n * W(K_n) + seed_g_n . grad_K W(K_n)]``
@@ -248,45 +308,50 @@ class KANModel:
         The gradient-seeded path is what force-residual training needs, since
         the stress depends on the input gradient of the energy.  A forward
         cache from :meth:`_forward_cache` on the same inputs may be passed in
-        to avoid recomputing the forward sweep.
+        to avoid recomputing the forward sweep.  For a cache over a stack of
+        ``M`` members, seeds of shape ``(M, N)`` and ``(M, N, d0)`` give one
+        gradient per member, ``(M, n_parameters)``.
         """
         Kb, _ = self._check_input(Kb)
         N, d0 = Kb.shape
-        if seed_w is None:
-            seed_w = np.zeros(N)
         if cache is None:
             cache = self._forward_cache(Kb)
-        if seed_g is None:
-            seed_g = np.zeros((N, d0))
-        n = self.n_coef
-        grads = [np.zeros_like(p) for p in self.params]
-        zbar = np.asarray(seed_w, dtype=np.float64)[:, None]  # (N, n_out)
-        Abar = np.asarray(seed_g, dtype=np.float64)[:, None, :]  # (N, n_out, d0)
+        stack = cache["stack"]
+        M, n = stack.size, self.n_coef
+        stacked = np.ndim(seed_w) == 2 or np.ndim(seed_g) == 3
+        zbar = np.zeros((M, N, 1)) if seed_w is None else np.reshape(seed_w, (M, N, 1))
+        Abar = np.zeros((M, N, 1, d0)) if seed_g is None else np.reshape(seed_g, (M, N, 1, d0))
+        grads = []
         for r in reversed(range(self.n_layers)):
             z, A = cache["z"][r], cache["A"][r]
-            new_zbar, new_Abar = np.zeros(z.shape), np.zeros(A.shape)
-            for j in range(self.dims[r]):
-                x = z[:, j]
-                rows, c = cache["cols"][r][j]
-                psi, dpsi, d2psi = (b @ c for b in rows)  # (N, n_out)
-                m = np.einsum("nik,nk->ni", Abar, A[:, j, :])
-                p, g = self.params[r][:, j], grads[r][:, j]
-                w = softplus(p[:, n]) if self.mode == CONSTRAINED else p[:, n]
-                dw = sigmoid(p[:, n]) if self.mode == CONSTRAINED else 1.0
-                dphi, d2phi = w * dpsi, w * d2psi
-                cbar = w[:, None] * (zbar.T @ rows[0] + m.T @ rows[1])
-                g[:, :n] += self.curves(r, j).coeff_vjp(cbar)
-                g[:, n] += dw * (np.sum(zbar * psi, axis=0) + np.sum(m * dpsi, axis=0))
-                if self.mode == VANILLA:
-                    sv, sd, sd2 = _silu(x)
-                    w_b = p[:, n + 1]
-                    dphi += w_b * sd[:, None]
-                    d2phi += w_b * sd2[:, None]
-                    g[:, n + 1] += sv @ zbar + sd @ m
-                new_zbar[:, j] = np.sum(zbar * dphi + m * d2phi, axis=1)
-                new_Abar[:, j, :] = np.einsum("ni,nik->nk", dphi, Abar)
-            zbar, Abar = new_zbar, new_Abar
-        return np.concatenate([g.ravel() for g in grads])
+            phi, psi, rows = cache["edges"][r]
+            p = stack.params[r]
+            # per column j: zbar and the seed on its slope, (M, n_in, N, n_out)
+            zb = zbar[:, None]
+            if r == 0:  # identity A: column j's slope seed is Abar[..., j]
+                m = Abar.transpose(0, 3, 1, 2)
+            else:
+                m = (A @ Abar.swapaxes(-1, -2)).transpose(0, 2, 1, 3)
+            rows_t = rows.swapaxes(-1, -2)
+            cbar = (rows_t[0] @ zb + rows_t[1] @ m).transpose(0, 3, 1, 2)
+            g = np.empty_like(p)
+            if self.mode == CONSTRAINED:
+                w, dw = softplus(p[..., n]), sigmoid(p[..., n])
+                g[..., :n] = reparameterize_vjp(p[..., :n], w[..., None] * cbar)
+            else:
+                w, dw = p[..., n], 1.0
+                g[..., :n] = w[..., None] * cbar
+            g[..., n] = dw * (np.sum(zb * psi[0], axis=2)
+                              + np.sum(m * psi[1], axis=2)).transpose(0, 2, 1)
+            if self.mode == VANILLA:
+                sv, sd, _ = (v[..., None] for v in _silu(z.transpose(0, 2, 1)))
+                g[..., n + 1] = (np.sum(sv * zb, axis=2)
+                                 + np.sum(sd * m, axis=2)).transpose(0, 2, 1)
+            grads.append(g)
+            zbar = np.sum(zb * phi[1] + m * phi[2], axis=3).transpose(0, 2, 1)
+            Abar = phi[1].transpose(0, 2, 1, 3) @ Abar
+        G = np.concatenate([g.reshape(M, -1) for g in reversed(grads)], axis=1)
+        return G if stacked else G[0]
 
     # -- checkpointing -----------------------------------------------------
 

@@ -310,11 +310,17 @@ def _parse(tokens) -> Form:
         return Form(const=_number(tokens))
     if head == "var":
         return Form.variable(VAR_NAMES.index(next(tokens)))
+    # a negative weight on K or on a term would make W decrease somewhere
     if head == "affine":
         const = _number(tokens)
-        return Form(np.array([_number(tokens) for _ in range(3)]), const)
+        coeffs = np.array([_number(tokens) for _ in range(3)])
+        if np.any(coeffs < 0.0):
+            raise DataError(f"negative K coefficients {coeffs.tolist()} in an affine record")
+        return Form(coeffs, const)
     if head == "scaled":
         w, s = _number(tokens), _number(tokens)
+        if w < 0.0:
+            raise DataError(f"negative scaled weight {w}")
         return _parse(tokens).scaled(w, s)
     if head == "exp":
         return Form(terms=[Term(1.0, LIBRARY[1], _parse(tokens))])
@@ -401,7 +407,8 @@ def distill(
         for i, j in np.ndindex(layer.shape[:2]):
 
             def phi(x, r=r, i=i, j=j):
-                return model._column(r, j, x)[0][:, i]
+                x = np.broadcast_to(x, (1, model.dims[r], np.size(x)))
+                return model._edges(r, x)[0][0, 0, j, :, i]
 
             try:
                 fits[(r, i, j)] = fit_activation(phi, model.knots[r][j].domain, lambda_sym)

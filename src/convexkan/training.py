@@ -20,11 +20,13 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import numpy.typing as npt
+import scipy.sparse as sp
 
+from .bspline import design_rows
 from .errors import ConfigurationError, InadmissibleDeformationError, TrainingError
-from .fem import SpecimenDataset, deformation_gradients, nodal_forces, scatter_forces
+from .fem import SpecimenDataset, deformation_gradients, nodal_forces
 from .mechanics import MaterialModel, NetworkMaterial, compute_state
-from .network import CONSTRAINED, KANModel
+from .network import CONSTRAINED, KANModel, KANStack
 
 Array = npt.NDArray[np.float64]
 
@@ -119,11 +121,12 @@ class TrainReport:
 
 
 class _Adam:
-    """Plain Adam with bias correction."""
+    """Plain Adam with bias correction, elementwise on parameter arrays of
+    any shape: a stack of members steps each member exactly as alone."""
 
-    def __init__(self, n: int, config: TrainConfig):
-        self.m = np.zeros(n)
-        self.v = np.zeros(n)
+    def __init__(self, shape, config: TrainConfig):
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
         self.t = 0
         self.cfg = config
 
@@ -136,58 +139,91 @@ class _Adam:
         vhat = self.v / (1.0 - c.beta2**self.t)
         return params - lr * mhat / (np.sqrt(vhat) + c.epsilon)
 
+    def keep(self, rows):
+        """Keep the moments of the selected members only."""
+        self.m, self.v = self.m[rows], self.v[rows]
+
+
+def _balance_rows(partition) -> sp.csr_matrix:
+    """The rows of one snapshot's force-balance residual as a map of its
+    flat nodal forces: the free DOFs first, then one row per reaction group
+    summing the forces on its DOFs."""
+    free = partition.free_flat_indices()
+    rows = [np.arange(free.size)]
+    cols = [free]
+    for beta, g in enumerate(partition.groups):
+        rows.append(np.full(g.dofs.shape[0], free.size + beta))
+        cols.append(2 * g.dofs[:, 0] + g.dofs[:, 1])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    shape = (free.size + partition.n_reactions, 2 * partition.n_nodes)
+    return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=shape)
+
+
+def _balance_target(partition, R_obs: Array) -> Array:
+    """What the residual rows should read: zero free forces, then the
+    measured reactions."""
+    return np.concatenate((np.zeros(partition.free_flat_indices().size), R_obs))
+
 
 class ElementStates:
-    """Kinematic quantities of every (snapshot, element) pair, computed once.
+    """The force balance of a full-field dataset as one fixed linear map,
+    built once.
 
     The measured displacements are fixed during training, so the ansatz
-    inputs K and their in-plane F-derivatives never change; only the energy
-    network does, and its layer-0 design rows only with its layer-0 knots.
+    inputs ``K`` (N, 3) of every (snapshot, element) pair never change, and
+    the nodal forces are linear in the energy's K-gradients ``g`` (N, 3):
+    ``f^a_i = area * sum_m g_m dK_m/dF_ij grad N^a_j``.  Stacking every
+    snapshot's residual rows (see :func:`_balance_rows`) gives the sparse
+    operator ``L`` and target ``y`` with loss ``|L g - y|^2`` for ``g``
+    flattened row by row.  Only the energy network changes, and its layer-0
+    design rows only with its layer-0 knots.
     """
 
     def __init__(self, dataset: SpecimenDataset):
-        mesh = dataset.mesh
+        mesh, partition = dataset.mesh, dataset.partition
         n_t, n_el = dataset.n_snapshots, mesh.n_elements
-        self.K = np.empty((n_t * n_el, 3))
-        self.dK2 = np.empty((n_t * n_el, 3, 2, 2))  # in-plane block of dK/dF
+        K, dK2 = [], []
         for t in range(n_t):
             try:
                 st = compute_state(deformation_gradients(mesh, dataset.displacements[t]))
             except InadmissibleDeformationError as exc:  # names the element
                 raise TrainingError(f"snapshot {t}, {exc}") from exc
-            rows = slice(t * n_el, (t + 1) * n_el)
-            self.K[rows] = st.K
-            self.dK2[rows] = st.dK_dF[:, :, :2, :2]
-        self.n_t = n_t
-        self.n_el = n_el
-        self.mesh = mesh
-        self.partition = dataset.partition
-        self.reactions = dataset.reactions
-        self.free = dataset.partition.free_flat_indices()
+            K.append(st.K)
+            dK2.append(st.dK_dF[:, :, :2, :2])  # in-plane block of dK/dF
+        self.K = np.concatenate(K)
+        N, n_dof = self.K.shape[0], 2 * mesh.n_nodes
+        # force on DOF (node a, component i) of each element per unit g_m
+        C = np.einsum("tenij,eaj->tenai", np.reshape(dK2, (n_t, n_el, 3, 2, 2)),
+                      mesh.area[:, None, None] * mesh.grad_N)
+        dof = 2 * mesh.triangles[:, None, :, None] + np.arange(2)  # (n_el, 1, 3, 2)
+        rows = np.arange(n_t)[:, None, None, None, None] * n_dof + dof
+        cols = np.arange(N * 3).reshape(n_t, n_el, 3, 1, 1)
+        rows, cols = np.broadcast_arrays(rows, cols)
+        forces = sp.csr_matrix((C.ravel(), (rows.ravel(), cols.ravel())),
+                               shape=(n_t * n_dof, N * 3))
+        S = sp.block_diag([_balance_rows(partition)] * n_t, format="csr")
+        self.L = (S @ forces).tocsr()
+        self.LT = self.L.T.tocsr()
+        self.y = np.concatenate([_balance_target(partition, R) for R in dataset.reactions])
         self._rows0_key = None
 
-    def layer0_rows(self, model: KANModel) -> list:
-        """The model's layer-0 design rows at K, one ``(b0, b1, b2)`` per input
-        column, recomputed only when its layer-0 knots change."""
-        key = [(kv.k, kv.t.tobytes()) for kv in model.knots[0]]
+    def layer0_rows(self, model: KANModel | KANStack) -> Array:
+        """The layer-0 design rows at K of a model or stack, recomputed only
+        when its layer-0 knots change."""
+        stack = _as_stack(model)[0]
+        t0, k = stack.t[0], stack.arch.order
+        key = (k, t0.shape, t0.tobytes())
         if key != self._rows0_key:
             self._rows0_key = key
-            self._rows0 = [model.curves(0, j).design_rows(x) for j, x in enumerate(self.K.T)]
+            self._rows0 = design_rows(self.K.T[None], t0, k)
         return self._rows0
 
 
-def _residual_loss(partition, free: Array, f: Array, R_obs: Array):
-    """Loss contribution of one snapshot and its force adjoint dL/df."""
-    f_flat = f.ravel()
-    fbar = np.zeros_like(f)
-    value = float(np.sum(f_flat[free] ** 2))
-    fbar.ravel()[free] = 2.0 * f_flat[free]
-    for beta, g in enumerate(partition.groups):
-        r = f[g.dofs[:, 0], g.dofs[:, 1]].sum()
-        gap = R_obs[beta] - r
-        value += float(gap**2)
-        fbar[g.dofs[:, 0], g.dofs[:, 1]] = -2.0 * gap
-    return value, fbar
+def _as_stack(model: KANModel | KANStack) -> tuple[KANStack, bool]:
+    """A stack as itself or a model as the stack of one, and which it was."""
+    if isinstance(model, KANStack):
+        return model, True
+    return model._stack(), False
 
 
 def loss(model, dataset: SpecimenDataset) -> float:
@@ -199,65 +235,108 @@ def loss(model, dataset: SpecimenDataset) -> float:
     material = NetworkMaterial(model) if isinstance(model, KANModel) else model
     if not isinstance(material, MaterialModel):
         raise ConfigurationError(f"cannot evaluate loss for {type(model).__name__}")
-    free = dataset.partition.free_flat_indices()
+    S = _balance_rows(dataset.partition)
     total = 0.0
     for t in range(dataset.n_snapshots):
         try:
             f = nodal_forces(dataset.mesh, dataset.displacements[t], material)
         except InadmissibleDeformationError as exc:
             raise TrainingError(f"snapshot {t}: {exc}") from exc
-        value, _ = _residual_loss(dataset.partition, free, f, dataset.reactions[t])
-        total += value
+        res = S @ f.ravel() - _balance_target(dataset.partition, dataset.reactions[t])
+        total += float(res @ res)
     return total
 
 
-def loss_and_grad(model: KANModel, states: ElementStates):
-    """Loss and its gradient w.r.t. the network parameter vector.
+def loss_and_grad(model: KANModel | KANStack, states: ElementStates):
+    """Loss and its gradient w.r.t. the network parameter vector; for a
+    stack of M members, one of each per member: ``(M,)`` and
+    ``(M, n_parameters)``.
 
-    One batched forward pass gives the per-element stresses; the loss adjoint
-    is pushed back through the assembly to gradient seeds on the energy's
-    K-gradient, then through the network in one batched reverse pass.
+    One forward sweep gives every member's energy K-gradients g; the
+    residuals are ``L g - y``, and their adjoint ``2 L^T (L g - y)`` seeds
+    one reverse sweep through all members.
     """
-    Kb, _ = model._check_input(states.K)
-    cache = model._forward_cache(Kb, states.layer0_rows(model))
-    g = cache["A"][-1][:, 0, :]
-    P2 = np.einsum("nm,nmij->nij", g, states.dK2)  # per-element 2x2 stress
-    n_el = states.n_el
-    total = 0.0
-    Pbar = np.empty_like(P2)
-    area = states.mesh.area
-    tris = states.mesh.triangles
-    grad_N = states.mesh.grad_N
-    for t in range(states.n_t):
-        rows = slice(t * n_el, (t + 1) * n_el)
-        f = scatter_forces(states.mesh, P2[rows])
-        value, fbar = _residual_loss(states.partition, states.free, f, states.reactions[t])
-        total += value
-        Pbar[rows] = area[:, None, None] * np.einsum(
-            "eai,eaj->eij", fbar[tris], grad_N
-        )
-    seed_g = np.einsum("nij,nmij->nm", Pbar, states.dK2)
-    grad = model.backward_batch(Kb, seed_g=seed_g, cache=cache)
-    return total, grad
+    stack, stacked = _as_stack(model)
+    arch = stack.arch
+    Kb, _ = arch._check_input(states.K)
+    cache = arch._forward_cache(Kb, states.layer0_rows(stack), stack)
+    M, N = stack.size, Kb.shape[0]
+    g = cache["A"][-1][:, :, 0, :].reshape(M, 3 * N).T  # one column per member
+    res = states.L @ g - states.y[:, None]
+    value = np.sum(res * res, axis=0)
+    seed_g = (states.LT @ (2.0 * res)).T.reshape(M, N, 3)
+    grad = arch.backward_batch(Kb, seed_g=seed_g, cache=cache)
+    return (value, grad) if stacked else (float(value[0]), grad[0])
 
 
-def curvature_prior(model: KANModel, weight: float):
+def curvature_prior(model: KANModel | KANStack, weight: float):
     """Value and gradient of ``weight * sum max(raw[2:], 0)`` over all
-    activations of a constrained model.
+    activations of a constrained model; for a stack, one of each per member.
 
     ``raw[2:]`` are the curvature increments of each convex spline (see
     :func:`bspline.reparameterize`); the gradient uses the same subgradient of
     the clamp as :func:`bspline.reparameterize_vjp`.  Vanilla models carry no
     prior.
     """
-    grad = np.zeros(model.n_parameters())
-    if model.mode != CONSTRAINED:
-        return 0.0, grad
-    n = model.n_coef
-    # constrained packing: per activation the n raw entries, then w_s
-    h = model.parameter_vector().reshape(-1, n + 1)[:, 2:n]
-    grad.reshape(-1, n + 1)[:, 2:n] = weight * (h >= 0.0)
-    return weight * float(np.maximum(h, 0.0).sum()), grad
+    stack, stacked = _as_stack(model)
+    arch, v = stack.arch, stack.parameter_vectors()
+    value, grad = np.zeros(len(v)), np.zeros_like(v)
+    if arch.mode == CONSTRAINED:
+        n = arch.n_coef
+        # constrained packing: per activation the n raw entries, then w_s
+        h = v.reshape(len(v), -1, n + 1)[..., 2:n]
+        grad.reshape(h.shape[:-1] + (n + 1,))[..., 2:n] = weight * (h >= 0.0)
+        value = weight * np.maximum(h, 0.0).sum(axis=(1, 2))
+    return (value, grad) if stacked else (float(value[0]), grad[0])
+
+
+def _train_members(config: TrainConfig, states: ElementStates, seeds, dims, order,
+                   n_coef, mode):
+    """Train one network per seed, all in one stacked pass.
+
+    Returns ``(models, reports, errors)``: the members that finished with
+    their reports, and by member index the message of each member that left
+    the stack on a non-finite loss or gradient.  Every report's wall time is
+    the stacked pass's.
+    """
+    models = [
+        KANModel.create(dims=dims, order=order, n_coef=n_coef, mode=mode, rng=s).grid_initialize()
+        for s in seeds
+    ]
+    alive = list(range(len(models)))
+    stack = KANStack.of(models)
+    params = stack.parameter_vectors()
+    adam = _Adam(params.shape, config)
+    losses = np.empty((len(models), config.epochs))
+    lrs = np.empty(config.epochs)
+    errors = {}
+    start = time.perf_counter()
+    for epoch in range(config.epochs):
+        value, grad = loss_and_grad(stack, states)
+        grad += curvature_prior(stack, config.curvature_penalty)[1]
+        ok = np.isfinite(value) & np.all(np.isfinite(grad), axis=1)
+        if not ok.all():
+            for k in np.flatnonzero(~ok):
+                errors[alive[k]] = f"non-finite loss or gradient at epoch {epoch}"
+            alive = [a for a, keep in zip(alive, ok) if keep]
+            if not alive:
+                break
+            value, grad, params = value[ok], grad[ok], params[ok]
+            adam.keep(ok)
+            stack = KANStack.of([models[a] for a in alive])
+        lr = cyclic_learning_rate(epoch, config)
+        losses[alive, epoch] = value
+        lrs[epoch] = lr
+        params = adam.step(params, grad, lr)
+        stack.set_parameter_vectors(params)
+    final = loss_and_grad(stack, states)[0] if alive else []
+    wall_time = time.perf_counter() - start
+    reports = [
+        TrainReport(losses=losses[a], lrs=lrs, final_loss=float(f), wall_time=wall_time,
+                    seed=seeds[a])
+        for a, f in zip(alive, final)
+    ]
+    return [models[a] for a in alive], reports, errors
 
 
 def train(
@@ -279,33 +358,10 @@ def train(
     if states is None:
         states = ElementStates(dataset)
     seed = config.seed if seed is None else seed
-    model = KANModel.create(
-        dims=dims, order=order, n_coef=n_coef, mode=mode, rng=seed
-    ).grid_initialize()
-    params = model.parameter_vector()
-    adam = _Adam(params.size, config)
-    losses = np.empty(config.epochs)
-    lrs = np.empty(config.epochs)
-    start = time.perf_counter()
-    for epoch in range(config.epochs):
-        value, grad = loss_and_grad(model, states)
-        grad += curvature_prior(model, config.curvature_penalty)[1]
-        if not np.isfinite(value) or not np.all(np.isfinite(grad)):
-            raise TrainingError(f"non-finite loss or gradient at epoch {epoch}")
-        lr = cyclic_learning_rate(epoch, config)
-        losses[epoch] = value
-        lrs[epoch] = lr
-        params = adam.step(params, grad, lr)
-        model.set_parameter_vector(params)
-    final = loss_and_grad(model, states)[0]
-    report = TrainReport(
-        losses=losses,
-        lrs=lrs,
-        final_loss=float(final),
-        wall_time=time.perf_counter() - start,
-        seed=seed,
-    )
-    return model, report
+    models, reports, errors = _train_members(config, states, [seed], dims, order, n_coef, mode)
+    if errors:
+        raise TrainingError(errors[0])
+    return models[0], reports[0]
 
 
 def train_ensemble(
@@ -316,29 +372,15 @@ def train_ensemble(
     n_coef: int = 17,
     mode: str = CONSTRAINED,
 ):
-    """Train ``ensemble_size`` independently seeded networks and return the
-    one with the lowest final loss, along with every member's report."""
-    states = ElementStates(dataset)
-    models, reports, errors = [], [], []
-    for member in range(config.ensemble_size):
-        try:
-            model, report = train(
-                config,
-                dataset,
-                dims=dims,
-                order=order,
-                n_coef=n_coef,
-                mode=mode,
-                seed=config.seed + member,
-                states=states,
-            )
-        except TrainingError as exc:
-            errors.append(f"member {member}: {exc}")
-            continue
-        models.append(model)
-        reports.append(report)
+    """Train ``ensemble_size`` independently seeded networks in one stacked
+    pass and return the one with the lowest final loss, along with every
+    finished member's report."""
+    seeds = [config.seed + member for member in range(config.ensemble_size)]
+    models, reports, errors = _train_members(config, ElementStates(dataset), seeds, dims,
+                                             order, n_coef, mode)
     if not models:
-        raise TrainingError("all ensemble members failed: " + "; ".join(errors))
+        raise TrainingError("all ensemble members failed: " + "; ".join(
+            f"member {m}: {msg}" for m, msg in sorted(errors.items())))
     best = int(np.argmin([r.final_loss for r in reports]))
     reports[best].selected = True
     return models[best], reports

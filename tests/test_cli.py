@@ -316,6 +316,16 @@ class TestSimulate:
         ) == 2
         assert not (tmp_path / "s.parity.csv").exists()
 
+    def test_non_monotone_symbolic_exits_2(self, tmp_path, mesh_file):
+        sym = tmp_path / "decreasing.sym"
+        sym.write_text("convexkan-symbolic v1\n"
+                       "energy add 2 scaled -1 0 softplus 1 var K1 affine 0 -0.5 0 0\n")
+        assert main(
+            ["simulate", "--model", "NH", "--symbolic", str(sym), "--mesh", mesh_file,
+             "--delta", "0.1", "--steps", "1", "--out", str(tmp_path / "s")]
+        ) == 2
+        assert not (tmp_path / "s.parity.csv").exists()
+
     def test_needs_exactly_one_model_exits_2(self, tmp_path, mesh_file):
         assert main(
             ["simulate", "--model", "NH", "--mesh", mesh_file,

@@ -10,6 +10,7 @@ import numpy.testing as npt
 import pytest
 
 import convexkan
+import convexkan.fem as fem
 from convexkan.errors import (
     ConfigurationError,
     DataError,
@@ -357,6 +358,29 @@ class TestSolve:
         part = biaxial_partition(m)
         u = solve(m, part, NeoHookean(), 0.8, steps=2)
         assert np.all(np.isfinite(u))
+
+    def test_failed_step_halves_from_the_start_load(self, monkeypatch):
+        # u0 is in equilibrium at delta0 = 0.1; when the full step to 0.2
+        # fails, the retry goes halfway from there, to 0.15, not to 0.1
+        m = square_grid_mesh(4)
+        part = biaxial_partition(m)
+        model = NeoHookean()
+        u0 = solve(m, part, model, 0.1)
+        right = part.groups[2]  # scale 1: its prescribed value is the target
+        targets, real_newton = [], fem._newton
+
+        def newton(mesh, partition, model, u, tol, max_iter):
+            targets.append(float(u[right.dofs[0, 0], right.dofs[0, 1]]))
+            if len(targets) == 1:
+                raise SolverError("forced failure", residual=1.0)
+            return real_newton(mesh, partition, model, u, tol, max_iter)
+
+        monkeypatch.setattr(fem, "_newton", newton)
+        u = solve(m, part, model, 0.2, u0=u0, delta0=0.1)
+        assert targets == pytest.approx([0.2, 0.15, 0.2], rel=1e-15)
+        assert targets[-1] == 0.2
+        monkeypatch.undo()
+        npt.assert_allclose(u, solve(m, part, model, 0.2), rtol=0, atol=1e-9)
 
     def test_nonconvergence_reported(self):
         m = square_grid_mesh(4)

@@ -18,11 +18,19 @@ from convexkan.mechanics import (
     NetworkMaterial,
     benchmark_model,
     compute_state,
-    objectivity_check,
     random_rotation,
 )
 from convexkan.network import KANModel
 from convexkan.symbolic import SymbolicMaterial, distill
+
+
+def objectivity_check(model, F, R):
+    """|W(R F) - W(F)| for a proper rotation R."""
+    R = np.asarray(R, dtype=np.float64)
+    if R.shape != (3, 3) or not np.allclose(R.T @ R, np.eye(3), atol=1e-10) or np.linalg.det(R) < 0:
+        raise ConfigurationError("R must be a proper rotation matrix")
+    F = np.asarray(F, dtype=np.float64)
+    return abs(model.energy(R @ F) - model.energy(F))
 
 
 def random_admissible_F(rng, scale=0.3):

@@ -349,6 +349,29 @@ class TestSerialization:
         with pytest.raises(DataError):
             SymbolicEnergy.loads(f"convexkan-symbolic v1\nenergy {expr}\n")
 
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            # loaded before, with dW/dK1 = -1.23 at K = (1, 2, 3)
+            "add 2 scaled -1 0 softplus 1 var K1 affine 0 -0.5 0 0",
+            "scaled -1 0 softplus 1 var K1",
+            "scaled -1e-300 2 exp var K3",
+            "affine 0 0.5 -1e-3 1.5",
+            "scaled 2 0 exp affine 0 0 0 -0.1",  # inside a term
+        ],
+    )
+    def test_negative_weight_rejected(self, expr):
+        with pytest.raises(DataError, match="negative"):
+            SymbolicEnergy.loads(f"convexkan-symbolic v1\nenergy {expr}\n")
+
+    def test_negative_constant_and_shift_accepted(self):
+        text = "add 2 scaled 0.5 -3 exp affine -2 0.1 0 0 affine -1 0 0.2 0"
+        energy = SymbolicEnergy.loads(f"convexkan-symbolic v1\nenergy {text}\n")
+        K = np.array([1.0, 2.0, 3.0])
+        v, g, _ = energy.vgh(K)
+        npt.assert_allclose(v, 0.5 * np.exp(-2.0 + 0.1) - 3.0 - 1.0 + 0.4, rtol=1e-14)
+        npt.assert_allclose(g, [0.05 * np.exp(-1.9), 0.2, 0.0], rtol=1e-14)
+
 
 # W, dW/dK and d2W/dK2 of tests/data/distilled_v1.sym, written and evaluated
 # by the expression-tree implementation that first defined the format

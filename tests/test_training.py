@@ -4,16 +4,18 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from convexkan import training
 from convexkan.errors import ConfigurationError, TrainingError
 from convexkan.fem import (
     Mesh,
     SpecimenDataset,
     biaxial_partition,
     generate_dataset,
+    nodal_forces,
     unit_square_hole_mesh,
 )
-from convexkan.mechanics import NeoHookean
-from convexkan.network import CONSTRAINED, VANILLA, KANModel
+from convexkan.mechanics import NeoHookean, NetworkMaterial
+from convexkan.network import CONSTRAINED, VANILLA, KANModel, KANStack
 from convexkan.training import (
     ElementStates,
     TrainConfig,
@@ -335,3 +337,119 @@ class TestErrors:
     def test_loss_rejects_unknown_object(self):
         with pytest.raises(ConfigurationError):
             loss(object(), two_element_dataset())
+
+
+def holed_square_dataset(n=7, n_t=2):
+    mesh = unit_square_hole_mesh(n=n)
+    deltas = [0.1 * (t + 1) for t in range(n_t)]
+    return generate_dataset(mesh, biaxial_partition(mesh), NeoHookean(), deltas,
+                            noise_sigma=1e-4, seed=3)
+
+
+class TestStackedPass:
+    """One sweep over a stack of members gives each member's single pass."""
+
+    @pytest.mark.parametrize("mode", [CONSTRAINED, VANILLA])
+    @pytest.mark.parametrize("dims", [(3, 2, 1), (3, 3, 2, 1)])
+    def test_members_match_single_passes(self, dims, mode):
+        states = ElementStates(holed_square_dataset())
+        models = [KANModel.create(dims=dims, mode=mode, rng=s).grid_initialize()
+                  for s in (5, 6, 7)]
+        # distinct layer >= 1 knots: the stack keeps one knot row per member
+        assert len({m.knots[1][0].domain for m in models}) == 3
+        single = [loss_and_grad(m, states) for m in models]
+        values, grads = loss_and_grad(KANStack.of(models), states)
+        assert values.shape == (3,) and grads.shape == (3, models[0].n_parameters())
+        for (value, grad), v, g in zip(single, values, grads):
+            npt.assert_allclose(v, value, rtol=1e-12)
+            npt.assert_allclose(g, grad, rtol=0, atol=1e-12 * np.abs(grad).max())
+
+    def test_stacking_binds_member_parameters(self):
+        models = [KANModel.create(rng=s).grid_initialize() for s in (1, 2)]
+        want = [m.parameter_vector() for m in models]
+        stack = KANStack.of(models)
+        npt.assert_array_equal(stack.parameter_vectors(), want)
+        stack.set_parameter_vectors(2.0 * stack.parameter_vectors())
+        for m, w in zip(models, want):
+            npt.assert_array_equal(m.parameter_vector(), 2.0 * w)
+
+    def test_rejects_mixed_architectures(self):
+        a = KANModel.create(rng=1).grid_initialize()
+        b = KANModel.create(dims=(3, 3, 1), rng=2).grid_initialize()
+        with pytest.raises(ConfigurationError):
+            KANStack.of([a, b])
+
+
+class TestBalanceOperator:
+    """ElementStates' sparse operator L and target y against the force
+    assembly that loss() runs."""
+
+    @pytest.mark.parametrize("make", [lambda: two_element_dataset(n_t=2), holed_square_dataset])
+    def test_operator_reproduces_loss_through_nodal_forces(self, make):
+        ds = make()
+        states = ElementStates(ds)
+        for seed in (8, 9):
+            net = KANModel.create(rng=seed).grid_initialize()
+            g = net.forward_with_input_derivatives(states.K)[1]
+            res = states.L @ g.ravel() - states.y
+            npt.assert_allclose(res @ res, loss(net, ds), rtol=1e-12)
+            # the first rows are snapshot 0's free nodal forces
+            free = ds.partition.free_flat_indices()
+            f = nodal_forces(ds.mesh, ds.displacements[0], NetworkMaterial(net)).ravel()
+            npt.assert_allclose(res[: free.size], f[free], rtol=0,
+                                atol=1e-12 * np.abs(f).max())
+
+
+class TestStackedTraining:
+    def test_members_match_train_alone(self):
+        ds = holed_square_dataset()
+        cfg = TrainConfig(epochs=20, ensemble_size=3, seed=4)
+        _, reports = train_ensemble(cfg, ds)
+        assert [r.seed for r in reports] == [4, 5, 6]
+        for report in reports:
+            _, alone = train(cfg, ds, seed=report.seed)
+            npt.assert_allclose(report.final_loss, alone.final_loss, rtol=1e-9)
+            npt.assert_allclose(report.losses, alone.losses, rtol=1e-9)
+        # one stacked pass: every member reports its wall time
+        assert len({r.wall_time for r in reports}) == 1
+
+    @staticmethod
+    def poison(monkeypatch, member, epoch, where):
+        """Make ``member`` of a 3-stack non-finite at ``epoch``."""
+        real, calls = training.loss_and_grad, []
+
+        def poisoned(model, states):
+            value, grad = real(model, states)
+            calls.append(model.size)
+            if len(calls) == epoch + 1 and model.size == 3:
+                if where == "loss":
+                    value[member] = np.nan
+                else:
+                    grad[member, 0] = np.inf
+            return value, grad
+
+        monkeypatch.setattr(training, "loss_and_grad", poisoned)
+
+    @pytest.mark.parametrize("where", ["loss", "gradient"])
+    def test_non_finite_member_leaves_the_stack(self, monkeypatch, where):
+        ds = holed_square_dataset()
+        cfg = TrainConfig(epochs=12, ensemble_size=3, seed=0)
+        clean = {r.seed: r for r in train_ensemble(cfg, ds)[1]}
+        self.poison(monkeypatch, member=1, epoch=5, where=where)
+        best, reports = train_ensemble(cfg, ds)
+        assert [r.seed for r in reports] == [0, 2]
+        for r in reports:
+            npt.assert_allclose(r.final_loss, clean[r.seed].final_loss, rtol=1e-12)
+            npt.assert_allclose(r.losses, clean[r.seed].losses, rtol=1e-12)
+        monkeypatch.undo()
+        npt.assert_allclose(loss(best, ds), min(r.final_loss for r in reports), rtol=1e-10)
+
+    def test_every_member_failing_raises(self, monkeypatch):
+        ds = two_element_dataset()
+        cfg = TrainConfig(epochs=5, ensemble_size=3, seed=0)
+        self.poison(monkeypatch, member=slice(None), epoch=2, where="loss")
+        with pytest.raises(TrainingError) as err:
+            train_ensemble(cfg, ds)
+        assert str(err.value) == "all ensemble members failed: " + "; ".join(
+            f"member {m}: non-finite loss or gradient at epoch 2" for m in range(3)
+        )
