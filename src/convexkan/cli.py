@@ -198,14 +198,17 @@ def cmd_train(args) -> int:
             epochs=args.epochs, ensemble_size=args.ensemble, seed=args.seed
         )
     mode = VANILLA if args.ablation_vanilla else CONSTRAINED
-    model, reports = train_ensemble(config, dataset, mode=mode)
+    failures = {}
+    model, reports = train_ensemble(config, dataset, mode=mode, failures=failures)
     model.save(args.out)
+    for member, message in sorted(failures.items()):
+        print(f"member {member} failed: {message}", file=sys.stderr)
     print("member  seed  final_loss  wall_s  selected")
-    for k, rep in enumerate(reports):
+    for rep in reports:
         mark = "*" if rep.selected else " "
-        print(f"{k:6d}  {rep.seed:4d}  {rep.final_loss:.6e}  {rep.wall_time:6.1f}  {mark}")
+        print(f"{rep.member:6d}  {rep.seed:4d}  {rep.final_loss:.6e}  {rep.wall_time:6.1f}  {mark}")
         if args.log_prefix:
-            rep.write_csv(f"{args.log_prefix}{k}.csv")
+            rep.write_csv(f"{args.log_prefix}{rep.member}.csv")
     print(f"wrote checkpoint {args.out}")
     return 0
 

@@ -351,12 +351,20 @@ def reaction(partition: DofPartition, f: Array) -> Array:
 
 
 def tangent_matrix(mesh: Mesh, u, model: MaterialModel) -> sp.csr_matrix:
-    """Assembled tangent stiffness over all 2*n_n DOFs (sparse)."""
+    """Assembled tangent stiffness over all 2*n_n DOFs (sparse).
+
+    Element stiffness Ke = area B^T T B, with T = dP/dF as a 4 x 4 matrix
+    over the (i, j) pairs of F and B the (4, 6) map from the element's
+    displacements (node a, component k) to F: B[(i, j), (a, k)] =
+    delta_ik dN^a/dX_j.
+    """
     n_el = mesh.n_elements
-    T = model.tangent(deformation_gradients(mesh, u))  # (n_el, 2, 2, 2, 2)
+    T = model.tangent(deformation_gradients(mesh, u)).reshape(n_el, 4, 4)
     G = mesh.grad_N  # (n_el, 3, 2)
-    TG = np.einsum("eijkl,eaj->eaikl", T, G * mesh.area[:, None, None])
-    Ke = np.einsum("eaikl,ebl->eaibk", TG, G).reshape(n_el, 6, 6)
+    B = np.zeros((n_el, 4, 6))
+    B[:, 0:2, 0::2] = np.swapaxes(G, 1, 2)
+    B[:, 2:4, 1::2] = B[:, 0:2, 0::2]
+    Ke = mesh.area[:, None, None] * (np.swapaxes(B, 1, 2) @ T @ B)
     dof = (2 * mesh.triangles[:, :, None] + np.arange(2)[None, None, :]).reshape(n_el, 6)
     rows = np.repeat(dof, 6, axis=1).ravel()
     cols = np.tile(dof, (1, 6)).ravel()
@@ -365,32 +373,49 @@ def tangent_matrix(mesh: Mesh, u, model: MaterialModel) -> sp.csr_matrix:
     return K.tocsr()
 
 
-def _newton(mesh, partition, model, u, tol, max_iter):
-    """Newton iteration at fixed prescribed values already written into u.
+def _newton(mesh, partition, model, u, prescribed, tol, max_iter):
+    """Newton iteration from the field ``u`` to equilibrium with the fixed
+    DOFs at their values in the field ``prescribed``.
 
-    Returns (u, residual history).  Raises SolverError on stagnation.
+    The first update solves K_ff du_f = -f_f - K_fc du_c at ``u``, where
+    du_c = prescribed_c - u_c, so the increment enters through the tangent;
+    convergence is checked only once it is applied.  Returns (u, residual
+    history of the iterates that carry it).  Raises SolverError on
+    stagnation.
     """
-    free = partition.free_flat_indices()
+    fixed = partition.fixed_mask().ravel()
+    free = np.flatnonzero(~fixed)
+    u = np.array(u, dtype=np.float64)
+    flat = u.reshape(-1)  # a view: updates to it land in u
+    prescribed = np.asarray(prescribed, dtype=np.float64).ravel()
+    du = np.where(fixed, prescribed - flat, 0.0)
+    loaded = not np.any(du)
     history = []
     for _ in range(max_iter):
         f = nodal_forces(mesh, u, model)
-        res = np.abs(f.ravel()[free]).max() if free.size else 0.0
-        history.append(res)
-        scale = 1.0 + np.linalg.norm(reaction(partition, f))
-        if res < tol * scale:
-            return u, history
-        K = tangent_matrix(mesh, u, model)[np.ix_(free, free)]
+        rhs = -f.ravel()[free]
+        res = np.abs(rhs).max() if free.size else 0.0
+        if loaded:
+            history.append(res)
+            if res < tol * (1.0 + np.linalg.norm(reaction(partition, f))):
+                return u, history
+        K = tangent_matrix(mesh, u, model)
+        if not loaded:
+            rhs -= (K @ du)[free]
         try:
-            du = spla.spsolve(K.tocsc(), -f.ravel()[free])
+            step = spla.spsolve(K[np.ix_(free, free)].tocsc(), rhs,
+                                permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SolverError(f"singular tangent stiffness: {exc}", residual=res)
-        if not np.all(np.isfinite(du)):
+        if not np.all(np.isfinite(step)):
             raise SolverError("singular tangent stiffness", residual=res)
-        uf = u.ravel().copy()
-        uf[free] += du
-        u = uf.reshape(-1, 2)
+        flat[free] += step
+        if not loaded:
+            flat[fixed] = prescribed[fixed]
+            loaded = True
     raise SolverError(
-        f"Newton did not converge in {max_iter} iterations", residual=history[-1]
+        f"Newton did not converge in {max_iter} iterations",
+        residual=history[-1] if history else None,
     )
 
 
@@ -411,13 +436,14 @@ def solve(
 
     Starts from the field ``u0`` (default: zero), in equilibrium at the load
     parameter ``delta0``, and applies the rest of the load in uniform
-    increments (``steps``), halving an increment up to ``max_halvings`` times
-    when Newton fails to converge.  Returns the nodal displacement array,
-    plus the final Newton residual history when ``return_residuals`` is set.
+    increments (``steps``).  Each increment's Newton iteration starts from
+    the last converged field and carries the prescribed increment through
+    the tangent; an increment is halved up to ``max_halvings`` times when
+    Newton fails to converge.  Returns the nodal displacement array, plus
+    the final Newton residual history when ``return_residuals`` is set.
     """
     if steps < 1:
         raise ConfigurationError(f"need at least one load step, got {steps}")
-    fixed = partition.fixed_mask()
     u = np.zeros((mesh.n_nodes, 2)) if u0 is None else np.array(u0, dtype=np.float64)
     reached = delta0
     inc = (delta - delta0) / steps
@@ -431,10 +457,9 @@ def solve(
         halvings = 0
         while True:
             target = delta if inc == remaining else reached + inc  # land on delta exactly
-            trial = u.copy()
-            trial[fixed] = partition.prescribed(target)[fixed]
             try:
-                u, history = _newton(mesh, partition, model, trial, tol, max_iter)
+                u, history = _newton(mesh, partition, model, u, partition.prescribed(target),
+                                     tol, max_iter)
                 reached = target
                 break
             except (SolverError, InadmissibleDeformationError) as exc:
@@ -448,7 +473,7 @@ def solve(
                 inc *= 0.5
     if delta == delta0:
         # still verify equilibrium of the start state (one residual check)
-        u, history = _newton(mesh, partition, model, u, tol, max_iter)
+        u, history = _newton(mesh, partition, model, u, u, tol, max_iter)
     return (u, history) if return_residuals else u
 
 

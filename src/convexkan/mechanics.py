@@ -17,7 +17,6 @@ from functools import cached_property
 
 import numpy as np
 import numpy.typing as npt
-import sympy as sp
 
 from .errors import ConfigurationError, EvaluationError, InadmissibleDeformationError
 
@@ -179,10 +178,12 @@ class DeformationState:
         """dP/dF on the input's block from the first (..., 3) and second
         (..., 3, 3) partials of W with respect to (I1, I2, J)."""
         d = self.dim
-        dI = self.dI[..., :d, :d]
-        return np.einsum("...a,...aijkl->...ijkl", first, self.d2I(d)) + np.einsum(
-            "...aij,...ab,...bkl->...ijkl", dI, second, dI
-        )
+        lead = np.shape(self.J)
+        dI = self.dI[..., :d, :d].reshape(lead + (3, d * d))
+        d2I = self.d2I(d).reshape(lead + (3, d**4))
+        T = (first[..., None, :] @ d2I).reshape(lead + (d * d, d * d))
+        T += np.swapaxes(dI, -1, -2) @ second @ dI
+        return T.reshape(lead + (d, d, d, d))
 
 
 def compute_state(F) -> DeformationState:
@@ -201,7 +202,8 @@ class MaterialModel:
 
     Subclasses either give the energy's partials with respect to the base
     invariants (I1, I2, J) through :meth:`_partials`, and stress and tangent
-    follow by the chain rule, or override all three methods.
+    follow by the chain rule (:class:`KEnergyModel` does, from W(K)), or
+    override all three methods.
     """
 
     kind = "?"
@@ -223,151 +225,6 @@ class MaterialModel:
         state = compute_state(F)
         _, first, second = self._partials(state, 2)
         return state.tangent_from(first, second)
-
-
-class InvariantEnergyModel(MaterialModel):
-    """Material defined by a closed-form W(I1~, I2~, J).
-
-    Subclasses provide a sympy expression; first and second partials with
-    respect to the principal invariants (I1, I2, J) are generated symbolically
-    once per class and chained to F through the shared invariant derivatives.
-    """
-
-    _i1t, _i2t, _J = sp.symbols("i1t i2t J", positive=True)
-
-    @classmethod
-    def expression(cls):
-        raise NotImplementedError
-
-    @classmethod
-    def _lambdas(cls):
-        if "_cached_lambdas" in cls.__dict__:
-            return cls._cached_lambdas
-        I1, I2, J = sp.symbols("I1 I2 J", positive=True)
-        w = cls.expression().subs(
-            {cls._i1t: I1 * J ** sp.Rational(-2, 3), cls._i2t: I2 * J ** sp.Rational(-4, 3)},
-            simultaneous=True,
-        )
-        syms = (I1, I2, J)
-        first = [sp.lambdify(syms, sp.diff(w, s), "numpy") for s in syms]
-        second = {
-            (a, b): sp.lambdify(syms, sp.diff(w, syms[a], syms[b]), "numpy")
-            for a in range(3)
-            for b in range(a, 3)
-        }
-        cls._cached_lambdas = (sp.lambdify(syms, w, "numpy"), first, second)
-        return cls._cached_lambdas
-
-    def _check(self, state: DeformationState):
-        pass
-
-    def _partials(self, state, order):
-        self._check(state)
-        w, first, second = self._lambdas()
-        args = (state.I1, state.I2, state.J)
-        shape = np.shape(state.J)
-        W = np.array(np.broadcast_to(w(*args), shape))
-        if order == 0:
-            return W, None, None
-        g = np.stack([np.broadcast_to(fn(*args), shape) for fn in first], axis=-1)
-        if order == 1:
-            return W, g, None
-        H = np.empty(shape + (3, 3))
-        for (a, b), fn in second.items():  # constant partials lambdify to scalars
-            H[..., a, b] = H[..., b, a] = fn(*args)
-        return W, g, H
-
-
-class NeoHookean(InvariantEnergyModel):
-    kind = "NH"
-
-    @classmethod
-    def expression(cls):
-        return sp.Rational(1, 2) * (cls._i1t - 3) + sp.Rational(3, 2) * (cls._J - 1) ** 2
-
-
-class Isihara(InvariantEnergyModel):
-    kind = "IH"
-
-    @classmethod
-    def expression(cls):
-        i1, i2, J = cls._i1t, cls._i2t, cls._J
-        return (
-            sp.Rational(1, 2) * (i1 - 3)
-            + (i2 - 3)
-            + (i1 - 3) ** 2
-            + sp.Rational(3, 2) * (J - 1) ** 2
-        )
-
-
-class HainesWilson(InvariantEnergyModel):
-    kind = "HW"
-
-    @classmethod
-    def expression(cls):
-        i1, i2, J = cls._i1t, cls._i2t, cls._J
-        return (
-            sp.Rational(1, 2) * (i1 - 3)
-            + (i2 - 3)
-            + sp.Float(0.7) * (i1 - 3) * (i2 - 3)
-            + sp.Float(0.2) * (i1 - 3) ** 3
-            + sp.Rational(3, 2) * (J - 1) ** 2
-        )
-
-
-class GentThomas(InvariantEnergyModel):
-    kind = "GT"
-
-    @classmethod
-    def expression(cls):
-        i1, i2, J = cls._i1t, cls._i2t, cls._J
-        return (
-            sp.Rational(1, 2) * (i1 - 3) + sp.log(i2 / 3) + sp.Rational(3, 2) * (J - 1) ** 2
-        )
-
-
-class ArrudaBoyce(InvariantEnergyModel):
-    """Eight-chain model with the Pade approximant of the inverse Langevin
-    function; the energy offset is computed so W(I) = 0 holds exactly for the
-    approximated form."""
-
-    kind = "AB"
-    n_chain = 28.0
-
-    @classmethod
-    def expression(cls):
-        N = sp.Float(cls.n_chain)
-        lam = sp.sqrt(cls._i1t / 3)
-        y = lam / sp.sqrt(N)
-        beta = y * (3 - y**2) / (1 - y**2)  # inverse Langevin, Pade [3/2]
-        chain = sp.Float(2.5) * sp.sqrt(N) * (beta * lam - sp.sqrt(N) * sp.log(sp.sinh(beta) / beta))
-        return chain - cls._offset() + sp.Rational(3, 2) * (cls._J - 1) ** 2
-
-    @classmethod
-    def _offset(cls):
-        if "_cached_offset" not in cls.__dict__:
-            N = cls.n_chain
-            y = 1.0 / math.sqrt(N)
-            beta = y * (3 - y * y) / (1 - y * y)
-            cls._cached_offset = sp.Float(
-                2.5 * math.sqrt(N) * (beta - math.sqrt(N) * math.log(math.sinh(beta) / beta)),
-                17,
-            )
-        return cls._cached_offset
-
-    @property
-    def c_ab(self) -> float:
-        return float(self._offset())
-
-    def _check(self, state: DeformationState):
-        y = np.ravel(np.sqrt(state.I1_tilde / 3.0) / math.sqrt(self.n_chain))
-        bad = np.flatnonzero(np.abs(y) >= 1.0)
-        if bad.size:
-            e = int(bad[0])
-            raise EvaluationError(
-                f"{_element(e, state.single)}chain stretch saturated: "
-                f"|lambda/sqrt(N)| = {abs(y[e]):.4f} >= 1"
-            )
 
 
 class Ogden(MaterialModel):
@@ -484,6 +341,114 @@ class NetworkMaterial(KEnergyModel):
 
     def k_value_grad_hess(self, K):
         return self.model.forward_with_input_derivatives(K)
+
+
+def _i2t(K2):
+    """i2t - 3 = (K2 + 3 sqrt 3)^{2/3} - 3 and its first two K2-derivatives."""
+    s = K2 + 3.0 * SQRT3
+    t = np.cbrt(s)
+    return t * t - 3.0, (2.0 / 3.0) / t, -(2.0 / 9.0) / (t * s)
+
+
+class ClosedFormMaterial(KEnergyModel):
+    """Closed-form benchmark energy W = w(K1, K2) + 3/2 K3.
+
+    Each subclass writes its isochoric part w in the ansatz inputs, through
+    i1t = K1 + 3 and i2t = (K2 + 3 sqrt 3)^{2/3}; the volumetric part is
+    3/2 (J - 1)^2 = 3/2 K3.
+    """
+
+    def isochoric(self, K1, K2):
+        """(w, (w_1, w_2), (w_11, w_12, w_22)): w and its partials with
+        respect to (K1, K2); any entry may be a scalar."""
+        raise NotImplementedError
+
+    def k_value_grad_hess(self, K):
+        K = np.asarray(K, dtype=np.float64)
+        w, (w1, w2), (w11, w12, w22) = self.isochoric(K[..., 0], K[..., 1])
+        g = np.empty(K.shape)
+        g[..., 0], g[..., 1], g[..., 2] = w1, w2, 1.5
+        H = np.zeros(K.shape + (3,))
+        H[..., 0, 0], H[..., 1, 1] = w11, w22
+        H[..., 0, 1] = H[..., 1, 0] = w12
+        return w + 1.5 * K[..., 2], g, H
+
+
+class NeoHookean(ClosedFormMaterial):
+    kind = "NH"
+
+    def isochoric(self, K1, K2):
+        return 0.5 * K1, (0.5, 0.0), (0.0, 0.0, 0.0)
+
+
+class Isihara(ClosedFormMaterial):
+    kind = "IH"
+
+    def isochoric(self, K1, K2):
+        i2, d2, dd2 = _i2t(K2)
+        return 0.5 * K1 + i2 + K1 * K1, (0.5 + 2.0 * K1, d2), (2.0, 0.0, dd2)
+
+
+class HainesWilson(ClosedFormMaterial):
+    kind = "HW"
+
+    def isochoric(self, K1, K2):
+        i2, d2, dd2 = _i2t(K2)
+        w = 0.5 * K1 + i2 + 0.7 * K1 * i2 + 0.2 * K1**3
+        grad = (0.5 + 0.7 * i2 + 0.6 * K1 * K1, (1.0 + 0.7 * K1) * d2)
+        return w, grad, (1.2 * K1, 0.7 * d2, (1.0 + 0.7 * K1) * dd2)
+
+
+class GentThomas(ClosedFormMaterial):
+    kind = "GT"
+
+    def isochoric(self, K1, K2):
+        # log(i2t / 3) = 2/3 log(1 + K2 / (3 sqrt 3))
+        s = K2 + 3.0 * SQRT3
+        w = 0.5 * K1 + (2.0 / 3.0) * np.log1p(K2 / (3.0 * SQRT3))
+        return w, (0.5, (2.0 / 3.0) / s), (0.0, 0.0, -(2.0 / 3.0) / (s * s))
+
+
+class ArrudaBoyce(ClosedFormMaterial):
+    """Eight-chain model with the Pade approximant of the inverse Langevin
+    function.  In the chain stretch y = lambda / sqrt(N), lambda^2 = i1t / 3,
+    the chain energy is c N (beta y - log(sinh(beta) / beta)) with
+    beta = y (3 - y^2) / (1 - y^2); its offset at the reference state is the
+    material's reference energy, so W(I) = 0 holds exactly for this form."""
+
+    kind = "AB"
+    n_chain = 28.0
+    c = 2.5
+
+    @property
+    def c_ab(self) -> float:
+        return self.reference_energy()
+
+    def isochoric(self, K1, K2):
+        rN = math.sqrt(self.n_chain)
+        lam = np.sqrt((K1 + 3.0) / 3.0)
+        y = lam / rN
+        bad = np.flatnonzero(np.ravel(np.abs(y)) >= 1.0)
+        if bad.size:
+            e = int(bad[0])
+            raise EvaluationError(
+                f"{_element(e, np.ndim(y) == 0)}chain stretch saturated: "
+                f"|lambda/sqrt(N)| = {abs(np.ravel(y)[e]):.4f} >= 1"
+            )
+        q = 1.0 - y * y
+        beta = y * (3.0 - y * y) / q
+        beta_y = (3.0 + y**4) / q**2
+        beta_yy = 4.0 * y * (y * y + 3.0) / q**3
+        langevin = 1.0 / np.tanh(beta) - 1.0 / beta
+        dlangevin = 1.0 / beta**2 - 1.0 / np.sinh(beta) ** 2
+        w = self.c * self.n_chain * (beta * y - np.log(np.sinh(beta) / beta))
+        # f_lambda = c sqrt(N) g and f_lambda_lambda = c g_y, with
+        # dlambda/dK1 = 1 / (6 lambda) and d2lambda/dK1^2 = -1 / (36 lambda^3)
+        g = beta + (y - langevin) * beta_y
+        g_y = beta_y + (1.0 - dlangevin * beta_y) * beta_y + (y - langevin) * beta_yy
+        w1 = self.c * rN * g / (6.0 * lam)
+        w11 = self.c * (g_y - rN * g / lam) / (36.0 * lam * lam)
+        return w, (w1, 0.0), (w11, 0.0, 0.0)
 
 
 def random_rotation(rng) -> Array:

@@ -110,6 +110,7 @@ class TrainReport:
     final_loss: float
     wall_time: float
     seed: int
+    member: int = 0
     selected: bool = False
 
     def write_csv(self, path):
@@ -333,7 +334,7 @@ def _train_members(config: TrainConfig, states: ElementStates, seeds, dims, orde
     wall_time = time.perf_counter() - start
     reports = [
         TrainReport(losses=losses[a], lrs=lrs, final_loss=float(f), wall_time=wall_time,
-                    seed=seeds[a])
+                    seed=seeds[a], member=a)
         for a, f in zip(alive, final)
     ]
     return [models[a] for a in alive], reports, errors
@@ -371,13 +372,17 @@ def train_ensemble(
     order: int = 5,
     n_coef: int = 17,
     mode: str = CONSTRAINED,
+    failures: dict | None = None,
 ):
     """Train ``ensemble_size`` independently seeded networks in one stacked
     pass and return the one with the lowest final loss, along with every
-    finished member's report."""
+    finished member's report.  ``failures``, when given, receives by member
+    index the message of each member that left the stack."""
     seeds = [config.seed + member for member in range(config.ensemble_size)]
     models, reports, errors = _train_members(config, ElementStates(dataset), seeds, dims,
                                              order, n_coef, mode)
+    if failures is not None:
+        failures.update(errors)
     if not models:
         raise TrainingError("all ensemble members failed: " + "; ".join(
             f"member {m}: {msg}" for m, msg in sorted(errors.items())))

@@ -1,9 +1,16 @@
 """Command-line surface: evaluation paths, parity scoring, and end-to-end
 subcommand runs on tiny meshes."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import convexkan
+import convexkan.fem as fem
 from convexkan.cli import (
     EvaluationPath,
     ParityReport,
@@ -148,6 +155,35 @@ class TestGenerate:
              "--out", str(out)]
         ) == 0
         npt.assert_allclose(SpecimenDataset.load(out).deltas, [0.05, 0.1])
+
+    @pytest.mark.parametrize("scale", [[], ["--paper-scale"]], ids=["grid21", "grid39"])
+    def test_one_newton_solve_per_snapshot(self, tmp_path, monkeypatch, scale):
+        # each snapshot's Newton iteration carries the load increment through
+        # the tangent, so no first attempt fails and no step halves
+        calls, real_newton = [], fem._newton
+
+        def newton(*args):
+            calls.append(1)
+            return real_newton(*args)
+
+        monkeypatch.setattr(fem, "_newton", newton)
+        assert main(["generate", "--model", "NH", *scale, "--out", str(tmp_path / "ds.txt")]) == 0
+        assert len(calls) == 3
+
+    def test_generate_leaves_sympy_unimported(self, tmp_path, mesh_file):
+        code = (
+            "import sys\n"
+            "from convexkan import cli\n"
+            f"code = cli.main(['generate', '--model', 'NH', '--mesh', {mesh_file!r},"
+            f" '--out', {str(tmp_path / 'ds.txt')!r}])\n"
+            "sys.exit(code or ('sympy' in sys.modules and 'sympy was imported'))\n"
+        )
+        src = str(Path(convexkan.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_unknown_model_exits_2(self, tmp_path, mesh_file):
         assert main(

@@ -1,6 +1,7 @@
 """Mechanics layer: invariants and F-derivatives, benchmark materials,
 objectivity, network-backed energy."""
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -22,6 +23,8 @@ from convexkan.mechanics import (
 )
 from convexkan.network import KANModel
 from convexkan.symbolic import SymbolicMaterial, distill
+
+DATA = Path(__file__).parent / "data"
 
 
 def objectivity_check(model, F, R):
@@ -158,6 +161,18 @@ class TestBenchmarkModels:
         # exact inverse Langevin would give 3.7910; the Pade form shifts the
         # offset slightly
         npt.assert_allclose(model.c_ab, 3.791, atol=5e-3)
+
+    @pytest.mark.parametrize("kind", ["NH", "IH", "HW", "GT", "AB"])
+    def test_matches_recorded_values(self, kind):
+        # W, P and dP/dF at fixed 2x2 and 3x3 F, written by the former
+        # sympy-generated forms of these energies
+        data = np.load(DATA / "benchmark_materials_v1.npz")
+        model = benchmark_model(kind)
+        for dim in "23":
+            F = data[f"F{dim}"]
+            for q, fn in (("W", model.energy), ("P", model.stress), ("T", model.tangent)):
+                ref = data[f"{kind}_{q}{dim}"]
+                npt.assert_allclose(fn(F), ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
     def test_ab_saturation_error(self):
         with pytest.raises(EvaluationError):

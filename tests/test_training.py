@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from convexkan import training
+from convexkan import cli, training
 from convexkan.errors import ConfigurationError, TrainingError
 from convexkan.fem import (
     Mesh,
@@ -453,3 +453,16 @@ class TestStackedTraining:
         assert str(err.value) == "all ensemble members failed: " + "; ".join(
             f"member {m}: non-finite loss or gradient at epoch 2" for m in range(3)
         )
+
+    def test_cli_table_keeps_member_indices(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "ds.txt"
+        holed_square_dataset().save(path)
+        self.poison(monkeypatch, member=1, epoch=2, where="loss")
+        assert cli.main(["train", "--dataset", str(path), "--epochs", "5", "--ensemble", "3",
+                         "--seed", "7", "--out", str(tmp_path / "m.ckpt"),
+                         "--log-prefix", str(tmp_path / "log")]) == 0
+        out, err = capsys.readouterr()
+        rows = [ln.split()[:2] for ln in out.splitlines()[1:-1]]
+        assert rows == [["0", "7"], ["2", "9"]]
+        assert err.splitlines() == ["member 1 failed: non-finite loss or gradient at epoch 2"]
+        assert sorted(p.name for p in tmp_path.glob("log*.csv")) == ["log0.csv", "log2.csv"]
