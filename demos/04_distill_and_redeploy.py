@@ -32,8 +32,10 @@ mesh = two_hole_mesh(n=13)
 partition = uniaxial_partition(mesh)
 print(f"\nvalidation mesh: {mesh.n_nodes} nodes, {mesh.n_elements} elements")
 
-u_net = solve(mesh, partition, NetworkMaterial(model), delta=0.05, steps=5)
-u_sym = solve(mesh, partition, SymbolicMaterial(energy), delta=0.05, steps=5)
+# one continuation over five load steps per material; the last field is kept
+deltas = np.linspace(0.0, 0.05, 6)[1:]
+u_net = solve(mesh, partition, NetworkMaterial(model), deltas).displacements[-1]
+u_sym = solve(mesh, partition, SymbolicMaterial(energy), deltas).displacements[-1]
 
 from convexkan.fem import deformation_gradients
 

@@ -27,8 +27,6 @@ from .fem import (
     biaxial_partition,
     deformation_gradients,
     generate_dataset,
-    nodal_forces,
-    reaction,
     solve,
     two_hole_mesh,
     uniaxial_partition,
@@ -309,14 +307,9 @@ def cmd_simulate(args) -> int:
     curves = []
     fields = {}
     for name, model in (("true", truth), (label, material)):
-        u, reached = np.zeros((mesh.n_nodes, 2)), 0.0
-        rows = []
-        for g in gammas:
-            u = solve(mesh, part, model, g, u0=u, delta0=reached)
-            reached = g
-            rows.append(reaction(part, nodal_forces(mesh, u, model)))
-        fields[name] = u
-        curves.append(np.asarray(rows))
+        solved = solve(mesh, part, model, gammas)
+        fields[name] = solved.displacements[-1]
+        curves.append(solved.reactions)
     i1_t, j_t = _element_invariants(mesh, fields["true"])
     i1_l, j_l = _element_invariants(mesh, fields[label])
     report = ParityReport(i1_true=i1_t, i1_learned=i1_l, j_true=j_t, j_learned=j_l)

@@ -2,12 +2,12 @@
 
 Covers the full data pipeline: built-in meshers for the training and
 validation specimens, Dirichlet partitions with reaction-force groups,
-internal-force assembly, Newton solves with load stepping, and synthetic
-full-field dataset generation with optional displacement noise.
+internal-force assembly, Newton continuation over a load schedule, and
+synthetic full-field dataset generation with optional displacement noise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import numpy.typing as npt
@@ -20,6 +20,8 @@ from .mechanics import MaterialModel
 Array = npt.NDArray[np.float64]
 
 _EDGE_TOL = 1e-9
+MAX_ITER = 25  # Newton iterations per load increment
+MAX_HALVINGS = 4  # halvings of a failed load increment before solve gives up
 
 
 @dataclass
@@ -44,6 +46,8 @@ class Mesh:
             raise DataError(f"nodes must be (n_n, 2), got {self.nodes.shape}")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise DataError(f"triangles must be (n_el, 3), got {self.triangles.shape}")
+        if not np.all(np.isfinite(self.nodes)):
+            raise DataError("non-finite node coordinate in mesh")
         if self.triangles.size and (
             self.triangles.min() < 0 or self.triangles.max() >= self.n_nodes
         ):
@@ -373,15 +377,16 @@ def tangent_matrix(mesh: Mesh, u, model: MaterialModel) -> sp.csr_matrix:
     return K.tocsr()
 
 
-def _newton(mesh, partition, model, u, prescribed, tol, max_iter):
-    """Newton iteration from the field ``u`` to equilibrium with the fixed
-    DOFs at their values in the field ``prescribed``.
+def _newton(mesh, partition, model, u, f, prescribed, tol):
+    """Newton iteration from the field ``u``, with nodal forces ``f``, to
+    equilibrium with the fixed DOFs at their values in the field
+    ``prescribed``.
 
     The first update solves K_ff du_f = -f_f - K_fc du_c at ``u``, where
     du_c = prescribed_c - u_c, so the increment enters through the tangent;
-    convergence is checked only once it is applied.  Returns (u, residual
-    history of the iterates that carry it).  Raises SolverError on
-    stagnation.
+    convergence is checked only once it is applied.  Returns (u, its nodal
+    forces, residual history of the iterates that carry the increment).
+    Raises SolverError on stagnation.
     """
     fixed = partition.fixed_mask().ravel()
     free = np.flatnonzero(~fixed)
@@ -391,14 +396,13 @@ def _newton(mesh, partition, model, u, prescribed, tol, max_iter):
     du = np.where(fixed, prescribed - flat, 0.0)
     loaded = not np.any(du)
     history = []
-    for _ in range(max_iter):
-        f = nodal_forces(mesh, u, model)
+    for _ in range(MAX_ITER):
         rhs = -f.ravel()[free]
         res = np.abs(rhs).max() if free.size else 0.0
         if loaded:
             history.append(res)
             if res < tol * (1.0 + np.linalg.norm(reaction(partition, f))):
-                return u, history
+                return u, f, history
         K = tangent_matrix(mesh, u, model)
         if not loaded:
             rhs -= (K @ du)[free]
@@ -413,68 +417,11 @@ def _newton(mesh, partition, model, u, prescribed, tol, max_iter):
         if not loaded:
             flat[fixed] = prescribed[fixed]
             loaded = True
+        f = nodal_forces(mesh, u, model)
     raise SolverError(
-        f"Newton did not converge in {max_iter} iterations",
+        f"Newton did not converge in {MAX_ITER} iterations",
         residual=history[-1] if history else None,
     )
-
-
-def solve(
-    mesh: Mesh,
-    partition: DofPartition,
-    model: MaterialModel,
-    delta: float,
-    steps: int = 1,
-    u0: Array | None = None,
-    delta0: float = 0.0,
-    tol: float = 1e-9,
-    max_iter: int = 25,
-    max_halvings: int = 4,
-    return_residuals: bool = False,
-):
-    """Quasi-static solve at load parameter ``delta``.
-
-    Starts from the field ``u0`` (default: zero), in equilibrium at the load
-    parameter ``delta0``, and applies the rest of the load in uniform
-    increments (``steps``).  Each increment's Newton iteration starts from
-    the last converged field and carries the prescribed increment through
-    the tangent; an increment is halved up to ``max_halvings`` times when
-    Newton fails to converge.  Returns the nodal displacement array, plus
-    the final Newton residual history when ``return_residuals`` is set.
-    """
-    if steps < 1:
-        raise ConfigurationError(f"need at least one load step, got {steps}")
-    u = np.zeros((mesh.n_nodes, 2)) if u0 is None else np.array(u0, dtype=np.float64)
-    reached = delta0
-    inc = (delta - delta0) / steps
-    history = []
-    while True:
-        remaining = delta - reached
-        if abs(remaining) <= 1e-15 * (1.0 + abs(delta)):
-            break
-        if inc == 0.0 or abs(inc) > abs(remaining):
-            inc = remaining
-        halvings = 0
-        while True:
-            target = delta if inc == remaining else reached + inc  # land on delta exactly
-            try:
-                u, history = _newton(mesh, partition, model, u, partition.prescribed(target),
-                                     tol, max_iter)
-                reached = target
-                break
-            except (SolverError, InadmissibleDeformationError) as exc:
-                halvings += 1
-                if halvings > max_halvings:
-                    raise SolverError(
-                        f"load step to delta={target:g} failed after "
-                        f"{max_halvings} halvings: {exc}",
-                        residual=getattr(exc, "residual", None),
-                    ) from exc
-                inc *= 0.5
-    if delta == delta0:
-        # still verify equilibrium of the start state (one residual check)
-        u, history = _newton(mesh, partition, model, u, u, tol, max_iter)
-    return (u, history) if return_residuals else u
 
 
 @dataclass
@@ -506,6 +453,10 @@ class SpecimenDataset:
             )
         if not np.all(np.isfinite(self.displacements)):
             raise DataError("non-finite displacement in dataset")
+        if not (np.all(np.isfinite(self.deltas)) and np.all(np.isfinite(self.reactions))):
+            raise DataError("non-finite load parameter or reaction in dataset")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise DataError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
     @property
     def n_snapshots(self) -> int:
@@ -608,6 +559,52 @@ class SpecimenDataset:
             return cls.loads(fh.read())
 
 
+def solve(mesh: Mesh, partition: DofPartition, model: MaterialModel, deltas,
+          tol: float = 1e-9) -> SpecimenDataset:
+    """Quasi-static continuation over the load schedule ``deltas``.
+
+    Starts from the undeformed state and reaches each target from the
+    previous converged field; every target is attempted at least once, so a
+    target equal to the current load is an equilibrium check.  Each Newton
+    iteration carries the prescribed increment through the tangent; a failed
+    increment is halved, up to ``MAX_HALVINGS`` times, from the last
+    converged load.  Returns the noiseless dataset: one converged field and
+    its reactions per target.
+    """
+    deltas = np.atleast_1d(np.asarray(deltas, dtype=np.float64))
+    u = np.zeros((mesh.n_nodes, 2))
+    f = nodal_forces(mesh, u, model)
+    disp = np.empty((deltas.size, mesh.n_nodes, 2))
+    reac = np.empty((deltas.size, partition.n_reactions))
+    reached = 0.0
+    for t, delta in enumerate(deltas):
+        inc, halvings = delta - reached, 0
+        while True:
+            # land on delta exactly once the increment covers the rest
+            land = abs(inc) >= abs(delta - reached) - 1e-15 * (1.0 + abs(delta))
+            target = delta if land else reached + inc
+            try:
+                u, f, _ = _newton(mesh, partition, model, u, f,
+                                  partition.prescribed(target), tol)
+            except (SolverError, InadmissibleDeformationError) as exc:
+                halvings += 1
+                if halvings > MAX_HALVINGS:
+                    raise SolverError(
+                        f"load step to delta={target:g} failed after "
+                        f"{MAX_HALVINGS} halvings: {exc}",
+                        residual=getattr(exc, "residual", None),
+                    ) from exc
+                inc *= 0.5
+                continue
+            reached, halvings = target, 0
+            if land:
+                break
+        disp[t] = u
+        reac[t] = reaction(partition, f)
+    return SpecimenDataset(mesh=mesh, partition=partition, deltas=deltas,
+                           displacements=disp, reactions=reac)
+
+
 def generate_dataset(
     mesh: Mesh,
     partition: DofPartition,
@@ -616,38 +613,18 @@ def generate_dataset(
     noise_sigma: float = 0.0,
     seed: int = 0,
     noise_per_dof_constant: bool = False,
-    steps_per_snapshot: int = 1,
 ) -> SpecimenDataset:
-    """Run ground-truth forward solves over a load schedule and package the
-    (optionally noisy) displacement fields with the noiseless reactions.
+    """Ground-truth :func:`solve` over a load schedule, with (optionally)
+    noisy displacement fields and the noiseless reactions.
 
-    Snapshots are solved by continuation: each solve starts from the previous
-    converged field at the previous load.  Noise is one independent normal
-    draw per displacement DOF per snapshot; with ``noise_per_dof_constant`` a
-    single per-DOF draw is reused across all snapshots.
+    Noise is one independent normal draw per displacement DOF per snapshot;
+    with ``noise_per_dof_constant`` a single per-DOF draw is reused across
+    all snapshots.
     """
-    deltas = np.atleast_1d(np.asarray(deltas, dtype=np.float64))
-    n_t = deltas.size
-    disp = np.empty((n_t, mesh.n_nodes, 2))
-    reac = np.empty((n_t, partition.n_reactions))
-    u, reached = np.zeros((mesh.n_nodes, 2)), 0.0
-    for t in range(n_t):
-        u = solve(mesh, partition, model, deltas[t], steps=steps_per_snapshot, u0=u,
-                  delta0=reached)
-        reached = deltas[t]
-        disp[t] = u
-        reac[t] = reaction(partition, nodal_forces(mesh, u, model))
+    ds = solve(mesh, partition, model, deltas)
+    disp = ds.displacements
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
-        if noise_per_dof_constant:
-            disp += rng.normal(0.0, noise_sigma, size=(1, mesh.n_nodes, 2))
-        else:
-            disp += rng.normal(0.0, noise_sigma, size=disp.shape)
-    return SpecimenDataset(
-        mesh=mesh,
-        partition=partition,
-        deltas=deltas,
-        displacements=disp,
-        reactions=reac,
-        noise_sigma=noise_sigma,
-    )
+        size = (1, mesh.n_nodes, 2) if noise_per_dof_constant else disp.shape
+        disp = disp + rng.normal(0.0, noise_sigma, size=size)
+    return replace(ds, displacements=disp, noise_sigma=noise_sigma)

@@ -25,6 +25,7 @@ VANILLA = "vanilla"
 GRID_INIT_RANGE = (-5.0, 25.0)
 GRID_INIT_POINTS = 100
 MIN_DOMAIN_WIDTH = 1e-6
+INIT_SCALE = 0.1  # fresh control points are uniform in [-INIT_SCALE, INIT_SCALE]
 
 # softplus(w_s) = 1 at this weight, so fresh constrained activations start
 # with unit scaling
@@ -126,15 +127,14 @@ class KANModel:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def create(cls, dims=(3, 2, 1), order=5, n_coef=17, mode=CONSTRAINED, rng=None,
-               init_scale=0.1):
+    def create(cls, dims=(3, 2, 1), order=5, n_coef=17, mode=CONSTRAINED, rng=None):
         rng = np.random.default_rng(rng)
         kv = KnotVector.from_domain(*GRID_INIT_RANGE, n_coef, order)
         params = []
         for n_in, n_out in zip(dims[:-1], dims[1:]):
             p = np.full((n_out, n_in, n_coef + (2 if mode == VANILLA else 1)), W_S_UNIT)
             for i, j in np.ndindex(n_out, n_in):
-                p[i, j, :n_coef] = rng.uniform(-init_scale, init_scale, size=n_coef)
+                p[i, j, :n_coef] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=n_coef)
                 if mode == VANILLA:  # w_s, w_b
                     p[i, j, n_coef:] = rng.uniform(-0.1, 0.1, size=2)
             if mode == CONSTRAINED:

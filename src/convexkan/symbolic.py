@@ -27,6 +27,8 @@ _B_RANGE = (-10.0, 10.0)
 _GRID = 21
 _ROUNDS = 3
 _SHRINK = 5.0
+PARITY_SAMPLES = 1000  # K points drawn from GRID_INIT_RANGE for the parity R^2
+PARITY_SEED = 0
 
 VAR_NAMES = ("K1", "K2", "K3")
 
@@ -388,12 +390,7 @@ class SymbolicEnergy(Form):
             return cls.loads(fh.read())
 
 
-def distill(
-    model: KANModel,
-    lambda_sym: float = LAMBDA_SYM,
-    parity_samples: int = 1000,
-    parity_seed: int = 0,
-) -> SymbolicEnergy:
+def distill(model: KANModel, lambda_sym: float = LAMBDA_SYM) -> SymbolicEnergy:
     """Replace every trained activation by its best closed-form fit and
     assemble the composed expression over K1, K2, K3.
 
@@ -426,7 +423,7 @@ def distill(
         ]
     out = forms[0]
     energy = SymbolicEnergy(out.coeffs, out.const, out.terms, activation_fits=fits)
-    K = np.random.default_rng(parity_seed).uniform(*GRID_INIT_RANGE, size=(parity_samples, 3))
+    K = np.random.default_rng(PARITY_SEED).uniform(*GRID_INIT_RANGE, size=(PARITY_SAMPLES, 3))
     y_net = model.forward(K)
     ss_res = float(np.sum((y_net - energy.value(K)) ** 2))
     energy.parity_r2 = _r2(y_net, ss_res)

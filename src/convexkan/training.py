@@ -47,10 +47,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs <= 0:
             raise ConfigurationError(f"epochs must be positive, got {self.epochs}")
-        if not 0.0 < self.base_lr <= self.max_lr:
+        if not (0.0 < self.base_lr <= self.max_lr and math.isfinite(self.max_lr)):
             raise ConfigurationError(
-                f"need 0 < base_lr <= max_lr, got {self.base_lr}, {self.max_lr}"
+                f"need 0 < base_lr <= max_lr < inf, got {self.base_lr}, {self.max_lr}"
             )
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigurationError(
+                f"need 0 <= beta1, beta2 < 1, got {self.beta1}, {self.beta2}"
+            )
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ConfigurationError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.cycle_step <= 0:
             raise ConfigurationError(f"cycle_step must be positive, got {self.cycle_step}")
         if self.ensemble_size < 1:

@@ -186,7 +186,8 @@ class TestMechanicsConsistency:
 class TestPatchTest:
     @staticmethod
     def _run_patch(mesh):
-        from convexkan.fem import DofPartition, FixedGroup
+        from convexkan import fem
+        from convexkan.fem import DofPartition, FixedGroup, nodal_forces
         from convexkan.mechanics import NeoHookean
 
         # clamp every boundary node to an affine field; interior nodes must
@@ -206,7 +207,8 @@ class TestPatchTest:
         part = DofPartition(n_nodes=mesh.n_nodes, groups=tuple(groups))
         u0 = exact.copy()
         u0[~on_edge] += 1e-3
-        u, hist = solve(mesh, part, NeoHookean(), 0.0, u0=u0, return_residuals=True)
+        f0 = nodal_forces(mesh, u0, NeoHookean())
+        u, _, hist = fem._newton(mesh, part, NeoHookean(), u0, f0, u0, 1e-9)
         npt.assert_allclose(u[~on_edge], exact[~on_edge], atol=1e-10)
         assert len(hist) <= 4  # initial residual + at most 3 corrections
 
@@ -318,8 +320,9 @@ class TestValidationSolve:
         start = time.perf_counter()
         mesh = two_hole_mesh(n=13)
         part = uniaxial_partition(mesh)
-        u_true = solve(mesh, part, NeoHookean(), delta=0.5, steps=10)
-        u_hat = solve(mesh, part, NetworkMaterial(nh_trained[0]), delta=0.5, steps=10)
+        deltas = np.linspace(0.0, 0.5, 11)[1:]
+        u_true = solve(mesh, part, NeoHookean(), deltas).displacements[-1]
+        u_hat = solve(mesh, part, NetworkMaterial(nh_trained[0]), deltas).displacements[-1]
 
         def invariants(u):
             Fs = deformation_gradients(mesh, u)

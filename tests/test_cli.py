@@ -1,6 +1,7 @@
 """Command-line surface: evaluation paths, parity scoring, and end-to-end
 subcommand runs on tiny meshes."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -191,6 +192,13 @@ class TestGenerate:
              "--out", str(tmp_path / "x.txt")]
         ) == 2
 
+    def test_non_finite_mesh_exits_2(self, tmp_path):
+        path = tmp_path / "nan.mesh"
+        path.write_text(small_square_mesh().dumps().replace("1 1", "1 nan", 1))
+        assert main(
+            ["generate", "--model", "NH", "--mesh", str(path), "--out", str(tmp_path / "x.txt")]
+        ) == 2
+
     def test_missing_mesh_exits_2(self, tmp_path):
         assert main(
             ["generate", "--model", "NH", "--mesh", str(tmp_path / "nope.mesh"),
@@ -239,6 +247,25 @@ class TestTrain:
             ["train", "--dataset", str(path), "--epochs", "1", "--ensemble", "1",
              "--out", str(tmp_path / "m.ckpt")]
         ) == 3
+
+    def test_non_finite_reaction_exits_2(self, tmp_path, dataset_file):
+        path = tmp_path / "nan.txt"
+        text = re.sub(r"^reactions \S+", "reactions nan", open(dataset_file).read(),
+                      count=1, flags=re.M)
+        assert "reactions nan " in text
+        path.write_text(text)
+        assert main(
+            ["train", "--dataset", str(path), "--epochs", "1", "--ensemble", "1",
+             "--out", str(tmp_path / "m.ckpt")]
+        ) == 2
+
+    def test_crashing_adam_config_exits_2(self, tmp_path, dataset_file):
+        config = tmp_path / "adam.cfg"
+        config.write_text("epochs=2\nensemble_size=1\nbeta1=1.0\n")
+        assert main(
+            ["train", "--dataset", dataset_file, "--config", str(config),
+             "--out", str(tmp_path / "m.ckpt")]
+        ) == 2
 
     def test_missing_dataset_exits_2(self, tmp_path):
         assert main(

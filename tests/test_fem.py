@@ -101,6 +101,13 @@ class TestMesh:
         with pytest.raises(DataError):
             Mesh.loads("vertices 3 cells 1\n")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_node_rejected(self, bad):
+        text = unit_square_two_tri().dumps().replace("1 1", f"1 {bad}", 1)
+        assert bad in text
+        with pytest.raises(DataError):
+            Mesh.loads(text)
+
 
 class TestMeshers:
     def test_hole_mesh_quality(self):
@@ -272,11 +279,17 @@ class TestForcesAndReactions:
             npt.assert_allclose(K[:, col], fd, rtol=1e-5, atol=1e-7)
 
 
+def newton_from(mesh, part, model, u0, prescribed, tol=1e-9):
+    """Newton iteration from the field u0: (u, forces, residual history)."""
+    return fem._newton(mesh, part, model, u0, nodal_forces(mesh, u0, model), prescribed, tol)
+
+
 class TestSolve:
     def test_zero_load_is_identity(self):
         m = unit_square_hole_mesh(n=11)
         part = biaxial_partition(m)
-        u, hist = solve(m, part, NeoHookean(), 0.0, return_residuals=True)
+        u, _, hist = newton_from(m, part, NeoHookean(), np.zeros((m.n_nodes, 2)),
+                                 part.prescribed(0.0))
         npt.assert_array_equal(u, 0.0)
         assert len(hist) == 1
 
@@ -304,9 +317,7 @@ class TestSolve:
         u0 = exact.copy()
         u0[~on_edge] += 1e-3  # perturb interior so Newton has work to do
         u0[bnd] = exact[bnd]
-        u, hist = solve(
-            mesh, part, NeoHookean(), 0.0, u0=u0, return_residuals=True
-        )
+        u, _, hist = newton_from(mesh, part, NeoHookean(), u0, u0)
         # prescribed values are all zero-scale here, so pin them by hand
         u_fix = u.copy()
         u_fix[bnd] = exact[bnd]
@@ -318,13 +329,15 @@ class TestSolve:
         # increment through the tangent and lands on the affine solution
         m = square_grid_mesh(6)
         part = biaxial_partition(m)
-        _, hist = solve(m, part, NeoHookean(), 0.2, tol=1e-12, return_residuals=True)
+        zero = np.zeros((m.n_nodes, 2))
+        _, _, hist = newton_from(m, part, NeoHookean(), zero, part.prescribed(0.2), tol=1e-12)
         assert len(hist) == 1 and hist[0] < 1e-14
         # heterogeneous field around the hole; rates are read on the residuals
         # above round-off
         m = unit_square_hole_mesh(n=11)
         part = biaxial_partition(m)
-        _, hist = solve(m, part, NeoHookean(), 0.2, tol=1e-12, return_residuals=True)
+        zero = np.zeros((m.n_nodes, 2))
+        _, _, hist = newton_from(m, part, NeoHookean(), zero, part.prescribed(0.2), tol=1e-12)
         r = np.array(hist)
         r = r[r > 1e-13]
         assert len(r) >= 3 and r[-2] > 0.0
@@ -336,7 +349,7 @@ class TestSolve:
         m = unit_square_hole_mesh(n=11)
         part = biaxial_partition(m)
         model = NeoHookean()
-        u = solve(m, part, model, 0.1)
+        u = solve(m, part, model, [0.1]).displacements[0]
         f = nodal_forces(m, u, model)
         free = part.free_flat_indices()
         R = reaction(part, f)
@@ -346,7 +359,7 @@ class TestSolve:
         m = unit_square_hole_mesh(n=11)
         part = biaxial_partition(m)
         model = NeoHookean()
-        u = solve(m, part, model, 0.2, steps=2)
+        u = solve(m, part, model, [0.1, 0.2]).displacements[-1]
         R = reaction(part, nodal_forces(m, u, model))
         # no applied tractions: the four reaction groups carry all the load,
         # and with all free residuals ~0 their components balance per axis
@@ -356,7 +369,7 @@ class TestSolve:
     def test_heterogeneous_strain_field(self):
         m = unit_square_hole_mesh(n=11)
         part = biaxial_partition(m)
-        u = solve(m, part, NeoHookean(), 0.1)
+        u = solve(m, part, NeoHookean(), [0.1]).displacements[0]
         from convexkan.mechanics import compute_state
 
         i1t = [compute_state(F).I1_tilde for F in deformation_gradients(m, u)]
@@ -365,40 +378,41 @@ class TestSolve:
     def test_load_step_halving_reaches_large_load(self):
         m = square_grid_mesh(5)
         part = biaxial_partition(m)
-        u = solve(m, part, NeoHookean(), 0.8, steps=2)
+        u = solve(m, part, NeoHookean(), [0.4, 0.8]).displacements[-1]
         assert np.all(np.isfinite(u))
 
     def test_failed_step_halves_from_the_start_load(self, monkeypatch):
-        # u0 is in equilibrium at delta0 = 0.1; when the full step to 0.2
+        # the field is in equilibrium at 0.1; when the full step to 0.2
         # fails, the retry goes halfway from there, to 0.15, not to 0.1
         m = square_grid_mesh(4)
         part = biaxial_partition(m)
         model = NeoHookean()
-        u0 = solve(m, part, model, 0.1)
         right = part.groups[2]  # scale 1: its prescribed value is the target
         targets, real_newton = [], fem._newton
 
-        def newton(mesh, partition, model, u, prescribed, tol, max_iter):
+        def newton(mesh, partition, model, u, f, prescribed, tol):
             targets.append(float(prescribed[right.dofs[0, 0], right.dofs[0, 1]]))
-            if len(targets) == 1:
+            if len(targets) == 2:
                 raise SolverError("forced failure", residual=1.0)
-            return real_newton(mesh, partition, model, u, prescribed, tol, max_iter)
+            return real_newton(mesh, partition, model, u, f, prescribed, tol)
 
         monkeypatch.setattr(fem, "_newton", newton)
-        u = solve(m, part, model, 0.2, u0=u0, delta0=0.1)
-        assert targets == pytest.approx([0.2, 0.15, 0.2], rel=1e-15)
+        u = solve(m, part, model, [0.1, 0.2]).displacements[-1]
+        assert targets == pytest.approx([0.1, 0.2, 0.15, 0.2], rel=1e-15)
         assert targets[-1] == 0.2
         monkeypatch.undo()
-        npt.assert_allclose(u, solve(m, part, model, 0.2), rtol=0, atol=1e-9)
+        npt.assert_allclose(u, solve(m, part, model, [0.2]).displacements[0], rtol=0, atol=1e-9)
 
-    def test_nonconvergence_reported(self):
+    def test_nonconvergence_reported(self, monkeypatch):
         m = square_grid_mesh(4)
         part = biaxial_partition(m)
+        monkeypatch.setattr(fem, "MAX_ITER", 1)
+        monkeypatch.setattr(fem, "MAX_HALVINGS", 0)
         with pytest.raises(SolverError):
-            solve(m, part, NeoHookean(), 0.5, max_iter=1, max_halvings=0)
+            solve(m, part, NeoHookean(), [0.5])
 
 
-# one corruption of each header line the dataset parser checks
+# one corruption of each header line and value the dataset parser checks
 MALFORMED = {
     "noise_sigma": ("noise_sigma ", "noise "),
     "partition": ("partition groups", "partition sets"),
@@ -408,6 +422,10 @@ MALFORMED = {
     "reactions": ("reactions ", "forces "),
     "reaction_count": ("reactions 0", "reactions 0 0 0 0 0 0"),
     "trailing": ("\nreactions", "\nreactions"),
+    "delta_nan": ("snapshot delta 0", "snapshot delta nan"),
+    "reaction_nan": ("reactions 0 ", "reactions nan "),
+    "noise_negative": ("noise_sigma 0", "noise_sigma -1"),
+    "noise_inf": ("noise_sigma 0", "noise_sigma inf"),
 }
 
 
@@ -430,9 +448,30 @@ class TestDataset:
         part = biaxial_partition(m)
         model = NeoHookean()
         ds = generate_dataset(m, part, model, [0.05, 0.1], noise_sigma=0.0)
-        u = solve(m, part, model, 0.1, u0=solve(m, part, model, 0.05), delta0=0.05)
+        u = solve(m, part, model, [0.05, 0.1]).displacements[1]
         npt.assert_array_equal(ds.displacements[1], u)
         assert ds.reactions.shape == (2, 4)
+        # the reactions reused from Newton's last check are those of the field
+        for t in range(2):
+            f = nodal_forces(m, ds.displacements[t], model)
+            npt.assert_array_equal(ds.reactions[t], reaction(part, f))
+
+    def test_no_field_forces_evaluated_twice(self, monkeypatch):
+        # the forces from each convergence check give that field's reactions
+        # and start the next target: one evaluation per tangent assembly,
+        # plus one for the undeformed state
+        m = unit_square_hole_mesh(n=21)
+        part = biaxial_partition(m)
+        calls = {"nodal_forces": 0, "tangent_matrix": 0}
+        for name in calls:
+
+            def counted(*args, real=getattr(fem, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(fem, name, counted)
+        generate_dataset(m, part, NeoHookean(), [0.1, 0.2, 0.3])
+        assert calls["nodal_forces"] == calls["tangent_matrix"] + 1
 
     def test_seeded_noise_reproducible(self):
         m = unit_square_hole_mesh(n=11)
@@ -510,6 +549,6 @@ class TestDataset:
         m = two_hole_mesh(n=17)
         part = uniaxial_partition(m)
         assert part.n_reactions == 3
-        u = solve(m, part, NeoHookean(), 0.05)
+        u = solve(m, part, NeoHookean(), [0.05]).displacements[0]
         top = part.groups[1]
         npt.assert_allclose(u[top.dofs[:, 0], 1], 0.05)

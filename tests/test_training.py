@@ -63,6 +63,14 @@ class TestConfig:
                 TrainConfig(curvature_penalty=bad)
         assert TrainConfig(curvature_penalty=0.0).curvature_penalty == 0.0
 
+    # Adam settings that would put NaNs into the parameters on the first step
+    @pytest.mark.parametrize("bad", [
+        {"beta1": 1.0}, {"beta2": 1.0}, {"epsilon": 0.0}, {"max_lr": np.inf},
+    ], ids=["beta1", "beta2", "epsilon", "max_lr"])
+    def test_adam_settings_rejected(self, bad):
+        with pytest.raises(ConfigurationError):
+            TrainConfig(**bad)
+
     def test_file_round_trip(self, tmp_path):
         c = TrainConfig(epochs=17, max_lr=0.25, seed=9, curvature_penalty=3e-3)
         path = tmp_path / "train.cfg"
