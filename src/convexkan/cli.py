@@ -39,7 +39,7 @@ from .mechanics import (
     compute_state,
 )
 from .network import CONSTRAINED, VANILLA, KANModel
-from .symbolic import SymbolicEnergy, SymbolicMaterial, distill
+from .symbolic import LAMBDA_SYM, SymbolicEnergy, SymbolicMaterial, distill
 from .training import TrainConfig, train_ensemble
 
 # delta schedules of the training specimen, per material family
@@ -166,6 +166,8 @@ def cmd_generate(args) -> int:
         raise ConfigurationError(
             f"unknown material kind {args.model!r}; choose from {sorted(BENCHMARKS)}"
         )
+    if args.steps < 1:
+        raise ConfigurationError(f"--steps must be >= 1, got {args.steps}")
     mesh = _training_mesh(args)
     part = biaxial_partition(mesh)
     step = _DELTA_STEP[kind]
@@ -292,6 +294,10 @@ def _save_displacements(path, u):
 
 
 def cmd_simulate(args) -> int:
+    steps = (100 if args.paper_scale else 10) if args.steps is None else args.steps
+    if steps < 1 or not np.isfinite(args.delta):
+        raise ConfigurationError(
+            f"need --steps >= 1 and a finite --delta, got {steps} and {args.delta}")
     truth = benchmark_model(args.model)
     learned = _load_learned(args)
     if len(learned) != 1:
@@ -302,7 +308,6 @@ def cmd_simulate(args) -> int:
     else:
         mesh = two_hole_mesh(n=71 if args.paper_scale else 25)
     part = uniaxial_partition(mesh)
-    steps = args.steps if args.steps else (100 if args.paper_scale else 10)
     gammas = np.linspace(0.0, args.delta, steps + 1)[1:]
     curves = []
     fields = {}
@@ -383,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("distill", help="extract a closed-form energy expression")
     d.add_argument("--checkpoint", required=True)
     d.add_argument("--out", default="energy.sym")
-    d.add_argument("--lambda-sym", type=float, default=0.8)
+    d.add_argument("--lambda-sym", type=float, default=LAMBDA_SYM)
     d.add_argument("--shift-symbolic", action="store_true",
                    help="subtract the K=0 energy from the distilled constant")
     d.set_defaults(func=cmd_distill)

@@ -572,6 +572,8 @@ def solve(mesh: Mesh, partition: DofPartition, model: MaterialModel, deltas,
     its reactions per target.
     """
     deltas = np.atleast_1d(np.asarray(deltas, dtype=np.float64))
+    if deltas.size == 0 or not np.all(np.isfinite(deltas)):
+        raise ConfigurationError(f"load schedule must be non-empty and finite, got {deltas}")
     u = np.zeros((mesh.n_nodes, 2))
     f = nodal_forces(mesh, u, model)
     disp = np.empty((deltas.size, mesh.n_nodes, 2))
@@ -621,6 +623,8 @@ def generate_dataset(
     with ``noise_per_dof_constant`` a single per-DOF draw is reused across
     all snapshots.
     """
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise ConfigurationError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     ds = solve(mesh, partition, model, deltas)
     disp = ds.displacements
     if noise_sigma > 0.0:

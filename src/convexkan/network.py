@@ -33,7 +33,8 @@ W_S_UNIT = math.log(math.e - 1.0)
 
 
 def softplus(x):
-    return np.logaddexp(0.0, x)
+    # logaddexp(0, x)'s own split, as ufuncs numpy runs on SIMD; exp(-|x|) cannot overflow
+    return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
 
 
 def sigmoid(x):

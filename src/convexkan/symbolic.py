@@ -50,7 +50,7 @@ class CandidateFunction:
             return x
         if self.name == "exp":
             return np.exp(x)
-        return softplus(x) ** self.power
+        return _ipow(softplus(x), self.power)
 
     def derivatives(self, x):
         """f, f' and f'' at x."""
@@ -64,9 +64,17 @@ class CandidateFunction:
         with np.errstate(over="ignore"):
             sig = 1.0 / (1.0 + np.exp(-x))  # softplus'
         p = self.power
-        d1 = p * s ** (p - 1) * sig
-        d2 = p * (p - 1) * s ** (p - 2) * sig * sig + p * s ** (p - 1) * sig * (1.0 - sig)
-        return s**p, d1, d2
+        d1 = p * _ipow(s, p - 1) * sig
+        d2 = p * (p - 1) * _ipow(s, max(p - 2, 0)) * sig * sig + d1 * (1.0 - sig)
+        return _ipow(s, p), d1, d2
+
+
+def _ipow(s, p: int):
+    """s**p, 0 <= p <= 4, by multiplication (``**`` calls pow per element for p > 2)."""
+    if p < 2:
+        return s if p else np.ones_like(s)
+    s2 = s * s
+    return s2 if p == 2 else s2 * (s if p == 3 else s2)
 
 
 LIBRARY = (
@@ -122,19 +130,14 @@ def _fit_cd(F: Array, y: Array):
     flat = (np.abs(det) < 1e-30) | np.all(F == F[:, :1], axis=1)
     c[flat | ~(np.isfinite(c) & (c >= 0.0))] = 0.0
     d = (sy - c * sf) / n
-    resid = np.sum((c[:, None] * F + d[:, None] - y) ** 2, axis=1)
-    return c, d, resid
+    r = F * c[:, None]
+    r += d[:, None]
+    r -= y
+    return c, d, np.einsum("kn,kn->k", r, r)
 
 
-def fit_candidate(phi, domain, candidate: CandidateFunction) -> FittedActivation:
-    """Fit one candidate to a scalar function on an interval.
-
-    Samples ``phi`` at 100 uniform points, then grid-searches (a, b) over
-    [0, 10] x [-10, 10] with three refinement rounds (21 x 21 grid, shrink
-    factor 5); (c, d) come from constrained least squares at each grid
-    point, all points of a round in one array pass.  The first minimum in
-    a-major order wins, and a later round must improve on it strictly.
-    """
+def _samples(phi, domain):
+    """(x, phi(x)) at 100 uniform points x of the domain."""
     lo, hi = float(domain[0]), float(domain[1])
     if not hi > lo:
         raise ConfigurationError(f"degenerate fitting domain [{lo}, {hi}]")
@@ -142,7 +145,19 @@ def fit_candidate(phi, domain, candidate: CandidateFunction) -> FittedActivation
     y = np.asarray(phi(x), dtype=np.float64)
     if not np.all(np.isfinite(y)):
         raise EvaluationError("activation produced non-finite values on its domain")
+    return x, y
 
+
+def fit_candidate(phi, domain, candidate: CandidateFunction) -> FittedActivation:
+    """Fit one candidate to a scalar function sampled on an interval."""
+    return _fit_samples(*_samples(phi, domain), candidate)
+
+
+def _fit_samples(x: Array, y: Array, candidate: CandidateFunction) -> FittedActivation:
+    """Fit one candidate to the samples y at x: grid-search (a, b) over [0, 10] x
+    [-10, 10] in three rounds (21 x 21 grid, shrink factor 5), with constrained
+    least-squares (c, d) at all points of a round in one array pass.  The first
+    minimum in a-major order wins; a later round must improve on it strictly."""
     if candidate.name == "x":
         # affine target: the closed-form slope/intercept fit is exact
         c, d, resid = _fit_cd(x[None], y)
@@ -206,10 +221,9 @@ def select_candidate(fits, lambda_sym: float = LAMBDA_SYM) -> FittedActivation:
 
 
 def fit_activation(phi, domain, lambda_sym: float = LAMBDA_SYM) -> FittedActivation:
-    """Fit every library candidate and return the selected one."""
-    return select_candidate(
-        [fit_candidate(phi, domain, cand) for cand in LIBRARY], lambda_sym
-    )
+    """Fit every library candidate to one sampling of phi; return the selected one."""
+    x, y = _samples(phi, domain)
+    return select_candidate([_fit_samples(x, y, cand) for cand in LIBRARY], lambda_sym)
 
 
 # -- the normal form ----------------------------------------------------------
@@ -399,6 +413,8 @@ def distill(model: KANModel, lambda_sym: float = LAMBDA_SYM) -> SymbolicEnergy:
     """
     if model.mode != CONSTRAINED:
         raise ConfigurationError("distillation requires a constrained model")
+    if not 0.0 <= lambda_sym <= 1.0:  # also rejects nan
+        raise ConfigurationError(f"lambda_sym must lie in [0, 1], got {lambda_sym}")
     fits = {}
     for r, layer in enumerate(model.params):
         for i, j in np.ndindex(layer.shape[:2]):

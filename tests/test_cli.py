@@ -205,6 +205,22 @@ class TestGenerate:
              "--out", str(tmp_path / "x.txt")]
         ) == 2
 
+    @pytest.mark.parametrize("bad", [["--steps", "0"], ["--steps", "-1"], ["--noise", "-1"],
+                                     ["--noise", "nan"]], ids=" ".join)
+    def test_bad_schedule_or_noise_exits_2_before_solving(self, tmp_path, monkeypatch,
+                                                          mesh_file, bad):
+        calls, real_newton = [], fem._newton
+
+        def newton(*args):
+            calls.append(1)
+            return real_newton(*args)
+
+        monkeypatch.setattr(fem, "_newton", newton)
+        out = tmp_path / "x.txt"
+        assert main(["generate", "--model", "NH", *bad, "--mesh", mesh_file,
+                     "--out", str(out)]) == 2
+        assert not calls and not out.exists()
+
 
 class TestTrain:
     def test_writes_loadable_checkpoint(self, checkpoint_file):
@@ -339,6 +355,14 @@ class TestDistill:
         assert text.strip()
 
 
+    @pytest.mark.parametrize("lam", ["2", "-0.5", "nan", "inf"])
+    def test_lambda_sym_outside_unit_interval_exits_2(self, tmp_path, checkpoint_file, lam):
+        out = tmp_path / "energy.sym"
+        assert main(["distill", "--checkpoint", checkpoint_file, "--lambda-sym", lam,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 class TestSimulate:
     def test_oracle_injection_perfect_parity(self, tmp_path, mesh_file):
         # a symbolic energy identical to NH: 0.5*K1 + 1.5*K3
@@ -388,6 +412,25 @@ class TestSimulate:
              "--delta", "0.1", "--steps", "1", "--out", str(tmp_path / "s")]
         ) == 2
         assert not (tmp_path / "s.parity.csv").exists()
+
+    @pytest.mark.parametrize("bad", [["--steps", "0"], ["--steps", "-1"], ["--steps", "-5"],
+                                     ["--delta", "nan"], ["--delta", "inf"]], ids=" ".join)
+    def test_bad_schedule_exits_2_before_solving(self, tmp_path, monkeypatch, mesh_file, bad):
+        sym = tmp_path / "nh.sym"
+        sym.write_text("convexkan-symbolic v1\nenergy affine 0 0.5 0 1.5\n")
+        calls, real_newton = [], fem._newton
+
+        def newton(*args):
+            calls.append(1)
+            return real_newton(*args)
+
+        monkeypatch.setattr(fem, "_newton", newton)
+        args = {"--delta": "0.1", "--steps": "2", bad[0]: bad[1]}
+        assert main(
+            ["simulate", "--model", "NH", "--symbolic", str(sym), "--mesh", mesh_file,
+             *[v for kv in args.items() for v in kv], "--out", str(tmp_path / "s")]
+        ) == 2
+        assert not calls and not (tmp_path / "s.parity.csv").exists()
 
     def test_needs_exactly_one_model_exits_2(self, tmp_path, mesh_file):
         assert main(

@@ -411,6 +411,18 @@ class TestSolve:
         with pytest.raises(SolverError):
             solve(m, part, NeoHookean(), [0.5])
 
+    @pytest.mark.parametrize("deltas", [[], [0.1, np.nan], [np.inf], [0.1, -np.inf, 0.2]],
+                             ids=["empty", "nan", "inf", "minus_inf"])
+    def test_bad_schedule_rejected_before_any_newton_step(self, monkeypatch, deltas):
+        m = square_grid_mesh(4)
+
+        def newton(*args):
+            raise AssertionError("Newton ran on a bad schedule")
+
+        monkeypatch.setattr(fem, "_newton", newton)
+        with pytest.raises(ConfigurationError):
+            solve(m, biaxial_partition(m), NeoHookean(), deltas)
+
 
 # one corruption of each header line and value the dataset parser checks
 MALFORMED = {
@@ -472,6 +484,17 @@ class TestDataset:
             monkeypatch.setattr(fem, name, counted)
         generate_dataset(m, part, NeoHookean(), [0.1, 0.2, 0.3])
         assert calls["nodal_forces"] == calls["tangent_matrix"] + 1
+
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
+    def test_bad_noise_rejected_before_the_solve(self, monkeypatch, sigma):
+        m = square_grid_mesh(4)
+
+        def newton(*args):
+            raise AssertionError("Newton ran with a bad noise_sigma")
+
+        monkeypatch.setattr(fem, "_newton", newton)
+        with pytest.raises(ConfigurationError):
+            generate_dataset(m, biaxial_partition(m), NeoHookean(), [0.1], noise_sigma=sigma)
 
     def test_seeded_noise_reproducible(self):
         m = unit_square_hole_mesh(n=11)

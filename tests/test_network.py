@@ -105,6 +105,25 @@ class TestInputDerivatives:
             m.forward_with_input_derivatives([0.0, 0.0, 0.0])
 
 
+class TestSoftplus:
+    def test_within_two_ulp_of_logaddexp(self):
+        mag = np.concatenate([
+            np.logspace(-323, 308, 4001),  # subnormals up to near the largest double
+            np.linspace(0.0, 60.0, 60001),  # where both terms matter
+            np.linspace(700.0, 760.0, 601),  # exp(-x) turns subnormal, then 0
+            [np.finfo(float).tiny, 5e-324],
+        ])
+        x = np.concatenate([mag, -mag, [0.0, -0.0]])
+        got, want = softplus(x), np.logaddexp(0.0, x)
+        assert np.all(np.abs(got - want) <= 2.0 * np.spacing(want))
+
+    def test_infinities_exact_and_nan_propagates(self):
+        npt.assert_array_equal(softplus(np.array([np.inf, -np.inf])), [np.inf, 0.0])
+        assert np.isnan(softplus(np.nan))
+        with np.errstate(over="raise", invalid="raise"):
+            softplus(np.array([-1e308, -800.0, 0.0, 800.0, 1e308]))  # nothing overflows
+
+
 class TestConvexityProperties:
     def test_monotone_random_pairs(self):
         rng = np.random.default_rng(10)

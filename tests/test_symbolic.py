@@ -46,6 +46,24 @@ class TestLibrary:
         assert d.min() >= -1e-12
         assert np.diff(d).min() >= -1e-10
 
+    @pytest.mark.parametrize("cand", LIBRARY[2:], ids=lambda c: c.name)
+    def test_softplus_powers_by_multiplication(self, cand):
+        x = np.linspace(-30.0, 30.0, 1201)
+        p, s = cand.power, softplus(x)
+        npt.assert_allclose(cand(x), s**p, rtol=4e-16 * p, atol=0.0)
+        f, f1, f2 = cand.derivatives(x)
+        npt.assert_array_equal(f, cand(x))
+        sig = 1.0 / (1.0 + np.exp(-x))
+        npt.assert_allclose(f1, p * s ** (p - 1) * sig, rtol=1e-15 * p, atol=0.0)
+
+    @pytest.mark.parametrize("cand", LIBRARY[2:], ids=lambda c: c.name)
+    def test_derivatives_finite_where_softplus_underflows(self, cand):
+        # softplus(-800) is 0, where s ** (p - 2) would be 1 / 0 at p = 1
+        with np.errstate(divide="raise", invalid="raise"):
+            f, f1, f2 = cand.derivatives(np.array([-800.0, -40.0]))
+        assert np.all(np.isfinite(f2)) and np.all(f2 >= 0.0)
+        npt.assert_array_equal([f[0], f1[0], f2[0]], 0.0)
+
 
 class TestFitting:
     def test_affine_target_exact(self):
@@ -228,6 +246,21 @@ class TestSelection:
         assert fit.candidate.name == "softplus^3"
         assert fit.r2 > 1.0 - 1e-9
 
+    def test_fit_activation_samples_target_once(self):
+        calls = []
+
+        def phi(x):
+            calls.append(np.array(x))
+            return softplus(0.8 * x - 1.0) ** 2
+
+        fit = fit_activation(phi, (-3.0, 3.0))
+        assert len(calls) == 1
+        npt.assert_array_equal(calls[0], np.linspace(-3.0, 3.0, FIT_POINTS))
+        # the selection is the one of fitting every candidate on its own
+        alone = select_candidate([fit_candidate(phi, (-3.0, 3.0), c) for c in LIBRARY])
+        assert (fit.candidate, fit.a, fit.b, fit.c, fit.d, fit.r2) == (
+            alone.candidate, alone.a, alone.b, alone.c, alone.d, alone.r2)
+
 
 def linear_network(alpha=(0.5, 0.0, 1.5)):
     """Constrained model whose energy is exactly alpha . K (plus a constant).
@@ -299,6 +332,59 @@ class TestDistill:
     def test_deterministic(self):
         m = KANModel.create(rng=21).grid_initialize()
         assert distill(m).dumps() == distill(m).dumps()
+
+    @pytest.mark.parametrize("lam", [-0.1, 1.0 + 1e-9, 2.0, math.nan, math.inf])
+    def test_lambda_sym_outside_unit_interval_rejected(self, lam):
+        # above 1 the (1 - lambda) factor turns negative and a worse R^2 scores better
+        with pytest.raises(ConfigurationError):
+            distill(KANModel.create(rng=0).grid_initialize(), lambda_sym=lam)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_lambda_sym_end_points_accepted(self, lam):
+        energy = distill(KANModel.create(rng=0).grid_initialize(), lambda_sym=lam)
+        assert math.isfinite(energy.parity_r2)
+
+
+def activation_samples(model, r, i, j):
+    """The fit samples of activation (r, i, j), as distill draws them."""
+    x = np.linspace(*model.knots[r][j].domain, FIT_POINTS)
+    z = np.broadcast_to(x, (1, model.dims[r], FIT_POINTS))
+    return x, model._edges(r, z)[0][0, 0, j, :, i]
+
+
+class TestDistillAgainstReference:
+    """``distill_reference_v1.npz`` (see ``make_distill_reference.py``) was
+    written by the fit that sampled each activation once per candidate and
+    evaluated softplus as ``np.logaddexp``; the fit may move by rounding only."""
+
+    REF = np.load(DATA / "distill_reference_v1.npz")
+
+    @pytest.mark.parametrize("m", range(len(REF["seeds"])))
+    def test_same_candidates_r2_and_energy(self, m):
+        ref = self.REF
+        model = KANModel.create(rng=int(ref["seeds"][m])).grid_initialize()
+        energy = distill(model)
+        keys = sorted(energy.activation_fits)
+        assert [LIBRARY.index(energy.activation_fits[k].candidate) for k in keys] == list(
+            ref["candidate"][m]
+        )
+        for n, k in enumerate(keys):
+            fit = energy.activation_fits[k]
+            npt.assert_allclose(fit.r2, ref["r2"][m, n], rtol=0.0, atol=1e-12)
+            if (fit.a, fit.b) != tuple(ref["abcd"][m, n, :2]):
+                # allowed only where the reference's own residuals tie
+                x, y = activation_samples(model, *k)
+                floor = 1e-12 * np.sum((y - y.mean()) ** 2) + 1e-28
+                npt.assert_allclose(
+                    np.sum((fit(x) - y) ** 2), ref["resid"][m, n], rtol=1e-12, atol=floor
+                )
+        v, g, h = energy.vgh(ref["K"])
+        iu = np.triu_indices(3)
+        for got, want in ((v, ref["W"][m]), (g, ref["G"][m]),
+                          (h[:, iu[0], iu[1]], ref["H_upper"][m])):
+            npt.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+        npt.assert_array_equal(h, np.swapaxes(h, 1, 2))
+        npt.assert_allclose(energy.parity_r2, ref["parity_r2"][m], rtol=0.0, atol=1e-12)
 
 
 class TestSerialization:
