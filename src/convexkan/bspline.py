@@ -102,19 +102,18 @@ def _span_matrices(k: int) -> Array:
     return M
 
 
-def _basis_rows(x, t, k: int, orders) -> Array:
-    """Dense rows of all ``n_b`` basis functions' derivatives of the given
-    ``orders`` at ``x`` on the uniform knots ``t``.
+def _local_values(x, t, k: int, orders):
+    """The k + 1 B-splines non-zero on each point's knot span ``[t_mu,
+    t_mu+1)``, half-open as in the Cox-de Boor recursion (so a derivative
+    that jumps at a knot takes its right-hand value): their derivatives of
+    the given ``orders`` at ``x`` on the uniform knots ``t``.
 
     ``x`` is ``(..., N)`` and ``t`` is ``(..., m_b)``; their leading axes
     broadcast, so one call evaluates many point sets, each on its own knots.
-    The result has shape ``(len(orders), ..., N, n_b)``.
-
-    Each point evaluates only the k + 1 functions non-zero on its knot span
-    ``[t_mu, t_mu+1)``, half-open as in the Cox-de Boor recursion (so a
-    derivative that jumps at a knot takes its right-hand value).  Points off
-    ``[t_1, t_{m_b})`` get zero rows, points in the outer spans the partial
-    values of the functions defined there.
+    Returns the spans ``mu`` ``(..., N)`` and the values ``(len(orders),
+    ..., N, k + 1)``, column ``r`` for ``B_{mu-k+r}``.  Points off ``[t_1,
+    t_{m_b})`` get zeros, points in the outer spans the partial values of
+    the functions defined there.
     """
     x, t, orders = np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64), list(orders)
     if k < max(orders):
@@ -122,7 +121,6 @@ def _basis_rows(x, t, k: int, orders) -> Array:
             f"order-{max(orders)} derivative needs spline order k >= {max(orders)}, got k={k}"
         )
     m_b = t.shape[-1]
-    n_b, n_d = m_b - k - 1, len(orders)
     shape = np.broadcast_shapes(x.shape[:-1], t.shape[:-1]) + x.shape[-1:]
     x = np.broadcast_to(x, shape)
     t = t.reshape((1,) * (len(shape) - t.ndim) + t.shape)
@@ -140,40 +138,53 @@ def _basis_rows(x, t, k: int, orders) -> Array:
     powers[0] = 1.0
     for p in range(1, k + 1):
         np.multiply(powers[p - 1], u, out=powers[p])
+    # every order's scale s**d from one power call: rounding then does not
+    # depend on which orders are asked for
     lead = (1,) * (len(shape) - 1)
-    d = np.array(orders, dtype=np.float64).reshape((n_d,) + lead + (1, 1))
-    M = _span_matrices(k)[orders].reshape((n_d,) + lead + (k + 1, k + 1))
-    vals = np.moveaxis(powers, 0, -1) @ (M / s[..., None] ** d)
+    d = np.arange(3.0).reshape((3,) + lead + (1, 1))
+    M = _span_matrices(k).reshape((3,) + lead + (k + 1, k + 1)) / s[..., None] ** d
+    vals = np.moveaxis(powers, 0, -1) @ M[orders]
     outside = (x < t[..., :1]) | (x >= t[..., -1:])
     if outside.any():
         vals[:, outside] = 0.0
-    # columns shifted by k, so that B_{mu-k} .. B_mu of every span fit
-    width = n_b + 2 * k
-    rows = np.zeros((n_d, x.size * width))
-    at = ((np.arange(x.size) * width + mu.ravel())[:, None] + np.arange(k + 1)).ravel()
+    return mu, vals
+
+
+def _scatter(mu, vals, k: int, n_b: int) -> Array:
+    """Dense rows ``(len(vals), ..., N, n_b)`` of :func:`_local_values`, through
+    a buffer only as wide as ``B_1 .. B_{n_b}`` and the windows touched."""
+    lo = min(0, int(mu.min(initial=k)) - k)
+    width = max(n_b, int(mu.max(initial=0)) + 1) - lo
+    rows = np.zeros((len(vals), mu.size * width))
+    at = ((np.arange(mu.size) * width + mu.ravel() - k - lo)[:, None] + np.arange(k + 1)).ravel()
     for order_rows, order_vals in zip(rows, vals):
         order_rows[at] = order_vals.ravel()
-    return rows.reshape((n_d,) + shape + (width,))[..., k : k + n_b]
+    return rows.reshape((len(vals),) + mu.shape + (width,))[..., -lo : n_b - lo]
 
 
-def design_rows(x, t, k: int) -> Array:
-    """Rows ``(b0, b1, b2)``, stacked on a leading axis, such that the value,
-    slope and curvature at ``x`` of the spline with control points ``c`` on
-    the uniform knots ``t`` of order ``k`` are ``b0 @ c``, ``b1 @ c`` and
-    ``b2 @ c``, with the linear extension beyond the natural domain baked in.
+def design_rows(x, t, k: int, orders=(0, 1, 2)) -> Array:
+    """Rows ``b_d`` for each derivative order ``d`` in ``orders``, stacked on
+    a leading axis, such that the ``d``-th derivative at ``x`` of the spline
+    with control points ``c`` on the uniform knots ``t`` of order ``k`` is
+    ``b_d @ c``, with the linear extension beyond the natural domain baked in.
 
-    Shapes as in :func:`_basis_rows`: ``x`` is ``(..., N)``, ``t`` is
-    ``(..., m_b)`` and the rows are ``(3, ..., N, n_b)``.
+    Shapes as in :func:`_local_values`: ``x`` is ``(..., N)``, ``t`` is
+    ``(..., m_b)`` and the rows are ``(len(orders), ..., N, n_b)``.
     """
-    x, t = np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64)
+    x, t, orders = np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64), list(orders)
     lo, hi = t[..., k : k + 1], t[..., t.shape[-1] - k - 1 : t.shape[-1] - k]
     xc = np.clip(x, lo, hi)
-    b = _basis_rows(xc, t, k, (0, 1, 2))
-    outside = np.nonzero(x != xc)
-    if outside[0].size:  # b1 already holds the slope rows at the edge
-        b[(0, *outside)] += (x - xc)[outside][:, None] * b[(1, *outside)]
-        b[(2, *outside)] = 0.0
-    return b
+    past = (x != xc)[..., None]
+    extend = bool(past.any())
+    # past the edge the value continues with the edge's slope
+    need = orders + [1] * (extend and 0 in orders and 1 not in orders)
+    mu, vals = _local_values(xc, t, k, need)
+    if extend and 0 in orders:
+        v0 = vals[need.index(0)]
+        np.add(v0, (x - xc)[..., None] * vals[need.index(1)], out=v0, where=past)
+    if extend and 2 in orders:
+        np.copyto(vals[need.index(2)], 0.0, where=past)
+    return _scatter(mu, vals[: len(orders)], k, t.shape[-1] - k - 1)
 
 
 def eval_basis(x, knots: KnotVector) -> Array:
@@ -196,7 +207,8 @@ def eval_basis_derivatives(x, knots: KnotVector, order: int) -> Array:
 
 
 def _point_rows(x, knots: KnotVector, order: int) -> Array:
-    rows = _basis_rows(np.atleast_1d(x), knots.t, knots.k, (order,))[0]
+    mu, vals = _local_values(np.atleast_1d(x), knots.t, knots.k, (order,))
+    rows = _scatter(mu, vals, knots.k, knots.n_b)[0]
     return rows[0] if np.ndim(x) == 0 else rows
 
 
@@ -227,15 +239,16 @@ def reparameterize(raw) -> Array:
     prev = np.concatenate((np.zeros_like(diff[..., :1]), diff[..., :-1]), axis=-1)
     bad = (diff < prev).reshape(-1, diff.shape[-1])
     rows = c.reshape(-1, c.shape[-1])  # a view: c is a fresh contiguous array
-    for r in np.flatnonzero(bad.any(axis=1)):
-        start = int(np.argmax(bad[r])) + 1
-        vals = rows[r].tolist()
-        prev = vals[start - 1] - vals[start - 2] if start > 1 else 0.0
-        for i in range(start, len(vals)):
-            while vals[i] - vals[i - 1] < prev:
-                vals[i] = math.nextafter(vals[i], math.inf)
-            prev = vals[i] - vals[i - 1]
-        rows[r] = vals
+    flagged = np.flatnonzero(bad.any(axis=1))
+    if flagged.size:
+        block = rows[flagged].tolist()
+        for vals, start in zip(block, (np.argmax(bad[flagged], axis=1) + 1).tolist()):
+            prev = vals[start - 1] - vals[start - 2] if start > 1 else 0.0
+            for i in range(start, len(vals)):
+                while vals[i] - vals[i - 1] < prev:
+                    vals[i] = math.nextafter(vals[i], math.inf)
+                prev = vals[i] - vals[i - 1]
+        rows[flagged] = block
     return c
 
 

@@ -625,6 +625,8 @@ def generate_dataset(
     """
     if not (np.isfinite(noise_sigma) and noise_sigma >= 0.0):
         raise ConfigurationError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     ds = solve(mesh, partition, model, deltas)
     disp = ds.displacements
     if noise_sigma > 0.0:

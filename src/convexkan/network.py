@@ -191,7 +191,7 @@ class KANModel:
             z = np.column_stack(
                 [np.linspace(lo, hi, GRID_INIT_POINTS) for lo, hi in ranges]
             )
-            y = self._layer(r, z[None])[0][0]
+            y = self._layer(r, z[None], orders=(0,))[0][0]
             ranges = []
             for lo, hi in zip(y.min(axis=0).tolist(), y.max(axis=0).tolist()):
                 if hi - lo < MIN_DOMAIN_WIDTH:
@@ -215,49 +215,52 @@ class KANModel:
             raise ConfigurationError("model must be grid-initialized before evaluation")
         return Kb, scalar
 
-    def _edges(self, r: int, x, rows=None, stack=None):
+    def _edges(self, r: int, x, rows=None, stack=None, orders=(0, 1, 2)):
         """Every edge of layer ``r`` for every member of ``stack`` (default:
         this model alone) at the layer's column inputs ``x``, ``(M or 1,
-        n_in, N)``.  Returns ``(phi, psi, rows)``: ``phi`` and its first two
-        derivatives and the splines ``psi`` and theirs, each ``(3, M, n_in,
-        N, n_out)``, and the design rows ``(3, M or 1, n_in, N, n_b)``, which
-        may be passed in if already computed."""
+        n_in, N)``.  Returns ``(phi, c, rows)``: ``phi`` and its derivatives
+        of the given ``orders``, ``(len(orders), M, n_in, N, n_out)``, the
+        unscaled control points ``c``, ``(M, n_out, n_in, n_coef)``, and the
+        design rows ``(len(orders), M or 1, n_in, N, n_b)``, which may be
+        passed in if already computed.  The scale ``w_s`` is folded into the
+        control points: ``phi = rows @ (w * c)``."""
         stack = stack or self._stack()
         p, n = stack.params[r], self.n_coef
         x = np.ascontiguousarray(x)
         if rows is None:
-            rows = design_rows(x, stack.t[r], self.order)
+            rows = design_rows(x, stack.t[r], self.order, orders)
         c = reparameterize(p[..., :n]) if self.mode == CONSTRAINED else p[..., :n]
-        psi = rows @ c.transpose(0, 2, 3, 1)
-        w_s = p[..., n].transpose(0, 2, 1)[:, :, None, :]  # (M, n_in, 1, n_out)
-        if self.mode == CONSTRAINED:
-            return softplus(w_s) * psi, psi, rows
-        w_b = p[..., n + 1].transpose(0, 2, 1)[:, :, None, :]
-        return w_b * np.stack(_silu(x))[..., None] + w_s * psi, psi, rows
+        w = softplus(p[..., n]) if self.mode == CONSTRAINED else p[..., n]
+        phi = rows @ (w[..., None] * c).transpose(0, 2, 3, 1)
+        if self.mode == VANILLA:
+            w_b = p[..., n + 1].transpose(0, 2, 1)[:, :, None, :]
+            phi += w_b * np.stack(_silu(x))[list(orders), ..., None]
+        return phi, c, rows
 
-    def _layer(self, r, z, A=None, H=None, rows=None, stack=None):
+    def _layer(self, r, z, A=None, H=None, rows=None, stack=None, orders=(0, 1, 2)):
         """Outputs ``y`` (M, N, n_out) of layer ``r`` at inputs ``z``
         (M or 1, N, n_in), and, given the inputs' Jacobian ``A``
         (M or 1, N, n_in, d0) and Hessian ``H`` (M, N, n_in, d0, d0) with
         respect to the network input, the outputs' ones.  Returns
-        ``(y, Ay, Hy, edges)``, with None for what was not asked and the
-        :meth:`_edges` of the layer."""
-        edges = self._edges(r, z.transpose(0, 2, 1), rows, stack)
-        phi = edges[0]
-        y = phi[0].sum(axis=1)
+        ``(y, Ay, Hy, edges)``, with None for what was not asked or needs an
+        order not in ``orders``, and the layer's :meth:`_edges` with ``phi``
+        and ``rows`` as dicts by order."""
+        phi, c, rows = self._edges(r, z.transpose(0, 2, 1), rows, stack, orders)
+        phi, rows = dict(zip(orders, phi)), dict(zip(orders, rows))
+        y = phi[0].sum(axis=1) if 0 in phi else None
         Ay = None if A is None else phi[1].transpose(0, 2, 3, 1) @ A
         Hy = None
         if H is not None:
             Hy = np.einsum("mjni,mnjk,mnjl->mnikl", phi[2], A, A) + np.einsum(
                 "mjni,mnjkl->mnikl", phi[1], H
             )
-        return y, Ay, Hy, edges
+        return y, Ay, Hy, (phi, c, rows)
 
     def forward(self, K):
         z, scalar = self._check_input(K)
         z, stack = z[None], self._stack()
         for r in range(self.n_layers):
-            z = self._layer(r, z, stack=stack)[0]
+            z = self._layer(r, z, stack=stack, orders=(0,))[0]
         out = z[0, :, 0]
         return float(out[0]) if scalar else out
 
@@ -281,11 +284,13 @@ class KANModel:
 
     # -- reverse accumulation ---------------------------------------------
 
-    def _forward_cache(self, Kb, rows0=None, stack=None):
+    def _forward_cache(self, Kb, rows0=None, stack=None, w_seeded=False):
         """Forward pass over every member of ``stack`` (default: this model
-        alone) at the shared inputs ``Kb``, storing everything the reverse
-        pass needs; ``rows0`` are layer 0's design rows at ``Kb``, if
-        computed."""
+        alone) at the shared inputs ``Kb``, storing what a reverse pass
+        needs; ``rows0`` are layer 0's order-(0, 1) design rows at ``Kb``, if
+        computed.  Layers build only the orders read: values (at the output
+        only if ``w_seeded``), slopes, and curvatures above layer 0, where
+        the reverse sweep stops."""
         stack = stack or self._stack()
         N, d0 = Kb.shape
         zs = [Kb[None]]
@@ -293,10 +298,12 @@ class KANModel:
         edges = []
         for r in range(self.n_layers):
             if r == 0:  # the inputs are K itself: the Jacobian is the identity
-                y, _, _, e = self._layer(0, zs[0], rows=rows0, stack=stack)
+                y, _, _, e = self._layer(0, zs[0], rows=rows0, stack=stack, orders=(0, 1))
                 Ay = e[0][1].transpose(0, 2, 3, 1)
             else:
-                y, Ay, _, e = self._layer(r, zs[-1], As[-1], stack=stack)
+                last = r == self.n_layers - 1 and not w_seeded
+                y, Ay, _, e = self._layer(r, zs[-1], As[-1], stack=stack,
+                                          orders=(1, 2) if last else (0, 1, 2))
             zs.append(y)
             As.append(Ay)
             edges.append(e)
@@ -308,33 +315,36 @@ class KANModel:
 
         The gradient-seeded path is what force-residual training needs, since
         the stress depends on the input gradient of the energy.  A forward
-        cache from :meth:`_forward_cache` on the same inputs may be passed in
-        to avoid recomputing the forward sweep.  For a cache over a stack of
-        ``M`` members, seeds of shape ``(M, N)`` and ``(M, N, d0)`` give one
+        cache from :meth:`_forward_cache` on the same inputs (built with
+        ``w_seeded`` if ``seed_w`` is given) may be passed in to avoid
+        recomputing the forward sweep.  For a cache over a stack of ``M``
+        members, seeds of shape ``(M, N)`` and ``(M, N, d0)`` give one
         gradient per member, ``(M, n_parameters)``.
         """
         Kb, _ = self._check_input(Kb)
         N, d0 = Kb.shape
         if cache is None:
-            cache = self._forward_cache(Kb)
+            cache = self._forward_cache(Kb, w_seeded=seed_w is not None)
         stack = cache["stack"]
         M, n = stack.size, self.n_coef
         stacked = np.ndim(seed_w) == 2 or np.ndim(seed_g) == 3
-        zbar = np.zeros((M, N, 1)) if seed_w is None else np.reshape(seed_w, (M, N, 1))
+        zbar = None if seed_w is None else np.reshape(seed_w, (M, N, 1))
         Abar = np.zeros((M, N, 1, d0)) if seed_g is None else np.reshape(seed_g, (M, N, 1, d0))
         grads = []
         for r in reversed(range(self.n_layers)):
             z, A = cache["z"][r], cache["A"][r]
-            phi, psi, rows = cache["edges"][r]
+            phi, c, rows = cache["edges"][r]
             p = stack.params[r]
-            # per column j: zbar and the seed on its slope, (M, n_in, N, n_out)
-            zb = zbar[:, None]
+            # per column j: zbar (None while 0) and its slope seed, (M, n_in, N, n_out)
+            zb = None if zbar is None else zbar[:, None]
             if r == 0:  # identity A: column j's slope seed is Abar[..., j]
                 m = Abar.transpose(0, 3, 1, 2)
             else:
                 m = (A @ Abar.swapaxes(-1, -2)).transpose(0, 2, 1, 3)
-            rows_t = rows.swapaxes(-1, -2)
-            cbar = (rows_t[0] @ zb + rows_t[1] @ m).transpose(0, 3, 1, 2)
+            cbar = rows[1].swapaxes(-1, -2) @ m
+            if zb is not None:
+                cbar += rows[0].swapaxes(-1, -2) @ zb
+            cbar = cbar.transpose(0, 3, 1, 2)  # like c: (M, n_out, n_in, n_coef)
             g = np.empty_like(p)
             if self.mode == CONSTRAINED:
                 w, dw = softplus(p[..., n]), sigmoid(p[..., n])
@@ -342,15 +352,16 @@ class KANModel:
             else:
                 w, dw = p[..., n], 1.0
                 g[..., :n] = w[..., None] * cbar
-            g[..., n] = dw * (np.sum(zb * psi[0], axis=2)
-                              + np.sum(m * psi[1], axis=2)).transpose(0, 2, 1)
+            g[..., n] = dw * np.einsum("mijb,mijb->mij", cbar, c)  # phi is linear in w
             if self.mode == VANILLA:
                 sv, sd, _ = (v[..., None] for v in _silu(z.transpose(0, 2, 1)))
-                g[..., n + 1] = (np.sum(sv * zb, axis=2)
-                                 + np.sum(sd * m, axis=2)).transpose(0, 2, 1)
+                gb = np.sum(sd * m, axis=2) + (0.0 if zb is None else np.sum(sv * zb, axis=2))
+                g[..., n + 1] = gb.transpose(0, 2, 1)
             grads.append(g)
-            zbar = np.sum(zb * phi[1] + m * phi[2], axis=3).transpose(0, 2, 1)
-            Abar = phi[1].transpose(0, 2, 1, 3) @ Abar
+            if r > 0:
+                zbar_j = m * phi[2] if zb is None else zb * phi[1] + m * phi[2]
+                zbar = np.sum(zbar_j, axis=3).transpose(0, 2, 1)
+                Abar = phi[1].transpose(0, 2, 1, 3) @ Abar
         G = np.concatenate([g.reshape(M, -1) for g in reversed(grads)], axis=1)
         return G if stacked else G[0]
 

@@ -119,7 +119,12 @@ def _r2(y: Array, resid_ss: float) -> float:
 
 def _fit_cd(F: Array, y: Array):
     """Least squares for (c, d) in c*F[k] + d ~ y with c >= 0 (active set),
-    for every row k of F at once: arrays c, d and residual sums, each (rows,)."""
+    for every row k of F at once: arrays c, d and residual sums, each (rows,).
+    Rows beyond 1e120 in magnitude, inf or nan, which would overflow the
+    normal equations, are zeroed in place and get an infinite residual."""
+    hi, lo = F.max(axis=1), F.min(axis=1)
+    bad = ~(np.maximum(hi, -lo) <= 1e120)
+    F[bad] = 0.0
     n = y.size
     sf, sy = F.sum(axis=1), y.sum()
     sff, sfy = np.einsum("kn,kn->k", F, F), F @ y
@@ -127,13 +132,15 @@ def _fit_cd(F: Array, y: Array):
     with np.errstate(divide="ignore", invalid="ignore"):
         c = (n * sfy - sf * sy) / det
     # a constant row has det = 0 up to rounding, which leaves c arbitrary
-    flat = (np.abs(det) < 1e-30) | np.all(F == F[:, :1], axis=1)
+    flat = (np.abs(det) < 1e-30) | bad | (hi == lo)
     c[flat | ~(np.isfinite(c) & (c >= 0.0))] = 0.0
     d = (sy - c * sf) / n
     r = F * c[:, None]
     r += d[:, None]
     r -= y
-    return c, d, np.einsum("kn,kn->k", r, r)
+    resid = np.einsum("kn,kn->k", r, r)
+    resid[bad | ~np.isfinite(resid)] = np.inf
+    return c, d, resid
 
 
 def _samples(phi, domain):
@@ -176,12 +183,7 @@ def _fit_samples(x: Array, y: Array, candidate: CandidateFunction) -> FittedActi
         with np.errstate(over="ignore", invalid="ignore"):
             F = candidate(a_grid[:, None, None] * x + b_grid[:, None])
         F = F.reshape(_GRID * _GRID, FIT_POINTS)  # row k is (a_grid[k // 21], b_grid[k % 21])
-        # huge-but-finite values would still overflow the normal equations;
-        # such fits are never competitive anyway
-        bad = ~(np.abs(F).max(axis=1) <= 1e120)  # also catches inf and nan
-        F[bad] = 0.0
         c, d, resid = _fit_cd(F, y)
-        resid[bad | ~np.isfinite(resid)] = np.inf
         k = int(np.argmin(resid))
         if resid[k] < best[0]:
             best = (float(resid[k]), float(a_grid[k // _GRID]), float(b_grid[k % _GRID]),
@@ -421,7 +423,7 @@ def distill(model: KANModel, lambda_sym: float = LAMBDA_SYM) -> SymbolicEnergy:
 
             def phi(x, r=r, i=i, j=j):
                 x = np.broadcast_to(x, (1, model.dims[r], np.size(x)))
-                return model._edges(r, x)[0][0, 0, j, :, i]
+                return model._edges(r, x, orders=(0,))[0][0, 0, j, :, i]
 
             try:
                 fits[(r, i, j)] = fit_activation(phi, model.knots[r][j].domain, lambda_sym)

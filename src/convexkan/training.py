@@ -59,6 +59,8 @@ class TrainConfig:
             raise ConfigurationError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.cycle_step <= 0:
             raise ConfigurationError(f"cycle_step must be positive, got {self.cycle_step}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.ensemble_size < 1:
             raise ConfigurationError(
                 f"ensemble_size must be >= 1, got {self.ensemble_size}"
@@ -215,14 +217,14 @@ class ElementStates:
         self._rows0_key = None
 
     def layer0_rows(self, model: KANModel | KANStack) -> Array:
-        """The layer-0 design rows at K of a model or stack, recomputed only
-        when its layer-0 knots change."""
+        """The layer-0 value and slope rows at K of a model or stack (what a
+        training sweep reads there), recomputed when its layer-0 knots change."""
         stack = _as_stack(model)[0]
         t0, k = stack.t[0], stack.arch.order
         key = (k, t0.shape, t0.tobytes())
         if key != self._rows0_key:
             self._rows0_key = key
-            self._rows0 = design_rows(self.K.T[None], t0, k)
+            self._rows0 = design_rows(self.K.T[None], t0, k, (0, 1))
         return self._rows0
 
 

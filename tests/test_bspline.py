@@ -10,6 +10,7 @@ from convexkan.bspline import (
     BSplineCurve,
     ConvexSpline,
     KnotVector,
+    design_rows,
     eval_basis,
     eval_basis_derivatives,
     reparameterize,
@@ -226,6 +227,43 @@ class TestLocalKernel:
             assert got.shape == (17,)
             npt.assert_allclose(got, want[0], rtol=0, atol=1e-14 * np.abs(want).max())
         assert eval_basis_derivatives(3.7, kv, 2).shape == (17,)
+
+
+class TestRequestedOrders:
+    """``design_rows(x, t, k, orders)`` is the matching slices of the full
+    call, bit for bit, inside, past and exactly at the natural domain's ends,
+    on shared and on per-member knots."""
+
+    @staticmethod
+    def points_and_knots(per_member):
+        rng = np.random.default_rng(3)
+        lo = np.array([[-5.0], [0.25], [-0.003]])
+        width = np.array([[30.0], [0.5], [0.0123]])
+        t = KnotVector.from_domain(0.0, 1.0, 17, 5).t
+        t = (lo + width * t)[None]  # (1, n_in, m_b)
+        if per_member:
+            t = t * np.array([1.0, 1.5])[:, None, None]  # (2, n_in, m_b)
+        dom_lo, dom_hi = t[..., 5:6], t[..., -6:-5]
+        span = dom_hi - dom_lo
+        x = dom_lo + span * rng.uniform(-0.5, 1.5, size=(t.shape[0], 3, 40))
+        x[..., :3] = np.concatenate((dom_lo, dom_hi, t[..., 8:9]), axis=-1)
+        return x, t
+
+    @pytest.mark.parametrize("per_member", [False, True], ids=["shared", "per-member"])
+    @pytest.mark.parametrize("orders", [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
+    def test_orders_are_bitwise_slices_of_full_call(self, orders, per_member):
+        x, t = self.points_and_knots(per_member)
+        full = design_rows(x, t, 5)
+        got = design_rows(x, t, 5, orders)
+        assert got.shape == (len(orders),) + full.shape[1:]
+        npt.assert_array_equal(got.view(np.int64), full[list(orders)].view(np.int64))
+
+    def test_shared_points_on_per_member_knots(self):
+        x, t = self.points_and_knots(True)
+        full = design_rows(x[:1], t, 5)
+        assert full.shape[1] == 2
+        npt.assert_array_equal(design_rows(x[:1], t, 5, (0,))[0].view(np.int64),
+                               full[0].view(np.int64))
 
 
 class TestReparameterize:

@@ -221,6 +221,19 @@ class TestGenerate:
                      "--out", str(out)]) == 2
         assert not calls and not out.exists()
 
+    def test_negative_seed_exits_2_before_solving(self, tmp_path, monkeypatch, mesh_file):
+        calls, real_newton = [], fem._newton
+
+        def newton(*args):
+            calls.append(1)
+            return real_newton(*args)
+
+        monkeypatch.setattr(fem, "_newton", newton)
+        out = tmp_path / "x.txt"
+        assert main(["generate", "--model", "NH", "--seed", "-1", "--noise", "1e-3",
+                     "--mesh", mesh_file, "--out", str(out)]) == 2
+        assert not calls and not out.exists()
+
 
 class TestTrain:
     def test_writes_loadable_checkpoint(self, checkpoint_file):
@@ -282,6 +295,19 @@ class TestTrain:
             ["train", "--dataset", dataset_file, "--config", str(config),
              "--out", str(tmp_path / "m.ckpt")]
         ) == 2
+
+    def test_negative_seed_exits_2(self, tmp_path, dataset_file):
+        out = tmp_path / "m.ckpt"
+        assert main(
+            ["train", "--dataset", dataset_file, "--epochs", "1", "--ensemble", "1",
+             "--seed", "-1", "--out", str(out)]
+        ) == 2
+        config = tmp_path / "seed.cfg"
+        config.write_text("epochs=1\nensemble_size=1\nseed=-1\n")
+        assert main(
+            ["train", "--dataset", dataset_file, "--config", str(config), "--out", str(out)]
+        ) == 2
+        assert not out.exists()
 
     def test_missing_dataset_exits_2(self, tmp_path):
         assert main(

@@ -209,6 +209,52 @@ class TestArrayFitAgainstScalarReference:
         npt.assert_allclose(resid[0], np.sum((y - y.mean()) ** 2), rtol=1e-12)
         assert c[1] > 0.0  # the constant row does not disturb its neighbours
 
+    @staticmethod
+    def screened_fit_by_two_passes(F, y):
+        """The screening as two passes of their own: the overflow screen over
+        |F| and the constant-row test over F == F[:, :1], each building an
+        (rows, points) temporary, around the same normal equations."""
+        F = F.copy()
+        bad = ~(np.abs(F).max(axis=1) <= 1e120)
+        F[bad] = 0.0
+        n = y.size
+        sf, sy = F.sum(axis=1), y.sum()
+        sff, sfy = np.einsum("kn,kn->k", F, F), F @ y
+        det = n * sff - sf * sf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = (n * sfy - sf * sy) / det
+        flat = (np.abs(det) < 1e-30) | np.all(F == F[:, :1], axis=1)
+        c[flat | ~(np.isfinite(c) & (c >= 0.0))] = 0.0
+        d = (sy - c * sf) / n
+        r = F * c[:, None] + d[:, None] - y
+        resid = np.einsum("kn,kn->k", r, r)
+        resid[bad | ~np.isfinite(resid)] = np.inf
+        return c, d, resid
+
+    def test_screened_rows_match_two_pass_screening(self):
+        y = np.linspace(-1.0, 2.0, FIT_POINTS) ** 2
+        ramp = np.linspace(0.0, 1.0, FIT_POINTS)
+        rows = {
+            "constant": np.full(FIT_POINTS, 1.3),
+            "zeros of both signs": np.where(ramp < 0.5, 0.0, -0.0),
+            "nan": np.where(ramp < 0.5, ramp, np.nan),
+            "+inf": np.where(ramp < 0.5, ramp, np.inf),
+            "-inf": np.where(ramp < 0.5, ramp, -np.inf),
+            "above 1e120": np.where(ramp < 0.5, ramp, 1e121),
+            "below -1e120": np.where(ramp < 0.5, ramp, -1e121),
+            "at 1e120": 1e120 * ramp,
+            "ramp": ramp,
+            "negative slope": -ramp,
+        }
+        F = np.array(list(rows.values()))
+        got, want = _fit_cd(F.copy(), y), self.screened_fit_by_two_passes(F, y)
+        for name, g, w in zip(("c", "d", "resid"), got, want):
+            npt.assert_array_equal(g, w, err_msg=name)
+        resid = dict(zip(rows, got[2]))
+        for name in ("nan", "+inf", "-inf", "above 1e120", "below -1e120"):
+            assert resid[name] == np.inf, name
+        assert np.isfinite(resid["at 1e120"]) and got[0][0] == got[0][1] == 0.0
+
 
 class TestSelection:
     def make(self, name, r2):

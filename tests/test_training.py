@@ -1,10 +1,13 @@
 """Training loop: loss hand-evaluations, loss gradient vs finite differences,
 learning-rate schedule, Adam behavior, ensembling, determinism."""
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from convexkan import cli, training
+from convexkan import cli, network, training
 from convexkan.errors import ConfigurationError, TrainingError
 from convexkan.fem import (
     Mesh,
@@ -50,6 +53,16 @@ class TestConfig:
         assert c.epochs == 1000 and c.base_lr == 0.001 and c.max_lr == 0.1
         assert c.cycle_step == 50 and c.ensemble_size == 10
         assert c.curvature_penalty == 1e-2
+
+    def test_negative_seed_rejected(self, tmp_path):
+        # numpy's generators take only non-negative seeds
+        with pytest.raises(ConfigurationError, match="seed"):
+            TrainConfig(seed=-1)
+        path = tmp_path / "train.cfg"
+        path.write_text("seed=-1\n")
+        with pytest.raises(ConfigurationError, match="seed"):
+            TrainConfig.load(path)
+        assert TrainConfig(seed=0).seed == 0
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -203,6 +216,114 @@ class TestLayer0RowCache:
         assert abs(want[0] - before[0]) > 1e-3 * abs(want[0])
         # and the original knots get their own rows back
         npt.assert_array_equal(loss_and_grad(net, states)[1], before[1])
+
+
+DATA = Path(__file__).parent / "data"
+_spec = importlib.util.spec_from_file_location(
+    "make_loss_grad_reference", DATA / "make_loss_grad_reference.py")
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
+
+
+def assert_close_to_largest(got, want, tol, name):
+    npt.assert_allclose(got, want, rtol=0, atol=tol * np.abs(want).max(), err_msg=name)
+
+
+class TestAgainstLossGradReference:
+    """``loss_grad_reference_v1.npz`` (see ``make_loss_grad_reference.py``)
+    was written by the sweep that built every derivative order at every
+    layer and scaled each spline by ``softplus(w_s)`` after its product; the
+    sweep may move by rounding only."""
+
+    REF = np.load(DATA / "loss_grad_reference_v1.npz")
+    CASES = [(mode, dims) for mode in reference.MODES for dims in reference.ARCHS]
+
+    @staticmethod
+    def tag(mode, dims):
+        return f"{mode}_{''.join(map(str, dims))}"
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        return reference.states_from(*(self.REF[k] for k in (
+            "nodes", "triangles", "deltas", "displacements", "reactions")))
+
+    @pytest.mark.parametrize("M", reference.SIZES)
+    @pytest.mark.parametrize("mode, dims", CASES, ids=lambda v: "".join(map(str, v)))
+    def test_loss_and_gradient(self, states, mode, dims, M):
+        models = [reference.reference_model(mode, dims, s, states.K) for s in range(M)]
+        if M == 1:  # a model on its own is the stack of one
+            value, grad = loss_and_grad(models[0], states)
+            value, grad = np.array([value]), grad[None]
+        else:
+            value, grad = loss_and_grad(KANStack.of(models), states)
+        key = f"{self.tag(mode, dims)}_M{M}"
+        npt.assert_allclose(value, self.REF[key + "_loss"], rtol=1e-12)
+        for got, want in zip(grad, self.REF[key + "_grad"]):
+            assert_close_to_largest(got, want, 1e-12, "gradient")
+
+    @pytest.mark.parametrize("mode, dims", CASES, ids=lambda v: "".join(map(str, v)))
+    def test_forward_derivatives_and_seeded_gradient(self, mode, dims):
+        ref, tag = self.REF, self.tag(mode, dims)
+        model = reference.reference_model(mode, dims, 0)
+        K = ref["K_fixed"]
+        W, G, H = model.forward_with_input_derivatives(K)
+        # vanilla layer-1 and layer-2 domains from grid_initialize are about
+        # 0.01 wide, so their inputs lie hundreds of widths past them and each
+        # slope is a sum of terms far larger than itself: there rounding moves
+        # the input gradient by up to 5e-13 of its largest entry
+        g_tol = 1e-13 if mode == CONSTRAINED else 1e-12
+        assert_close_to_largest(model.forward(K), ref[tag + "_forward"], 1e-13, "forward")
+        assert_close_to_largest(W, ref[tag + "_W"], 1e-13, "W")
+        assert_close_to_largest(G, ref[tag + "_G"], g_tol, "grad W")
+        assert_close_to_largest(H, ref[tag + "_H"], 1e-12, "hess W")
+        got = model.backward_batch(K, seed_w=ref["seed_w"], seed_g=ref["seed_g"])
+        assert_close_to_largest(got, ref[tag + "_seeded"], 1e-12, "seeded gradient")
+
+
+class TestRequestedOrders:
+    """Each layer builds design rows only for the derivative orders its
+    consumers read."""
+
+    @staticmethod
+    def record(monkeypatch, model):
+        """Patch design_rows to log (layer, orders) per call on ``model``'s
+        knots."""
+        calls, real = [], training.design_rows
+
+        def logged(x, t, k, orders=(0, 1, 2)):
+            layer = next(r for r in range(model.n_layers)
+                         if np.array_equal(t[0], model._knot_array(r)))
+            calls.append((layer, tuple(orders)))
+            return real(x, t, k, orders)
+
+        monkeypatch.setattr(network, "design_rows", logged)
+        monkeypatch.setattr(training, "design_rows", logged)
+        return calls
+
+    @pytest.mark.parametrize("dims", [(3, 2, 1), (3, 3, 2, 1)], ids=["321", "3321"])
+    @pytest.mark.parametrize("mode", [CONSTRAINED, VANILLA])
+    def test_loss_and_grad_orders(self, monkeypatch, mode, dims):
+        model = KANModel.create(dims=dims, mode=mode, rng=2).grid_initialize()
+        calls = self.record(monkeypatch, model)
+        loss_and_grad(model, ElementStates(two_element_dataset(n_t=2)))
+        last = len(dims) - 2
+        want = [(0, (0, 1))] + [(r, (0, 1, 2)) for r in range(1, last)] + [(last, (1, 2))]
+        assert calls == want
+
+    def test_value_seed_adds_output_values(self, monkeypatch):
+        model = KANModel.create(rng=2).grid_initialize()
+        calls = self.record(monkeypatch, model)
+        model.backward_batch(np.array([[1.0, 2.0, 3.0]]), seed_w=np.ones(1))
+        assert calls == [(0, (0, 1)), (1, (0, 1, 2))]
+
+    def test_forward_orders(self, monkeypatch):
+        model = KANModel.create(dims=(3, 3, 2, 1), rng=2).grid_initialize()
+        calls = self.record(monkeypatch, model)
+        model.forward(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+        assert calls == [(0, (0,)), (1, (0,)), (2, (0,))]
+        calls.clear()
+        model.forward_with_input_derivatives(np.array([1.0, 2.0, 3.0]))
+        assert calls == [(0, (0, 1, 2)), (1, (0, 1, 2)), (2, (0, 1, 2))]
 
 
 class TestCurvaturePrior:
