@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import dataclass
 
@@ -407,10 +408,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_output_dirs(args):
+    """Raise before any work when the directory of an output is missing.
+    Every command writes to ``--out`` (simulate: a path prefix) and next to
+    it; train also writes to ``--log-prefix``."""
+    for path in (args.out, getattr(args, "log_prefix", None)):
+        folder = os.path.dirname(path or "") or "."
+        if not os.path.isdir(folder):
+            raise ConfigurationError(f"output directory {folder} does not exist (for {path})")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_dirs(args)
         return args.func(args)
     except (ConfigurationError, DataError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

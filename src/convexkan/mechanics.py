@@ -70,13 +70,17 @@ def _determinants(F3: Array, single: bool, n_el: int | None = None) -> Array:
 
 
 class DeformationState:
-    """Invariants and ansatz inputs of one deformation gradient, or of a
-    stack of them, with their first and second derivatives with respect to F.
+    """Invariants and ansatz inputs K of one deformation gradient, or of a
+    stack of them, and the chain rule from an energy's K-derivatives to its
+    stress and tangent.
 
-    Derivatives go through the base invariants (I1, I2, J), indexed
-    a = 0, 1, 2: ``dI[..., a, i, j]`` is dI_a/dF_ij, and ``dK_dI[..., m, a]``
-    and ``d2K_dI[..., m, a, b]`` are the partials of K_m with respect to them.
-    Second F-derivatives are built only when asked for.
+    The chain runs through the base invariants (I1, I2, J) in closed form
+    (Bonet, Gil & Ortigosa 2015): dI1/dF = 2F, dI2/dF = 2(I1 F - F C) and
+    dJ/dF = cof F, whose rows are cross products of F's rows.  The second
+    derivatives on the input's d x d block are d2I1 = 2 dd,
+    d2I2 = 4 F(x)F + 2 I1 dd - 2 (d(x)C + F.F + B(x)d) and
+    d2J = (cof(x)cof - cof.cof) / J, where dd_ijkl = d_ik d_jl, the dotted
+    products pair indices (il)(kj) and B = F F^T.
     """
 
     def __init__(self, F3: Array, in_plane: bool, single: bool):
@@ -84,15 +88,11 @@ class DeformationState:
         C = np.swapaxes(F3, -1, -2) @ F3
         I1 = np.trace(C, axis1=-2, axis2=-1)
         I2 = 0.5 * (I1 * I1 - np.einsum("nij,nji->n", C, C))
-        FinvT = np.swapaxes(np.linalg.inv(F3), -1, -2)
         I1_tilde = I1 * J ** (-2.0 / 3.0)
         I2_star = (I2 * J ** (-4.0 / 3.0)) ** 1.5  # equals I2^{3/2} / J^2
 
-        dI = np.stack(
-            [2.0 * F3, 2.0 * (I1[:, None, None] * F3 - F3 @ C), J[:, None, None] * FinvT],
-            axis=1,
-        )
-        # K1 = I1 J^{-2/3} - 3, K2 = I2^{3/2} J^{-2} - 3 sqrt(3), K3 = (J - 1)^2
+        # K1 = I1 J^{-2/3} - 3, K2 = I2^{3/2} J^{-2} - 3 sqrt(3), K3 = (J - 1)^2;
+        # dK[:, m, a] and d2K[:, m, a, b] are their partials in (I1, I2, J)
         sI2 = np.sqrt(I2)
         dK = np.zeros(J.shape + (3, 3))
         dK[:, 0, 0] = J ** (-2.0 / 3.0)
@@ -110,9 +110,9 @@ class DeformationState:
         K = np.stack([I1_tilde - 3.0, I2_star - 3.0 * SQRT3, (J - 1.0) ** 2], axis=-1)
 
         self.single = single
-        self.in_plane = in_plane
-        self.F = _unbatch(F3, single)
-        self.C = _unbatch(C, single)
+        self.dim = 2 if in_plane else 3  # size of the stress block returned
+        self._F, self._C, self._I1, self._J = F3, C, I1, J
+        self._dK, self._d2K = dK, d2K
         self.I1 = _unbatch(I1, single)
         self.I2 = _unbatch(I2, single)
         self.I3 = _unbatch(J * J, single)
@@ -120,70 +120,66 @@ class DeformationState:
         self.I1_tilde = _unbatch(I1_tilde, single)
         self.I2_star = _unbatch(I2_star, single)
         self.K = _unbatch(K, single)  # (..., 3)
-        self.dI = _unbatch(dI, single)  # (..., 3, 3, 3)
-        self.dK_dI = _unbatch(dK, single)  # (..., 3, 3)
-        self.d2K_dI = _unbatch(d2K, single)  # (..., 3, 3, 3)
-        self._FinvT = _unbatch(FinvT, single)
 
-    @property
-    def dim(self) -> int:
-        """Size of the stress block returned for this input: 2 or 3."""
-        return 2 if self.in_plane else 3
+    @cached_property
+    def _dI(self) -> Array:
+        """dI_a/dF_ij for (I1, I2, J), shape (N, 3, 3, 3)."""
+        F = self._F
+        cof = np.cross(F[:, [1, 2, 0]], F[:, [2, 0, 1]])
+        return np.stack([2.0 * F, 2.0 * (self._I1[:, None, None] * F - F @ self._C), cof], axis=1)
 
-    def d2I(self, dim: int = 3) -> Array:
-        """Second F-derivatives of (I1, I2, J) on the leading dim x dim block
-        of F, shape (..., 3, dim, dim, dim, dim)."""
-        s = slice(0, dim)
-        F, C, G = self.F[..., s, s], self.C[..., s, s], self._FinvT[..., s, s]
-        B = (self.F @ np.swapaxes(self.F, -1, -2))[..., s, s]
-        eye = np.eye(dim)
-        delta4 = np.einsum("ik,jl->ijkl", eye, eye)
-        I1 = np.asarray(self.I1)[..., None, None, None, None]
-        J = np.asarray(self.J)[..., None, None, None, None]
-        d2I1 = np.broadcast_to(2.0 * delta4, np.shape(self.J) + delta4.shape)
-        d2I2 = (
-            4.0 * np.einsum("...kl,...ij->...ijkl", F, F)
-            + 2.0 * I1 * delta4
-            - 2.0
-            * (
-                np.einsum("ik,...lj->...ijkl", eye, C)
-                + np.einsum("...il,...kj->...ijkl", F, F)
-                + np.einsum("...ik,jl->...ijkl", B, eye)
-            )
-        )
-        d2J = J * (
-            np.einsum("...ij,...kl->...ijkl", G, G) - np.einsum("...il,...kj->...ijkl", G, G)
-        )
-        return np.stack([d2I1, d2I2, d2J], axis=-5)
+    def _chain(self, p: Array, S: Array, d: int) -> Array:
+        """Second F-derivative, on the leading d x d block, of a function
+        with first (N, 3) and second (N, 3, 3) partials p, S in (I1, I2, J):
+        sum_a p_a d2I_a + sum_ab S_ab dI_a (x) dI_b, shape (N, d, d, d, d)."""
+        n, s = len(p), slice(0, d)
+        F, C, G = self._F[:, s, s], self._C[:, s, s], self._dI[:, 2, s, s]
+        Ft, Gt = np.swapaxes(F, -1, -2), np.swapaxes(G, -1, -2)
+        B = F @ Ft  # F3 is block diagonal for in-plane input
+        dI = self._dI[:, :, s, s].reshape(n, 3, d * d)
+        T = (np.swapaxes(dI, -1, -2) @ S @ dI).reshape(n, d, d, d, d)
+        p0, p1, p2 = (p[:, a, None, None] for a in range(3))
+        c0 = 2.0 * (p0 + p1 * self._I1[:, None, None])
+        c1, c2 = 2.0 * p1, p2 / self._J[:, None, None]
+        eye = np.eye(d)  # the terms of p . d2I in the class docstring's order
+        T += c0[:, :, :, None, None] * (eye[:, None, :, None] * eye[None, :, None, :])
+        T += (2.0 * c1 * F)[:, :, :, None, None] * F[:, None, None]
+        T -= eye[:, None, :, None] * (c1 * C)[:, None, :, None, :]  # C_lj = C_jl
+        T -= (c1 * F)[:, :, None, None, :] * Ft[:, None, :, :, None]
+        T -= (c1 * B)[:, :, None, :, None] * eye[None, :, None, :]
+        T += (c2 * G)[:, :, :, None, None] * G[:, None, None]
+        T -= (c2 * G)[:, :, None, None, :] * Gt[:, None, :, :, None]
+        return T
 
     @cached_property
     def dK_dF(self) -> Array:
         """dK_m / dF_ij, shape (..., 3, 3, 3)."""
-        return np.einsum("...ma,...aij->...mij", self.dK_dI, self.dI)
+        n = len(self._J)
+        return _unbatch((self._dK @ self._dI.reshape(n, 3, 9)).reshape(n, 3, 3, 3), self.single)
 
     @cached_property
     def d2K_dFdF(self) -> Array:
         """d2K_m / dF_ij dF_kl, shape (..., 3, 3, 3, 3, 3)."""
-        return np.einsum("...ma,...aijkl->...mijkl", self.dK_dI, self.d2I()) + np.einsum(
-            "...aij,...mab,...bkl->...mijkl", self.dI, self.d2K_dI, self.dI
-        )
+        T = [self._chain(self._dK[:, m], self._d2K[:, m], 3) for m in range(3)]
+        return _unbatch(np.stack(T, axis=1), self.single)
 
-    def stress_from(self, first: Array) -> Array:
-        """P = sum_a dW/dI_a dI_a/dF on the input's block, given the partials
-        ``first`` (..., 3) of an energy W with respect to (I1, I2, J)."""
-        d = self.dim
-        return np.einsum("...a,...aij->...ij", first, self.dI[..., :d, :d])
+    def _first(self, g) -> Array:
+        """dW/d(I1, I2, J), (N, 3), from dW/dK."""
+        return (np.reshape(g, (-1, 1, 3)) @ self._dK)[:, 0]
 
-    def tangent_from(self, first: Array, second: Array) -> Array:
-        """dP/dF on the input's block from the first (..., 3) and second
-        (..., 3, 3) partials of W with respect to (I1, I2, J)."""
-        d = self.dim
-        lead = np.shape(self.J)
-        dI = self.dI[..., :d, :d].reshape(lead + (3, d * d))
-        d2I = self.d2I(d).reshape(lead + (3, d**4))
-        T = (first[..., None, :] @ d2I).reshape(lead + (d * d, d * d))
-        T += np.swapaxes(dI, -1, -2) @ second @ dI
-        return T.reshape(lead + (d, d, d, d))
+    def stress(self, g) -> Array:
+        """P = dW/dF on the input's block, given dW/dK (..., 3)."""
+        n, d = len(self._J), self.dim
+        dI = self._dI[:, :, :d, :d].reshape(n, 3, d * d)
+        return _unbatch((self._first(g)[:, None] @ dI).reshape(n, d, d), self.single)
+
+    def tangent(self, g, H) -> Array:
+        """dP/dF on the input's block, given dW/dK (..., 3) and
+        d2W/dK dK (..., 3, 3)."""
+        n, dK = len(self._J), self._dK
+        S = np.swapaxes(dK, -1, -2) @ np.reshape(H, (n, 3, 3)) @ dK
+        S += (np.reshape(g, (n, 1, 3)) @ self._d2K.reshape(n, 3, 9)).reshape(n, 3, 3)
+        return _unbatch(self._chain(self._first(g), S, self.dim), self.single)
 
 
 def compute_state(F) -> DeformationState:
@@ -200,31 +196,40 @@ class MaterialModel:
     dP/dF, for one F or a stack.  2x2 inputs yield in-plane 2x2 / 2x2x2x2
     outputs.
 
-    Subclasses either give the energy's partials with respect to the base
-    invariants (I1, I2, J) through :meth:`_partials`, and stress and tangent
-    follow by the chain rule (:class:`KEnergyModel` does, from W(K)), or
-    override all three methods.
+    A material states its energy as a function of the ansatz inputs K
+    through :meth:`k_value_grad_hess`, and :class:`DeformationState` turns
+    the K-derivatives into stress and tangent.  Ogden overrides all three
+    methods instead.
     """
 
     kind = "?"
+    subtract_reference_energy = True
+    _w0 = None
 
-    def _partials(self, state: DeformationState, order: int):
-        """(W, dW/dI (..., 3), d2W/dI dI (..., 3, 3)); entries above
-        ``order`` may be None."""
+    def k_value_grad_hess(self, K: Array):
+        """(W, dW/dK, d2W/dK dK) at one K (3,) or a stack (N, 3)."""
         raise NotImplementedError
 
+    def reference_energy(self) -> float:
+        """Value at K = 0, subtracted so W(I) = 0.  The energy is treated as
+        frozen, so the value is computed once per material."""
+        if self._w0 is None:
+            self._w0 = float(self.k_value_grad_hess(np.zeros(3))[0])
+        return self._w0
+
     def energy(self, F):
-        w = self._partials(compute_state(F), 0)[0]
+        w = self.k_value_grad_hess(compute_state(F).K)[0]
+        if self.subtract_reference_energy:
+            w = w - self.reference_energy()
         return float(w) if np.ndim(w) == 0 else w
 
     def stress(self, F) -> Array:
         state = compute_state(F)
-        return state.stress_from(self._partials(state, 1)[1])
+        return state.stress(self.k_value_grad_hess(state.K)[1])
 
     def tangent(self, F) -> Array:
         state = compute_state(F)
-        _, first, second = self._partials(state, 2)
-        return state.tangent_from(first, second)
+        return state.tangent(*self.k_value_grad_hess(state.K)[1:])
 
 
 class Ogden(MaterialModel):
@@ -294,43 +299,7 @@ class Ogden(MaterialModel):
         return _unbatch(T.transpose(2, 3, 4, 0, 1), single)
 
 
-class KEnergyModel(MaterialModel):
-    """Material whose energy is a smooth function of the ansatz inputs K.
-
-    Subclasses supply value/gradient/Hessian with respect to K, for one K
-    (3,) or a stack (N, 3); stress and tangent follow from the chain rule
-    through the invariant derivatives.
-    """
-
-    subtract_reference_energy = True
-    _w0 = None
-
-    def k_value_grad_hess(self, K: Array):
-        raise NotImplementedError
-
-    def reference_energy(self) -> float:
-        """Value at K = 0, subtracted so W(I) = 0.  The energy is treated as
-        frozen, so the value is computed once per material."""
-        if self._w0 is None:
-            self._w0 = float(self.k_value_grad_hess(np.zeros(3))[0])
-        return self._w0
-
-    def _partials(self, state, order):
-        w, g, H = self.k_value_grad_hess(state.K)
-        if self.subtract_reference_energy:
-            w = w - self.reference_energy()
-        if order == 0:
-            return w, None, None
-        first = np.einsum("...m,...ma->...a", g, state.dK_dI)
-        if order == 1:
-            return w, first, None
-        second = np.einsum(
-            "...ma,...mn,...nb->...ab", state.dK_dI, H, state.dK_dI
-        ) + np.einsum("...m,...mab->...ab", g, state.d2K_dI)
-        return w, first, second
-
-
-class NetworkMaterial(KEnergyModel):
+class NetworkMaterial(MaterialModel):
     """Strain energy given by a trained spline network plus the constant
     correction that zeroes the energy at the undeformed state."""
 
@@ -350,7 +319,7 @@ def _i2t(K2):
     return t * t - 3.0, (2.0 / 3.0) / t, -(2.0 / 9.0) / (t * s)
 
 
-class ClosedFormMaterial(KEnergyModel):
+class ClosedFormMaterial(MaterialModel):
     """Closed-form benchmark energy W = w(K1, K2) + 3/2 K3.
 
     Each subclass writes its isochoric part w in the ansatz inputs, through

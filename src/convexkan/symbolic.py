@@ -15,7 +15,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .errors import ConfigurationError, DataError, EvaluationError
-from .mechanics import KEnergyModel
+from .mechanics import MaterialModel
 from .network import CONSTRAINED, GRID_INIT_RANGE, KANModel, softplus
 
 Array = npt.NDArray[np.float64]
@@ -121,7 +121,9 @@ def _fit_cd(F: Array, y: Array):
     """Least squares for (c, d) in c*F[k] + d ~ y with c >= 0 (active set),
     for every row k of F at once: arrays c, d and residual sums, each (rows,).
     Rows beyond 1e120 in magnitude, inf or nan, which would overflow the
-    normal equations, are zeroed in place and get an infinite residual."""
+    normal equations, are zeroed in place and get an infinite residual.  A
+    target constant up to rounding (spread within 8 ulp of its magnitude)
+    is fitted as a constant, c = 0, so no slope is read into its noise."""
     hi, lo = F.max(axis=1), F.min(axis=1)
     bad = ~(np.maximum(hi, -lo) <= 1e120)
     F[bad] = 0.0
@@ -133,6 +135,7 @@ def _fit_cd(F: Array, y: Array):
         c = (n * sfy - sf * sy) / det
     # a constant row has det = 0 up to rounding, which leaves c arbitrary
     flat = (np.abs(det) < 1e-30) | bad | (hi == lo)
+    flat |= np.ptp(y) <= 8.0 * np.finfo(float).eps * np.abs(y).max()
     c[flat | ~(np.isfinite(c) & (c >= 0.0))] = 0.0
     d = (sy - c * sf) / n
     r = F * c[:, None]
@@ -448,7 +451,7 @@ def distill(model: KANModel, lambda_sym: float = LAMBDA_SYM) -> SymbolicEnergy:
     return energy
 
 
-class SymbolicMaterial(KEnergyModel):
+class SymbolicMaterial(MaterialModel):
     """Material model backed by a distilled closed-form energy.
 
     By default the constant offset is kept as distilled (the expression need

@@ -11,6 +11,7 @@ import numpy.testing as npt
 import pytest
 
 import convexkan
+import convexkan.cli as cli
 import convexkan.fem as fem
 from convexkan.cli import (
     EvaluationPath,
@@ -463,3 +464,41 @@ class TestSimulate:
             ["simulate", "--model", "NH", "--mesh", mesh_file,
              "--out", str(tmp_path / "s")]
         ) == 2
+
+
+class TestOutputPaths:
+    """An output into a missing directory exits 2 before the command's work."""
+
+    CASES = {
+        "generate": ("generate_dataset", ["generate", "--model", "NH", "--mesh", "{mesh}",
+                                          "--out", "{missing}/x.txt"]),
+        "train": ("train_ensemble", ["train", "--dataset", "{dataset}",
+                                     "--out", "{missing}/m.ckpt"]),
+        "train-log": ("train_ensemble", ["train", "--dataset", "{dataset}", "--out",
+                                         "{tmp}/m.ckpt", "--log-prefix", "{missing}/log"]),
+        "evaluate": ("evaluation_paths", ["evaluate", "--model", "NH", "--symbolic", "{sym}",
+                                          "--out", "{missing}/e.csv"]),
+        "distill": ("distill", ["distill", "--checkpoint", "{ckpt}",
+                                "--out", "{missing}/e.sym"]),
+        "simulate": ("solve", ["simulate", "--model", "NH", "--symbolic", "{sym}",
+                               "--mesh", "{mesh}", "--steps", "1", "--out", "{missing}/s"]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_missing_directory_exits_2_before_work(self, tmp_path, monkeypatch, mesh_file,
+                                                   dataset_file, case):
+        sym = tmp_path / "nh.sym"
+        sym.write_text("convexkan-symbolic v1\nenergy affine 0 0.5 0 1.5\n")
+        ckpt = tmp_path / "m0.ckpt"
+        KANModel.create(rng=0).save(ckpt)
+        heavy, argv = self.CASES[case]
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{heavy} reached")
+
+        monkeypatch.setattr(cli, heavy, unreachable)
+        before = sorted(tmp_path.iterdir())
+        names = dict(mesh=mesh_file, dataset=dataset_file, sym=sym, ckpt=ckpt, tmp=tmp_path,
+                     missing=tmp_path / "missing")
+        assert main([a.format(**names) for a in argv]) == 2
+        assert sorted(tmp_path.iterdir()) == before

@@ -1,5 +1,6 @@
 """Mechanics layer: invariants and F-derivatives, benchmark materials,
 objectivity, network-backed energy."""
+import importlib.util
 import math
 from pathlib import Path
 
@@ -364,3 +365,56 @@ class TestBatchedEquivalence:
             compute_state(np.eye(4))
         with pytest.raises(ConfigurationError):
             NeoHookean().stress(np.ones((2, 3, 2)))
+
+
+_spec = importlib.util.spec_from_file_location(
+    "make_mechanics_reference", DATA / "make_mechanics_reference.py")
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
+
+
+class TestAgainstMechanicsReference:
+    """``mechanics_reference_v1.npz`` (see ``make_mechanics_reference.py``)
+    was written by the kinematics that chained (I1, I2, J)-partials through
+    an F^{-T} from ``np.linalg.inv``.  K, the invariants, every energy and
+    every Ogden output are bit-identical; the F-derivatives, stresses and
+    tangents may move by rounding only."""
+
+    REF = np.load(DATA / "mechanics_reference_v1.npz")
+
+    @pytest.fixture(scope="class")
+    def materials(self):
+        return reference.materials()
+
+    @pytest.mark.parametrize("dim", reference.DIMS)
+    def test_state(self, dim):
+        st = compute_state(self.REF[f"F{dim}"])
+        for name in ("K",) + reference.INVARIANTS:
+            npt.assert_array_equal(getattr(st, name), self.REF[f"{dim}_{name}"], err_msg=name)
+        for name in ("dK_dF", "d2K_dFdF"):
+            assert_close_to(getattr(st, name), self.REF[f"{dim}_{name}"], rtol=1e-13)
+
+    @pytest.mark.parametrize("dim", reference.DIMS)
+    @pytest.mark.parametrize("kind", reference.MATERIALS)
+    def test_material(self, materials, kind, dim):
+        model, F = materials[kind], self.REF[f"F{dim}"]
+        want = {q: self.REF[f"{dim}_{kind}_{q}"] for q in "WPT"}
+        npt.assert_array_equal(model.energy(F), want["W"])
+        for q, got in (("P", model.stress(F)), ("T", model.tangent(F))):
+            if kind == "OG":
+                npt.assert_array_equal(got, want[q], err_msg=q)
+            else:
+                assert_close_to(got, want[q], rtol=1e-13)
+
+    def test_no_matrix_inverse(self, materials, monkeypatch):
+        def inv(_):
+            raise AssertionError("np.linalg.inv called")
+
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        for dim in reference.DIMS:
+            F = self.REF[f"F{dim}"]
+            st = compute_state(F)
+            assert np.isfinite(st.dK_dF).all() and np.isfinite(st.d2K_dFdF).all()
+            for model in materials.values():
+                model.stress(F)
+                model.tangent(F)
