@@ -40,7 +40,13 @@ from .mechanics import (
     compute_state,
 )
 from .network import CONSTRAINED, VANILLA, KANModel
-from .symbolic import LAMBDA_SYM, SymbolicEnergy, SymbolicMaterial, distill
+from .symbolic import (
+    LAMBDA_SYM,
+    SymbolicEnergy,
+    SymbolicMaterial,
+    distill,
+    network_parity_r2,
+)
 from .training import TrainConfig, train_ensemble
 
 # delta schedules of the training specimen, per material family
@@ -273,7 +279,10 @@ def cmd_distill(args) -> int:
     model = KANModel.load(args.checkpoint)
     energy = distill(model, lambda_sym=args.lambda_sym)
     if args.shift_symbolic:
-        energy.const -= energy.vgh(np.zeros(3))[0]
+        # the saved energy vanishes at K = 0, so its parity is against the
+        # network shifted the same way
+        energy.const -= energy.value(np.zeros(3))
+        energy.parity_r2 = network_parity_r2(energy, model, offset=model.forward(np.zeros(3)))
     energy.save(args.out)
     text_path = f"{args.out}.txt"
     with open(text_path, "w") as fh:

@@ -32,9 +32,13 @@ INIT_SCALE = 0.1  # fresh control points are uniform in [-INIT_SCALE, INIT_SCALE
 W_S_UNIT = math.log(math.e - 1.0)
 
 
-def softplus(x):
-    # logaddexp(0, x)'s own split, as ufuncs numpy runs on SIMD; exp(-|x|) cannot overflow
-    return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
+def softplus(x, out=None, work=None):
+    """log1p(exp(-|x|)) + max(x, 0): logaddexp(0, x)'s own split, as ufuncs
+    numpy runs on SIMD; exp(-|x|) cannot overflow.  The result goes into
+    ``out`` and the log1p term into ``work`` when they are given."""
+    t = np.abs(x, out=work)
+    t = np.log1p(np.exp(np.negative(t, out=work), out=work), out=work)
+    return np.add(t, np.maximum(x, 0.0, out=out), out=out)
 
 
 def sigmoid(x):

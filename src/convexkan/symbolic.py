@@ -69,12 +69,18 @@ class CandidateFunction:
         return _ipow(s, p), d1, d2
 
 
-def _ipow(s, p: int):
-    """s**p, 0 <= p <= 4, by multiplication (``**`` calls pow per element for p > 2)."""
+def _ipow(s, p: int, out=None):
+    """s**p, 0 <= p <= 4, by multiplication (``**`` calls pow per element for
+    p > 2), written into ``out`` when it is given."""
+    if not 0 <= p <= 4:
+        raise ConfigurationError(f"softplus power {p} outside 0..4")
     if p < 2:
-        return s if p else np.ones_like(s)
-    s2 = s * s
-    return s2 if p == 2 else s2 * (s if p == 3 else s2)
+        if out is None:
+            return s if p else np.ones_like(s)
+        np.copyto(out, s if p else 1.0)
+        return out
+    s2 = np.multiply(s, s, out=out)
+    return s2 if p == 2 else np.multiply(s2, s if p == 3 else s2, out=out)
 
 
 LIBRARY = (
@@ -117,15 +123,47 @@ def _r2(y: Array, resid_ss: float) -> float:
     return 1.0 - resid_ss / tot
 
 
+class _Buffers:
+    """Work buffers of the (a, b) grid search, one value per grid point and
+    sample point: the arguments a x + b, their softplus, and the candidate
+    values, which `_fit_cd` turns into residual rows.  Every round of every
+    fit fills them in place, so one set serves a whole distill and its pages
+    fault in once."""
+
+    def __init__(self):
+        shape = (_GRID, _GRID, FIT_POINTS)
+        self.ax = np.empty((_GRID, 1, FIT_POINTS))
+        self.z, self.s, self.f = np.empty(shape), np.empty(shape), np.empty(shape)
+
+    def arguments(self, x: Array, a_grid: Array, b_grid: Array, with_softplus: bool):
+        """a x + b into z, where z[i, j] is the grid point (a_grid[i],
+        b_grid[j]), and, when asked, its softplus into s (f is scratch)."""
+        np.multiply(a_grid[:, None, None], x, out=self.ax)
+        np.add(self.ax, b_grid[:, None], out=self.z)
+        if with_softplus:
+            softplus(self.z, out=self.s, work=self.f)
+
+    def values(self, cand: CandidateFunction) -> Array:
+        """cand at the arguments into f: exp of z, or a power of s, which
+        must hold the softplus of z."""
+        if cand.name == "exp":
+            with np.errstate(over="ignore"):
+                return np.exp(self.z, out=self.f)
+        return _ipow(self.s, cand.power, out=self.f)
+
+
 def _fit_cd(F: Array, y: Array):
     """Least squares for (c, d) in c*F[k] + d ~ y with c >= 0 (active set),
     for every row k of F at once: arrays c, d and residual sums, each (rows,).
-    Rows beyond 1e120 in magnitude, inf or nan, which would overflow the
-    normal equations, are zeroed in place and get an infinite residual.  A
-    target constant up to rounding (spread within 8 ulp of its magnitude)
-    is fitted as a constant, c = 0, so no slope is read into its noise."""
-    hi, lo = F.max(axis=1), F.min(axis=1)
-    bad = ~(np.maximum(hi, -lo) <= 1e120)
+    Each row must be monotone, so that its two ends bound it.  Rows beyond
+    1e120 in magnitude, inf or nan, which would overflow the normal
+    equations, get an infinite residual.  A target constant up to rounding
+    (spread within 8 ulp of its magnitude) is fitted as a constant, c = 0,
+    so no slope is read into its noise.  F is overwritten: bad rows are
+    zeroed, then every row holds its residuals."""
+    first, last = F[:, 0], F[:, -1]
+    bad = ~(np.maximum(np.abs(first), np.abs(last)) <= 1e120)
+    flat = bad | (first == last)
     F[bad] = 0.0
     n = y.size
     sf, sy = F.sum(axis=1), y.sum()
@@ -134,14 +172,14 @@ def _fit_cd(F: Array, y: Array):
     with np.errstate(divide="ignore", invalid="ignore"):
         c = (n * sfy - sf * sy) / det
     # a constant row has det = 0 up to rounding, which leaves c arbitrary
-    flat = (np.abs(det) < 1e-30) | bad | (hi == lo)
+    flat |= np.abs(det) < 1e-30
     flat |= np.ptp(y) <= 8.0 * np.finfo(float).eps * np.abs(y).max()
     c[flat | ~(np.isfinite(c) & (c >= 0.0))] = 0.0
     d = (sy - c * sf) / n
-    r = F * c[:, None]
-    r += d[:, None]
-    r -= y
-    resid = np.einsum("kn,kn->k", r, r)
+    F *= c[:, None]
+    F += d[:, None]
+    F -= y
+    resid = np.einsum("kn,kn->k", F, F)
     resid[bad | ~np.isfinite(resid)] = np.inf
     return c, d, resid
 
@@ -160,46 +198,61 @@ def _samples(phi, domain):
 
 def fit_candidate(phi, domain, candidate: CandidateFunction) -> FittedActivation:
     """Fit one candidate to a scalar function sampled on an interval."""
-    return _fit_samples(*_samples(phi, domain), candidate)
+    return _fit_samples(*_samples(phi, domain), (candidate,), _Buffers())[0]
 
 
-def _fit_samples(x: Array, y: Array, candidate: CandidateFunction) -> FittedActivation:
-    """Fit one candidate to the samples y at x: grid-search (a, b) over [0, 10] x
-    [-10, 10] in three rounds (21 x 21 grid, shrink factor 5), with constrained
-    least-squares (c, d) at all points of a round in one array pass.  The first
-    minimum in a-major order wins; a later round must improve on it strictly."""
-    if candidate.name == "x":
-        # affine target: the closed-form slope/intercept fit is exact
-        c, d, resid = _fit_cd(x[None], y)
-        return FittedActivation(
-            candidate, a=1.0, b=0.0, c=float(c[0]), d=float(d[0]), r2=_r2(y, resid[0])
-        )
+def _grid(centre, width):
+    """The (a, b) grid of one round, clipped to the search box."""
+    (a_c, b_c), (a_w, b_w) = centre, width
+    return (np.clip(np.linspace(a_c - a_w, a_c + a_w, _GRID), *_A_RANGE),
+            np.clip(np.linspace(b_c - b_w, b_c + b_w, _GRID), *_B_RANGE))
 
-    a_lo, a_hi = _A_RANGE
-    b_lo, b_hi = _B_RANGE
-    a_c, b_c = 0.5 * (a_lo + a_hi), 0.5 * (b_lo + b_hi)
-    a_w, b_w = 0.5 * (a_hi - a_lo), 0.5 * (b_hi - b_lo)
-    best = (math.inf,)
-    for _ in range(_ROUNDS):
-        a_grid = np.clip(np.linspace(a_c - a_w, a_c + a_w, _GRID), *_A_RANGE)
-        b_grid = np.clip(np.linspace(b_c - b_w, b_c + b_w, _GRID), *_B_RANGE)
-        with np.errstate(over="ignore", invalid="ignore"):
-            F = candidate(a_grid[:, None, None] * x + b_grid[:, None])
-        F = F.reshape(_GRID * _GRID, FIT_POINTS)  # row k is (a_grid[k // 21], b_grid[k % 21])
-        c, d, resid = _fit_cd(F, y)
-        k = int(np.argmin(resid))
-        if resid[k] < best[0]:
-            best = (float(resid[k]), float(a_grid[k // _GRID]), float(b_grid[k % _GRID]),
-                    float(c[k]), float(d[k]))
-        elif math.isinf(best[0]):
-            raise EvaluationError(
-                f"candidate {candidate.name} not evaluable anywhere on the grid"
-            )
-        _, a_c, b_c, _, _ = best
-        a_w /= _SHRINK
-        b_w /= _SHRINK
-    resid, a, b, c, d = best
-    return FittedActivation(candidate, a=a, b=b, c=c, d=d, r2=_r2(y, resid))
+
+def _round(cand, grid, y, buf, best):
+    """Fit (c, d) at every point of one round's grid, whose arguments buf
+    holds; return the better of the round's first minimum in a-major order
+    and ``best``, which it must improve on strictly."""
+    F = buf.values(cand).reshape(_GRID * _GRID, FIT_POINTS)
+    c, d, resid = _fit_cd(F, y)
+    k = int(np.argmin(resid))  # row k is (a_grid[k // 21], b_grid[k % 21])
+    if resid[k] < best[0]:
+        a_grid, b_grid = grid
+        return (float(resid[k]), float(a_grid[k // _GRID]), float(b_grid[k % _GRID]),
+                float(c[k]), float(d[k]))
+    if math.isinf(best[0]):
+        raise EvaluationError(f"candidate {cand.name} not evaluable anywhere on the grid")
+    return best
+
+
+def _fit_samples(x: Array, y: Array, candidates, buf: _Buffers) -> list:
+    """Fit each candidate to the samples y at x: grid-search (a, b) over
+    [0, 10] x [-10, 10] in three rounds (21 x 21 grid, shrink factor 5),
+    with constrained least-squares (c, d) at all points of a round in one
+    array pass.  The first minimum in a-major order wins; a later round
+    must improve on it strictly.  Round 1's grid is the same for every
+    candidate, so its arguments and their softplus are computed once."""
+    best = {}
+    for cand in candidates:
+        if cand.name == "x":
+            # affine target: the closed-form slope/intercept fit is exact
+            c, d, resid = _fit_cd(x[None].copy(), y)
+            best[cand] = (float(resid[0]), 1.0, 0.0, float(c[0]), float(d[0]))
+    curved = [cand for cand in candidates if cand not in best]
+    if curved:
+        (a_lo, a_hi), (b_lo, b_hi) = _A_RANGE, _B_RANGE
+        width = (0.5 * (a_hi - a_lo), 0.5 * (b_hi - b_lo))
+        grid = _grid((0.5 * (a_lo + a_hi), 0.5 * (b_lo + b_hi)), width)
+        buf.arguments(x, *grid, any(cand.power for cand in curved))
+        best.update({cand: _round(cand, grid, y, buf, (math.inf,)) for cand in curved})
+        for cand in curved:
+            w = width
+            for _ in range(1, _ROUNDS):
+                w = (w[0] / _SHRINK, w[1] / _SHRINK)
+                grid = _grid(best[cand][1:3], w)
+                buf.arguments(x, *grid, cand.power > 0)
+                best[cand] = _round(cand, grid, y, buf, best[cand])
+    return [FittedActivation(cand, *best[cand][1:], r2=_r2(y, best[cand][0]))
+            for cand in candidates]
 
 
 def selection_score(fit: FittedActivation, lambda_sym: float = LAMBDA_SYM) -> float:
@@ -225,10 +278,12 @@ def select_candidate(fits, lambda_sym: float = LAMBDA_SYM) -> FittedActivation:
     return fits[idx]
 
 
-def fit_activation(phi, domain, lambda_sym: float = LAMBDA_SYM) -> FittedActivation:
-    """Fit every library candidate to one sampling of phi; return the selected one."""
-    x, y = _samples(phi, domain)
-    return select_candidate([_fit_samples(x, y, cand) for cand in LIBRARY], lambda_sym)
+def fit_activation(phi, domain, buffers: _Buffers,
+                   lambda_sym: float = LAMBDA_SYM) -> FittedActivation:
+    """Fit every library candidate to one sampling of phi, in ``buffers``,
+    which successive calls share; return the selected one."""
+    fits = _fit_samples(*_samples(phi, domain), LIBRARY, buffers)
+    return select_candidate(fits, lambda_sym)
 
 
 # -- the normal form ----------------------------------------------------------
@@ -347,10 +402,11 @@ def _parse(tokens) -> Form:
         return Form(terms=[Term(1.0, LIBRARY[1], _parse(tokens))])
     if head == "softplus":
         p = int(next(tokens))
-        if p < 1:  # below 1 the term is no longer convex and non-decreasing
-            raise DataError(f"softplus power {p} is below 1")
-        f = CandidateFunction("softplus" if p == 1 else f"softplus^{p}", 2, power=p)
-        return Form(terms=[Term(1.0, f, _parse(tokens))])
+        # below 1 the term is no longer convex and non-decreasing; the
+        # library, and _ipow, stop at 4
+        if not 1 <= p <= 4:
+            raise DataError(f"softplus power {p} outside 1..4")
+        return Form(terms=[Term(1.0, LIBRARY[1 + p], _parse(tokens))])
     if head == "add":
         return sum([_parse(tokens) for _ in range(int(next(tokens)))], Form())
     raise DataError(f"unknown expression token {head!r}")
@@ -420,7 +476,7 @@ def distill(model: KANModel, lambda_sym: float = LAMBDA_SYM) -> SymbolicEnergy:
         raise ConfigurationError("distillation requires a constrained model")
     if not 0.0 <= lambda_sym <= 1.0:  # also rejects nan
         raise ConfigurationError(f"lambda_sym must lie in [0, 1], got {lambda_sym}")
-    fits = {}
+    fits, buffers = {}, _Buffers()
     for r, layer in enumerate(model.params):
         for i, j in np.ndindex(layer.shape[:2]):
 
@@ -429,7 +485,8 @@ def distill(model: KANModel, lambda_sym: float = LAMBDA_SYM) -> SymbolicEnergy:
                 return model._edges(r, x, orders=(0,))[0][0, 0, j, :, i]
 
             try:
-                fits[(r, i, j)] = fit_activation(phi, model.knots[r][j].domain, lambda_sym)
+                fits[(r, i, j)] = fit_activation(
+                    phi, model.knots[r][j].domain, buffers, lambda_sym)
             except EvaluationError as exc:
                 raise EvaluationError(
                     f"activation (layer {r}, out {i}, in {j}) failed to fit: {exc}"
@@ -444,11 +501,16 @@ def distill(model: KANModel, lambda_sym: float = LAMBDA_SYM) -> SymbolicEnergy:
         ]
     out = forms[0]
     energy = SymbolicEnergy(out.coeffs, out.const, out.terms, activation_fits=fits)
-    K = np.random.default_rng(PARITY_SEED).uniform(*GRID_INIT_RANGE, size=(PARITY_SAMPLES, 3))
-    y_net = model.forward(K)
-    ss_res = float(np.sum((y_net - energy.value(K)) ** 2))
-    energy.parity_r2 = _r2(y_net, ss_res)
+    energy.parity_r2 = network_parity_r2(energy, model)
     return energy
+
+
+def network_parity_r2(energy: SymbolicEnergy, model: KANModel, offset: float = 0.0) -> float:
+    """R^2 of the energy against the network's output minus ``offset``, at
+    PARITY_SAMPLES K points drawn from the grid-initialization box."""
+    K = np.random.default_rng(PARITY_SEED).uniform(*GRID_INIT_RANGE, size=(PARITY_SAMPLES, 3))
+    y_net = model.forward(K) - offset
+    return _r2(y_net, float(np.sum((y_net - energy.value(K)) ** 2)))
 
 
 class SymbolicMaterial(MaterialModel):

@@ -24,8 +24,8 @@ from convexkan.cli import (
 from convexkan.errors import ConfigurationError
 from convexkan.fem import Mesh, SpecimenDataset
 from convexkan.mechanics import NeoHookean
-from convexkan.network import KANModel
-from convexkan.symbolic import SymbolicEnergy
+from convexkan.network import GRID_INIT_RANGE, KANModel
+from convexkan.symbolic import PARITY_SAMPLES, PARITY_SEED, SymbolicEnergy, distill
 
 
 def small_square_mesh(n=4):
@@ -381,6 +381,35 @@ class TestDistill:
         text = (tmp_path / "energy.sym.txt").read_text()
         assert text.strip()
 
+    @pytest.mark.parametrize("shift", [False, True])
+    def test_printed_parity_describes_saved_energy(self, tmp_path, checkpoint_file, capsys,
+                                                   shift):
+        out = tmp_path / "energy.sym"
+        argv = ["distill", "--checkpoint", checkpoint_file, "--out", str(out)]
+        assert main(argv + ["--shift-symbolic"] * shift) == 0
+        printed = re.search(r"parity R\^2 vs network: (\S+)", capsys.readouterr().out)
+        energy, model = SymbolicEnergy.load(out), KANModel.load(checkpoint_file)
+        # distill's parity points: PARITY_SAMPLES draws with PARITY_SEED
+        K = np.random.default_rng(PARITY_SEED).uniform(
+            *GRID_INIT_RANGE, size=(PARITY_SAMPLES, 3))
+        y_net = model.forward(K)
+        if shift:  # the saved energy vanishes at K = 0; so does its reference
+            assert abs(energy.value(np.zeros(3))) < 1e-12
+            y_net = y_net - model.forward(np.zeros(3))
+        assert abs(float(printed.group(1)) - r2_score(energy.value(K), y_net)) <= 1e-6
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="minor page faults as Linux counts them")
+    def test_repeated_distill_faults_in_no_new_pages(self, checkpoint_file):
+        import resource
+
+        model = KANModel.load(checkpoint_file)
+        distill(model)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        distill(model)
+        # about 13k when every grid round allocated its arrays afresh
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
+
 
     @pytest.mark.parametrize("lam", ["2", "-0.5", "nan", "inf"])
     def test_lambda_sym_outside_unit_interval_exits_2(self, tmp_path, checkpoint_file, lam):
@@ -420,7 +449,8 @@ class TestSimulate:
         F = np.diag([1.4, 0.9, 1.0])
         npt.assert_allclose(mat.energy(F), NeoHookean().energy(F), rtol=1e-10)
 
-    @pytest.mark.parametrize("expr", ["affine 0 0.5", "softplus -2 var K1", "scaled nan 0 exp var K1"])
+    @pytest.mark.parametrize("expr", ["affine 0 0.5", "softplus -2 var K1", "scaled nan 0 exp var K1",
+                                      "softplus 5 affine 0 1 0 0"])
     def test_malformed_symbolic_exits_2(self, tmp_path, mesh_file, expr):
         sym = tmp_path / "bad.sym"
         sym.write_text(f"convexkan-symbolic v1\nenergy {expr}\n")

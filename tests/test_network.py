@@ -123,6 +123,13 @@ class TestSoftplus:
         with np.errstate(over="raise", invalid="raise"):
             softplus(np.array([-1e308, -800.0, 0.0, 800.0, 1e308]))  # nothing overflows
 
+    def test_into_buffers_is_the_fresh_result(self):
+        x = np.linspace(-40.0, 40.0, 801)
+        out, work = np.full_like(x, np.nan), np.full_like(x, np.nan)
+        assert softplus(x, out=out, work=work) is out
+        npt.assert_array_equal(out, softplus(x))
+        npt.assert_array_equal(work, np.log1p(np.exp(-np.abs(x))))
+
 
 class TestConvexityProperties:
     def test_monotone_random_pairs(self):

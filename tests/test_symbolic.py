@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import convexkan.symbolic as symbolic
 from convexkan.errors import ConfigurationError, DataError
 from convexkan.network import CONSTRAINED, VANILLA, KANModel, W_S_UNIT, softplus
 from convexkan.symbolic import (
@@ -15,8 +16,12 @@ from convexkan.symbolic import (
     FittedActivation,
     SymbolicEnergy,
     SymbolicMaterial,
+    _Buffers,
     _fit_cd,
+    _fit_samples,
+    _ipow,
     _r2,
+    _samples,
     distill,
     fit_activation,
     fit_candidate,
@@ -45,6 +50,18 @@ class TestLibrary:
         d = np.diff(y)
         assert d.min() >= -1e-12
         assert np.diff(d).min() >= -1e-10
+
+    @pytest.mark.parametrize("p", [-1, 5])
+    def test_ipow_refuses_powers_outside_zero_to_four(self, p):
+        with pytest.raises(ConfigurationError):
+            _ipow(np.linspace(0.5, 2.0, 4), p)
+
+    @pytest.mark.parametrize("p", range(5))
+    def test_ipow_into_a_buffer_is_the_fresh_result(self, p):
+        s = softplus(np.linspace(-30.0, 30.0, 1201))
+        out = np.full_like(s, np.nan)
+        assert _ipow(s, p, out=out) is out
+        npt.assert_array_equal(out, _ipow(s, p))
 
     @pytest.mark.parametrize("cand", LIBRARY[2:], ids=lambda c: c.name)
     def test_softplus_powers_by_multiplication(self, cand):
@@ -83,7 +100,7 @@ class TestFitting:
             fit = fit_candidate(lambda x: y, (-1.0, 2.0), by_name("x"))
             assert fit.c == 0.0 and fit.r2 == 1.0
             npt.assert_allclose(fit.d, base, rtol=1e-15)
-        assert fit_activation(lambda x: y, (-1.0, 2.0)).c == 0.0
+        assert fit_activation(lambda x: y, (-1.0, 2.0), _Buffers()).c == 0.0
 
     def test_softplus_squared_self_fit(self):
         cand = by_name("softplus^2")
@@ -268,6 +285,53 @@ class TestArrayFitAgainstScalarReference:
         assert np.isfinite(resid["at 1e120"]) and got[0][0] == got[0][1] == 0.0
 
 
+SHARED_ROUND_TARGETS = {
+    "softplus-cubed": (lambda x: 1.5 * softplus(0.8 * x - 1.0) ** 3 + 0.2, (-3.0, 3.0)),
+    "saturating-softplus": (lambda x: softplus(x) - softplus(x - 2.0), (-4.0, 4.0)),
+    "decreasing": (lambda x: -x, (0.0, 1.0)),
+    "flat": (lambda x: np.full_like(x, 2.5), (0.0, 1.0)),
+    # past x = 27, exp(a x + b) passes 1e120 on the a = 10 rows of round 1
+    "wide-exp": (lambda x: np.exp(0.1 * x) + softplus(0.5 * x), (-5.0, 30.0)),
+}
+
+
+class TestSharedRoundOne:
+    """fit_activation evaluates round 1's grid and its softplus once for
+    every candidate, in buffers that successive calls share: each candidate
+    must still get the fit it gets alone."""
+
+    def test_same_fits_as_independent_candidates(self, monkeypatch):
+        screened = []
+
+        def spy(F, y):
+            screened.append(bool(np.any(~(np.abs(F) <= 1e120))))
+            return _fit_cd(F, y)
+
+        monkeypatch.setattr(symbolic, "_fit_cd", spy)
+        buffers = _Buffers()
+        for name, (phi, domain) in SHARED_ROUND_TARGETS.items():
+            screened.clear()
+            shared = _fit_samples(*_samples(phi, domain), LIBRARY, buffers)
+            assert any(screened) == (name == "wide-exp"), name
+            alone = [fit_candidate(phi, domain, cand) for cand in LIBRARY]
+            for got, want in zip(shared, alone):
+                assert (got.candidate, got.a, got.b, got.c, got.d, got.r2) == (
+                    want.candidate, want.a, want.b, want.c, want.d, want.r2), name
+            got, want = fit_activation(phi, domain, buffers), select_candidate(alone)
+            assert (got.candidate, got.a, got.b, got.c, got.d, got.r2) == (
+                want.candidate, want.a, want.b, want.c, want.d, want.r2), name
+
+    @pytest.mark.parametrize("cand", LIBRARY[1:], ids=lambda c: c.name)
+    def test_buffer_values_are_the_candidate(self, cand):
+        # the grid search fits exactly the function that .sym files evaluate
+        buffers, x = _Buffers(), np.linspace(-5.0, 30.0, FIT_POINTS)
+        a_grid, b_grid = np.linspace(0.0, 10.0, 21), np.linspace(-10.0, 10.0, 21)
+        buffers.arguments(x, a_grid, b_grid, with_softplus=cand.power > 0)
+        with np.errstate(over="ignore"):
+            want = cand(a_grid[:, None, None] * x + b_grid[:, None])
+        npt.assert_array_equal(buffers.values(cand), want)
+
+
 class TestSelection:
     def make(self, name, r2):
         return FittedActivation(by_name(name), a=1.0, b=0.0, c=1.0, d=0.0, r2=r2)
@@ -300,7 +364,7 @@ class TestSelection:
         assert select_candidate(fits) is select_candidate(fits)
 
     def test_fit_activation_recovers_library_member(self):
-        fit = fit_activation(lambda x: 1.5 * softplus(x) ** 3 + 0.2, (-3.0, 3.0))
+        fit = fit_activation(lambda x: 1.5 * softplus(x) ** 3 + 0.2, (-3.0, 3.0), _Buffers())
         assert fit.candidate.name == "softplus^3"
         assert fit.r2 > 1.0 - 1e-9
 
@@ -311,7 +375,7 @@ class TestSelection:
             calls.append(np.array(x))
             return softplus(0.8 * x - 1.0) ** 2
 
-        fit = fit_activation(phi, (-3.0, 3.0))
+        fit = fit_activation(phi, (-3.0, 3.0), _Buffers())
         assert len(calls) == 1
         npt.assert_array_equal(calls[0], np.linspace(-3.0, 3.0, FIT_POINTS))
         # the selection is the one of fitting every candidate on its own
@@ -484,6 +548,7 @@ class TestSerialization:
             "scaled 1 -inf exp var K2",
             "softplus -2 var K1",  # would make dW/dK1 negative
             "softplus 0 var K1",
+            "softplus 5 affine 0 1 0 0",  # the library, and _ipow, stop at 4
             "softplus 1.5 var K1",
             "var K4",
             "var K1 var K2",  # trailing tokens
