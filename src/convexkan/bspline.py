@@ -71,11 +71,6 @@ class KnotVector:
         return self.m_b - self.k - 1
 
     @property
-    def s(self) -> float:
-        """Knot spacing."""
-        return float(self.t[1] - self.t[0])
-
-    @property
     def domain(self) -> tuple[float, float]:
         return float(self.t[self.k]), float(self.t[self.m_b - self.k - 1])
 
@@ -185,31 +180,6 @@ def design_rows(x, t, k: int, orders=(0, 1, 2)) -> Array:
     if extend and 2 in orders:
         np.copyto(vals[need.index(2)], 0.0, where=past)
     return _scatter(mu, vals[: len(orders)], k, t.shape[-1] - k - 1)
-
-
-def eval_basis(x, knots: KnotVector) -> Array:
-    """Evaluate all ``n_b`` basis functions of order ``knots.k`` at ``x``.
-
-    ``x`` may be a scalar or 1-D array; the result has shape ``(n_b,)`` or
-    ``(len(x), n_b)``.  Within the natural domain the values sum to one.
-    """
-    return _point_rows(x, knots, 0)
-
-
-def eval_basis_derivatives(x, knots: KnotVector, order: int) -> Array:
-    """First or second derivatives of all basis functions at ``x``: on
-    uniform knots, the first and second differences of the order k - 1 and
-    k - 2 basis over ``s`` and ``s**2``.  Requires ``knots.k >= order``.
-    """
-    if order not in (1, 2):
-        raise ConfigurationError(f"derivative order must be 1 or 2, got {order}")
-    return _point_rows(x, knots, order)
-
-
-def _point_rows(x, knots: KnotVector, order: int) -> Array:
-    mu, vals = _local_values(np.atleast_1d(x), knots.t, knots.k, (order,))
-    rows = _scatter(mu, vals, knots.k, knots.n_b)[0]
-    return rows[0] if np.ndim(x) == 0 else rows
 
 
 def reparameterize(raw) -> Array:

@@ -9,7 +9,7 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -201,9 +201,8 @@ def cmd_train(args) -> int:
     dataset = SpecimenDataset.load(args.dataset)
     config = TrainConfig.load(args.config) if args.config else TrainConfig()
     if not args.config:
-        config = config.with_overrides(
-            epochs=args.epochs, ensemble_size=args.ensemble, seed=args.seed
-        )
+        config = replace(config, epochs=args.epochs, ensemble_size=args.ensemble,
+                         seed=args.seed)
     mode = VANILLA if args.ablation_vanilla else CONSTRAINED
     failures = {}
     model, reports = train_ensemble(config, dataset, mode=mode, failures=failures)

@@ -130,19 +130,11 @@ def _grid_triangulation(n: int):
     """Structured 2-triangles-per-cell split of an n x n node grid on [0,1]^2."""
     xs = np.linspace(0.0, 1.0, n)
     nodes = np.column_stack([np.repeat(xs, n), np.tile(xs, n)])  # row-major in x
-    tris = []
-    for i in range(n - 1):
-        for j in range(n - 1):
-            a = i * n + j
-            b = (i + 1) * n + j
-            # alternate the diagonal to avoid a preferred shear direction
-            if (i + j) % 2 == 0:
-                tris.append((a, b, b + 1))
-                tris.append((a, b + 1, a + 1))
-            else:
-                tris.append((a, b, a + 1))
-                tris.append((b, b + 1, a + 1))
-    return nodes, np.array(tris, dtype=np.int64)
+    i, j = np.divmod(np.arange((n - 1) ** 2), n - 1)  # cells, row-major
+    corners = (i * n + j)[:, None] + np.array([0, n, n + 1, 1])  # a, b, b + 1, a + 1
+    # alternate the diagonal to avoid a preferred shear direction
+    split = np.array([[[0, 1, 2], [0, 2, 3]], [[0, 1, 3], [1, 2, 3]]])[(i + j) % 2]
+    return nodes, np.take_along_axis(corners[:, None], split, axis=2).reshape(-1, 3)
 
 
 def _cut_hole(nodes, tris, inside, project):
@@ -245,19 +237,18 @@ class DofPartition:
 
     def __post_init__(self):
         object.__setattr__(self, "groups", tuple(self.groups))
-        seen = set()
         for g in self.groups:
             if g.dofs[:, 0].min() < 0 or g.dofs[:, 0].max() >= self.n_nodes:
                 raise ConfigurationError(f"group {g.name!r} references unknown node")
             if not np.all((g.dofs[:, 1] >= 0) & (g.dofs[:, 1] <= 1)):
                 raise ConfigurationError(f"group {g.name!r} has a bad component index")
-            for node, comp in g.dofs:
-                key = (int(node), int(comp))
-                if key in seen:
-                    raise ConfigurationError(
-                        f"DOF {key} appears in more than one fixed group"
-                    )
-                seen.add(key)
+        flat = [2 * g.dofs[:, 0] + g.dofs[:, 1] for g in self.groups] or [[]]  # [[]]: no groups
+        dofs, counts = np.unique(np.concatenate(flat), return_counts=True)
+        if np.any(counts > 1):
+            node, comp = divmod(int(dofs[np.argmax(counts > 1)]), 2)
+            raise ConfigurationError(
+                f"DOF {(node, comp)} appears in more than one fixed group"
+            )
 
     @property
     def n_reactions(self) -> int:
@@ -441,6 +432,8 @@ class SpecimenDataset:
         self.displacements = np.asarray(self.displacements, dtype=np.float64)
         self.reactions = np.asarray(self.reactions, dtype=np.float64)
         n_t = self.deltas.size
+        if n_t == 0:
+            raise DataError("dataset has no snapshots")
         if self.displacements.shape != (n_t, self.mesh.n_nodes, 2):
             raise DataError(
                 f"displacements shape {self.displacements.shape} does not match "

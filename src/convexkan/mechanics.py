@@ -157,12 +157,6 @@ class DeformationState:
         n = len(self._J)
         return _unbatch((self._dK @ self._dI.reshape(n, 3, 9)).reshape(n, 3, 3, 3), self.single)
 
-    @cached_property
-    def d2K_dFdF(self) -> Array:
-        """d2K_m / dF_ij dF_kl, shape (..., 3, 3, 3, 3, 3)."""
-        T = [self._chain(self._dK[:, m], self._d2K[:, m], 3) for m in range(3)]
-        return _unbatch(np.stack(T, axis=1), self.single)
-
     def _first(self, g) -> Array:
         """dW/d(I1, I2, J), (N, 3), from dW/dK."""
         return (np.reshape(g, (-1, 1, 3)) @ self._dK)[:, 0]
@@ -389,10 +383,6 @@ class ArrudaBoyce(ClosedFormMaterial):
     n_chain = 28.0
     c = 2.5
 
-    @property
-    def c_ab(self) -> float:
-        return self.reference_energy()
-
     def isochoric(self, K1, K2):
         rN = math.sqrt(self.n_chain)
         lam = np.sqrt((K1 + 3.0) / 3.0)
@@ -418,15 +408,6 @@ class ArrudaBoyce(ClosedFormMaterial):
         w1 = self.c * rN * g / (6.0 * lam)
         w11 = self.c * (g_y - rN * g / lam) / (36.0 * lam * lam)
         return w, (w1, 0.0), (w11, 0.0, 0.0)
-
-
-def random_rotation(rng) -> Array:
-    """Haar-ish random rotation from the sign-fixed QR of a Gaussian matrix."""
-    Q, R = np.linalg.qr(rng.standard_normal((3, 3)))
-    Q = Q @ np.diag(np.sign(np.diag(R)))
-    if np.linalg.det(Q) < 0:
-        Q[:, 0] = -Q[:, 0]
-    return Q
 
 
 BENCHMARKS = {

@@ -163,25 +163,6 @@ class KANModel:
         return KANStack(self, [p[None] for p in self.params],
                         [self._knot_array(r)[None] for r in range(self.n_layers)])
 
-    # -- parameter packing -------------------------------------------------
-
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.params)
-
-    def parameter_vector(self) -> Array:
-        return np.concatenate([p.ravel() for p in self.params])
-
-    def set_parameter_vector(self, v: Array):
-        v = np.asarray(v, dtype=np.float64)
-        if v.size != self.n_parameters():
-            raise ConfigurationError(
-                f"expected {self.n_parameters()} parameters, got {v.size}"
-            )
-        splits = np.cumsum([p.size for p in self.params])[:-1]
-        self.params = [
-            part.reshape(p.shape).copy() for p, part in zip(self.params, np.split(v, splits))
-        ]
-
     # -- grid initialization ----------------------------------------------
 
     def grid_initialize(self) -> "KANModel":
@@ -408,6 +389,8 @@ class KANModel:
                 raise DataError(f"unrecognized checkpoint header: {lines[0]!r}")
             mode = lines[1].split()[1]
             dims = tuple(int(v) for v in lines[2].split()[1:])
+            if min(dims) < 1:
+                raise DataError(f"layer widths must be >= 1, got {list(dims)}")
             order = int(lines[3].split()[1])
             n_coef = int(lines[4].split()[1])
             width = n_coef + (2 if mode == VANILLA else 1)
@@ -439,8 +422,8 @@ class KANModel:
                                         f"{list(first)} of activation {r},0,{j}")
                     p[i, j] = np.append(raw, (w_s, w_b))[:width]  # constrained: no w_b
                     pos += 5
-            if lines[pos] != "end":
-                raise DataError("missing end marker")
+            if lines[pos:] != ["end"]:
+                raise DataError("expected the end marker as the last line")
         except (IndexError, ValueError) as exc:
             raise DataError(f"malformed checkpoint: {exc}") from exc
         knots = [[KnotVector.from_domain(lo, hi, n_coef, order) for lo, hi in layer.values()]

@@ -44,14 +44,6 @@ class CandidateFunction:
     complexity: int
     power: int = 0  # softplus exponent; 0 for x and exp
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if self.name == "x":
-            return x
-        if self.name == "exp":
-            return np.exp(x)
-        return _ipow(softplus(x), self.power)
-
     def derivatives(self, x):
         """f, f' and f'' at x."""
         x = np.asarray(x, dtype=np.float64)
@@ -109,9 +101,6 @@ class FittedActivation:
             raise ConfigurationError("fitted a and c must be non-negative")
         if self.r2 > 1.0 + 1e-12:
             raise ConfigurationError(f"impossible R^2 {self.r2}")
-
-    def __call__(self, x):
-        return self.c * self.candidate(self.a * np.asarray(x) + self.b) + self.d
 
 
 def _r2(y: Array, resid_ss: float) -> float:
@@ -194,11 +183,6 @@ def _samples(phi, domain):
     if not np.all(np.isfinite(y)):
         raise EvaluationError("activation produced non-finite values on its domain")
     return x, y
-
-
-def fit_candidate(phi, domain, candidate: CandidateFunction) -> FittedActivation:
-    """Fit one candidate to a scalar function sampled on an interval."""
-    return _fit_samples(*_samples(phi, domain), (candidate,), _Buffers())[0]
 
 
 def _grid(centre, width):
@@ -408,7 +392,10 @@ def _parse(tokens) -> Form:
             raise DataError(f"softplus power {p} outside 1..4")
         return Form(terms=[Term(1.0, LIBRARY[1 + p], _parse(tokens))])
     if head == "add":
-        return sum([_parse(tokens) for _ in range(int(next(tokens)))], Form())
+        n = int(next(tokens))
+        if n < 1:  # would read as the zero energy
+            raise DataError(f"'add {n}': a sum needs at least one part")
+        return sum([_parse(tokens) for _ in range(n)], Form())
     raise DataError(f"unknown expression token {head!r}")
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 import numpy.typing as npt
@@ -69,9 +69,6 @@ class TrainConfig:
             raise ConfigurationError(
                 f"curvature_penalty must be finite and >= 0, got {self.curvature_penalty}"
             )
-
-    def with_overrides(self, **kwargs) -> "TrainConfig":
-        return replace(self, **kwargs)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -216,23 +213,15 @@ class ElementStates:
         self.y = np.concatenate([_balance_target(partition, R) for R in dataset.reactions])
         self._rows0_key = None
 
-    def layer0_rows(self, model: KANModel | KANStack) -> Array:
-        """The layer-0 value and slope rows at K of a model or stack (what a
-        training sweep reads there), recomputed when its layer-0 knots change."""
-        stack = _as_stack(model)[0]
+    def layer0_rows(self, stack: KANStack) -> Array:
+        """The layer-0 value and slope rows at K of a stack (what a training
+        sweep reads there), recomputed when its layer-0 knots change."""
         t0, k = stack.t[0], stack.arch.order
         key = (k, t0.shape, t0.tobytes())
         if key != self._rows0_key:
             self._rows0_key = key
             self._rows0 = design_rows(self.K.T[None], t0, k, (0, 1))
         return self._rows0
-
-
-def _as_stack(model: KANModel | KANStack) -> tuple[KANStack, bool]:
-    """A stack as itself or a model as the stack of one, and which it was."""
-    if isinstance(model, KANStack):
-        return model, True
-    return model._stack(), False
 
 
 def loss(model, dataset: SpecimenDataset) -> float:
@@ -256,16 +245,14 @@ def loss(model, dataset: SpecimenDataset) -> float:
     return total
 
 
-def loss_and_grad(model: KANModel | KANStack, states: ElementStates):
-    """Loss and its gradient w.r.t. the network parameter vector; for a
-    stack of M members, one of each per member: ``(M,)`` and
-    ``(M, n_parameters)``.
+def loss_and_grad(stack: KANStack, states: ElementStates):
+    """Loss and its gradient w.r.t. the network parameter vector of each
+    member of a stack of M: ``(M,)`` and ``(M, n_parameters)``.
 
     One forward sweep gives every member's energy K-gradients g; the
     residuals are ``L g - y``, and their adjoint ``2 L^T (L g - y)`` seeds
     one reverse sweep through all members.
     """
-    stack, stacked = _as_stack(model)
     arch = stack.arch
     Kb, _ = arch._check_input(states.K)
     cache = arch._forward_cache(Kb, states.layer0_rows(stack), stack)
@@ -274,20 +261,19 @@ def loss_and_grad(model: KANModel | KANStack, states: ElementStates):
     res = states.L @ g - states.y[:, None]
     value = np.sum(res * res, axis=0)
     seed_g = (states.LT @ (2.0 * res)).T.reshape(M, N, 3)
-    grad = arch.backward_batch(Kb, seed_g=seed_g, cache=cache)
-    return (value, grad) if stacked else (float(value[0]), grad[0])
+    return value, arch.backward_batch(Kb, seed_g=seed_g, cache=cache)
 
 
-def curvature_prior(model: KANModel | KANStack, weight: float):
+def curvature_prior(stack: KANStack, weight: float):
     """Value and gradient of ``weight * sum max(raw[2:], 0)`` over all
-    activations of a constrained model; for a stack, one of each per member.
+    activations of each member of a constrained stack: ``(M,)`` and
+    ``(M, n_parameters)``.
 
     ``raw[2:]`` are the curvature increments of each convex spline (see
     :func:`bspline.reparameterize`); the gradient uses the same subgradient of
     the clamp as :func:`bspline.reparameterize_vjp`.  Vanilla models carry no
     prior.
     """
-    stack, stacked = _as_stack(model)
     arch, v = stack.arch, stack.parameter_vectors()
     value, grad = np.zeros(len(v)), np.zeros_like(v)
     if arch.mode == CONSTRAINED:
@@ -296,7 +282,7 @@ def curvature_prior(model: KANModel | KANStack, weight: float):
         h = v.reshape(len(v), -1, n + 1)[..., 2:n]
         grad.reshape(h.shape[:-1] + (n + 1,))[..., 2:n] = weight * (h >= 0.0)
         value = weight * np.maximum(h, 0.0).sum(axis=(1, 2))
-    return (value, grad) if stacked else (float(value[0]), grad[0])
+    return value, grad
 
 
 def _train_members(config: TrainConfig, states: ElementStates, seeds, dims, order,

@@ -4,10 +4,10 @@
 
 For a stack of 2x2 and a stack of 3x3 deformation gradients (the identity
 and seeded random admissible F) it records ``compute_state``'s K, scalar
-invariants, dK/dF and d2K/dFdF, and energy, stress and tangent of every
-benchmark material, of a grid-initialized ``NetworkMaterial`` and of a
-``SymbolicMaterial`` read from ``distilled_v1.sym`` with its energy zeroed
-at the identity.
+invariants and dK/dF, d2K/dFdF (the tangent of the energy W = K_m), and
+energy, stress and tangent of every benchmark material, of a
+grid-initialized ``NetworkMaterial`` and of a ``SymbolicMaterial`` read from
+``distilled_v1.sym`` with its energy zeroed at the identity.
 
 The committed file was written by the kinematics that chained the partials
 of W with respect to (I1, I2, J) through an F^{-T} from ``np.linalg.inv``;
@@ -40,6 +40,18 @@ def stack(dim: int) -> np.ndarray:
     return np.array(F)[:, :dim, :dim]
 
 
+def d2K_dFdF(F: np.ndarray) -> np.ndarray:
+    """d2K_m / dF_ij dF_kl on the whole 3 x 3 block of each F of a 2x2 or
+    3x3 stack, shape (N, 3, 3, 3, 3, 3): the tangent of the energy W = K_m,
+    whose K-gradient is e_m and K-Hessian 0."""
+    n, dim = F.shape[0], F.shape[-1]
+    F3 = np.tile(np.eye(3), (n, 1, 1))
+    F3[:, :dim, :dim] = F
+    st, e = compute_state(F3), np.eye(3)
+    return np.stack([st.tangent(np.tile(e[m], (n, 1)), np.zeros((n, 3, 3))) for m in range(3)],
+                    axis=1)
+
+
 def materials() -> dict:
     models = {kind: benchmark_model(kind) for kind in sorted(BENCHMARKS)}
     models["ICKAN"] = NetworkMaterial(KANModel.create(rng=35).grid_initialize())
@@ -55,8 +67,9 @@ def main(path=DATA / "mechanics_reference_v1.npz"):
         F = stack(dim)
         st = compute_state(F)
         out[f"F{dim}"] = F
-        for name in ("K",) + INVARIANTS + ("dK_dF", "d2K_dFdF"):
+        for name in ("K",) + INVARIANTS + ("dK_dF",):
             out[f"{dim}_{name}"] = getattr(st, name)
+        out[f"{dim}_d2K_dFdF"] = d2K_dFdF(F)
         for kind in MATERIALS:
             m = models[kind]
             out[f"{dim}_{kind}_W"] = m.energy(F)

@@ -14,7 +14,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from convexkan.bspline import KnotVector, eval_basis, eval_basis_derivatives, reparameterize
+from convexkan.bspline import KnotVector, design_rows, reparameterize
 from convexkan.cli import evaluation_paths, main, r2_score, rel_rms
 from convexkan.fem import (
     Mesh,
@@ -31,11 +31,11 @@ from convexkan.mechanics import (
     NetworkMaterial,
     benchmark_model,
     compute_state,
-    random_rotation,
 )
 from convexkan.network import CONSTRAINED, VANILLA, KANModel
 from convexkan.symbolic import distill
 from convexkan.training import TrainConfig, train_ensemble
+from test_mechanics import random_rotation
 
 
 def random_admissible_F(rng, scale=0.3):
@@ -57,7 +57,7 @@ class TestSplineSoundness:
         knots = KnotVector.from_domain(-5.0, 25.0, n_coef=17, k=5)
 
         x = rng.uniform(-5.0, 25.0, size=2000)
-        sums = eval_basis(x, knots).sum(axis=1)
+        sums = design_rows(x, knots.t, knots.k, (0,))[0].sum(axis=1)
         npt.assert_allclose(sums, 1.0, atol=1e-12)
 
         # the reparameterization must emit valid control points for any raw

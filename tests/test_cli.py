@@ -289,6 +289,14 @@ class TestTrain:
              "--out", str(tmp_path / "m.ckpt")]
         ) == 2
 
+    def test_dataset_without_snapshots_exits_2(self, tmp_path, dataset_file):
+        path = tmp_path / "empty.txt"
+        path.write_text(open(dataset_file).read().partition("\nsnapshots ")[0] + "\nsnapshots 0\n")
+        assert main(
+            ["train", "--dataset", str(path), "--epochs", "1", "--ensemble", "1",
+             "--out", str(tmp_path / "m.ckpt")]
+        ) == 2
+
     def test_crashing_adam_config_exits_2(self, tmp_path, dataset_file):
         config = tmp_path / "adam.cfg"
         config.write_text("epochs=2\nensemble_size=1\nbeta1=1.0\n")

@@ -138,6 +138,38 @@ class TestMeshers:
             unit_square_hole_mesh(radius=0.7)
 
 
+def loop_triangulation(n):
+    """The per-cell loop that the array code replaced: two triangles per
+    cell, the diagonal alternating between neighbouring cells."""
+    tris = []
+    for i in range(n - 1):
+        for j in range(n - 1):
+            a, b = i * n + j, (i + 1) * n + j
+            if (i + j) % 2 == 0:
+                tris += [(a, b, b + 1), (a, b + 1, a + 1)]
+            else:
+                tris += [(a, b, a + 1), (b, b + 1, a + 1)]
+    return np.array(tris, dtype=np.int64)
+
+
+class TestGridTriangulation:
+    @pytest.mark.parametrize("n", [2, 5, 21, 39])
+    def test_matches_cell_loop(self, n):
+        npt.assert_array_equal(fem._grid_triangulation(n)[1], loop_triangulation(n))
+
+    def test_cells_split_with_alternating_diagonals(self):
+        nodes, tris = fem._grid_triangulation(3)
+        npt.assert_array_equal(nodes[:, 0], np.repeat([0.0, 0.5, 1.0], 3))
+        npt.assert_array_equal(nodes[:, 1], np.tile([0.0, 0.5, 1.0], 3))
+        assert tris.dtype == np.int64
+        npt.assert_array_equal(tris, [
+            [0, 3, 4], [0, 4, 1],  # cell (0, 0): diagonal 0-4
+            [1, 4, 2], [4, 5, 2],  # cell (0, 1): diagonal 4-2
+            [3, 6, 4], [6, 7, 4],  # cell (1, 0): diagonal 6-4
+            [4, 7, 8], [4, 8, 5],  # cell (1, 1): diagonal 4-8
+        ])
+
+
 class TestPartition:
     def test_biaxial_groups(self):
         m = unit_square_hole_mesh(n=11)
@@ -161,6 +193,14 @@ class TestPartition:
         g2 = FixedGroup("b", np.array([[0, 0]]), 1.0)
         with pytest.raises(ConfigurationError):
             DofPartition(n_nodes=2, groups=(g1, g2))
+        g3 = FixedGroup("c", np.array([[3, 0], [1, 1], [0, 1]]), 0.0)
+        g4 = FixedGroup("d", np.array([[2, 1], [1, 0], [1, 1]]), 1.0)
+        with pytest.raises(ConfigurationError,
+                           match=r"^DOF \(1, 1\) appears in more than one fixed group$"):
+            DofPartition(n_nodes=4, groups=(g3, g4))
+        # the same node in another component, and no groups at all
+        assert DofPartition(n_nodes=4, groups=(g3, g1)).n_reactions == 2
+        assert DofPartition(n_nodes=4, groups=()).free_flat_indices().size == 8
 
 
 class TestDeformationGradient:
@@ -430,6 +470,7 @@ MALFORMED = {
     "partition": ("partition groups", "partition sets"),
     "group": ("group left scale", "group left factor"),
     "snapshots": ("snapshots ", "frames "),
+    "no_snapshots": ("snapshots 1", "snapshots 0"),  # with the snapshot block cut
     "snapshot": ("snapshot delta", "snapshot load"),
     "reactions": ("reactions ", "forces "),
     "reaction_count": ("reactions 0", "reactions 0 0 0 0 0 0"),
@@ -451,6 +492,8 @@ def malformed_dataset(case):
     old, new = MALFORMED[case]
     assert old in text
     text = text.replace(old, new, 1)
+    if case == "no_snapshots":
+        return text.partition("snapshot delta")[0]
     return text + "0 0\n" if case == "trailing" else text
 
 

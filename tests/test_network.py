@@ -6,7 +6,7 @@ import pytest
 
 from convexkan.bspline import BSplineCurve, ConvexSpline
 from convexkan.errors import ConfigurationError, DataError, EvaluationError
-from convexkan.network import CONSTRAINED, VANILLA, KANModel, sigmoid, softplus
+from convexkan.network import CONSTRAINED, VANILLA, KANModel, KANStack, sigmoid, softplus
 
 
 def fresh_model(seed=0, mode=CONSTRAINED, dims=(3, 2, 1), order=5, n_coef=17):
@@ -20,6 +20,24 @@ def flat_model():
     for p in m.params:
         p[..., : m.n_coef] = 0.0
     return m.grid_initialize()
+
+
+def parameter_fd(stack, objective, h=1e-5):
+    """Central differences of ``objective()`` in each entry of the parameter
+    vector of a stack of one, written through the stack."""
+    v0 = stack.parameter_vectors()[0]
+    fd = np.empty_like(v0)
+    for p in range(v0.size):
+        vp, vm = v0.copy(), v0.copy()
+        vp[p] += h
+        vm[p] -= h
+        stack.set_parameter_vectors(vp[None])
+        up = objective()
+        stack.set_parameter_vectors(vm[None])
+        um = objective()
+        fd[p] = (up - um) / (2 * h)
+    stack.set_parameter_vectors(v0[None])
+    return fd
 
 
 def edge_spline(m, r, i, j):
@@ -179,19 +197,7 @@ class TestBackward:
         m = fresh_model(seed=15, mode=mode)
         K = np.array([[0.3, 1.7, 4.0], [-1.0, 0.2, 8.0]])
         got = m.backward_batch(K, seed_w=np.ones(2))
-        v0 = m.parameter_vector()
-        h = 1e-5
-        fd = np.empty_like(v0)
-        for p in range(v0.size):
-            vp, vm = v0.copy(), v0.copy()
-            vp[p] += h
-            vm[p] -= h
-            m.set_parameter_vector(vp)
-            up = m.forward(K).sum()
-            m.set_parameter_vector(vm)
-            um = m.forward(K).sum()
-            fd[p] = (up - um) / (2 * h)
-        m.set_parameter_vector(v0)
+        fd = parameter_fd(KANStack.of([m]), lambda: m.forward(K).sum())
         npt.assert_allclose(got, fd, rtol=1e-4, atol=1e-7)
 
     @pytest.mark.parametrize("mode", [CONSTRAINED, VANILLA])
@@ -201,24 +207,12 @@ class TestBackward:
         rng = np.random.default_rng(17)
         seed_g = rng.normal(size=(2, 3))
         got = m.backward_batch(K, seed_g=seed_g)
-        v0 = m.parameter_vector()
-        h = 1e-5
 
         def objective():
             _, g, _ = m.forward_with_input_derivatives(K)
             return float(np.sum(seed_g * g))
 
-        fd = np.empty_like(v0)
-        for p in range(v0.size):
-            vp, vm = v0.copy(), v0.copy()
-            vp[p] += h
-            vm[p] -= h
-            m.set_parameter_vector(vp)
-            up = objective()
-            m.set_parameter_vector(vm)
-            um = objective()
-            fd[p] = (up - um) / (2 * h)
-        m.set_parameter_vector(v0)
+        fd = parameter_fd(KANStack.of([m]), objective)
         npt.assert_allclose(got, fd, rtol=1e-4, atol=1e-6)
 
 
@@ -256,7 +250,8 @@ class TestCheckpoint:
         m2 = KANModel.load(path)
         assert m2.mode == m.mode
         assert m2.dims == m.dims
-        npt.assert_array_equal(m2.parameter_vector(), m.parameter_vector())
+        npt.assert_array_equal(KANStack.of([m2]).parameter_vectors(),
+                               KANStack.of([m]).parameter_vectors())
         for a, b in zip(m.knots, m2.knots):
             assert [kv.domain for kv in a] == [kv.domain for kv in b]
         K = np.random.default_rng(21).uniform(-2.0, 10.0, size=(5, 3))
@@ -270,6 +265,15 @@ class TestCheckpoint:
         text = fresh_model(seed=22).dumps()
         with pytest.raises(DataError):
             KANModel.loads("\n".join(text.splitlines()[:8]))
+
+    @pytest.mark.parametrize("text", [
+        # a layer without nodes: no activation records, then the end marker
+        "convexkan-checkpoint v1\nmode constrained\ndims 3 0 1\norder 5\nn_coef 17\nend\n",
+        fresh_model(seed=22).dumps() + "w_s 1\n",  # a line after the end marker
+    ], ids=["zero_width", "after_end"])
+    def test_bad_structure_rejected(self, text):
+        with pytest.raises(DataError):
+            KANModel.loads(text)
 
     @pytest.mark.parametrize(
         "key, value",

@@ -24,7 +24,6 @@ from convexkan.symbolic import (
     _samples,
     distill,
     fit_activation,
-    fit_candidate,
     select_candidate,
     selection_score,
 )
@@ -34,6 +33,22 @@ DATA = Path(__file__).parent / "data"
 
 def by_name(name):
     return next(c for c in LIBRARY if c.name == name)
+
+
+def value(cand, x):
+    """The library member f at x."""
+    return cand.derivatives(x)[0]
+
+
+def fitted(fit, x):
+    """The fitted activation c * f(a x + b) + d at x."""
+    return fit.c * value(fit.candidate, fit.a * np.asarray(x) + fit.b) + fit.d
+
+
+def fit_alone(phi, domain, cand):
+    """One candidate fitted to phi on its own, in the grid search that
+    fit_activation runs for the whole library."""
+    return _fit_samples(*_samples(phi, domain), (cand,), _Buffers())[0]
 
 
 class TestLibrary:
@@ -46,7 +61,7 @@ class TestLibrary:
     @pytest.mark.parametrize("cand", LIBRARY, ids=lambda c: c.name)
     def test_all_convex_nondecreasing(self, cand):
         x = np.linspace(-6.0, 6.0, 601)
-        y = cand(x)
+        y = value(cand, x)
         d = np.diff(y)
         assert d.min() >= -1e-12
         assert np.diff(d).min() >= -1e-10
@@ -67,9 +82,8 @@ class TestLibrary:
     def test_softplus_powers_by_multiplication(self, cand):
         x = np.linspace(-30.0, 30.0, 1201)
         p, s = cand.power, softplus(x)
-        npt.assert_allclose(cand(x), s**p, rtol=4e-16 * p, atol=0.0)
         f, f1, f2 = cand.derivatives(x)
-        npt.assert_array_equal(f, cand(x))
+        npt.assert_allclose(f, s**p, rtol=4e-16 * p, atol=0.0)
         sig = 1.0 / (1.0 + np.exp(-x))
         npt.assert_allclose(f1, p * s ** (p - 1) * sig, rtol=1e-15 * p, atol=0.0)
 
@@ -84,7 +98,7 @@ class TestLibrary:
 
 class TestFitting:
     def test_affine_target_exact(self):
-        fit = fit_candidate(lambda x: 2.0 * x + 1.0, (-3.0, 5.0), by_name("x"))
+        fit = fit_alone(lambda x: 2.0 * x + 1.0, (-3.0, 5.0), by_name("x"))
         # slope = c*a, intercept = c*b + d
         npt.assert_allclose(fit.c * fit.a, 2.0, rtol=1e-12)
         npt.assert_allclose(fit.c * fit.b + fit.d, 1.0, atol=1e-12)
@@ -97,34 +111,34 @@ class TestFitting:
         for _ in range(200):
             base = rng.uniform(-30.0, 30.0)
             y = base + abs(base) * 2.2e-16 * rng.integers(-2, 3, size=FIT_POINTS)
-            fit = fit_candidate(lambda x: y, (-1.0, 2.0), by_name("x"))
+            fit = fit_alone(lambda x: y, (-1.0, 2.0), by_name("x"))
             assert fit.c == 0.0 and fit.r2 == 1.0
             npt.assert_allclose(fit.d, base, rtol=1e-15)
         assert fit_activation(lambda x: y, (-1.0, 2.0), _Buffers()).c == 0.0
 
     def test_softplus_squared_self_fit(self):
         cand = by_name("softplus^2")
-        fit = fit_candidate(lambda x: softplus(x) ** 2, (-4.0, 4.0), cand)
+        fit = fit_alone(lambda x: softplus(x) ** 2, (-4.0, 4.0), cand)
         assert abs(fit.a - 1.0) < 1e-3
         assert abs(fit.b) < 1e-3
         assert abs(fit.c - 1.0) < 1e-3
         assert fit.r2 > 1.0 - 1e-9
 
     def test_exp_self_fit(self):
-        fit = fit_candidate(lambda x: 3.0 * np.exp(0.5 * x), (-2.0, 3.0), by_name("exp"))
+        fit = fit_alone(lambda x: 3.0 * np.exp(0.5 * x), (-2.0, 3.0), by_name("exp"))
         assert abs(fit.a - 0.5) < 1e-2
         assert fit.r2 > 1.0 - 1e-6
 
     def test_flat_target_zero_variance_guard(self):
         for cand in LIBRARY:
-            fit = fit_candidate(lambda x: np.full_like(x, 2.5), (0.0, 1.0), cand)
+            fit = fit_alone(lambda x: np.full_like(x, 2.5), (0.0, 1.0), cand)
             assert fit.r2 == 1.0
             x = np.linspace(0.0, 1.0, 7)
-            npt.assert_allclose(fit(x), 2.5, atol=1e-9)
+            npt.assert_allclose(fitted(fit, x), 2.5, atol=1e-9)
 
     def test_negative_slope_clamped(self):
         # decreasing target: convex non-decreasing ansatz must flatten (c = 0)
-        fit = fit_candidate(lambda x: -x, (0.0, 1.0), by_name("softplus"))
+        fit = fit_alone(lambda x: -x, (0.0, 1.0), by_name("softplus"))
         assert fit.c == 0.0
         npt.assert_allclose(fit.d, -0.5, atol=1e-12)  # mean of the target
 
@@ -134,12 +148,12 @@ class TestFitting:
             coef = rng.uniform(0.0, 2.0, size=3)
             f = lambda x: coef[0] * softplus(x) + coef[1] * x + coef[2]
             for cand in LIBRARY:
-                fit = fit_candidate(f, (-5.0, 5.0), cand)
+                fit = fit_alone(f, (-5.0, 5.0), cand)
                 assert fit.a >= 0.0 and fit.c >= 0.0
 
     def test_degenerate_domain(self):
         with pytest.raises(ConfigurationError):
-            fit_candidate(lambda x: x, (1.0, 1.0), by_name("x"))
+            fit_alone(lambda x: x, (1.0, 1.0), by_name("x"))
 
 
 def reference_cd(fx, y):
@@ -173,7 +187,7 @@ def reference_fit(x, y, candidate):
         b_grid = np.clip(np.linspace(b_c - b_w, b_c + b_w, 21), -10.0, 10.0)
         for a in a_grid:
             with np.errstate(over="ignore"):
-                fvals = candidate(a * x[:, None] + b_grid[None, :])
+                fvals = value(candidate, a * x[:, None] + b_grid[None, :])
             for k, b in enumerate(b_grid):
                 fx = fvals[:, k]
                 if not np.all(np.isfinite(fx)) or np.abs(fx).max() > 1e120:
@@ -189,7 +203,7 @@ def reference_fit(x, y, candidate):
 
 REFERENCE_TARGETS = {
     **{
-        f"self-{c.name}": (lambda x, c=c: 1.3 * c(0.7 * x + 0.4) + 0.2)
+        f"self-{c.name}": (lambda x, c=c: 1.3 * value(c, 0.7 * x + 0.4) + 0.2)
         for c in LIBRARY
     },
     "saturating-softplus": lambda x: softplus(x) - softplus(x - 2.0),
@@ -211,18 +225,19 @@ class TestArrayFitAgainstScalarReference:
         floor = 1e-12 * np.sum((y - y.mean()) ** 2) + 1e-28
         fits, refs = [], []
         for cand in LIBRARY:
-            fit = fit_candidate(phi, domain, cand)
+            fit = fit_alone(phi, domain, cand)
             resid, a, b, c, d = reference_fit(x, y, cand)
             ref = FittedActivation(cand, a=a, b=b, c=c, d=d, r2=_r2(y, resid))
             fits.append(fit)
             refs.append(ref)
             npt.assert_allclose(fit.r2, ref.r2, rtol=0.0, atol=1e-12)
             npt.assert_allclose(
-                np.sum((fit(x) - y) ** 2), np.sum((ref(x) - y) ** 2), rtol=1e-12, atol=floor
+                np.sum((fitted(fit, x) - y) ** 2), np.sum((fitted(ref, x) - y) ** 2),
+                rtol=1e-12, atol=floor,
             )
             if (fit.a, fit.b) != (a, b):
                 # allowed only where the reference's own residuals tie
-                tie = reference_cd(cand(fit.a * x + fit.b), y)[2]
+                tie = reference_cd(value(cand, fit.a * x + fit.b), y)[2]
                 npt.assert_allclose(tie, resid, rtol=1e-12, atol=floor)
         assert select_candidate(fits).candidate == select_candidate(refs).candidate
 
@@ -313,7 +328,7 @@ class TestSharedRoundOne:
             screened.clear()
             shared = _fit_samples(*_samples(phi, domain), LIBRARY, buffers)
             assert any(screened) == (name == "wide-exp"), name
-            alone = [fit_candidate(phi, domain, cand) for cand in LIBRARY]
+            alone = [fit_alone(phi, domain, cand) for cand in LIBRARY]
             for got, want in zip(shared, alone):
                 assert (got.candidate, got.a, got.b, got.c, got.d, got.r2) == (
                     want.candidate, want.a, want.b, want.c, want.d, want.r2), name
@@ -328,7 +343,7 @@ class TestSharedRoundOne:
         a_grid, b_grid = np.linspace(0.0, 10.0, 21), np.linspace(-10.0, 10.0, 21)
         buffers.arguments(x, a_grid, b_grid, with_softplus=cand.power > 0)
         with np.errstate(over="ignore"):
-            want = cand(a_grid[:, None, None] * x + b_grid[:, None])
+            want = value(cand, a_grid[:, None, None] * x + b_grid[:, None])
         npt.assert_array_equal(buffers.values(cand), want)
 
 
@@ -379,7 +394,7 @@ class TestSelection:
         assert len(calls) == 1
         npt.assert_array_equal(calls[0], np.linspace(-3.0, 3.0, FIT_POINTS))
         # the selection is the one of fitting every candidate on its own
-        alone = select_candidate([fit_candidate(phi, (-3.0, 3.0), c) for c in LIBRARY])
+        alone = select_candidate([fit_alone(phi, (-3.0, 3.0), c) for c in LIBRARY])
         assert (fit.candidate, fit.a, fit.b, fit.c, fit.d, fit.r2) == (
             alone.candidate, alone.a, alone.b, alone.c, alone.d, alone.r2)
 
@@ -395,10 +410,13 @@ def linear_network(alpha=(0.5, 0.0, 1.5)):
     for p in m.params:
         p[..., :n] = 0.0
         p[..., n] = W_S_UNIT  # softplus(w_s) = 1
+    def spacing(kv):
+        return kv.t[1] - kv.t[0]
+
     for j in range(3):  # first output node carries alpha . K
-        m.params[0][0, j, 1] = alpha[j] * m.knots[0][j].s
+        m.params[0][0, j, 1] = alpha[j] * spacing(m.knots[0][j])
     m.grid_initialize()
-    m.params[1][0, 0, 1] = m.knots[1][0].s  # identity pass-through of the first node
+    m.params[1][0, 0, 1] = spacing(m.knots[1][0])  # identity pass-through of the first node
     return m
 
 
@@ -498,7 +516,8 @@ class TestDistillAgainstReference:
                 x, y = activation_samples(model, *k)
                 floor = 1e-12 * np.sum((y - y.mean()) ** 2) + 1e-28
                 npt.assert_allclose(
-                    np.sum((fit(x) - y) ** 2), ref["resid"][m, n], rtol=1e-12, atol=floor
+                    np.sum((fitted(fit, x) - y) ** 2), ref["resid"][m, n], rtol=1e-12,
+                    atol=floor,
                 )
         v, g, h = energy.vgh(ref["K"])
         iu = np.triu_indices(3)
@@ -550,6 +569,8 @@ class TestSerialization:
             "softplus 0 var K1",
             "softplus 5 affine 0 1 0 0",  # the library, and _ipow, stop at 4
             "softplus 1.5 var K1",
+            "add 0",  # used to read as the zero energy
+            "add -3",
             "var K4",
             "var K1 var K2",  # trailing tokens
         ],

@@ -1,6 +1,7 @@
 """Training loop: loss hand-evaluations, loss gradient vs finite differences,
 learning-rate schedule, Adam behavior, ensembling, determinism."""
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from convexkan.training import (
     train,
     train_ensemble,
 )
+from test_network import parameter_fd
 
 
 def two_element_dataset(delta=0.1, model=None, n_t=1):
@@ -38,6 +40,18 @@ def two_element_dataset(delta=0.1, model=None, n_t=1):
     part = biaxial_partition(mesh)
     deltas = [delta * (t + 1) for t in range(n_t)]
     return generate_dataset(mesh, part, model or NeoHookean(), deltas)
+
+
+def parameters(model):
+    """The model's parameter vector, from its stack of one."""
+    return KANStack.of([model]).parameter_vectors()[0]
+
+
+def single(fn, model, *args):
+    """A stack-only training function applied to one model: the value and
+    gradient of its stack of one."""
+    value, grad = fn(KANStack.of([model]), *args)
+    return float(value[0]), grad[0]
 
 
 def flat_network():
@@ -141,29 +155,17 @@ class TestLoss:
     def test_batched_path_matches_public_loss(self):
         ds = two_element_dataset(n_t=2)
         net = KANModel.create(rng=1).grid_initialize()
-        value, _ = loss_and_grad(net, ElementStates(ds))
+        value, _ = single(loss_and_grad, net, ElementStates(ds))
         npt.assert_allclose(value, loss(net, ds), rtol=1e-10)
 
     @pytest.mark.parametrize("mode", [CONSTRAINED, VANILLA])
     def test_gradient_matches_fd(self, mode):
         ds = two_element_dataset(n_t=1)
         net = KANModel.create(rng=2, mode=mode).grid_initialize()
-        states = ElementStates(ds)
-        _, grad = loss_and_grad(net, states)
-        v0 = net.parameter_vector()
-        h = 1e-5
-        fd = np.empty_like(v0)
-        for p in range(v0.size):
-            vp, vm = v0.copy(), v0.copy()
-            vp[p] += h
-            vm[p] -= h
-            net.set_parameter_vector(vp)
-            up = loss_and_grad(net, states)[0]
-            net.set_parameter_vector(vm)
-            um = loss_and_grad(net, states)[0]
-            fd[p] = (up - um) / (2 * h)
-        net.set_parameter_vector(v0)
-        npt.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
+        stack, states = KANStack.of([net]), ElementStates(ds)
+        _, grad = loss_and_grad(stack, states)
+        fd = parameter_fd(stack, lambda: loss_and_grad(stack, states)[0][0], 1e-5)
+        npt.assert_allclose(grad[0], fd, rtol=1e-4, atol=1e-7)
 
 
 def edit_layer0_domains(model, lo, hi):
@@ -184,11 +186,11 @@ class TestLayer0RowCache:
         ds = two_element_dataset(n_t=2)
         states = ElementStates(ds)
         for seed, mode in ((3, CONSTRAINED), (4, VANILLA)):
-            net = KANModel.create(rng=seed, mode=mode).grid_initialize()
+            net = KANStack.of([KANModel.create(rng=seed, mode=mode).grid_initialize()])
             loss_and_grad(net, states)  # fills the cache
             value, grad = loss_and_grad(net, states)
             with monkeypatch.context() as mp:
-                mp.setattr(states, "layer0_rows", lambda model: None)  # every row fresh
+                mp.setattr(states, "layer0_rows", lambda stack: None)  # every row fresh
                 want_value, want_grad = loss_and_grad(net, states)
             npt.assert_allclose(value, want_value, rtol=1e-12)
             npt.assert_allclose(grad, want_grad, rtol=0, atol=1e-12 * np.abs(want_grad).max())
@@ -197,17 +199,17 @@ class TestLayer0RowCache:
         states = ElementStates(two_element_dataset())
         a = KANModel.create(rng=5).grid_initialize()
         b = KANModel.create(rng=6).grid_initialize()  # ensemble members share knots
-        assert states.layer0_rows(a) is states.layer0_rows(b)
+        assert states.layer0_rows(KANStack.of([a])) is states.layer0_rows(KANStack.of([b]))
 
     def test_edited_domains_get_fresh_rows(self):
         ds = two_element_dataset(n_t=2)
         states = ElementStates(ds)
         net = KANModel.create(rng=7).grid_initialize()
-        before = loss_and_grad(net, states)
+        before = single(loss_and_grad, net, states)
         edited = edit_layer0_domains(net, -0.5, 0.75)
         assert edited.knots[0][0].domain == (-0.5, 0.75)
-        got = loss_and_grad(edited, states)
-        want = loss_and_grad(edited, ElementStates(ds))
+        got = single(loss_and_grad, edited, states)
+        want = single(loss_and_grad, edited, ElementStates(ds))
         npt.assert_allclose(got[0], want[0], rtol=1e-12)
         npt.assert_allclose(got[1], want[1], rtol=0, atol=1e-12 * np.abs(want[1]).max())
         npt.assert_allclose(got[0], loss(edited, ds), rtol=1e-10)
@@ -215,7 +217,7 @@ class TestLayer0RowCache:
         # with net's stale rows it would have reproduced net's loss
         assert abs(want[0] - before[0]) > 1e-3 * abs(want[0])
         # and the original knots get their own rows back
-        npt.assert_array_equal(loss_and_grad(net, states)[1], before[1])
+        npt.assert_array_equal(single(loss_and_grad, net, states)[1], before[1])
 
 
 DATA = Path(__file__).parent / "data"
@@ -251,11 +253,7 @@ class TestAgainstLossGradReference:
     @pytest.mark.parametrize("mode, dims", CASES, ids=lambda v: "".join(map(str, v)))
     def test_loss_and_gradient(self, states, mode, dims, M):
         models = [reference.reference_model(mode, dims, s, states.K) for s in range(M)]
-        if M == 1:  # a model on its own is the stack of one
-            value, grad = loss_and_grad(models[0], states)
-            value, grad = np.array([value]), grad[None]
-        else:
-            value, grad = loss_and_grad(KANStack.of(models), states)
+        value, grad = loss_and_grad(KANStack.of(models), states)
         key = f"{self.tag(mode, dims)}_M{M}"
         npt.assert_allclose(value, self.REF[key + "_loss"], rtol=1e-12)
         for got, want in zip(grad, self.REF[key + "_grad"]):
@@ -305,7 +303,7 @@ class TestRequestedOrders:
     def test_loss_and_grad_orders(self, monkeypatch, mode, dims):
         model = KANModel.create(dims=dims, mode=mode, rng=2).grid_initialize()
         calls = self.record(monkeypatch, model)
-        loss_and_grad(model, ElementStates(two_element_dataset(n_t=2)))
+        loss_and_grad(KANStack.of([model]), ElementStates(two_element_dataset(n_t=2)))
         last = len(dims) - 2
         want = [(0, (0, 1))] + [(r, (0, 1, 2)) for r in range(1, last)] + [(last, (1, 2))]
         assert calls == want
@@ -330,33 +328,23 @@ class TestCurvaturePrior:
     def test_value_is_weighted_sum_of_clamped_increments(self):
         net = KANModel.create(rng=4).grid_initialize()
         want = sum(np.maximum(p[..., 2 : net.n_coef], 0.0).sum() for p in net.params)
-        value, _ = curvature_prior(net, 0.3)
+        value, _ = single(curvature_prior, net, 0.3)
         npt.assert_allclose(value, 0.3 * want, rtol=1e-14)
-        assert curvature_prior(net, 0.0)[0] == 0.0
+        assert single(curvature_prior, net, 0.0)[0] == 0.0
 
     def test_gradient_matches_fd(self):
-        net = KANModel.create(rng=5).grid_initialize()
-        v0 = net.parameter_vector()
+        stack = KANStack.of([KANModel.create(rng=5).grid_initialize()])
+        v0 = stack.parameter_vectors()
         v0[np.abs(v0) < 1e-3] = 0.05  # stay away from the clamp kink
-        net.set_parameter_vector(v0)
-        _, grad = curvature_prior(net, 0.7)
-        h = 1e-6
-        fd = np.empty_like(v0)
-        for p in range(v0.size):
-            vp, vm = v0.copy(), v0.copy()
-            vp[p] += h
-            vm[p] -= h
-            net.set_parameter_vector(vp)
-            up = curvature_prior(net, 0.7)[0]
-            net.set_parameter_vector(vm)
-            um = curvature_prior(net, 0.7)[0]
-            fd[p] = (up - um) / (2 * h)
+        stack.set_parameter_vectors(v0)
+        grad = curvature_prior(stack, 0.7)[1][0]
+        fd = parameter_fd(stack, lambda: curvature_prior(stack, 0.7)[0][0], 1e-6)
         npt.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
         assert np.count_nonzero(grad) > 0
 
     def test_vanilla_model_has_no_prior(self):
         net = KANModel.create(rng=6, mode=VANILLA).grid_initialize()
-        value, grad = curvature_prior(net, 1.0)
+        value, grad = single(curvature_prior, net, 1.0)
         assert value == 0.0
         npt.assert_array_equal(grad, 0.0)
 
@@ -366,18 +354,18 @@ class TestCurvaturePrior:
         model, report = train(cfg, ds)
         npt.assert_allclose(report.final_loss, loss(model, ds), rtol=1e-10)
         # the prior is active: it changes the trained parameters
-        plain, _ = train(cfg.with_overrides(curvature_penalty=0.0), ds)
-        assert np.any(model.parameter_vector() != plain.parameter_vector())
+        plain, _ = train(replace(cfg, curvature_penalty=0.0), ds)
+        assert np.any(parameters(model) != parameters(plain))
 
 
 class TestTrain:
     def test_single_epoch_changes_parameters(self):
         ds = two_element_dataset()
         cfg = TrainConfig(epochs=1, ensemble_size=1, seed=5)
-        before = KANModel.create(rng=5).grid_initialize().parameter_vector()
+        before = parameters(KANModel.create(rng=5).grid_initialize())
         model, report = train(cfg, ds)
         assert report.losses.size == 1
-        assert np.any(model.parameter_vector() != before)
+        assert np.any(parameters(model) != before)
 
     def test_loss_decreases(self):
         ds = two_element_dataset(n_t=2)
@@ -390,7 +378,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=10, seed=7)
         m1, r1 = train(cfg, ds)
         m2, r2 = train(cfg, ds)
-        npt.assert_array_equal(m1.parameter_vector(), m2.parameter_vector())
+        npt.assert_array_equal(parameters(m1), parameters(m2))
         npt.assert_array_equal(r1.losses, r2.losses)
 
     def test_loss_trace_finite_and_report_shape(self):
@@ -426,7 +414,7 @@ class TestEnsemble:
         cfg = TrainConfig(epochs=5, ensemble_size=1, seed=11)
         m1, _ = train(cfg, ds)
         m2, reports = train_ensemble(cfg, ds)
-        npt.assert_array_equal(m1.parameter_vector(), m2.parameter_vector())
+        npt.assert_array_equal(parameters(m1), parameters(m2))
         assert len(reports) == 1 and reports[0].selected
 
     def test_selects_lowest_final_loss(self):
@@ -443,7 +431,7 @@ class TestEnsemble:
         cfg = TrainConfig(epochs=6, ensemble_size=2, seed=4)
         b1, _ = train_ensemble(cfg, ds)
         b2, _ = train_ensemble(cfg, ds)
-        npt.assert_array_equal(b1.parameter_vector(), b2.parameter_vector())
+        npt.assert_array_equal(parameters(b1), parameters(b2))
 
 
 class TestErrors:
@@ -486,21 +474,21 @@ class TestStackedPass:
                   for s in (5, 6, 7)]
         # distinct layer >= 1 knots: the stack keeps one knot row per member
         assert len({m.knots[1][0].domain for m in models}) == 3
-        single = [loss_and_grad(m, states) for m in models]
+        alone = [single(loss_and_grad, m, states) for m in models]
         values, grads = loss_and_grad(KANStack.of(models), states)
-        assert values.shape == (3,) and grads.shape == (3, models[0].n_parameters())
-        for (value, grad), v, g in zip(single, values, grads):
+        assert values.shape == (3,) and grads.shape == (3, parameters(models[0]).size)
+        for (value, grad), v, g in zip(alone, values, grads):
             npt.assert_allclose(v, value, rtol=1e-12)
             npt.assert_allclose(g, grad, rtol=0, atol=1e-12 * np.abs(grad).max())
 
     def test_stacking_binds_member_parameters(self):
         models = [KANModel.create(rng=s).grid_initialize() for s in (1, 2)]
-        want = [m.parameter_vector() for m in models]
+        want = [np.concatenate([p.ravel() for p in m.params]) for m in models]
         stack = KANStack.of(models)
         npt.assert_array_equal(stack.parameter_vectors(), want)
         stack.set_parameter_vectors(2.0 * stack.parameter_vectors())
         for m, w in zip(models, want):
-            npt.assert_array_equal(m.parameter_vector(), 2.0 * w)
+            npt.assert_array_equal(np.concatenate([p.ravel() for p in m.params]), 2.0 * w)
 
     def test_rejects_mixed_architectures(self):
         a = KANModel.create(rng=1).grid_initialize()
