@@ -30,7 +30,7 @@ print("left extension is affine:", np.allclose(np.diff(left_val), 10 * edge_slop
 
 # --- the full network -------------------------------------------------------
 # Three invariant inputs, one hidden layer of width two, scalar energy out.
-model = KANModel.create(dims=(3, 2, 1), rng=3).grid_initialize()
+model = KANModel.create(dims=(3, 2, 1), rng=3)
 K = rng.uniform(0.0, 5.0, size=(5, 3))
 print("\nW(K) for a few random invariant triples:")
 print(model.forward(K))

@@ -14,7 +14,7 @@ from convexkan.network import KANModel
 
 # Stand-in for a trained network: any constrained model distills the same
 # way.  (demo 03 shows actual training; here the point is the tooling.)
-model = KANModel.create(rng=7).grid_initialize()
+model = KANModel.create(rng=7)
 
 energy = distill(model)
 print("distilled expression:")

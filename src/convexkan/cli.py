@@ -226,7 +226,7 @@ def _load_learned(args):
         out["ickan"] = NetworkMaterial(KANModel.load(args.checkpoint))
     if getattr(args, "symbolic", None):
         energy = SymbolicEnergy.load(args.symbolic)
-        out["sym"] = SymbolicMaterial(energy, zero_at_identity=args.shift_symbolic)
+        out["sym"] = SymbolicMaterial(energy, getattr(args, "shift_symbolic", False))
     return out
 
 
@@ -406,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--model", required=True, help="truth material kind")
     s.add_argument("--checkpoint")
     s.add_argument("--symbolic")
-    s.add_argument("--shift-symbolic", action="store_true")
     s.add_argument("--mesh", help="mesh file (default: built-in two-hole plate)")
     s.add_argument("--delta", type=float, default=0.1, help="final load parameter")
     s.add_argument("--steps", type=int, help="number of load increments")

@@ -459,13 +459,14 @@ def distill(model: KANModel, lambda_sym: float = LAMBDA_SYM) -> SymbolicEnergy:
     Reports per-activation R^2 values and the whole-model parity R^2 against
     the network on sampled K points from the grid-initialization box.
     """
+    model._one("distill")
     if model.mode != CONSTRAINED:
         raise ConfigurationError("distillation requires a constrained model")
     if not 0.0 <= lambda_sym <= 1.0:  # also rejects nan
         raise ConfigurationError(f"lambda_sym must lie in [0, 1], got {lambda_sym}")
     fits, buffers = {}, _Buffers()
     for r, layer in enumerate(model.params):
-        for i, j in np.ndindex(layer.shape[:2]):
+        for i, j in np.ndindex(layer.shape[1:3]):
 
             def phi(x, r=r, i=i, j=j):
                 x = np.broadcast_to(x, (1, model.dims[r], np.size(x)))
@@ -473,7 +474,7 @@ def distill(model: KANModel, lambda_sym: float = LAMBDA_SYM) -> SymbolicEnergy:
 
             try:
                 fits[(r, i, j)] = fit_activation(
-                    phi, model.knots[r][j].domain, buffers, lambda_sym)
+                    phi, model.domain(r, j), buffers, lambda_sym)
             except EvaluationError as exc:
                 raise EvaluationError(
                     f"activation (layer {r}, out {i}, in {j}) failed to fit: {exc}"

@@ -26,7 +26,7 @@ from .bspline import design_rows
 from .errors import ConfigurationError, InadmissibleDeformationError, TrainingError
 from .fem import SpecimenDataset, deformation_gradients, nodal_forces
 from .mechanics import MaterialModel, NetworkMaterial, compute_state
-from .network import CONSTRAINED, KANModel, KANStack
+from .network import CONSTRAINED, KANModel
 
 Array = npt.NDArray[np.float64]
 
@@ -90,6 +90,8 @@ class TrainConfig:
                 key, val = key.strip(), val.strip()
                 if key not in types:
                     raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
+                if key in values:
+                    raise ConfigurationError(f"line {lineno}: repeated key {key!r}")
                 caster = int if types[key] == "int" else float
                 try:
                     values[key] = caster(val)
@@ -213,10 +215,10 @@ class ElementStates:
         self.y = np.concatenate([_balance_target(partition, R) for R in dataset.reactions])
         self._rows0_key = None
 
-    def layer0_rows(self, stack: KANStack) -> Array:
-        """The layer-0 value and slope rows at K of a stack (what a training
+    def layer0_rows(self, model: KANModel) -> Array:
+        """The layer-0 value and slope rows at K of a model (what a training
         sweep reads there), recomputed when its layer-0 knots change."""
-        t0, k = stack.t[0], stack.arch.order
+        t0, k = model.t[0], model.order
         key = (k, t0.shape, t0.tobytes())
         if key != self._rows0_key:
             self._rows0_key = key
@@ -245,28 +247,27 @@ def loss(model, dataset: SpecimenDataset) -> float:
     return total
 
 
-def loss_and_grad(stack: KANStack, states: ElementStates):
-    """Loss and its gradient w.r.t. the network parameter vector of each
-    member of a stack of M: ``(M,)`` and ``(M, n_parameters)``.
+def loss_and_grad(model: KANModel, states: ElementStates):
+    """Loss and its gradient w.r.t. the network parameter vector of each of
+    a model's M members: ``(M,)`` and ``(M, n_parameters)``.
 
     One forward sweep gives every member's energy K-gradients g; the
     residuals are ``L g - y``, and their adjoint ``2 L^T (L g - y)`` seeds
     one reverse sweep through all members.
     """
-    arch = stack.arch
-    Kb, _ = arch._check_input(states.K)
-    cache = arch._forward_cache(Kb, states.layer0_rows(stack), stack)
-    M, N = stack.size, Kb.shape[0]
+    Kb, _ = model._check_input(states.K)
+    cache = model._forward_cache(Kb, states.layer0_rows(model))
+    M, N = model.size, Kb.shape[0]
     g = cache["A"][-1][:, :, 0, :].reshape(M, 3 * N).T  # one column per member
     res = states.L @ g - states.y[:, None]
     value = np.sum(res * res, axis=0)
     seed_g = (states.LT @ (2.0 * res)).T.reshape(M, N, 3)
-    return value, arch.backward_batch(Kb, seed_g=seed_g, cache=cache)
+    return value, model.backward_batch(cache, seed_g=seed_g)
 
 
-def curvature_prior(stack: KANStack, weight: float):
+def curvature_prior(model: KANModel, weight: float):
     """Value and gradient of ``weight * sum max(raw[2:], 0)`` over all
-    activations of each member of a constrained stack: ``(M,)`` and
+    activations of each member of a constrained model: ``(M,)`` and
     ``(M, n_parameters)``.
 
     ``raw[2:]`` are the curvature increments of each convex spline (see
@@ -274,10 +275,10 @@ def curvature_prior(stack: KANStack, weight: float):
     the clamp as :func:`bspline.reparameterize_vjp`.  Vanilla models carry no
     prior.
     """
-    arch, v = stack.arch, stack.parameter_vectors()
+    v = model.parameter_vectors()
     value, grad = np.zeros(len(v)), np.zeros_like(v)
-    if arch.mode == CONSTRAINED:
-        n = arch.n_coef
+    if model.mode == CONSTRAINED:
+        n = model.n_coef
         # constrained packing: per activation the n raw entries, then w_s
         h = v.reshape(len(v), -1, n + 1)[..., 2:n]
         grad.reshape(h.shape[:-1] + (n + 1,))[..., 2:n] = weight * (h >= 0.0)
@@ -287,28 +288,25 @@ def curvature_prior(stack: KANStack, weight: float):
 
 def _train_members(config: TrainConfig, states: ElementStates, seeds, dims, order,
                    n_coef, mode):
-    """Train one network per seed, all in one stacked pass.
+    """Train one network per seed, all as the members of one model.
 
-    Returns ``(models, reports, errors)``: the members that finished with
-    their reports, and by member index the message of each member that left
-    the stack on a non-finite loss or gradient.  Every report's wall time is
-    the stacked pass's.
+    Returns ``(model, reports, errors)``: the members that finished (if any
+    did) and their reports, and by member index the message of each member
+    that left on a non-finite loss or gradient.  Every report's wall time is
+    the whole pass's.
     """
-    models = [
-        KANModel.create(dims=dims, order=order, n_coef=n_coef, mode=mode, rng=s).grid_initialize()
-        for s in seeds
-    ]
-    alive = list(range(len(models)))
-    stack = KANStack.of(models)
-    params = stack.parameter_vectors()
+    model = KANModel.stack([KANModel.create(dims=dims, order=order, n_coef=n_coef, mode=mode,
+                                            rng=s) for s in seeds])
+    alive = list(range(len(seeds)))
+    params = model.parameter_vectors()
     adam = _Adam(params.shape, config)
-    losses = np.empty((len(models), config.epochs))
+    losses = np.empty((len(seeds), config.epochs))
     lrs = np.empty(config.epochs)
     errors = {}
     start = time.perf_counter()
     for epoch in range(config.epochs):
-        value, grad = loss_and_grad(stack, states)
-        grad += curvature_prior(stack, config.curvature_penalty)[1]
+        value, grad = loss_and_grad(model, states)
+        grad += curvature_prior(model, config.curvature_penalty)[1]
         ok = np.isfinite(value) & np.all(np.isfinite(grad), axis=1)
         if not ok.all():
             for k in np.flatnonzero(~ok):
@@ -318,20 +316,20 @@ def _train_members(config: TrainConfig, states: ElementStates, seeds, dims, orde
                 break
             value, grad, params = value[ok], grad[ok], params[ok]
             adam.keep(ok)
-            stack = KANStack.of([models[a] for a in alive])
+            model = model.members(ok)
         lr = cyclic_learning_rate(epoch, config)
         losses[alive, epoch] = value
         lrs[epoch] = lr
         params = adam.step(params, grad, lr)
-        stack.set_parameter_vectors(params)
-    final = loss_and_grad(stack, states)[0] if alive else []
+        model.set_parameter_vectors(params)
+    final = loss_and_grad(model, states)[0] if alive else []
     wall_time = time.perf_counter() - start
     reports = [
         TrainReport(losses=losses[a], lrs=lrs, final_loss=float(f), wall_time=wall_time,
                     seed=seeds[a], member=a)
         for a, f in zip(alive, final)
     ]
-    return [models[a] for a in alive], reports, errors
+    return model, reports, errors
 
 
 def train(
@@ -342,7 +340,6 @@ def train(
     n_coef: int = 17,
     mode: str = CONSTRAINED,
     seed: int | None = None,
-    states: ElementStates | None = None,
 ):
     """Train one network on a dataset; returns (model, report).
 
@@ -350,13 +347,12 @@ def train(
     ``curvature_prior(model, config.curvature_penalty)``; the report records
     the force-balance loss alone.
     """
-    if states is None:
-        states = ElementStates(dataset)
     seed = config.seed if seed is None else seed
-    models, reports, errors = _train_members(config, states, [seed], dims, order, n_coef, mode)
+    model, reports, errors = _train_members(config, ElementStates(dataset), [seed], dims, order,
+                                            n_coef, mode)
     if errors:
         raise TrainingError(errors[0])
-    return models[0], reports[0]
+    return model, reports[0]
 
 
 def train_ensemble(
@@ -368,18 +364,18 @@ def train_ensemble(
     mode: str = CONSTRAINED,
     failures: dict | None = None,
 ):
-    """Train ``ensemble_size`` independently seeded networks in one stacked
-    pass and return the one with the lowest final loss, along with every
-    finished member's report.  ``failures``, when given, receives by member
-    index the message of each member that left the stack."""
+    """Train ``ensemble_size`` independently seeded networks as the members
+    of one model and return the one with the lowest final loss, along with
+    every finished member's report.  ``failures``, when given, receives by
+    member index the message of each member that left."""
     seeds = [config.seed + member for member in range(config.ensemble_size)]
-    models, reports, errors = _train_members(config, ElementStates(dataset), seeds, dims,
-                                             order, n_coef, mode)
+    model, reports, errors = _train_members(config, ElementStates(dataset), seeds, dims,
+                                            order, n_coef, mode)
     if failures is not None:
         failures.update(errors)
-    if not models:
+    if not reports:
         raise TrainingError("all ensemble members failed: " + "; ".join(
             f"member {m}: {msg}" for m, msg in sorted(errors.items())))
     best = int(np.argmin([r.final_loss for r in reports]))
     reports[best].selected = True
-    return models[best], reports
+    return model.members([best]), reports

@@ -29,7 +29,7 @@ import numpy as np
 
 from convexkan.bspline import KnotVector
 from convexkan.fem import Mesh, SpecimenDataset, biaxial_partition, unit_square_hole_mesh
-from convexkan.network import CONSTRAINED, VANILLA, KANModel, KANStack
+from convexkan.network import CONSTRAINED, VANILLA, KANModel
 from convexkan.training import ElementStates, loss_and_grad
 
 MODES = (CONSTRAINED, VANILLA)
@@ -63,13 +63,13 @@ def reference_model(mode, dims, seed, K=None) -> KANModel:
     ``K``, with layer-0 domains on the middle of each K column (a little
     wider for each later seed)."""
     rng = np.random.default_rng(1000 + seed)
-    model = KANModel.create(dims=dims, mode=mode, rng=seed).grid_initialize()
+    model = KANModel.create(dims=dims, mode=mode, rng=seed)
     for p in model.params:
-        p[..., model.n_coef] = rng.uniform(-1.0, 1.5, size=p.shape[:2])
+        p[..., model.n_coef] = rng.uniform(-1.0, 1.5, size=p.shape[:3])
     if K is not None:
         lo, hi = np.quantile(K, [0.25 - 0.05 * seed, 0.75 + 0.05 * seed], axis=0)
-        model.knots[0] = [KnotVector.from_domain(a, b, model.n_coef, model.order)
-                          for a, b in zip(lo, hi)]
+        model.t[0] = np.array([[KnotVector.from_domain(a, b, model.n_coef, model.order).t
+                                for a, b in zip(lo, hi)]])
     return model
 
 
@@ -87,13 +87,14 @@ def main(path=Path(__file__).with_name("loss_grad_reference_v1.npz")):
             tag = f"{mode}_{''.join(map(str, dims))}"
             for M in SIZES:
                 models = [reference_model(mode, dims, s, states.K) for s in range(M)]
-                value, grad = loss_and_grad(KANStack.of(models), states)
+                value, grad = loss_and_grad(KANModel.stack(models), states)
                 out[f"{tag}_M{M}_loss"], out[f"{tag}_M{M}_grad"] = value, grad
             model = reference_model(mode, dims, 0)
             W, G, H = model.forward_with_input_derivatives(K_FIXED)
             out[f"{tag}_forward"] = model.forward(K_FIXED)
             out[f"{tag}_W"], out[f"{tag}_G"], out[f"{tag}_H"] = W, G, H
-            out[f"{tag}_seeded"] = model.backward_batch(K_FIXED, seed_w=seed_w, seed_g=seed_g)
+            cache = model._forward_cache(K_FIXED, w_seeded=True)
+            out[f"{tag}_seeded"] = model.backward_batch(cache, seed_w[None], seed_g[None])[0]
     np.savez_compressed(path, **out)
     print(f"wrote {path}")
 

@@ -54,7 +54,7 @@ def d2K_dFdF(F: np.ndarray) -> np.ndarray:
 
 def materials() -> dict:
     models = {kind: benchmark_model(kind) for kind in sorted(BENCHMARKS)}
-    models["ICKAN"] = NetworkMaterial(KANModel.create(rng=35).grid_initialize())
+    models["ICKAN"] = NetworkMaterial(KANModel.create(rng=35))
     energy = SymbolicEnergy.load(DATA / "distilled_v1.sym")
     models["SYM"] = SymbolicMaterial(energy, zero_at_identity=True)
     return models

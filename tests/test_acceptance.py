@@ -96,7 +96,7 @@ class TestNetworkGuarantees:
         start = time.perf_counter()
         rng = np.random.default_rng(1)
         for trial in range(100):
-            model = KANModel.create(rng=1000 + trial).grid_initialize()
+            model = KANModel.create(rng=1000 + trial)
             K = rng.uniform(-5.0, 25.0, size=(1000, 3))
             _, g, H = model.forward_with_input_derivatives(K)
             assert g.min() >= -1e-12
@@ -120,7 +120,7 @@ class TestNetworkGuarantees:
 
 def all_material_kinds():
     models = {kind: benchmark_model(kind) for kind in sorted(BENCHMARKS)}
-    models["ICKAN"] = NetworkMaterial(KANModel.create(rng=42).grid_initialize())
+    models["ICKAN"] = NetworkMaterial(KANModel.create(rng=42))
     return models
 
 

@@ -305,6 +305,16 @@ class TestTrain:
              "--out", str(tmp_path / "m.ckpt")]
         ) == 2
 
+    def test_repeated_config_key_exits_2(self, tmp_path, dataset_file, capsys):
+        config = tmp_path / "twice.cfg"
+        config.write_text("epochs=2\nensemble_size=1\nepochs=5\n")
+        out = tmp_path / "m.ckpt"
+        assert main(
+            ["train", "--dataset", dataset_file, "--config", str(config), "--out", str(out)]
+        ) == 2
+        assert "line 3: repeated key 'epochs'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_exits_2(self, tmp_path, dataset_file):
         out = tmp_path / "m.ckpt"
         assert main(
@@ -502,6 +512,13 @@ class TestSimulate:
             ["simulate", "--model", "NH", "--mesh", mesh_file,
              "--out", str(tmp_path / "s")]
         ) == 2
+
+    def test_no_shift_symbolic_option(self, tmp_path, mesh_file):
+        # the shift moves only the energy's constant: nothing simulate writes
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--model", "NH", "--symbolic", "x.sym", "--shift-symbolic",
+                  "--mesh", mesh_file, "--out", str(tmp_path / "s")])
+        assert exc.value.code == 2
 
 
 class TestOutputPaths:

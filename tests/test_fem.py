@@ -234,7 +234,7 @@ class TestBatchedAssembly:
         m = unit_square_hole_mesh(n=7)
         u = 0.03 * np.random.default_rng(7).normal(size=(m.n_nodes, 2))
         if kind == "ICKAN":
-            return m, u, NetworkMaterial(KANModel.create(rng=8).grid_initialize())
+            return m, u, NetworkMaterial(KANModel.create(rng=8))
         return m, u, benchmark_model(kind)
 
     @pytest.mark.parametrize("kind", ["NH", "AB", "OG", "ICKAN"])

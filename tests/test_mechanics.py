@@ -232,7 +232,7 @@ class TestBenchmarkModels:
 
 @pytest.fixture(scope="module")
 def material():
-    net = KANModel.create(rng=30).grid_initialize()
+    net = KANModel.create(rng=30)
     return NetworkMaterial(net)
 
 
@@ -287,8 +287,8 @@ class TestNetworkMaterial:
 @pytest.fixture(scope="module")
 def all_materials():
     models = {kind: benchmark_model(kind) for kind in sorted(BENCHMARKS)}
-    models["ICKAN"] = NetworkMaterial(KANModel.create(rng=35).grid_initialize())
-    models["SYM"] = SymbolicMaterial(distill(KANModel.create(rng=36).grid_initialize()))
+    models["ICKAN"] = NetworkMaterial(KANModel.create(rng=35))
+    models["SYM"] = SymbolicMaterial(distill(KANModel.create(rng=36)))
     return models
 
 

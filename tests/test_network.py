@@ -4,15 +4,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from convexkan.bspline import BSplineCurve, ConvexSpline
+from convexkan.bspline import BSplineCurve, ConvexSpline, KnotVector
 from convexkan.errors import ConfigurationError, DataError, EvaluationError
-from convexkan.network import CONSTRAINED, VANILLA, KANModel, KANStack, sigmoid, softplus
+from convexkan.network import CONSTRAINED, VANILLA, KANModel, sigmoid, softplus
+from convexkan.symbolic import distill
 
 
 def fresh_model(seed=0, mode=CONSTRAINED, dims=(3, 2, 1), order=5, n_coef=17):
-    return KANModel.create(
-        dims=dims, order=order, n_coef=n_coef, mode=mode, rng=seed
-    ).grid_initialize()
+    return KANModel.create(dims=dims, order=order, n_coef=n_coef, mode=mode, rng=seed)
 
 
 def flat_model():
@@ -22,28 +21,37 @@ def flat_model():
     return m.grid_initialize()
 
 
-def parameter_fd(stack, objective, h=1e-5):
+def parameter_fd(model, objective, h=1e-5):
     """Central differences of ``objective()`` in each entry of the parameter
-    vector of a stack of one, written through the stack."""
-    v0 = stack.parameter_vectors()[0]
+    vector of a model of one, written into the model."""
+    v0 = model.parameter_vectors()[0]
     fd = np.empty_like(v0)
     for p in range(v0.size):
         vp, vm = v0.copy(), v0.copy()
         vp[p] += h
         vm[p] -= h
-        stack.set_parameter_vectors(vp[None])
+        model.set_parameter_vectors(vp[None])
         up = objective()
-        stack.set_parameter_vectors(vm[None])
+        model.set_parameter_vectors(vm[None])
         um = objective()
         fd[p] = (up - um) / (2 * h)
-    stack.set_parameter_vectors(v0[None])
+    model.set_parameter_vectors(v0[None])
     return fd
+
+
+def backward(m, K, seed_w=None, seed_g=None):
+    """``backward_batch`` of a model of one at inputs ``K`` for one set of
+    seeds: one gradient row."""
+    cache = m._forward_cache(np.asarray(K, dtype=np.float64), w_seeded=seed_w is not None)
+    return m.backward_batch(cache, None if seed_w is None else seed_w[None],
+                            None if seed_g is None else seed_g[None])[0]
 
 
 def edge_spline(m, r, i, j):
     """The spline of edge (r, i, j) as a curve of its own."""
     spline_cls = ConvexSpline if m.mode == CONSTRAINED else BSplineCurve
-    return spline_cls(knots=m.knots[r][j], raw=m.params[r][i, j, : m.n_coef].copy())
+    knots = KnotVector(t=m.t[r][0, j], k=m.order)
+    return spline_cls(knots=knots, raw=m.params[r][0, i, j, : m.n_coef].copy())
 
 
 class TestCreate:
@@ -58,6 +66,69 @@ class TestCreate:
         assert min(p[..., 1].min() for p in m.params) < 0.0
 
 
+class TestMemberAxis:
+    """A model holds M networks on a leading member axis; one network is M = 1."""
+
+    @pytest.mark.parametrize("mode", [CONSTRAINED, VANILLA])
+    @pytest.mark.parametrize("dims", [(3, 2, 1), (3, 3, 2, 1)])
+    def test_create_is_grid_initialized(self, mode, dims):
+        a = KANModel.create(dims=dims, mode=mode, rng=3)
+        b = KANModel.create(dims=dims, mode=mode, rng=3).grid_initialize()
+        for x, y in zip(a.params + a.t, b.params + b.t):
+            assert x.tobytes() == y.tobytes() and x.shape == y.shape
+
+    @pytest.mark.parametrize("mode", [CONSTRAINED, VANILLA])
+    def test_grid_initialize_places_every_member_as_alone(self, mode):
+        models = [fresh_model(seed=s, mode=mode, dims=(3, 3, 2, 1)) for s in (8, 9, 10)]
+        for m, model in enumerate(models):  # domains the create-time ones do not fit
+            model.params[0][..., model.n_coef] += 0.5 * m
+        stack = KANModel.stack(models).grid_initialize()
+        for m, model in enumerate(models):
+            model.grid_initialize()
+            for got, want in zip(stack.t, model.t):
+                npt.assert_array_equal(got[m if len(got) > 1 else 0], want[0])
+
+    def test_stack_collapses_equal_knots_only(self):
+        models = [fresh_model(seed=s) for s in (5, 6, 7)]
+        stack = KANModel.stack(models)
+        assert stack.size == 3 and stack.params[0].shape == (3, 2, 3, 18)
+        # layer 0 reads the grid-initialization box for every member
+        assert stack.t[0].shape[0] == 1
+        npt.assert_array_equal(stack.t[0], models[0].t[0])
+        # layer 1's knots follow each member's layer-0 outputs
+        assert stack.t[1].shape[0] == 3
+        for m, model in enumerate(models):
+            npt.assert_array_equal(stack.t[1][m], model.t[1][0])
+
+    def test_members_round_trip_the_stack(self):
+        models = [fresh_model(seed=s, mode=VANILLA) for s in (5, 6, 7)]
+        stack = KANModel.stack(models)
+        picked = stack.members([2, 0])
+        npt.assert_array_equal(picked.parameter_vectors(),
+                               [models[2].parameter_vectors()[0], models[0].parameter_vectors()[0]])
+        assert picked.t[1].shape[0] == 2
+        K = np.random.default_rng(4).uniform(-5.0, 25.0, size=(7, 3))
+        for m in (0, 1, 2):
+            npt.assert_array_equal(stack.members([m]).forward(K), models[m].forward(K))
+        # a mask picks members too; knots the picked members share collapse
+        twice = KANModel.stack([models[1], models[0], models[1]])
+        assert twice.t[1].shape[0] == 3
+        same = twice.members(np.array([True, False, True]))
+        assert same.size == 2 and all(t.shape[0] == 1 for t in same.t)
+
+    def test_single_network_entry_points_refuse_stacks(self, tmp_path):
+        stack = KANModel.stack([fresh_model(seed=1), fresh_model(seed=2)])
+        K = np.zeros((1, 3))
+        for call in (lambda: stack.forward(K), lambda: stack.forward_with_input_derivatives(K),
+                     stack.dumps, lambda: distill(stack)):
+            with pytest.raises(ConfigurationError, match="takes one network, got 2 members"):
+                call()
+        with pytest.raises(ConfigurationError, match="takes one network"):
+            stack.save(tmp_path / "model.ckpt")
+        assert not (tmp_path / "model.ckpt").exists()
+        assert stack.members([1]).dumps() == fresh_model(seed=2).dumps()
+
+
 class TestForward:
     def test_flat_model_is_zero(self):
         m = flat_model()
@@ -70,7 +141,7 @@ class TestForward:
         K = np.random.default_rng(3).uniform(-4.0, 20.0, size=(20, 3))
         want = np.zeros(20)
         for j in range(3):
-            w_s = m.params[0][0, j, m.n_coef]
+            w_s = m.params[0][0, 0, j, m.n_coef]
             want += softplus(w_s) * edge_spline(m, 0, 0, j).eval_extended(K[:, j])[0]
         npt.assert_allclose(m.forward(K), want, rtol=1e-12)
 
@@ -82,9 +153,6 @@ class TestForward:
         with pytest.raises(EvaluationError):
             fresh_model().forward([np.nan, 0.0, 0.0])
 
-    def test_requires_grid_init(self):
-        with pytest.raises(ConfigurationError):
-            KANModel.create(rng=0).forward([0.0, 0.0, 0.0])
 
 
 class TestInputDerivatives:
@@ -182,22 +250,22 @@ class TestConvexityProperties:
 class TestBackward:
     def test_zero_seed_zero_gradient(self):
         m = fresh_model(seed=13)
-        g = m.backward_batch(np.array([[1.0, 2.0, 3.0]]), seed_w=np.zeros(1))
+        g = backward(m, np.array([[1.0, 2.0, 3.0]]), seed_w=np.zeros(1))
         npt.assert_array_equal(g, 0.0)
 
     def test_linear_in_seed(self):
         m = fresh_model(seed=14)
         K = np.array([[0.5, 1.0, 2.0]])
-        g1 = m.backward_batch(K, seed_w=np.ones(1))
-        g3 = m.backward_batch(K, seed_w=np.full(1, 3.0))
+        g1 = backward(m, K, seed_w=np.ones(1))
+        g3 = backward(m, K, seed_w=np.full(1, 3.0))
         npt.assert_allclose(g3, 3.0 * g1, rtol=1e-12)
 
     @pytest.mark.parametrize("mode", [CONSTRAINED, VANILLA])
     def test_value_seed_matches_parameter_fd(self, mode):
         m = fresh_model(seed=15, mode=mode)
         K = np.array([[0.3, 1.7, 4.0], [-1.0, 0.2, 8.0]])
-        got = m.backward_batch(K, seed_w=np.ones(2))
-        fd = parameter_fd(KANStack.of([m]), lambda: m.forward(K).sum())
+        got = backward(m, K, seed_w=np.ones(2))
+        fd = parameter_fd(m, lambda: m.forward(K).sum())
         npt.assert_allclose(got, fd, rtol=1e-4, atol=1e-7)
 
     @pytest.mark.parametrize("mode", [CONSTRAINED, VANILLA])
@@ -206,13 +274,13 @@ class TestBackward:
         K = np.array([[0.3, 1.7, 4.0], [2.0, -0.5, 12.0]])
         rng = np.random.default_rng(17)
         seed_g = rng.normal(size=(2, 3))
-        got = m.backward_batch(K, seed_g=seed_g)
+        got = backward(m, K, seed_g=seed_g)
 
         def objective():
             _, g, _ = m.forward_with_input_derivatives(K)
             return float(np.sum(seed_g * g))
 
-        fd = parameter_fd(KANStack.of([m]), objective)
+        fd = parameter_fd(m, objective)
         npt.assert_allclose(got, fd, rtol=1e-4, atol=1e-6)
 
 
@@ -221,11 +289,11 @@ class TestGridInit:
         m = fresh_model(seed=18)
         for i in range(m.dims[1]):
             for j in range(3):
-                npt.assert_allclose(m.knots[0][j].domain, (-5.0, 25.0))
+                npt.assert_allclose(m.domain(0, j), (-5.0, 25.0))
 
     def test_flat_model_degenerate_range_widened(self):
         m = flat_model()
-        lo, hi = m.knots[1][0].domain
+        lo, hi = m.domain(1, 0)
         assert hi - lo >= 1e-6 * (1 - 1e-12)
 
     def test_second_layer_bounds_match_independent_propagation(self):
@@ -235,9 +303,9 @@ class TestGridInit:
         for i in range(m.dims[1]):
             vals = np.zeros(100)
             for j in range(3):
-                w_s = m.params[0][i, j, m.n_coef]
+                w_s = m.params[0][0, i, j, m.n_coef]
                 vals += softplus(w_s) * edge_spline(m, 0, i, j).eval_extended(x)[0]
-            lo, hi = m.knots[1][i].domain
+            lo, hi = m.domain(1, i)
             npt.assert_allclose((lo, hi), (vals.min(), vals.max()), rtol=1e-12)
 
 
@@ -250,10 +318,10 @@ class TestCheckpoint:
         m2 = KANModel.load(path)
         assert m2.mode == m.mode
         assert m2.dims == m.dims
-        npt.assert_array_equal(KANStack.of([m2]).parameter_vectors(),
-                               KANStack.of([m]).parameter_vectors())
-        for a, b in zip(m.knots, m2.knots):
-            assert [kv.domain for kv in a] == [kv.domain for kv in b]
+        npt.assert_array_equal(m2.parameter_vectors(), m.parameter_vectors())
+        for r in range(m.n_layers):
+            columns = range(m.dims[r])
+            assert [m.domain(r, j) for j in columns] == [m2.domain(r, j) for j in columns]
         K = np.random.default_rng(21).uniform(-2.0, 10.0, size=(5, 3))
         npt.assert_array_equal(m.forward(K), m2.forward(K))
 
@@ -270,7 +338,13 @@ class TestCheckpoint:
         # a layer without nodes: no activation records, then the end marker
         "convexkan-checkpoint v1\nmode constrained\ndims 3 0 1\norder 5\nn_coef 17\nend\n",
         fresh_model(seed=22).dumps() + "w_s 1\n",  # a line after the end marker
-    ], ids=["zero_width", "after_end"])
+        # a misspelled record tag
+        fresh_model(seed=22).dumps().replace("\nmode ", "\nmood ", 1),
+        fresh_model(seed=22).dumps().replace("\norder ", "\nordr ", 1),
+        fresh_model(seed=22).dumps().replace("\ndomain ", "\ndomian ", 1),
+        fresh_model(seed=22).dumps().replace("\nw_s ", "\nxx ", 1),
+        fresh_model(seed=22).dumps().replace("\nraw ", "\nfoo ", 1),
+    ], ids=["zero_width", "after_end", "mood", "ordr", "domian", "xx_for_w_s", "foo_for_raw"])
     def test_bad_structure_rejected(self, text):
         with pytest.raises(DataError):
             KANModel.loads(text)
@@ -280,6 +354,7 @@ class TestCheckpoint:
         [
             ("raw", "nan"), ("raw", "inf"), ("w_s", "nan"), ("w_b", "-inf"), ("w_b", "0.5"),
             ("domain", "nan 1"), ("domain", "0 inf"), ("domain", "2 2"), ("domain", "3 1"),
+            ("w_s", "0.54 123"), ("domain", "0 1 2"), ("raw", ""),
         ],
     )
     def test_bad_values_rejected(self, key, value):
@@ -323,10 +398,10 @@ class TestCheckpoint:
 def edge_values(m, r, i, j, x):
     """phi, phi', phi'' of edge (r, i, j) at points x."""
     psi = edge_spline(m, r, i, j).eval_extended(x)
-    w_s = m.params[r][i, j, m.n_coef]
+    w_s = m.params[r][0, i, j, m.n_coef]
     if m.mode == CONSTRAINED:
         return [softplus(w_s) * v for v in psi]
-    w_b = m.params[r][i, j, m.n_coef + 1]
+    w_b = m.params[r][0, i, j, m.n_coef + 1]
     s = sigmoid(x)
     silu = (x * s, s * (1 + x * (1 - s)), s * (1 - s) * (2 + x * (1 - 2 * s)))
     return [w_b * b + w_s * v for b, v in zip(silu, psi)]
@@ -357,7 +432,7 @@ def reference_backward(m, K, seed_w, seed_g):
     edge by edge."""
     _, _, _, tape = reference_forward(m, K)
     n = m.n_coef
-    grads = [np.zeros_like(p) for p in m.params]
+    grads = [np.zeros_like(p[0]) for p in m.params]
     zbar, Abar = seed_w[:, None], seed_g[:, None, :]
     for r in reversed(range(m.n_layers)):
         z, A = tape[r]
@@ -370,7 +445,7 @@ def reference_backward(m, K, seed_w, seed_g):
                 psi, dpsi, _ = spline.eval_extended(x)
                 _, dphi, d2phi = edge_values(m, r, i, j, x)
                 yb, mb = zbar[:, i], np.sum(Abar[:, i] * A[:, j], axis=1)
-                w_s = m.params[r][i, j, n]
+                w_s = m.params[r][0, i, j, n]
                 g = grads[r][i, j]
                 if m.mode == CONSTRAINED:
                     g[:n] += softplus(w_s) * spline.coeff_vjp(b0.T @ yb + b1.T @ mb)
@@ -405,10 +480,10 @@ class TestAgainstPerEdgeReference:
                 assert_close_relative(got, want)
             seed_w, seed_g = rng.normal(size=40), rng.normal(size=(40, 3))
             assert_close_relative(
-                m.backward_batch(K, seed_w=seed_w),
+                backward(m, K, seed_w=seed_w),
                 reference_backward(m, K, seed_w, np.zeros((40, 3))),
             )
             assert_close_relative(
-                m.backward_batch(K, seed_g=seed_g),
+                backward(m, K, seed_g=seed_g),
                 reference_backward(m, K, np.zeros(40), seed_g),
             )

@@ -410,13 +410,13 @@ def linear_network(alpha=(0.5, 0.0, 1.5)):
     for p in m.params:
         p[..., :n] = 0.0
         p[..., n] = W_S_UNIT  # softplus(w_s) = 1
-    def spacing(kv):
-        return kv.t[1] - kv.t[0]
+    def spacing(r, j):
+        return m.t[r][0, j, 1] - m.t[r][0, j, 0]
 
     for j in range(3):  # first output node carries alpha . K
-        m.params[0][0, j, 1] = alpha[j] * spacing(m.knots[0][j])
+        m.params[0][0, 0, j, 1] = alpha[j] * spacing(0, j)
     m.grid_initialize()
-    m.params[1][0, 0, 1] = spacing(m.knots[1][0])  # identity pass-through of the first node
+    m.params[1][0, 0, 0, 1] = spacing(1, 0)  # identity pass-through of the first node
     return m
 
 
@@ -434,7 +434,7 @@ class TestDistill:
         assert energy.parity_r2 > 1.0 - 1e-9
 
     def test_random_model_parity(self):
-        model = KANModel.create(rng=7).grid_initialize()
+        model = KANModel.create(rng=7)
         energy = distill(model)
         assert energy.parity_r2 > 0.95
         assert len(energy.activation_fits) == 8
@@ -442,7 +442,7 @@ class TestDistill:
             assert fit.a >= 0.0 and fit.c >= 0.0
 
     def test_distilled_expression_stays_convex_monotone(self):
-        energy = distill(KANModel.create(rng=11).grid_initialize())
+        energy = distill(KANModel.create(rng=11))
         rng = np.random.default_rng(2)
         for _ in range(100):
             K = rng.uniform(-5.0, 25.0, size=3)
@@ -451,7 +451,7 @@ class TestDistill:
             assert np.linalg.eigvalsh(H).min() >= -1e-8
 
     def test_vgh_matches_fd(self):
-        energy = distill(KANModel.create(rng=13).grid_initialize())
+        energy = distill(KANModel.create(rng=13))
         K = np.array([1.0, 4.0, 0.5])
         v, g, H = energy.vgh(K)
         npt.assert_allclose(v, energy.value(K[None])[0], rtol=1e-12)
@@ -467,27 +467,27 @@ class TestDistill:
 
     def test_vanilla_model_rejected(self):
         with pytest.raises(ConfigurationError):
-            distill(KANModel.create(rng=0, mode=VANILLA).grid_initialize())
+            distill(KANModel.create(rng=0, mode=VANILLA))
 
     def test_deterministic(self):
-        m = KANModel.create(rng=21).grid_initialize()
+        m = KANModel.create(rng=21)
         assert distill(m).dumps() == distill(m).dumps()
 
     @pytest.mark.parametrize("lam", [-0.1, 1.0 + 1e-9, 2.0, math.nan, math.inf])
     def test_lambda_sym_outside_unit_interval_rejected(self, lam):
         # above 1 the (1 - lambda) factor turns negative and a worse R^2 scores better
         with pytest.raises(ConfigurationError):
-            distill(KANModel.create(rng=0).grid_initialize(), lambda_sym=lam)
+            distill(KANModel.create(rng=0), lambda_sym=lam)
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     def test_lambda_sym_end_points_accepted(self, lam):
-        energy = distill(KANModel.create(rng=0).grid_initialize(), lambda_sym=lam)
+        energy = distill(KANModel.create(rng=0), lambda_sym=lam)
         assert math.isfinite(energy.parity_r2)
 
 
 def activation_samples(model, r, i, j):
     """The fit samples of activation (r, i, j), as distill draws them."""
-    x = np.linspace(*model.knots[r][j].domain, FIT_POINTS)
+    x = np.linspace(*model.domain(r, j), FIT_POINTS)
     z = np.broadcast_to(x, (1, model.dims[r], FIT_POINTS))
     return x, model._edges(r, z)[0][0, 0, j, :, i]
 
@@ -502,7 +502,7 @@ class TestDistillAgainstReference:
     @pytest.mark.parametrize("m", range(len(REF["seeds"])))
     def test_same_candidates_r2_and_energy(self, m):
         ref = self.REF
-        model = KANModel.create(rng=int(ref["seeds"][m])).grid_initialize()
+        model = KANModel.create(rng=int(ref["seeds"][m]))
         energy = distill(model)
         keys = sorted(energy.activation_fits)
         assert [LIBRARY.index(energy.activation_fits[k].candidate) for k in keys] == list(
@@ -530,7 +530,7 @@ class TestDistillAgainstReference:
 
 class TestSerialization:
     def test_round_trip_values(self):
-        energy = distill(KANModel.create(rng=17).grid_initialize())
+        energy = distill(KANModel.create(rng=17))
         text = energy.dumps()
         assert text.startswith("convexkan-symbolic v1\n")
         back = SymbolicEnergy.loads(text)
@@ -667,7 +667,7 @@ class TestFileCompatibility:
         if source == "fixture":
             energy = SymbolicEnergy.load(DATA / "distilled_v1.sym")
         else:
-            energy = distill(KANModel.create(rng=11).grid_initialize())
+            energy = distill(KANModel.create(rng=11))
         text = energy.dumps()
         assert words(text) <= WRITTEN_TOKENS
         assert SymbolicEnergy.loads(text).dumps() == text
@@ -681,7 +681,7 @@ class TestFileCompatibility:
 
 class TestSymbolicMaterial:
     def test_stress_matches_fd_of_energy(self):
-        energy = distill(KANModel.create(rng=19).grid_initialize())
+        energy = distill(KANModel.create(rng=19))
         mat = SymbolicMaterial(energy)
         rng = np.random.default_rng(4)
         F = np.eye(3) + 0.1 * rng.normal(size=(3, 3))
@@ -696,7 +696,7 @@ class TestSymbolicMaterial:
                 npt.assert_allclose(P[i, j], fd, rtol=1e-5, atol=1e-8)
 
     def test_identity_stress_zero_even_with_offset(self):
-        energy = distill(KANModel.create(rng=23).grid_initialize())
+        energy = distill(KANModel.create(rng=23))
         mat = SymbolicMaterial(energy)
         npt.assert_allclose(mat.stress(np.eye(3)), 0.0, atol=1e-10)
 
@@ -720,7 +720,7 @@ class TestSymbolicMaterial:
         assert len(at_zero) == 4 and sum(at_zero) == 1
 
     def test_offset_flag(self):
-        energy = distill(KANModel.create(rng=23).grid_initialize())
+        energy = distill(KANModel.create(rng=23))
         raw = SymbolicMaterial(energy).energy(np.eye(3))
         shifted = SymbolicMaterial(energy, zero_at_identity=True).energy(np.eye(3))
         assert abs(shifted) < 1e-12

@@ -19,7 +19,7 @@ from convexkan.fem import (
     unit_square_hole_mesh,
 )
 from convexkan.mechanics import NeoHookean, NetworkMaterial
-from convexkan.network import CONSTRAINED, VANILLA, KANModel, KANStack
+from convexkan.network import CONSTRAINED, VANILLA, KANModel
 from convexkan.training import (
     ElementStates,
     TrainConfig,
@@ -31,7 +31,7 @@ from convexkan.training import (
     train,
     train_ensemble,
 )
-from test_network import parameter_fd
+from test_network import backward, parameter_fd
 
 
 def two_element_dataset(delta=0.1, model=None, n_t=1):
@@ -43,14 +43,13 @@ def two_element_dataset(delta=0.1, model=None, n_t=1):
 
 
 def parameters(model):
-    """The model's parameter vector, from its stack of one."""
-    return KANStack.of([model]).parameter_vectors()[0]
+    """The parameter vector of a model of one."""
+    return model.parameter_vectors()[0]
 
 
 def single(fn, model, *args):
-    """A stack-only training function applied to one model: the value and
-    gradient of its stack of one."""
-    value, grad = fn(KANStack.of([model]), *args)
+    """A training function's value and gradient for a model of one."""
+    value, grad = fn(model, *args)
     return float(value[0]), grad[0]
 
 
@@ -114,6 +113,10 @@ class TestConfig:
         path.write_text("bogus=1\n")
         with pytest.raises(ConfigurationError):
             TrainConfig.load(path)
+        # a repeated key is an error, not "the last one wins"
+        path.write_text("epochs=2\n# comment\nepochs=5\n")
+        with pytest.raises(ConfigurationError, match="line 3: repeated key 'epochs'"):
+            TrainConfig.load(path)
 
 
 class TestSchedule:
@@ -154,17 +157,17 @@ class TestLoss:
 
     def test_batched_path_matches_public_loss(self):
         ds = two_element_dataset(n_t=2)
-        net = KANModel.create(rng=1).grid_initialize()
+        net = KANModel.create(rng=1)
         value, _ = single(loss_and_grad, net, ElementStates(ds))
         npt.assert_allclose(value, loss(net, ds), rtol=1e-10)
 
     @pytest.mark.parametrize("mode", [CONSTRAINED, VANILLA])
     def test_gradient_matches_fd(self, mode):
         ds = two_element_dataset(n_t=1)
-        net = KANModel.create(rng=2, mode=mode).grid_initialize()
-        stack, states = KANStack.of([net]), ElementStates(ds)
-        _, grad = loss_and_grad(stack, states)
-        fd = parameter_fd(stack, lambda: loss_and_grad(stack, states)[0][0], 1e-5)
+        net = KANModel.create(rng=2, mode=mode)
+        states = ElementStates(ds)
+        _, grad = loss_and_grad(net, states)
+        fd = parameter_fd(net, lambda: loss_and_grad(net, states)[0][0], 1e-5)
         npt.assert_allclose(grad[0], fd, rtol=1e-4, atol=1e-7)
 
 
@@ -186,28 +189,28 @@ class TestLayer0RowCache:
         ds = two_element_dataset(n_t=2)
         states = ElementStates(ds)
         for seed, mode in ((3, CONSTRAINED), (4, VANILLA)):
-            net = KANStack.of([KANModel.create(rng=seed, mode=mode).grid_initialize()])
+            net = KANModel.create(rng=seed, mode=mode)
             loss_and_grad(net, states)  # fills the cache
             value, grad = loss_and_grad(net, states)
             with monkeypatch.context() as mp:
-                mp.setattr(states, "layer0_rows", lambda stack: None)  # every row fresh
+                mp.setattr(states, "layer0_rows", lambda model: None)  # every row fresh
                 want_value, want_grad = loss_and_grad(net, states)
             npt.assert_allclose(value, want_value, rtol=1e-12)
             npt.assert_allclose(grad, want_grad, rtol=0, atol=1e-12 * np.abs(want_grad).max())
 
     def test_rows_shared_by_models_with_the_same_knots(self):
         states = ElementStates(two_element_dataset())
-        a = KANModel.create(rng=5).grid_initialize()
-        b = KANModel.create(rng=6).grid_initialize()  # ensemble members share knots
-        assert states.layer0_rows(KANStack.of([a])) is states.layer0_rows(KANStack.of([b]))
+        a = KANModel.create(rng=5)
+        b = KANModel.create(rng=6)  # ensemble members share knots
+        assert states.layer0_rows(a) is states.layer0_rows(b)
 
     def test_edited_domains_get_fresh_rows(self):
         ds = two_element_dataset(n_t=2)
         states = ElementStates(ds)
-        net = KANModel.create(rng=7).grid_initialize()
+        net = KANModel.create(rng=7)
         before = single(loss_and_grad, net, states)
         edited = edit_layer0_domains(net, -0.5, 0.75)
-        assert edited.knots[0][0].domain == (-0.5, 0.75)
+        assert edited.domain(0, 0) == (-0.5, 0.75)
         got = single(loss_and_grad, edited, states)
         want = single(loss_and_grad, edited, ElementStates(ds))
         npt.assert_allclose(got[0], want[0], rtol=1e-12)
@@ -253,7 +256,7 @@ class TestAgainstLossGradReference:
     @pytest.mark.parametrize("mode, dims", CASES, ids=lambda v: "".join(map(str, v)))
     def test_loss_and_gradient(self, states, mode, dims, M):
         models = [reference.reference_model(mode, dims, s, states.K) for s in range(M)]
-        value, grad = loss_and_grad(KANStack.of(models), states)
+        value, grad = loss_and_grad(KANModel.stack(models), states)
         key = f"{self.tag(mode, dims)}_M{M}"
         npt.assert_allclose(value, self.REF[key + "_loss"], rtol=1e-12)
         for got, want in zip(grad, self.REF[key + "_grad"]):
@@ -274,7 +277,7 @@ class TestAgainstLossGradReference:
         assert_close_to_largest(W, ref[tag + "_W"], 1e-13, "W")
         assert_close_to_largest(G, ref[tag + "_G"], g_tol, "grad W")
         assert_close_to_largest(H, ref[tag + "_H"], 1e-12, "hess W")
-        got = model.backward_batch(K, seed_w=ref["seed_w"], seed_g=ref["seed_g"])
+        got = backward(model, K, ref["seed_w"], ref["seed_g"])
         assert_close_to_largest(got, ref[tag + "_seeded"], 1e-12, "seeded gradient")
 
 
@@ -290,7 +293,7 @@ class TestRequestedOrders:
 
         def logged(x, t, k, orders=(0, 1, 2)):
             layer = next(r for r in range(model.n_layers)
-                         if np.array_equal(t[0], model._knot_array(r)))
+                         if np.array_equal(t[0], model.t[r][0]))
             calls.append((layer, tuple(orders)))
             return real(x, t, k, orders)
 
@@ -301,21 +304,21 @@ class TestRequestedOrders:
     @pytest.mark.parametrize("dims", [(3, 2, 1), (3, 3, 2, 1)], ids=["321", "3321"])
     @pytest.mark.parametrize("mode", [CONSTRAINED, VANILLA])
     def test_loss_and_grad_orders(self, monkeypatch, mode, dims):
-        model = KANModel.create(dims=dims, mode=mode, rng=2).grid_initialize()
+        model = KANModel.create(dims=dims, mode=mode, rng=2)
         calls = self.record(monkeypatch, model)
-        loss_and_grad(KANStack.of([model]), ElementStates(two_element_dataset(n_t=2)))
+        loss_and_grad(model, ElementStates(two_element_dataset(n_t=2)))
         last = len(dims) - 2
         want = [(0, (0, 1))] + [(r, (0, 1, 2)) for r in range(1, last)] + [(last, (1, 2))]
         assert calls == want
 
     def test_value_seed_adds_output_values(self, monkeypatch):
-        model = KANModel.create(rng=2).grid_initialize()
+        model = KANModel.create(rng=2)
         calls = self.record(monkeypatch, model)
-        model.backward_batch(np.array([[1.0, 2.0, 3.0]]), seed_w=np.ones(1))
+        backward(model, np.array([[1.0, 2.0, 3.0]]), seed_w=np.ones(1))
         assert calls == [(0, (0, 1)), (1, (0, 1, 2))]
 
     def test_forward_orders(self, monkeypatch):
-        model = KANModel.create(dims=(3, 3, 2, 1), rng=2).grid_initialize()
+        model = KANModel.create(dims=(3, 3, 2, 1), rng=2)
         calls = self.record(monkeypatch, model)
         model.forward(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
         assert calls == [(0, (0,)), (1, (0,)), (2, (0,))]
@@ -326,24 +329,24 @@ class TestRequestedOrders:
 
 class TestCurvaturePrior:
     def test_value_is_weighted_sum_of_clamped_increments(self):
-        net = KANModel.create(rng=4).grid_initialize()
+        net = KANModel.create(rng=4)
         want = sum(np.maximum(p[..., 2 : net.n_coef], 0.0).sum() for p in net.params)
         value, _ = single(curvature_prior, net, 0.3)
         npt.assert_allclose(value, 0.3 * want, rtol=1e-14)
         assert single(curvature_prior, net, 0.0)[0] == 0.0
 
     def test_gradient_matches_fd(self):
-        stack = KANStack.of([KANModel.create(rng=5).grid_initialize()])
-        v0 = stack.parameter_vectors()
+        net = KANModel.create(rng=5)
+        v0 = net.parameter_vectors()
         v0[np.abs(v0) < 1e-3] = 0.05  # stay away from the clamp kink
-        stack.set_parameter_vectors(v0)
-        grad = curvature_prior(stack, 0.7)[1][0]
-        fd = parameter_fd(stack, lambda: curvature_prior(stack, 0.7)[0][0], 1e-6)
+        net.set_parameter_vectors(v0)
+        grad = curvature_prior(net, 0.7)[1][0]
+        fd = parameter_fd(net, lambda: curvature_prior(net, 0.7)[0][0], 1e-6)
         npt.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
         assert np.count_nonzero(grad) > 0
 
     def test_vanilla_model_has_no_prior(self):
-        net = KANModel.create(rng=6, mode=VANILLA).grid_initialize()
+        net = KANModel.create(rng=6, mode=VANILLA)
         value, grad = single(curvature_prior, net, 1.0)
         assert value == 0.0
         npt.assert_array_equal(grad, 0.0)
@@ -362,7 +365,7 @@ class TestTrain:
     def test_single_epoch_changes_parameters(self):
         ds = two_element_dataset()
         cfg = TrainConfig(epochs=1, ensemble_size=1, seed=5)
-        before = parameters(KANModel.create(rng=5).grid_initialize())
+        before = parameters(KANModel.create(rng=5))
         model, report = train(cfg, ds)
         assert report.losses.size == 1
         assert np.any(parameters(model) != before)
@@ -470,31 +473,35 @@ class TestStackedPass:
     @pytest.mark.parametrize("dims", [(3, 2, 1), (3, 3, 2, 1)])
     def test_members_match_single_passes(self, dims, mode):
         states = ElementStates(holed_square_dataset())
-        models = [KANModel.create(dims=dims, mode=mode, rng=s).grid_initialize()
+        models = [KANModel.create(dims=dims, mode=mode, rng=s)
                   for s in (5, 6, 7)]
         # distinct layer >= 1 knots: the stack keeps one knot row per member
-        assert len({m.knots[1][0].domain for m in models}) == 3
+        assert len({m.domain(1, 0) for m in models}) == 3
         alone = [single(loss_and_grad, m, states) for m in models]
-        values, grads = loss_and_grad(KANStack.of(models), states)
+        values, grads = loss_and_grad(KANModel.stack(models), states)
         assert values.shape == (3,) and grads.shape == (3, parameters(models[0]).size)
         for (value, grad), v, g in zip(alone, values, grads):
             npt.assert_allclose(v, value, rtol=1e-12)
             npt.assert_allclose(g, grad, rtol=0, atol=1e-12 * np.abs(grad).max())
 
-    def test_stacking_binds_member_parameters(self):
-        models = [KANModel.create(rng=s).grid_initialize() for s in (1, 2)]
+    def test_stack_and_members_copy_parameters(self):
+        models = [KANModel.create(rng=s) for s in (1, 2)]
         want = [np.concatenate([p.ravel() for p in m.params]) for m in models]
-        stack = KANStack.of(models)
+        stack = KANModel.stack(models)
         npt.assert_array_equal(stack.parameter_vectors(), want)
+        picked = stack.members([1])
         stack.set_parameter_vectors(2.0 * stack.parameter_vectors())
+        npt.assert_array_equal(stack.parameter_vectors(), 2.0 * np.array(want))
+        # neither the source models nor a picked member see the write
         for m, w in zip(models, want):
-            npt.assert_array_equal(np.concatenate([p.ravel() for p in m.params]), 2.0 * w)
+            npt.assert_array_equal(np.concatenate([p.ravel() for p in m.params]), w)
+        npt.assert_array_equal(picked.parameter_vectors()[0], want[1])
 
     def test_rejects_mixed_architectures(self):
-        a = KANModel.create(rng=1).grid_initialize()
-        b = KANModel.create(dims=(3, 3, 1), rng=2).grid_initialize()
+        a = KANModel.create(rng=1)
+        b = KANModel.create(dims=(3, 3, 1), rng=2)
         with pytest.raises(ConfigurationError):
-            KANStack.of([a, b])
+            KANModel.stack([a, b])
 
 
 class TestBalanceOperator:
@@ -506,7 +513,7 @@ class TestBalanceOperator:
         ds = make()
         states = ElementStates(ds)
         for seed in (8, 9):
-            net = KANModel.create(rng=seed).grid_initialize()
+            net = KANModel.create(rng=seed)
             g = net.forward_with_input_derivatives(states.K)[1]
             res = states.L @ g.ravel() - states.y
             npt.assert_allclose(res @ res, loss(net, ds), rtol=1e-12)
