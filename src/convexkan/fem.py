@@ -32,12 +32,19 @@ class Mesh:
     node index triples (n_el, 3).  Negatively oriented triangles are repaired
     by swapping two vertices.  Shape-function gradients are constant per
     element (single barycenter quadrature point).
+
+    ``D`` is the discrete gradient, the (4 n_el, 2 n_n) map from flat nodal
+    displacements (2*node + comp) to each element's displacement gradient
+    flattened row-major, so that ``F_e = I + (D u)_e``; ``DT`` is its
+    transpose, which scatters element quantities to the nodes.
     """
 
     nodes: Array
     triangles: npt.NDArray[np.int64]
     area: Array = field(init=False, repr=False)
     grad_N: Array = field(init=False, repr=False)  # (n_el, 3, 2)
+    D: sp.csr_matrix = field(init=False, repr=False)
+    DT: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=np.float64)
@@ -52,6 +59,9 @@ class Mesh:
             self.triangles.min() < 0 or self.triangles.max() >= self.n_nodes
         ):
             raise DataError("triangle node index out of range")
+        unused = np.flatnonzero(np.bincount(self.triangles.ravel(), minlength=self.n_nodes) == 0)
+        if unused.size:
+            raise DataError(f"node {unused[0]} belongs to no triangle")
         self._setup_geometry()
 
     def _setup_geometry(self):
@@ -79,6 +89,14 @@ class Mesh:
         grad[:, :, 0] = -g[:, :, 1]
         grad[:, :, 1] = g[:, :, 0]
         self.grad_N = grad / (2.0 * self.area)[:, None, None]
+        # row (e, i, j) reads u^a_i at the element's nodes a, times dN^a/dX_j
+        n_el = self.n_elements
+        shape = (n_el, 2, 2, 3)
+        cols = 2 * self.triangles[:, None, None, :] + np.arange(2)[:, None, None]
+        vals = np.broadcast_to(self.grad_N.transpose(0, 2, 1)[:, None], shape)
+        self.D = sp.csr_matrix((vals.ravel(), np.broadcast_to(cols, shape).ravel(),
+                                np.arange(0, 12 * n_el + 1, 3)), shape=(4 * n_el, 2 * self.n_nodes))
+        self.DT = self.D.T.tocsr()
 
     @property
     def n_nodes(self) -> int:
@@ -230,10 +248,15 @@ class FixedGroup:
 @dataclass(frozen=True)
 class DofPartition:
     """Split of the (node, component) DOFs into free DOFs and disjoint fixed
-    groups, each fixed group reporting one reaction force."""
+    groups, each fixed group reporting one reaction force.
+
+    ``balance`` maps flat nodal forces to the force balance: one row per free
+    DOF reading its force, then one row per group summing its DOFs' forces.
+    """
 
     n_nodes: int
     groups: tuple[FixedGroup, ...]
+    balance: sp.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "groups", tuple(self.groups))
@@ -242,27 +265,26 @@ class DofPartition:
                 raise ConfigurationError(f"group {g.name!r} references unknown node")
             if not np.all((g.dofs[:, 1] >= 0) & (g.dofs[:, 1] <= 1)):
                 raise ConfigurationError(f"group {g.name!r} has a bad component index")
-        flat = [2 * g.dofs[:, 0] + g.dofs[:, 1] for g in self.groups] or [[]]  # [[]]: no groups
-        dofs, counts = np.unique(np.concatenate(flat), return_counts=True)
+        flat = [2 * g.dofs[:, 0] + g.dofs[:, 1] for g in self.groups]
+        dofs, counts = np.unique(np.concatenate(flat or [[]]), return_counts=True)
         if np.any(counts > 1):
             node, comp = divmod(int(dofs[np.argmax(counts > 1)]), 2)
             raise ConfigurationError(
                 f"DOF {(node, comp)} appears in more than one fixed group"
             )
+        free = np.setdiff1d(np.arange(2 * self.n_nodes), dofs)
+        sizes = np.array([1] * free.size + [d.size for d in flat], dtype=np.int64)
+        object.__setattr__(self, "balance", sp.csr_matrix(
+            (np.ones(sizes.sum()), np.concatenate([free, *flat]), np.r_[0, np.cumsum(sizes)]),
+            shape=(sizes.size, 2 * self.n_nodes)))
 
     @property
     def n_reactions(self) -> int:
         return len(self.groups)
 
-    def fixed_mask(self) -> npt.NDArray[np.bool_]:
-        mask = np.zeros((self.n_nodes, 2), dtype=bool)
-        for g in self.groups:
-            mask[g.dofs[:, 0], g.dofs[:, 1]] = True
-        return mask
-
     def free_flat_indices(self) -> npt.NDArray[np.int64]:
         """Flattened indices (2*node + comp) of the unconstrained DOFs."""
-        return np.flatnonzero(~self.fixed_mask().ravel())
+        return self.balance.indices[: self.balance.shape[0] - self.n_reactions]
 
     def prescribed(self, delta: float) -> Array:
         """Displacement field carrying the Dirichlet values, zero elsewhere."""
@@ -317,8 +339,7 @@ def uniaxial_partition(mesh: Mesh) -> DofPartition:
 def deformation_gradients(mesh: Mesh, u) -> Array:
     """Per-element deformation gradients F = I + sum_a u^a (x) grad N^a,
     constant over each element; shape (n_el, 2, 2)."""
-    u = np.asarray(u, dtype=np.float64)
-    return np.eye(2) + np.einsum("eai,eaj->eij", u[mesh.triangles], mesh.grad_N)
+    return np.eye(2) + (mesh.D @ np.ravel(u)).reshape(-1, 2, 2)
 
 
 def nodal_forces(mesh: Mesh, u, model: MaterialModel) -> Array:
@@ -333,39 +354,31 @@ def nodal_forces(mesh: Mesh, u, model: MaterialModel) -> Array:
 
 
 def scatter_forces(mesh: Mesh, P: Array) -> Array:
-    """Assemble nodal forces from per-element first Piola-Kirchhoff stresses."""
-    contrib = mesh.area[:, None, None] * np.einsum("eij,eaj->eai", P, mesh.grad_N)
-    f = np.zeros((mesh.n_nodes, 2))
-    np.add.at(f, mesh.triangles, contrib)
-    return f
+    """Assemble nodal forces from per-element first Piola-Kirchhoff stresses:
+    f = D^T (area P)."""
+    return (mesh.DT @ (mesh.area[:, None, None] * P).ravel()).reshape(-1, 2)
+
+
+def area_blocks(mesh: Mesh, blocks: Array) -> sp.csr_matrix:
+    """The block diagonal of ``area_e * blocks_e`` for per-element blocks
+    (n_el, 4, m): maps m values per element to area-weighted stresses that
+    D^T scatters to the nodes."""
+    n_el = mesh.n_elements
+    return sp.bsr_matrix((mesh.area[:, None, None] * blocks, np.arange(n_el),
+                          np.arange(n_el + 1))).tocsr()
 
 
 def reaction(partition: DofPartition, f: Array) -> Array:
     """Per-group reaction forces: sum of nodal forces over each fixed group."""
-    return np.array([f[g.dofs[:, 0], g.dofs[:, 1]].sum() for g in partition.groups])
+    return (partition.balance @ np.ravel(f))[partition.balance.shape[0] - partition.n_reactions:]
 
 
 def tangent_matrix(mesh: Mesh, u, model: MaterialModel) -> sp.csr_matrix:
-    """Assembled tangent stiffness over all 2*n_n DOFs (sparse).
-
-    Element stiffness Ke = area B^T T B, with T = dP/dF as a 4 x 4 matrix
-    over the (i, j) pairs of F and B the (4, 6) map from the element's
-    displacements (node a, component k) to F: B[(i, j), (a, k)] =
-    delta_ik dN^a/dX_j.
-    """
-    n_el = mesh.n_elements
-    T = model.tangent(deformation_gradients(mesh, u)).reshape(n_el, 4, 4)
-    G = mesh.grad_N  # (n_el, 3, 2)
-    B = np.zeros((n_el, 4, 6))
-    B[:, 0:2, 0::2] = np.swapaxes(G, 1, 2)
-    B[:, 2:4, 1::2] = B[:, 0:2, 0::2]
-    Ke = mesh.area[:, None, None] * (np.swapaxes(B, 1, 2) @ T @ B)
-    dof = (2 * mesh.triangles[:, :, None] + np.arange(2)[None, None, :]).reshape(n_el, 6)
-    rows = np.repeat(dof, 6, axis=1).ravel()
-    cols = np.tile(dof, (1, 6)).ravel()
-    n_dof = 2 * mesh.n_nodes
-    K = sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(n_dof, n_dof))
-    return K.tocsr()
+    """Assembled tangent stiffness over all 2*n_n DOFs (sparse):
+    D^T blockdiag(area T) D, with T = dP/dF as a 4 x 4 matrix per element
+    over the (i, j) pairs of F."""
+    T = model.tangent(deformation_gradients(mesh, u)).reshape(-1, 4, 4)
+    return mesh.DT @ (area_blocks(mesh, T) @ mesh.D)
 
 
 def _newton(mesh, partition, model, u, f, prescribed, tol):
@@ -379,8 +392,9 @@ def _newton(mesh, partition, model, u, f, prescribed, tol):
     forces, residual history of the iterates that carry the increment).
     Raises SolverError on stagnation.
     """
-    fixed = partition.fixed_mask().ravel()
-    free = np.flatnonzero(~fixed)
+    free = partition.free_flat_indices()
+    fixed = np.ones(2 * mesh.n_nodes, dtype=bool)
+    fixed[free] = False
     u = np.array(u, dtype=np.float64)
     flat = u.reshape(-1)  # a view: updates to it land in u
     prescribed = np.asarray(prescribed, dtype=np.float64).ravel()
@@ -512,6 +526,7 @@ class SpecimenDataset:
                 )
                 pos += m
                 groups.append(FixedGroup(name=name, dofs=dofs, scale=scale))
+            partition = DofPartition(n_nodes=n_n, groups=tuple(groups))
             head = lines[pos].split()
             expect(head[:1] == ["snapshots"], "'snapshots <n>'")
             n_t = int(head[1])
@@ -534,9 +549,8 @@ class SpecimenDataset:
                 reac[t] = [float(v) for v in head[1:]]
                 pos += 1
             expect(pos == len(lines), "the end of the file")
-        except (IndexError, ValueError) as exc:
+        except (IndexError, ValueError, ConfigurationError) as exc:
             raise DataError(f"malformed dataset file: {exc}") from None
-        partition = DofPartition(n_nodes=n_n, groups=tuple(groups))
         return cls(
             mesh=mesh,
             partition=partition,

@@ -404,8 +404,9 @@ class KANModel:
                     pos += 5
             if lines[pos:] != ["end"]:
                 raise DataError("expected the end marker as the last line")
-        except (IndexError, ValueError) as exc:
+            model = cls(dims, order, n_coef, mode, params, [])
+            model.t = [model._knots(*np.array(list(layer.values())).T[:, None])
+                       for layer in domains]
+        except (IndexError, ValueError, ConfigurationError) as exc:
             raise DataError(f"malformed checkpoint: {exc}") from exc
-        model = cls(dims, order, n_coef, mode, params, [])
-        model.t = [model._knots(*np.array(list(layer.values())).T[:, None]) for layer in domains]
         return model

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from .bspline import design_rows
 from .errors import ConfigurationError, InadmissibleDeformationError, TrainingError
-from .fem import SpecimenDataset, deformation_gradients, nodal_forces
+from .fem import SpecimenDataset, area_blocks, deformation_gradients, nodal_forces
 from .mechanics import MaterialModel, NetworkMaterial, compute_state
 from .network import CONSTRAINED, KANModel
 
@@ -152,27 +152,6 @@ class _Adam:
         self.m, self.v = self.m[rows], self.v[rows]
 
 
-def _balance_rows(partition) -> sp.csr_matrix:
-    """The rows of one snapshot's force-balance residual as a map of its
-    flat nodal forces: the free DOFs first, then one row per reaction group
-    summing the forces on its DOFs."""
-    free = partition.free_flat_indices()
-    rows = [np.arange(free.size)]
-    cols = [free]
-    for beta, g in enumerate(partition.groups):
-        rows.append(np.full(g.dofs.shape[0], free.size + beta))
-        cols.append(2 * g.dofs[:, 0] + g.dofs[:, 1])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    shape = (free.size + partition.n_reactions, 2 * partition.n_nodes)
-    return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=shape)
-
-
-def _balance_target(partition, R_obs: Array) -> Array:
-    """What the residual rows should read: zero free forces, then the
-    measured reactions."""
-    return np.concatenate((np.zeros(partition.free_flat_indices().size), R_obs))
-
-
 class ElementStates:
     """The force balance of a full-field dataset as one fixed linear map,
     built once.
@@ -180,39 +159,31 @@ class ElementStates:
     The measured displacements are fixed during training, so the ansatz
     inputs ``K`` (N, 3) of every (snapshot, element) pair never change, and
     the nodal forces are linear in the energy's K-gradients ``g`` (N, 3):
-    ``f^a_i = area * sum_m g_m dK_m/dF_ij grad N^a_j``.  Stacking every
-    snapshot's residual rows (see :func:`_balance_rows`) gives the sparse
-    operator ``L`` and target ``y`` with loss ``|L g - y|^2`` for ``g``
-    flattened row by row.  Only the energy network changes, and its layer-0
-    design rows only with its layer-0 knots.
+    ``f = D^T (area dK/dF^T g)`` per element.  Stacking every snapshot's
+    force balance (see :class:`DofPartition`) gives the sparse operator ``L``
+    and target ``y`` with loss ``|L g - y|^2`` for ``g`` flattened row by row.
+    Only the energy network changes, and its layer-0 design rows only with
+    its layer-0 knots.
     """
 
     def __init__(self, dataset: SpecimenDataset):
-        mesh, partition = dataset.mesh, dataset.partition
-        n_t, n_el = dataset.n_snapshots, mesh.n_elements
-        K, dK2 = [], []
-        for t in range(n_t):
+        mesh, S = dataset.mesh, dataset.partition.balance
+        SDT = S @ mesh.DT
+        K, L = [], []
+        for t in range(dataset.n_snapshots):
             try:
                 st = compute_state(deformation_gradients(mesh, dataset.displacements[t]))
             except InadmissibleDeformationError as exc:  # names the element
                 raise TrainingError(f"snapshot {t}, {exc}") from exc
             K.append(st.K)
-            dK2.append(st.dK_dF[:, :, :2, :2])  # in-plane block of dK/dF
+            # in-plane block of dK/dF, as the (4, 3) map from g to P per element
+            L.append(SDT @ area_blocks(mesh, st.dK_dF[:, :, :2, :2].reshape(-1, 3, 4)
+                                       .transpose(0, 2, 1)))
         self.K = np.concatenate(K)
-        N, n_dof = self.K.shape[0], 2 * mesh.n_nodes
-        # force on DOF (node a, component i) of each element per unit g_m
-        C = np.einsum("tenij,eaj->tenai", np.reshape(dK2, (n_t, n_el, 3, 2, 2)),
-                      mesh.area[:, None, None] * mesh.grad_N)
-        dof = 2 * mesh.triangles[:, None, :, None] + np.arange(2)  # (n_el, 1, 3, 2)
-        rows = np.arange(n_t)[:, None, None, None, None] * n_dof + dof
-        cols = np.arange(N * 3).reshape(n_t, n_el, 3, 1, 1)
-        rows, cols = np.broadcast_arrays(rows, cols)
-        forces = sp.csr_matrix((C.ravel(), (rows.ravel(), cols.ravel())),
-                               shape=(n_t * n_dof, N * 3))
-        S = sp.block_diag([_balance_rows(partition)] * n_t, format="csr")
-        self.L = (S @ forces).tocsr()
+        self.L = sp.block_diag(L, format="csr")
         self.LT = self.L.T.tocsr()
-        self.y = np.concatenate([_balance_target(partition, R) for R in dataset.reactions])
+        n_free = S.shape[0] - dataset.partition.n_reactions
+        self.y = np.column_stack((np.zeros((len(L), n_free)), dataset.reactions)).ravel()
         self._rows0_key = None
 
     def layer0_rows(self, model: KANModel) -> Array:
@@ -235,14 +206,16 @@ def loss(model, dataset: SpecimenDataset) -> float:
     material = NetworkMaterial(model) if isinstance(model, KANModel) else model
     if not isinstance(material, MaterialModel):
         raise ConfigurationError(f"cannot evaluate loss for {type(model).__name__}")
-    S = _balance_rows(dataset.partition)
+    S = dataset.partition.balance
+    n_free = S.shape[0] - dataset.partition.n_reactions
     total = 0.0
     for t in range(dataset.n_snapshots):
         try:
             f = nodal_forces(dataset.mesh, dataset.displacements[t], material)
         except InadmissibleDeformationError as exc:
             raise TrainingError(f"snapshot {t}: {exc}") from exc
-        res = S @ f.ravel() - _balance_target(dataset.partition, dataset.reactions[t])
+        res = S @ f.ravel()
+        res[n_free:] -= dataset.reactions[t]
         total += float(res @ res)
     return total
 

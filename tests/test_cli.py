@@ -235,6 +235,34 @@ class TestGenerate:
                      "--mesh", mesh_file, "--out", str(out)]) == 2
         assert not calls and not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["generate", "--model", "NH"],
+        ["simulate", "--model", "NH", "--symbolic", "{sym}", "--delta", "0.1"],
+    ], ids=lambda c: c[0])
+    def test_node_in_no_triangle_exits_2_before_solving(self, tmp_path, monkeypatch, capsys,
+                                                         command):
+        # a node no triangle uses has no stiffness: the tangent would be singular
+        m = small_square_mesh()
+        lines = m.dumps().splitlines()
+        lines[0] = f"nodes {m.n_nodes + 1} triangles {m.n_elements}"
+        lines.insert(1 + m.n_nodes, "0.5 0.5")  # the last node, in no triangle
+        path = tmp_path / "orphan.mesh"
+        path.write_text("\n".join(lines) + "\n")
+        sym = tmp_path / "nh.sym"
+        sym.write_text("convexkan-symbolic v1\nenergy affine 0 0.5 0 1.5\n")
+        calls, real_newton = [], fem._newton
+
+        def newton(*args):
+            calls.append(1)
+            return real_newton(*args)
+
+        monkeypatch.setattr(fem, "_newton", newton)
+        out = tmp_path / "x"
+        args = [a.format(sym=sym) for a in command]
+        assert main([*args, "--steps", "1", "--mesh", str(path), "--out", str(out)]) == 2
+        assert f"node {m.n_nodes} belongs to no triangle" in capsys.readouterr().err
+        assert not calls and not list(tmp_path.glob("x*"))
+
 
 class TestTrain:
     def test_writes_loadable_checkpoint(self, checkpoint_file):

@@ -89,6 +89,22 @@ class TestMesh:
         with pytest.raises(DataError):
             Mesh(nodes=np.zeros((2, 2)), triangles=np.array([[0, 1, 2]]))
 
+    def test_node_in_no_triangle_rejected(self):
+        # its DOFs would be an empty column of D and a singular tangent
+        m = unit_square_two_tri()
+        nodes = np.vstack([m.nodes[:2], [[0.5, 0.5]], m.nodes[2:]])
+        with pytest.raises(DataError, match=r"^node 2 belongs to no triangle$"):
+            Mesh(nodes=nodes, triangles=np.array([[0, 1, 3], [0, 3, 4]]))
+
+    def test_discrete_gradient_is_the_p1_gradient(self):
+        m = unit_square_hole_mesh(n=7)
+        u = np.random.default_rng(3).normal(size=(m.n_nodes, 2))
+        want = np.einsum("eai,eaj->eij", u[m.triangles], m.grad_N)
+        npt.assert_allclose((m.D @ u.ravel()).reshape(-1, 2, 2), want, rtol=1e-13, atol=1e-13)
+        assert m.D.shape == (4 * m.n_elements, 2 * m.n_nodes)
+        npt.assert_array_equal(np.diff(m.D.indptr), 3)
+        npt.assert_array_equal(m.DT.toarray(), m.D.T.toarray())
+
     def test_file_round_trip(self, tmp_path):
         m = unit_square_hole_mesh(n=11)
         path = tmp_path / "m.mesh"
@@ -201,6 +217,31 @@ class TestPartition:
         # the same node in another component, and no groups at all
         assert DofPartition(n_nodes=4, groups=(g3, g1)).n_reactions == 2
         assert DofPartition(n_nodes=4, groups=()).free_flat_indices().size == 8
+
+
+def reaction_per_group(partition, f):
+    """Reference reactions: each group's nodal forces summed one group at a time."""
+    return np.array([f[g.dofs[:, 0], g.dofs[:, 1]].sum() for g in partition.groups])
+
+
+class TestBalance:
+    @pytest.mark.parametrize("make", [biaxial_partition, uniaxial_partition])
+    def test_free_forces_then_group_sums(self, make):
+        m = unit_square_hole_mesh(n=11)
+        part = make(m)
+        f = np.random.default_rng(5).normal(size=(m.n_nodes, 2))
+        free = part.free_flat_indices()
+        got = part.balance @ f.ravel()
+        assert part.balance.shape == (free.size + part.n_reactions, 2 * m.n_nodes)
+        npt.assert_array_equal(got[: free.size], f.ravel()[free])
+        npt.assert_array_equal(reaction(part, f), got[free.size:])
+        npt.assert_allclose(reaction(part, f), reaction_per_group(part, f), rtol=1e-13)
+
+    def test_no_groups(self):
+        part = DofPartition(n_nodes=3, groups=())
+        f = np.arange(6.0).reshape(3, 2)
+        assert reaction(part, f).shape == (0,)
+        npt.assert_array_equal(part.balance.toarray(), np.eye(6))
 
 
 class TestDeformationGradient:
@@ -479,6 +520,10 @@ MALFORMED = {
     "reaction_nan": ("reactions 0 ", "reactions nan "),
     "noise_negative": ("noise_sigma 0", "noise_sigma -1"),
     "noise_inf": ("noise_sigma 0", "noise_sigma inf"),
+    "group_no_dofs": ("dofs 3\n0 0\n1 0\n2 0\n", "dofs 0\n"),
+    "group_unknown_node": ("group left scale 0 dofs 3\n0 0", "group left scale 0 dofs 3\n9 0"),
+    "group_bad_component": ("group left scale 0 dofs 3\n0 0", "group left scale 0 dofs 3\n0 2"),
+    "group_shared_dof": ("group right scale 1 dofs 3\n6 0", "group right scale 1 dofs 3\n0 0"),
 }
 
 

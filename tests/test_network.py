@@ -344,7 +344,13 @@ class TestCheckpoint:
         fresh_model(seed=22).dumps().replace("\ndomain ", "\ndomian ", 1),
         fresh_model(seed=22).dumps().replace("\nw_s ", "\nxx ", 1),
         fresh_model(seed=22).dumps().replace("\nraw ", "\nfoo ", 1),
-    ], ids=["zero_width", "after_end", "mood", "ordr", "domian", "xx_for_w_s", "foo_for_raw"])
+        # well-formed records that name no network
+        fresh_model(seed=22).dumps().replace("\nmode constrained", "\nmode foo", 1),
+        fresh_model(seed=22).dumps().replace("\norder 5", "\norder 17", 1),
+        fresh_model(seed=22).dumps().replace("\norder 5", "\norder -1", 1),
+        fresh_model(seed=22, n_coef=6).dumps().replace("\norder 5", "\norder 6", 1),
+    ], ids=["zero_width", "after_end", "mood", "ordr", "domian", "xx_for_w_s", "foo_for_raw",
+            "mode_foo", "order_17", "order_negative", "n_coef_not_above_order"])
     def test_bad_structure_rejected(self, text):
         with pytest.raises(DataError):
             KANModel.loads(text)
