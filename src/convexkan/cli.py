@@ -241,16 +241,20 @@ def cmd_evaluate(args) -> int:
     header = ["path", "gamma"]
     for name in names:
         header += [f"W_{name}"] + [f"{c}_{name}" for c in comps]
+    paths = evaluation_paths(args.samples)
+    # every path's F in one stack, one material evaluation per model, then
+    # one row of values per path (each path has args.samples points)
+    Fs = np.array([path.deformation(g) for path in paths for g in path.grid()])
+    by_path = {}
+    for name, m in models.items():
+        r = m.response(Fs)
+        by_path[name] = (np.reshape(r.energy, (len(paths), -1)),
+                         r.stress[:, :2, :2].reshape(len(paths), -1, 4))
     rows = []
     summary = []
-    for path in evaluation_paths(args.samples):
-        gammas = path.grid()
-        Fs = np.array([path.deformation(g) for g in gammas])
-        data = {
-            name: {"W": m.energy(Fs), "P": m.stress(Fs)[:, :2, :2].reshape(-1, 4)}
-            for name, m in models.items()
-        }
-        for k, gamma in enumerate(gammas):
+    for i, path in enumerate(paths):
+        data = {name: {"W": W[i], "P": P[i]} for name, (W, P) in by_path.items()}
+        for k, gamma in enumerate(path.grid()):
             row = [path.kind, f"{gamma:.10g}"]
             for name in names:
                 row += [f"{data[name]['W'][k]:.10g}"] + [f"{v:.10g}" for v in data[name]["P"][k]]

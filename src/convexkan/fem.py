@@ -373,26 +373,31 @@ def reaction(partition: DofPartition, f: Array) -> Array:
     return (partition.balance @ np.ravel(f))[partition.balance.shape[0] - partition.n_reactions:]
 
 
-def tangent_matrix(mesh: Mesh, u, model: MaterialModel) -> sp.csr_matrix:
-    """Assembled tangent stiffness over all 2*n_n DOFs (sparse):
-    D^T blockdiag(area T) D, with T = dP/dF as a 4 x 4 matrix per element
-    over the (i, j) pairs of F."""
-    T = model.tangent(deformation_gradients(mesh, u)).reshape(-1, 4, 4)
-    return mesh.DT @ (area_blocks(mesh, T) @ mesh.D)
+def tangent_matrix(mesh: Mesh, T: Array, D: sp.csr_matrix, DT: sp.csr_matrix) -> sp.csr_matrix:
+    """Assembled tangent stiffness DT blockdiag(area T) D (sparse) from the
+    per-element tangents T = dP/dF, each a 4 x 4 matrix over the (i, j)
+    pairs of F.  ``D`` holds columns of the mesh's discrete gradient and
+    ``DT`` is its transpose: all of them give the stiffness over every DOF,
+    the free ones its free-free block K_ff."""
+    return DT @ (area_blocks(mesh, np.reshape(T, (-1, 4, 4))) @ D)
 
 
-def _newton(mesh, partition, model, u, f, prescribed, tol):
-    """Newton iteration from the field ``u``, with nodal forces ``f``, to
-    equilibrium with the fixed DOFs at their values in the field
-    ``prescribed``.
+def _newton(mesh, partition, model, u, r, prescribed, tol):
+    """Newton iteration from the field ``u``, whose element F give the
+    material response ``r``, to equilibrium with the fixed DOFs at their
+    values in the field ``prescribed``.
 
-    The first update solves K_ff du_f = -f_f - K_fc du_c at ``u``, where
+    Each field visited is evaluated once: its response gives the forces,
+    and its tangent the free-DOF stiffness K_ff = D_f^T blockdiag(area T)
+    D_f, with D_f the free columns of the discrete gradient.  The first
+    update solves K_ff du_f = -f_f - K_fc du_c at ``u``, where
     du_c = prescribed_c - u_c, so the increment enters through the tangent;
-    convergence is checked only once it is applied.  Returns (u, its nodal
-    forces, residual history of the iterates that carry the increment).
+    convergence is checked only once it is applied.  Returns (u, its
+    response, residual history of the iterates that carry the increment).
     Raises SolverError on stagnation.
     """
     free = partition.free_flat_indices()
+    D_f, D_fT = mesh.D[:, free], mesh.DT[free]
     fixed = np.ones(2 * mesh.n_nodes, dtype=bool)
     fixed[free] = False
     u = np.array(u, dtype=np.float64)
@@ -402,18 +407,19 @@ def _newton(mesh, partition, model, u, f, prescribed, tol):
     loaded = not np.any(du)
     history = []
     for _ in range(MAX_ITER):
+        f = scatter_forces(mesh, r.stress)
         rhs = -f.ravel()[free]
         res = np.abs(rhs).max() if free.size else 0.0
         if loaded:
             history.append(res)
             if res < tol * (1.0 + np.linalg.norm(reaction(partition, f))):
-                return u, f, history
-        K = tangent_matrix(mesh, u, model)
-        if not loaded:
-            rhs -= (K @ du)[free]
+                return u, r, history
+        T = np.reshape(r.tangent, (-1, 4, 4))
+        K = tangent_matrix(mesh, T, D_f, D_fT)
+        if not loaded:  # K_fc du_c: the forces of the stress increment T : D du
+            rhs -= scatter_forces(mesh, T @ (mesh.D @ du).reshape(-1, 4, 1)).ravel()[free]
         try:
-            step = spla.spsolve(K[np.ix_(free, free)].tocsc(), rhs,
-                                permc_spec="MMD_AT_PLUS_A")
+            step = spla.spsolve(K.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SolverError(f"singular tangent stiffness: {exc}", residual=res)
         if not np.all(np.isfinite(step)):
@@ -422,7 +428,7 @@ def _newton(mesh, partition, model, u, f, prescribed, tol):
         if not loaded:
             flat[fixed] = prescribed[fixed]
             loaded = True
-        f = nodal_forces(mesh, u, model)
+        r = model.response(deformation_gradients(mesh, u))
     raise SolverError(
         f"Newton did not converge in {MAX_ITER} iterations",
         residual=history[-1] if history else None,
@@ -582,7 +588,7 @@ def solve(mesh: Mesh, partition: DofPartition, model: MaterialModel, deltas,
     if deltas.size == 0 or not np.all(np.isfinite(deltas)):
         raise ConfigurationError(f"load schedule must be non-empty and finite, got {deltas}")
     u = np.zeros((mesh.n_nodes, 2))
-    f = nodal_forces(mesh, u, model)
+    r = model.response(deformation_gradients(mesh, u))
     disp = np.empty((deltas.size, mesh.n_nodes, 2))
     reac = np.empty((deltas.size, partition.n_reactions))
     reached = 0.0
@@ -593,7 +599,7 @@ def solve(mesh: Mesh, partition: DofPartition, model: MaterialModel, deltas,
             land = abs(inc) >= abs(delta - reached) - 1e-15 * (1.0 + abs(delta))
             target = delta if land else reached + inc
             try:
-                u, f, _ = _newton(mesh, partition, model, u, f,
+                u, r, _ = _newton(mesh, partition, model, u, r,
                                   partition.prescribed(target), tol)
             except (SolverError, InadmissibleDeformationError) as exc:
                 halvings += 1
@@ -609,7 +615,7 @@ def solve(mesh: Mesh, partition: DofPartition, model: MaterialModel, deltas,
             if land:
                 break
         disp[t] = u
-        reac[t] = reaction(partition, f)
+        reac[t] = reaction(partition, scatter_forces(mesh, r.stress))
     return SpecimenDataset(mesh=mesh, partition=partition, deltas=deltas,
                            displacements=disp, reactions=reac)
 

@@ -185,15 +185,34 @@ def compute_state(F) -> DeformationState:
     return DeformationState(*_embed(F))
 
 
+class Response:
+    """A material's energy W, stress P = dW/dF and tangent dP/dF at one
+    deformation gradient or a stack, all from one evaluation.  The energy
+    and the tangent are finished when first read, by the callables
+    ``energy`` and ``tangent``: the stress alone needs neither the
+    reference energy nor the tangent's chain rule."""
+
+    def __init__(self, energy, stress: Array, tangent):
+        self._energy, self.stress, self._tangent = energy, stress, tangent
+
+    @cached_property
+    def energy(self):
+        return self._energy()
+
+    @cached_property
+    def tangent(self) -> Array:
+        return self._tangent()
+
+
 class MaterialModel:
     """Common interface: energy W(F), stress P = dW/dF and tangent modulus
-    dP/dF, for one F or a stack.  2x2 inputs yield in-plane 2x2 / 2x2x2x2
-    outputs.
+    dP/dF, for one F or a stack, all read from :meth:`response`.  2x2
+    inputs yield in-plane 2x2 / 2x2x2x2 outputs.
 
     A material states its energy as a function of the ansatz inputs K
     through :meth:`k_value_grad_hess`, and :class:`DeformationState` turns
-    the K-derivatives into stress and tangent.  Ogden overrides all three
-    methods instead.
+    the K-derivatives into stress and tangent.  Ogden overrides
+    :meth:`response` instead.
     """
 
     kind = "?"
@@ -211,19 +230,26 @@ class MaterialModel:
             self._w0 = float(self.k_value_grad_hess(np.zeros(3))[0])
         return self._w0
 
+    def response(self, F) -> Response:
+        """W, P and (when read) dP/dF at F from one deformation state and
+        one K-derivative evaluation."""
+        state = compute_state(F)
+        w, g, H = self.k_value_grad_hess(state.K)
+
+        def energy():
+            shifted = w - self.reference_energy() if self.subtract_reference_energy else w
+            return float(shifted) if np.ndim(shifted) == 0 else shifted
+
+        return Response(energy, state.stress(g), lambda: state.tangent(g, H))
+
     def energy(self, F):
-        w = self.k_value_grad_hess(compute_state(F).K)[0]
-        if self.subtract_reference_energy:
-            w = w - self.reference_energy()
-        return float(w) if np.ndim(w) == 0 else w
+        return self.response(F).energy
 
     def stress(self, F) -> Array:
-        state = compute_state(F)
-        return state.stress(self.k_value_grad_hess(state.K)[1])
+        return self.response(F).stress
 
     def tangent(self, F) -> Array:
-        state = compute_state(F)
-        return state.tangent(*self.k_value_grad_hess(state.K)[1:])
+        return self.response(F).tangent
 
 
 class Ogden(MaterialModel):
@@ -272,25 +298,21 @@ class Ogden(MaterialModel):
         P = (W[0] - W[1]) / (2 * h)
         return P.T.reshape(n, dim, dim)
 
-    def energy(self, F):
-        F3, _, single = _embed(F)
-        return _unbatch(self._energy(F3, single), single)
-
-    def stress(self, F) -> Array:
+    def response(self, F) -> Response:
         F3, in_plane, single = _embed(F)
-        _determinants(F3, single)
-        return _unbatch(self._stress(F3, 2 if in_plane else 3, single, len(F3)), single)
-
-    def tangent(self, F) -> Array:
-        F3, in_plane, single = _embed(F)
-        _determinants(F3, single)
         n, dim = len(F3), 2 if in_plane else 3
-        # larger step: second differences
-        h = 10.0 * self._steps(F3)
-        P = self._stress(self._shifted(F3, h, dim).reshape(-1, 3, 3), dim, single, n)
-        P = P.reshape(2, dim, dim, n, dim, dim)  # (sign, k, l, element, i, j)
-        T = (P[0] - P[1]) / (2 * h)[None, None, :, None, None]
-        return _unbatch(T.transpose(2, 3, 4, 0, 1), single)
+        W = self._energy(F3, single)
+
+        def tangent():
+            # larger step: second differences
+            h = 10.0 * self._steps(F3)
+            P = self._stress(self._shifted(F3, h, dim).reshape(-1, 3, 3), dim, single, n)
+            P = P.reshape(2, dim, dim, n, dim, dim)  # (sign, k, l, element, i, j)
+            T = (P[0] - P[1]) / (2 * h)[None, None, :, None, None]
+            return _unbatch(T.transpose(2, 3, 4, 0, 1), single)
+
+        return Response(lambda: _unbatch(W, single),
+                        _unbatch(self._stress(F3, dim, single, n), single), tangent)
 
 
 class NetworkMaterial(MaterialModel):

@@ -155,7 +155,7 @@ def _fit_cd(F: Array, y: Array):
     flat = bad | (first == last)
     F[bad] = 0.0
     n = y.size
-    sf, sy = F.sum(axis=1), y.sum()
+    sf, sy = F @ np.ones(n), y.sum()  # a matvec sums rows faster than sum(axis=1)
     sff, sfy = np.einsum("kn,kn->k", F, F), F @ y
     det = n * sff - sf * sf
     with np.errstate(divide="ignore", invalid="ignore"):

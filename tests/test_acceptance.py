@@ -187,7 +187,7 @@ class TestPatchTest:
     @staticmethod
     def _run_patch(mesh):
         from convexkan import fem
-        from convexkan.fem import DofPartition, FixedGroup, nodal_forces
+        from convexkan.fem import DofPartition, FixedGroup, deformation_gradients
         from convexkan.mechanics import NeoHookean
 
         # clamp every boundary node to an affine field; interior nodes must
@@ -207,8 +207,8 @@ class TestPatchTest:
         part = DofPartition(n_nodes=mesh.n_nodes, groups=tuple(groups))
         u0 = exact.copy()
         u0[~on_edge] += 1e-3
-        f0 = nodal_forces(mesh, u0, NeoHookean())
-        u, _, hist = fem._newton(mesh, part, NeoHookean(), u0, f0, u0, 1e-9)
+        r0 = NeoHookean().response(deformation_gradients(mesh, u0))
+        u, _, hist = fem._newton(mesh, part, NeoHookean(), u0, r0, u0, 1e-9)
         npt.assert_allclose(u[~on_edge], exact[~on_edge], atol=1e-10)
         assert len(hist) <= 4  # initial residual + at most 3 corrections
 

@@ -1,5 +1,6 @@
 """Command-line surface: evaluation paths, parity scoring, and end-to-end
 subcommand runs on tiny meshes."""
+import csv
 import os
 import re
 import subprocess
@@ -23,9 +24,15 @@ from convexkan.cli import (
 )
 from convexkan.errors import ConfigurationError
 from convexkan.fem import Mesh, SpecimenDataset
-from convexkan.mechanics import NeoHookean
+from convexkan.mechanics import NeoHookean, NetworkMaterial
 from convexkan.network import GRID_INIT_RANGE, KANModel
-from convexkan.symbolic import PARITY_SAMPLES, PARITY_SEED, SymbolicEnergy, distill
+from convexkan.symbolic import (
+    PARITY_SAMPLES,
+    PARITY_SEED,
+    SymbolicEnergy,
+    SymbolicMaterial,
+    distill,
+)
 
 
 def small_square_mesh(n=4):
@@ -397,6 +404,63 @@ class TestEvaluate:
                 break
         else:
             pytest.fail("UT gamma=1 row missing")
+
+    @staticmethod
+    def _evaluate(tmp_path, checkpoint_file, samples):
+        sym = tmp_path / "e.sym"
+        assert main(["distill", "--checkpoint", checkpoint_file, "--out", str(sym)]) == 0
+        out = tmp_path / "eval.csv"
+        assert main(["evaluate", "--model", "NH", "--checkpoint", checkpoint_file,
+                     "--symbolic", str(sym), "--samples", str(samples), "--out", str(out)]) == 0
+        return sym, out
+
+    def test_stacked_evaluation_matches_per_path(self, tmp_path, checkpoint_file):
+        sym, out = self._evaluate(tmp_path, checkpoint_file, 4)
+        models = {"true": NeoHookean(), "ickan": NetworkMaterial(KANModel.load(checkpoint_file)),
+                  "sym": SymbolicMaterial(SymbolicEnergy.load(sym))}
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        with open(f"{out}.summary.csv") as fh:
+            summary = {(r["path"], r["quantity"], r["model"]): float(r["rel_rms"])
+                       for r in csv.DictReader(fh)}
+
+        def printed(values, digits):
+            return [float(f"{v:.{digits}g}") for v in np.ravel(values)]
+
+        assert len(rows) == 6 * 4 and len(summary) == 6 * 2 * 2
+        for path in evaluation_paths(4):
+            got = [r for r in rows if r["path"] == path.kind]
+            Fs = np.array([path.deformation(g) for g in path.grid()])
+            want = {name: {"W": m.energy(Fs), "P": m.stress(Fs)[:, :2, :2].reshape(-1, 4)}
+                    for name, m in models.items()}
+            for name, q in want.items():
+                npt.assert_allclose([float(r[f"W_{name}"]) for r in got], printed(q["W"], 10),
+                                    rtol=1e-12)
+                cols = [[float(r[f"{c}_{name}"]) for c in ("P11", "P12", "P21", "P22")]
+                        for r in got]
+                npt.assert_allclose(np.ravel(cols), printed(q["P"], 10), rtol=1e-12)
+                if name != "true":
+                    for qty in ("W", "P"):
+                        err = rel_rms(q[qty], want["true"][qty])
+                        npt.assert_allclose(summary[path.kind, qty, name], printed(err, 6),
+                                            rtol=1e-12)
+
+    def test_one_material_evaluation_per_model(self, tmp_path, checkpoint_file, monkeypatch):
+        counts = {}
+        for cls in (NeoHookean, NetworkMaterial, SymbolicMaterial):
+
+            def counted(self, K, real=cls.k_value_grad_hess, name=cls.__name__):
+                key = (name, "stack" if np.ndim(K) == 2 else "reference")
+                counts[key] = counts.get(key, 0) + 1
+                return real(self, K)
+
+            monkeypatch.setattr(cls, "k_value_grad_hess", counted)
+        self._evaluate(tmp_path, checkpoint_file, 11)
+        # the distilled energy keeps its constant: no reference-energy call
+        assert counts == {("NeoHookean", "stack"): 1, ("NeoHookean", "reference"): 1,
+                          ("NetworkMaterial", "stack"): 1,
+                          ("NetworkMaterial", "reference"): 1,
+                          ("SymbolicMaterial", "stack"): 1}
 
     def test_requires_a_model_exits_2(self, tmp_path):
         assert main(["evaluate", "--model", "NH", "--out", str(tmp_path / "e.csv")]) == 2

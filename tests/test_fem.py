@@ -33,7 +33,12 @@ from convexkan.fem import (
     uniaxial_partition,
     unit_square_hole_mesh,
 )
-from convexkan.mechanics import NeoHookean, NetworkMaterial, benchmark_model
+from convexkan.mechanics import (
+    DeformationState,
+    NeoHookean,
+    NetworkMaterial,
+    benchmark_model,
+)
 from convexkan.network import KANModel
 
 
@@ -300,8 +305,17 @@ class TestBatchedAssembly:
                 for b, nb in enumerate(m.triangles[e]):
                     blk = m.area[e] * np.einsum("ijkl,j,l->ik", C, G[a], G[b])
                     want[2 * na : 2 * na + 2, 2 * nb : 2 * nb + 2] += blk
-        got = tangent_matrix(m, u, model).toarray()
+        got = tangent_matrix(m, model.tangent(deformation_gradients(m, u)), m.D, m.DT).toarray()
         npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+    def test_free_block_is_the_full_tangent_restricted(self):
+        m, u, model = self.case("NH")
+        free = biaxial_partition(m).free_flat_indices()
+        T = model.tangent(deformation_gradients(m, u))
+        K = tangent_matrix(m, T, m.D, m.DT).toarray()
+        npt.assert_array_equal(tangent_matrix(m, T, m.D[:, free], m.DT[free]).toarray(),
+                               K[np.ix_(free, free)])
 
 
 class TestForcesAndReactions:
@@ -347,7 +361,7 @@ class TestForcesAndReactions:
         model = NeoHookean()
         rng = np.random.default_rng(7)
         u = 0.05 * rng.normal(size=(4, 2))
-        K = tangent_matrix(m, u, model).toarray()
+        K = tangent_matrix(m, model.tangent(deformation_gradients(m, u)), m.D, m.DT).toarray()
         h = 1e-6
         for col in range(8):
             up, um = u.ravel().copy(), u.ravel().copy()
@@ -361,8 +375,9 @@ class TestForcesAndReactions:
 
 
 def newton_from(mesh, part, model, u0, prescribed, tol=1e-9):
-    """Newton iteration from the field u0: (u, forces, residual history)."""
-    return fem._newton(mesh, part, model, u0, nodal_forces(mesh, u0, model), prescribed, tol)
+    """Newton iteration from the field u0: (u, response, residual history)."""
+    r0 = model.response(deformation_gradients(mesh, u0))
+    return fem._newton(mesh, part, model, u0, r0, prescribed, tol)
 
 
 class TestSolve:
@@ -557,21 +572,33 @@ class TestDataset:
             npt.assert_array_equal(ds.reactions[t], reaction(part, f))
 
     def test_no_field_forces_evaluated_twice(self, monkeypatch):
-        # the forces from each convergence check give that field's reactions
-        # and start the next target: one evaluation per tangent assembly,
-        # plus one for the undeformed state
+        # one material evaluation per field visited gives its forces, its
+        # tangent and, once converged, its reactions and the next target's
+        # first tangent: one per tangent assembly (each moves to a new
+        # field), plus one for the undeformed state, and none for tangents;
+        # a tangent is chained only for an assembly
         m = unit_square_hole_mesh(n=21)
         part = biaxial_partition(m)
-        calls = {"nodal_forces": 0, "tangent_matrix": 0}
-        for name in calls:
+        model = NeoHookean()
+        model.reference_energy()  # computed once per material, before counting
+        calls = {"k_value_grad_hess": 0, "tangent_matrix": 0, "chain": 0}
 
-            def counted(*args, real=getattr(fem, name), name=name):
+        def counter(name, real):
+            def counted(*args):
                 calls[name] += 1
                 return real(*args)
 
-            monkeypatch.setattr(fem, name, counted)
-        generate_dataset(m, part, NeoHookean(), [0.1, 0.2, 0.3])
-        assert calls["nodal_forces"] == calls["tangent_matrix"] + 1
+            return counted
+
+        monkeypatch.setattr(model, "k_value_grad_hess",
+                            counter("k_value_grad_hess", model.k_value_grad_hess))
+        monkeypatch.setattr(fem, "tangent_matrix", counter("tangent_matrix", fem.tangent_matrix))
+        monkeypatch.setattr(DeformationState, "tangent",
+                            counter("chain", DeformationState.tangent))
+        generate_dataset(m, part, model, [0.1, 0.2, 0.3])
+        assert calls["tangent_matrix"] > 0
+        assert calls["k_value_grad_hess"] == calls["tangent_matrix"] + 1
+        assert calls["chain"] == calls["tangent_matrix"]
 
     @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
     def test_bad_noise_rejected_before_the_solve(self, monkeypatch, sigma):

@@ -16,8 +16,10 @@ from convexkan.errors import (
 from convexkan.mechanics import (
     BENCHMARKS,
     ArrudaBoyce,
+    DeformationState,
     NeoHookean,
     NetworkMaterial,
+    Ogden,
     benchmark_model,
     compute_state,
 )
@@ -377,6 +379,82 @@ class TestBatchedEquivalence:
             compute_state(np.eye(4))
         with pytest.raises(ConfigurationError):
             NeoHookean().stress(np.ones((2, 3, 2)))
+
+
+def separate_calls(model, F):
+    """W, P and dP/dF of ``model`` at F, each from its own evaluation: for a
+    K-material a deformation state and a K-derivative call per quantity,
+    for Ogden its energy, its difference stress, and the stress differenced
+    at F +- h e_kl with the tangent's step h."""
+    if isinstance(model, Ogden):
+        dim, single = np.shape(F)[-1], np.ndim(F) == 2
+        Fs = np.reshape(F, (-1, dim, dim))
+        stack = np.broadcast_to(np.eye(3), (len(Fs), 3, 3)).copy()
+        stack[:, :dim, :dim] = Fs
+        W = model._energy(stack, single)
+        P = model._stress(stack, dim, single, len(stack))
+        h = 10.0 * model._steps(stack)
+        T = np.empty((len(Fs),) + (dim,) * 4)
+        for k in range(dim):
+            for m in range(dim):
+                step = np.zeros_like(Fs)
+                step[:, k, m] = h
+                dP = model.stress(Fs + step) - model.stress(Fs - step)
+                T[:, :, :, k, m] = dP / (2 * h)[:, None, None]
+        if single:
+            return float(W[0]), P[0], T[0]
+        return W, P, T
+    state = compute_state(F)
+    W = model.k_value_grad_hess(state.K)[0]
+    if model.subtract_reference_energy:
+        W = W - model.reference_energy()
+    state = compute_state(F)
+    P = state.stress(model.k_value_grad_hess(state.K)[1])
+    state = compute_state(F)
+    T = state.tangent(*model.k_value_grad_hess(state.K)[1:])
+    return (float(W) if np.ndim(W) == 0 else W), P, T
+
+
+class TestResponse:
+    """One material evaluation gives W, P and dP/dF bit for bit as one
+    evaluation per quantity does, and finishes the energy and tangent only
+    when they are read."""
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["NH", "IH", "AB", "OG", "ICKAN", "SYM", "SYM_SHIFTED"])
+    def test_response_equals_separate_calls(self, all_materials, kind, dim, stacked):
+        if kind == "SYM_SHIFTED":
+            model = SymbolicMaterial(all_materials["SYM"].symbolic, zero_at_identity=True)
+        else:
+            model = all_materials[kind]
+        Fs = random_stack(np.random.default_rng(43), 4, dim)
+        F = Fs if stacked else Fs[1]
+        r = model.response(F)
+        W, P, T = separate_calls(model, F)
+        assert isinstance(r.energy, np.ndarray if stacked else float)
+        npt.assert_array_equal(r.energy, W)
+        npt.assert_array_equal(r.stress, P)
+        npt.assert_array_equal(r.tangent, T)
+        for got, want in ((model.energy(F), W), (model.stress(F), P), (model.tangent(F), T)):
+            npt.assert_array_equal(got, want)
+
+    def test_tangent_and_energy_finished_when_read(self, monkeypatch):
+        model = SymbolicMaterial(distill(KANModel.create(rng=44)), zero_at_identity=True)
+        calls = []
+        real_tangent = DeformationState.tangent
+        monkeypatch.setattr(DeformationState, "tangent",
+                            lambda self, *a: calls.append("tangent") or real_tangent(self, *a))
+        monkeypatch.setattr(model, "reference_energy", lambda: calls.append("w0") or 0.25)
+        r = model.response(random_stack(np.random.default_rng(45), 3, 2))
+        assert calls == []
+        r.stress
+        assert calls == []
+        T = r.tangent
+        assert r.tangent is T and calls == ["tangent"]
+        r.energy
+        r.energy
+        assert calls == ["tangent", "w0"]
 
 
 class TestAgainstMechanicsReference:
