@@ -46,6 +46,7 @@ from .symbolic import (
     SymbolicMaterial,
     distill,
     network_parity_r2,
+    settled_by_bound,
 )
 from .training import TrainConfig, train_ensemble
 
@@ -294,6 +295,11 @@ def cmd_distill(args) -> int:
     for (r, i, j), fit in sorted(energy.activation_fits.items()):
         print(f"layer {r} ({i},{j})   {fit.candidate.name:11s}  {fit.r2:.6f}")
     print(f"parity R^2 vs network: {energy.parity_r2:.6f}")
+    weights = [t.weight for t in energy.all_terms()]
+    settled = sum(settled_by_bound(fit, args.lambda_sym)
+                  for fit in energy.activation_fits.values())
+    print(f"complexity: {len(weights)} terms, largest term weight "
+          f"{max(weights, default=0.0):.4g}, {settled} activations settled by the affine bound")
     print(f"W = {energy.infix()}")
     print(f"wrote {args.out} and {text_path}")
     return 0

@@ -14,7 +14,13 @@ import numpy.typing as npt
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigurationError, DataError, InadmissibleDeformationError, SolverError
+from .errors import (
+    ConfigurationError,
+    DataError,
+    EvaluationError,
+    InadmissibleDeformationError,
+    SolverError,
+)
 from .mechanics import MaterialModel
 
 Array = npt.NDArray[np.float64]
@@ -580,9 +586,10 @@ def solve(mesh: Mesh, partition: DofPartition, model: MaterialModel, deltas,
     previous converged field; every target is attempted at least once, so a
     target equal to the current load is an equilibrium check.  Each Newton
     iteration carries the prescribed increment through the tangent; a failed
-    increment is halved, up to ``MAX_HALVINGS`` times, from the last
-    converged load.  Returns the noiseless dataset: one converged field and
-    its reactions per target.
+    increment (no convergence, or an iterate with det F <= 0 or where the
+    material cannot be evaluated) is halved, up to ``MAX_HALVINGS`` times,
+    from the last converged load.  Returns the noiseless dataset: one
+    converged field and its reactions per target.
     """
     deltas = np.atleast_1d(np.asarray(deltas, dtype=np.float64))
     if deltas.size == 0 or not np.all(np.isfinite(deltas)):
@@ -601,7 +608,7 @@ def solve(mesh: Mesh, partition: DofPartition, model: MaterialModel, deltas,
             try:
                 u, r, _ = _newton(mesh, partition, model, u, r,
                                   partition.prescribed(target), tol)
-            except (SolverError, InadmissibleDeformationError) as exc:
+            except (SolverError, InadmissibleDeformationError, EvaluationError) as exc:
                 halvings += 1
                 if halvings > MAX_HALVINGS:
                     raise SolverError(

@@ -29,6 +29,9 @@ _ROUNDS = 3
 _SHRINK = 5.0
 PARITY_SAMPLES = 1000  # K points drawn from GRID_INIT_RANGE for the parity R^2
 PARITY_SEED = 0
+# records nested deeper than this are refused on reading: every routine on
+# the form recurses once per level, and this keeps them inside Python's stack
+MAX_NESTING = 500
 
 VAR_NAMES = ("K1", "K2", "K3")
 
@@ -262,12 +265,31 @@ def select_candidate(fits, lambda_sym: float = LAMBDA_SYM) -> FittedActivation:
     return fits[idx]
 
 
+def settled_by_bound(fit: FittedActivation, lambda_sym: float = LAMBDA_SYM) -> bool:
+    """Whether ``fit`` is an affine fit that scores no worse than the bound:
+    the best score any other library candidate could reach, its complexity
+    at R^2 = 1.  `_r2` never exceeds 1 and the score does not rise as R^2
+    rises, so no candidate can then beat the affine fit, and it wins ties as
+    the simplest candidate."""
+    if fit.candidate is not LIBRARY[0]:
+        return False
+    bound = min(selection_score(replace(fit, candidate=cand, r2=1.0), lambda_sym)
+                for cand in LIBRARY[1:])
+    return selection_score(fit, lambda_sym) <= bound
+
+
 def fit_activation(phi, domain, buffers: _Buffers,
                    lambda_sym: float = LAMBDA_SYM) -> FittedActivation:
-    """Fit every library candidate to one sampling of phi, in ``buffers``,
-    which successive calls share; return the selected one."""
-    fits = _fit_samples(*_samples(phi, domain), LIBRARY, buffers)
-    return select_candidate(fits, lambda_sym)
+    """Fit the library to one sampling of phi, in ``buffers``, which
+    successive calls share; return the selected fit.  The affine candidate
+    is fitted first, in closed form; where it is `settled_by_bound`, no
+    curved candidate can be selected and their grid search is skipped.
+    Otherwise every candidate is fitted and `select_candidate` chooses."""
+    x, y = _samples(phi, domain)
+    (affine,) = _fit_samples(x, y, LIBRARY[:1], buffers)
+    if settled_by_bound(affine, lambda_sym):
+        return affine
+    return select_candidate([affine, *_fit_samples(x, y, LIBRARY[1:], buffers)], lambda_sym)
 
 
 # -- the normal form ----------------------------------------------------------
@@ -317,6 +339,12 @@ class Form:
         term = Term(fit.c, fit.candidate, self.scaled(fit.a, fit.b), provenance)
         return Form(const=fit.d, terms=[term])
 
+    def all_terms(self):
+        """Every term of the form, nested ones included, outermost first."""
+        for t in self.terms:
+            yield t
+            yield from t.inner.all_terms()
+
     def vgh(self, K: Array):
         """(value, gradient, Hessian) at K of shape (..., 3): shapes (...),
         (..., 3) and (..., 3, 3)."""
@@ -363,8 +391,11 @@ def _number(tokens) -> float:
     return v
 
 
-def _parse(tokens) -> Form:
-    """Read one prefix expression from an iterator over its tokens."""
+def _parse(tokens, depth: int = 1) -> Form:
+    """Read one prefix expression, nested ``depth`` records deep, from an
+    iterator over its tokens."""
+    if depth > MAX_NESTING:
+        raise DataError(f"expression nested deeper than {MAX_NESTING} records")
     head = next(tokens)
     if head == "const":
         return Form(const=_number(tokens))
@@ -381,21 +412,24 @@ def _parse(tokens) -> Form:
         w, s = _number(tokens), _number(tokens)
         if w < 0.0:
             raise DataError(f"negative scaled weight {w}")
-        return _parse(tokens).scaled(w, s)
+        return _parse(tokens, depth + 1).scaled(w, s)
     if head == "exp":
-        return Form(terms=[Term(1.0, LIBRARY[1], _parse(tokens))])
+        return Form(terms=[Term(1.0, LIBRARY[1], _parse(tokens, depth + 1))])
     if head == "softplus":
         p = int(next(tokens))
         # below 1 the term is no longer convex and non-decreasing; the
         # library, and _ipow, stop at 4
         if not 1 <= p <= 4:
             raise DataError(f"softplus power {p} outside 1..4")
-        return Form(terms=[Term(1.0, LIBRARY[1 + p], _parse(tokens))])
+        return Form(terms=[Term(1.0, LIBRARY[1 + p], _parse(tokens, depth + 1))])
     if head == "add":
         n = int(next(tokens))
         if n < 1:  # would read as the zero energy
             raise DataError(f"'add {n}': a sum needs at least one part")
-        return sum([_parse(tokens) for _ in range(n)], Form())
+        form = Form()
+        for _ in range(n):  # a comprehension would cost a stack frame per level
+            form = form + _parse(tokens, depth + 1)
+        return form
     raise DataError(f"unknown expression token {head!r}")
 
 
@@ -516,4 +550,10 @@ class SymbolicMaterial(MaterialModel):
         self.subtract_reference_energy = bool(zero_at_identity)
 
     def k_value_grad_hess(self, K):
-        return self.symbolic.vgh(K)
+        """W, dW/dK and d2W/dK2; raises EvaluationError where any of them
+        overflows or is not a number."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            v, g, h = self.symbolic.vgh(K)
+        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
+            raise EvaluationError("distilled energy or its K-derivatives not finite")
+        return v, g, h

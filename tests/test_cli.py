@@ -32,6 +32,7 @@ from convexkan.symbolic import (
     SymbolicEnergy,
     SymbolicMaterial,
     distill,
+    settled_by_bound,
 )
 
 
@@ -480,6 +481,18 @@ class TestEvaluate:
              "--out", str(tmp_path / "e.csv")]
         ) == 2
 
+    @pytest.mark.parametrize("body, code", [
+        ("scaled 1 0 " * 3000 + "var K1", 2),  # nested past the reader's limit
+        ("exp " * 400 + "var K1", 3),  # W overflows
+    ])
+    def test_unreadable_or_overflowing_symbolic_exits(self, tmp_path, capsys, body, code):
+        sym, out = tmp_path / "e.sym", tmp_path / "e.csv"
+        sym.write_text(f"convexkan-symbolic v1\nenergy {body}\n")
+        assert main(["evaluate", "--model", "NH", "--symbolic", str(sym),
+                     "--out", str(out)]) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDistill:
     def test_writes_tree_and_text(self, tmp_path, checkpoint_file):
@@ -507,6 +520,20 @@ class TestDistill:
             assert abs(energy.value(np.zeros(3))) < 1e-12
             y_net = y_net - model.forward(np.zeros(3))
         assert abs(float(printed.group(1)) - r2_score(energy.value(K), y_net)) <= 1e-6
+
+    def test_complexity_report(self, tmp_path, checkpoint_file, capsys):
+        out = tmp_path / "energy.sym"
+        assert main(["distill", "--checkpoint", checkpoint_file, "--out", str(out)]) == 0
+        printed = re.search(r"complexity: (\d+) terms, largest term weight (\S+), (\d+) "
+                            r"activations settled by the affine bound", capsys.readouterr().out)
+        energy = distill(KANModel.load(checkpoint_file))
+        # the writer puts each term, at any depth, as ``scaled <weight> 0 <f>``
+        tokens = SymbolicEnergy.load(out).prefix()
+        weights = [float(tokens[k + 1]) for k, tok in enumerate(tokens) if tok == "scaled"]
+        assert weights and int(printed.group(1)) == len(weights)
+        assert float(printed.group(2)) == float(f"{max(weights):.4g}")
+        assert int(printed.group(3)) == sum(
+            settled_by_bound(fit) for fit in energy.activation_fits.values())
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="minor page faults as Linux counts them")

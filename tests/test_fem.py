@@ -14,6 +14,7 @@ import convexkan.fem as fem
 from convexkan.errors import (
     ConfigurationError,
     DataError,
+    EvaluationError,
     InadmissibleDeformationError,
     SolverError,
 )
@@ -40,6 +41,7 @@ from convexkan.mechanics import (
     benchmark_model,
 )
 from convexkan.network import KANModel
+from convexkan.symbolic import SymbolicEnergy, SymbolicMaterial
 
 
 def unit_square_two_tri():
@@ -498,6 +500,25 @@ class TestSolve:
         assert targets[-1] == 0.2
         monkeypatch.undo()
         npt.assert_allclose(u, solve(m, part, model, [0.2]).displacements[0], rtol=0, atol=1e-9)
+
+    def test_step_the_material_cannot_evaluate_is_halved(self, monkeypatch):
+        # W = 0.5 K1 + 1.5 K3 + 1e-3 exp(exp(K1)) overflows at an iterate of
+        # the full step to 1.0 around the hole; the half steps stay finite
+        energy = SymbolicEnergy.loads("convexkan-symbolic v1\nenergy add 2 affine 0 0.5 0 1.5 "
+                                      "scaled 0.001 0 exp scaled 1 0 exp var K1\n")
+        m = unit_square_hole_mesh(n=5)
+        failures, real_newton = [], fem._newton
+
+        def newton(*args):
+            try:
+                return real_newton(*args)
+            except EvaluationError as exc:
+                failures.append(exc)
+                raise
+
+        monkeypatch.setattr(fem, "_newton", newton)
+        u = solve(m, biaxial_partition(m), SymbolicMaterial(energy), [1.0]).displacements[0]
+        assert failures and np.all(np.isfinite(u))
 
     def test_nonconvergence_reported(self, monkeypatch):
         m = square_grid_mesh(4)

@@ -1,6 +1,7 @@
 """Symbolic distillation: candidate fitting, selection scoring, expression
 assembly, serialization, and the distilled material model."""
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +9,12 @@ import numpy.testing as npt
 import pytest
 
 import convexkan.symbolic as symbolic
-from convexkan.errors import ConfigurationError, DataError
+from convexkan.errors import ConfigurationError, DataError, EvaluationError
 from convexkan.network import CONSTRAINED, VANILLA, KANModel, W_S_UNIT, softplus
 from convexkan.symbolic import (
     FIT_POINTS,
     LIBRARY,
+    MAX_NESTING,
     FittedActivation,
     SymbolicEnergy,
     SymbolicMaterial,
@@ -26,6 +28,7 @@ from convexkan.symbolic import (
     fit_activation,
     select_candidate,
     selection_score,
+    settled_by_bound,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -399,6 +402,80 @@ class TestSelection:
             alone.candidate, alone.a, alone.b, alone.c, alone.d, alone.r2)
 
 
+def same_fit(got, want):
+    return (got.candidate, got.a, got.b, got.c, got.d, got.r2) == (
+        want.candidate, want.a, want.b, want.c, want.d, want.r2)
+
+
+def activation_targets():
+    """(name, phi, domain) of every activation of KANModel.create(rng=s), s
+    in 0..9, sampled as distill samples them."""
+    for s in range(10):
+        model = KANModel.create(rng=s)
+        for r, layer in enumerate(model.params):
+            for i, j in np.ndindex(layer.shape[1:3]):
+                def phi(x, model=model, r=r, i=i, j=j):
+                    z = np.broadcast_to(x, (1, model.dims[r], np.size(x)))
+                    return model._edges(r, z, orders=(0,))[0][0, 0, j, :, i]
+
+                yield f"create{s}-{r}{i}{j}", phi, model.domain(r, j)
+
+
+NEAR_AFFINE_TARGETS = {
+    f"{eps:g}-curved": (lambda x, eps=eps: 2.0 * x + 1.0 + eps * softplus(2.0 * x), (-3.0, 3.0))
+    for eps in (0.0, 1e-6, 1e-4, 2e-3, 1e-2, 0.1)
+}
+NEAR_AFFINE_TARGETS["tiny-quadratic"] = (lambda x: 0.3 * x + 1e-3 * x * x, (0.0, 5.0))
+
+
+class TestAffineBound:
+    """fit_activation fits the curved candidates only where the affine fit
+    misses the bound, and still selects what fitting the whole library
+    selects."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 0.8, 1.0])
+    def test_same_selection_as_every_candidate_fitted(self, lam):
+        buffers, settled = _Buffers(), 0
+        targets = [*activation_targets(),
+                   *((name, *target) for name, target in NEAR_AFFINE_TARGETS.items())]
+        for name, phi, domain in targets:
+            fits = _fit_samples(*_samples(phi, domain), LIBRARY, buffers)
+            got = fit_activation(phi, domain, buffers, lam)
+            assert same_fit(got, select_candidate(fits, lam)), name
+            assert settled_by_bound(got, lam) == settled_by_bound(fits[0], lam), name
+            settled += settled_by_bound(got, lam)
+        # the bound decides both ways on this set, except where complexity
+        # alone scores and every affine fit wins
+        assert settled == len(targets) if lam == 1.0 else 0 < settled < len(targets)
+
+    @pytest.mark.parametrize("name, lam, settles", [
+        ("0-curved", 0.8, True),  # exactly affine
+        ("1e-06-curved", 0.8, True),
+        ("0.1-curved", 0.8, False),  # affine fit, but below the bound
+        ("0-curved", 0.0, True),  # R^2 = 1 reaches the bound at every lambda
+        ("1e-06-curved", 0.0, False),
+    ])
+    def test_grid_search_runs_only_below_the_bound(self, monkeypatch, name, lam, settles):
+        calls = []
+        arguments = _Buffers.arguments
+
+        def spy(self, *args):
+            calls.append(args)
+            return arguments(self, *args)
+
+        monkeypatch.setattr(_Buffers, "arguments", spy)
+        fit = fit_activation(*NEAR_AFFINE_TARGETS[name], _Buffers(), lam)
+        assert settled_by_bound(fit, lam) == settles
+        assert bool(calls) != settles
+        if not settles:  # one shared round 1, then two rounds per curved candidate
+            assert len(calls) == 1 + 2 * (len(LIBRARY) - 1)
+
+    def test_only_an_affine_fit_settles(self):
+        fit = FittedActivation(by_name("softplus"), a=1.0, b=0.0, c=1.0, d=0.0, r2=1.0)
+        assert not settled_by_bound(fit)
+        assert settled_by_bound(replace(fit, candidate=by_name("x")))
+
+
 def linear_network(alpha=(0.5, 0.0, 1.5)):
     """Constrained model whose energy is exactly alpha . K (plus a constant).
 
@@ -594,6 +671,24 @@ class TestSerialization:
         with pytest.raises(DataError, match="negative"):
             SymbolicEnergy.loads(f"convexkan-symbolic v1\nenergy {expr}\n")
 
+    @pytest.mark.parametrize("record", ["scaled 1 0", "exp", "softplus 1", "add 1"])
+    def test_nesting_limit(self, record):
+        def text(depth):  # depth - 1 records around var K1
+            return f"convexkan-symbolic v1\nenergy {(record + ' ') * (depth - 1)}var K1\n"
+
+        # every routine on the form recurses once per level within the limit
+        energy = SymbolicEnergy.loads(text(MAX_NESTING))
+        with np.errstate(over="ignore", invalid="ignore"):  # 499 nested exp overflow
+            energy.vgh(np.zeros(3))
+        assert energy.dumps() and energy.infix()
+        with pytest.raises(DataError, match="nested deeper than"):
+            SymbolicEnergy.loads(text(MAX_NESTING + 1))
+
+    def test_recursion_deep_file_rejected(self):
+        # raised RecursionError before the reader limited nesting
+        with pytest.raises(DataError, match="nested deeper than"):
+            SymbolicEnergy.loads("convexkan-symbolic v1\nenergy " + "scaled 1 0 " * 3000 + "var K1\n")
+
     def test_negative_constant_and_shift_accepted(self):
         text = "add 2 scaled 0.5 -3 exp affine -2 0.1 0 0 affine -1 0 0.2 0"
         energy = SymbolicEnergy.loads(f"convexkan-symbolic v1\nenergy {text}\n")
@@ -718,6 +813,16 @@ class TestSymbolicMaterial:
         for _ in range(3):
             mat.energy(F)
         assert len(at_zero) == 4 and sum(at_zero) == 1
+
+    @pytest.mark.parametrize("K", [np.array([1.0, 0.5, 0.2]),
+                                   np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 0.2]])])
+    def test_overflowing_energy_raises(self, K):
+        energy = SymbolicEnergy.loads(
+            "convexkan-symbolic v1\nenergy " + "exp " * 400 + "var K1\n")
+        with pytest.raises(EvaluationError, match="not finite"):
+            SymbolicMaterial(energy).k_value_grad_hess(K)
+        with np.errstate(over="ignore", invalid="ignore"):  # the form itself does not check
+            assert not np.all(np.isfinite(energy.vgh(K)[0]))
 
     def test_offset_flag(self):
         energy = distill(KANModel.create(rng=23))
