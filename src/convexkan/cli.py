@@ -9,7 +9,7 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,11 +199,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    flags = {"--epochs": ("epochs", args.epochs), "--ensemble": ("ensemble_size", args.ensemble),
+             "--seed": ("seed", args.seed)}  # flag -> (config field, value)
+    given = {flag: item for flag, item in flags.items() if item[1] is not None}
+    if args.config and given:
+        raise ConfigurationError(f"{', '.join(given)} cannot be combined with --config")
     dataset = SpecimenDataset.load(args.dataset)
-    config = TrainConfig.load(args.config) if args.config else TrainConfig()
-    if not args.config:
-        config = replace(config, epochs=args.epochs, ensemble_size=args.ensemble,
-                         seed=args.seed)
+    config = TrainConfig.load(args.config) if args.config else TrainConfig(**dict(given.values()))
     mode = VANILLA if args.ablation_vanilla else CONSTRAINED
     failures = {}
     model, reports = train_ensemble(config, dataset, mode=mode, failures=failures)
@@ -385,10 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train the spline-network energy")
     t.add_argument("--dataset", required=True)
     t.add_argument("--out", default="model.ckpt")
-    t.add_argument("--epochs", type=int, default=1000)
-    t.add_argument("--ensemble", type=int, default=10)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--config", help="key=value config file (overrides flags)")
+    t.add_argument("--epochs", type=int, help=f"default {TrainConfig.epochs}")
+    t.add_argument("--ensemble", type=int, help=f"default {TrainConfig.ensemble_size}")
+    t.add_argument("--seed", type=int, help=f"default {TrainConfig.seed}")
+    t.add_argument("--config", help="key=value config file (not with the three flags above)")
     t.add_argument("--log-prefix", help="write per-member CSV logs to PREFIX<k>.csv")
     t.add_argument("--ablation-vanilla", action="store_true",
                    help="unconstrained activations (convexity ablation)")

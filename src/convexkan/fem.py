@@ -22,6 +22,7 @@ from .errors import (
     SolverError,
 )
 from .mechanics import MaterialModel
+from .records import Records
 
 Array = npt.NDArray[np.float64]
 
@@ -61,9 +62,9 @@ class Mesh:
             raise DataError(f"triangles must be (n_el, 3), got {self.triangles.shape}")
         if not np.all(np.isfinite(self.nodes)):
             raise DataError("non-finite node coordinate in mesh")
-        if self.triangles.size and (
-            self.triangles.min() < 0 or self.triangles.max() >= self.n_nodes
-        ):
+        if self.n_elements == 0:
+            raise DataError("mesh has no triangles")
+        if self.triangles.min() < 0 or self.triangles.max() >= self.n_nodes:
             raise DataError("triangle node index out of range")
         unused = np.flatnonzero(np.bincount(self.triangles.ravel(), minlength=self.n_nodes) == 0)
         if unused.size:
@@ -124,25 +125,14 @@ class Mesh:
 
     @classmethod
     def loads(cls, text: str) -> "Mesh":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise DataError("empty mesh file")
-        head = lines[0].split()
-        if len(head) != 4 or head[0] != "nodes" or head[2] != "triangles":
-            raise DataError(f"bad mesh header: {lines[0]!r}")
-        try:
-            n_n, n_el = int(head[1]), int(head[3])
-            if len(lines) != 1 + n_n + n_el:
-                raise DataError(
-                    f"mesh file has {len(lines) - 1} body lines, expected {n_n + n_el}"
-                )
-            nodes = np.array([[float(v) for v in ln.split()] for ln in lines[1 : 1 + n_n]])
-            tris = np.array(
-                [[int(v) for v in ln.split()] for ln in lines[1 + n_n :]], dtype=np.int64
-            )
-        except ValueError as exc:
-            raise DataError(f"malformed mesh file: {exc}") from None
-        return cls(nodes=nodes, triangles=tris)
+        with Records(text, "mesh") as records:
+            return cls.read(records)
+
+    @classmethod
+    def read(cls, records: Records) -> "Mesh":
+        """The mesh block at the cursor: its header, node rows, triangle rows."""
+        n_n, n_el = records.take("nodes %d triangles %d")
+        return cls(records.rows(n_n, 2), records.rows(n_el, 3, "%d"))
 
     @classmethod
     def load(cls, path) -> "Mesh":
@@ -470,10 +460,8 @@ class SpecimenDataset:
                 f"reactions shape {self.reactions.shape} does not match "
                 f"{n_t} snapshots with {self.partition.n_reactions} groups"
             )
-        if not np.all(np.isfinite(self.displacements)):
-            raise DataError("non-finite displacement in dataset")
-        if not (np.all(np.isfinite(self.deltas)) and np.all(np.isfinite(self.reactions))):
-            raise DataError("non-finite load parameter or reaction in dataset")
+        if not all(np.isfinite(a).all() for a in (self.deltas, self.displacements, self.reactions)):
+            raise DataError("non-finite load parameter, displacement or reaction in dataset")
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
             raise DataError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
@@ -501,76 +489,19 @@ class SpecimenDataset:
 
     @classmethod
     def loads(cls, text: str) -> "SpecimenDataset":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "convexkan-dataset v1":
-            raise DataError("not a dataset file (bad header)")
-
-        def expect(ok: bool, what: str):
-            if not ok:
-                raise DataError(f"malformed dataset file: expected {what}")
-
-        try:
-            pos = 1
-            expect(lines[pos].startswith("noise_sigma "), "'noise_sigma <value>'")
-            sigma = float(lines[pos].split()[1])
-            pos += 1
-            head = lines[pos].split()
-            n_n, n_el = int(head[1]), int(head[3])
-            mesh = Mesh.loads("\n".join(lines[pos : pos + 1 + n_n + n_el]))
-            pos += 1 + n_n + n_el
-            head = lines[pos].split()
-            expect(head[:2] == ["partition", "groups"], "'partition groups <n>'")
-            n_beta = int(head[2])
-            pos += 1
-            groups = []
-            for _ in range(n_beta):
-                head = lines[pos].split()
-                expect(
-                    len(head) == 6 and head[0] == "group" and head[2] == "scale"
-                    and head[4] == "dofs",
-                    "'group <name> scale <s> dofs <m>'",
-                )
-                name, scale, m = head[1], float(head[3]), int(head[5])
-                pos += 1
-                dofs = np.array(
-                    [[int(v) for v in ln.split()] for ln in lines[pos : pos + m]],
-                    dtype=np.int64,
-                )
-                pos += m
-                groups.append(FixedGroup(name=name, dofs=dofs, scale=scale))
-            partition = DofPartition(n_nodes=n_n, groups=tuple(groups))
-            head = lines[pos].split()
-            expect(head[:1] == ["snapshots"], "'snapshots <n>'")
-            n_t = int(head[1])
-            pos += 1
-            deltas = np.empty(n_t)
-            disp = np.empty((n_t, n_n, 2))
-            reac = np.empty((n_t, n_beta))
-            for t in range(n_t):
-                head = lines[pos].split()
-                expect(head[:2] == ["snapshot", "delta"], "'snapshot delta <value>'")
-                deltas[t] = float(head[2])
-                pos += 1
-                disp[t] = [[float(v) for v in ln.split()] for ln in lines[pos : pos + n_n]]
-                pos += n_n
-                head = lines[pos].split()
-                expect(
-                    head[:1] == ["reactions"] and len(head) == 1 + n_beta,
-                    f"'reactions' and {n_beta} values",
-                )
-                reac[t] = [float(v) for v in head[1:]]
-                pos += 1
-            expect(pos == len(lines), "the end of the file")
-        except (IndexError, ValueError, ConfigurationError) as exc:
-            raise DataError(f"malformed dataset file: {exc}") from None
-        return cls(
-            mesh=mesh,
-            partition=partition,
-            deltas=deltas,
-            displacements=disp,
-            reactions=reac,
-            noise_sigma=sigma,
-        )
+        with Records(text, "dataset") as records:
+            records.take("convexkan-dataset v1")
+            (sigma,) = records.take("noise_sigma %f")
+            mesh, groups = Mesh.read(records), []
+            for _ in range(records.take("partition groups %d")[0]):
+                name, scale, m = records.take("group %s scale %f dofs %d")
+                groups.append(FixedGroup(name, records.rows(m, 2, "%d"), scale))
+            partition, deltas, disp, reac = DofPartition(mesh.n_nodes, groups), [], [], []
+            for _ in range(records.take("snapshots %d")[0]):
+                deltas += records.take("snapshot delta %f")
+                disp.append(records.rows(mesh.n_nodes, 2))
+                reac.append(records.take("reactions", partition.n_reactions))
+            return cls(mesh, partition, deltas, disp, reac, sigma)
 
     @classmethod
     def load(cls, path) -> "SpecimenDataset":

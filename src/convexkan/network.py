@@ -15,7 +15,8 @@ import numpy as np
 import numpy.typing as npt
 
 from .bspline import KnotVector, design_rows, reparameterize, reparameterize_vjp
-from .errors import ConfigurationError, DataError, EvaluationError
+from .errors import ConfigurationError, EvaluationError
+from .records import Records
 
 Array = npt.NDArray[np.float64]
 
@@ -70,7 +71,7 @@ class KANModel:
     """
 
     def __init__(self, dims, order, n_coef, mode, params, t):
-        if dims[0] != 3 or dims[-1] != 1:
+        if len(dims) < 2 or dims[0] != 3 or dims[-1] != 1 or min(dims) < 1:
             raise ConfigurationError(f"dims must map 3 inputs to 1 output, got {dims}")
         if mode not in (CONSTRAINED, VANILLA):
             raise ConfigurationError(f"unknown mode {mode!r}")
@@ -357,56 +358,34 @@ class KANModel:
 
     @classmethod
     def loads(cls, text: str) -> "KANModel":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-
-        def record(pos, tag, count=None, where="checkpoint"):
-            """The values of line ``pos``: it must be ``tag`` and ``count`` of them."""
-            key, *values = lines[pos].split()
-            if key != tag or count not in (None, len(values)):
-                raise DataError(f"{where}: expected a {tag} record, got {lines[pos]!r}")
-            return values
-
-        try:
-            if lines[0] != "convexkan-checkpoint v1":
-                raise DataError(f"unrecognized checkpoint header: {lines[0]!r}")
-            (mode,) = record(1, "mode", 1)
-            dims = tuple(int(v) for v in record(2, "dims"))
-            if min(dims) < 1:
-                raise DataError(f"layer widths must be >= 1, got {list(dims)}")
-            order = int(record(3, "order", 1)[0])
-            n_coef = int(record(4, "n_coef", 1)[0])
+        with Records(text, "checkpoint") as records:
+            records.take("convexkan-checkpoint v1")
+            (mode,), dims = records.take("mode %s"), records.take("dims", None, "%d")
+            (order,), (n_coef,) = records.take("order %d"), records.take("n_coef %d")
             width = n_coef + (2 if mode == VANILLA else 1)
-            params = [np.empty((1, n_out, n_in, width)) for n_in, n_out in zip(dims[:-1], dims[1:])]
+            params = [np.empty((1, b, a, width)) for a, b in zip(dims[:-1], dims[1:])]
+            model = cls(dims, order, n_coef, mode, params, [])  # params are filled in place
             domains = [{} for _ in dims[:-1]]  # [r][j] -> (lo, hi)
-            pos = 5
             for r, p in enumerate(params):
                 for i, j in np.ndindex(p.shape[1:3]):
                     name = f"activation {r},{i},{j}"
-                    tag, *index = lines[pos].split()
-                    if tag != "activation" or [int(v) for v in index] != [r, i, j]:
-                        raise DataError(f"expected {name}, got {lines[pos]!r}")
-                    lo, hi = (float(v) for v in record(pos + 1, "domain", 2, name))
-                    w_s = float(record(pos + 2, "w_s", 1, name)[0])
-                    w_b = float(record(pos + 3, "w_b", 1, name)[0])
-                    raw = np.array([float(v) for v in record(pos + 4, "raw", n_coef, name)])
-                    if not np.all(np.isfinite([lo, hi, w_s, w_b, *raw])):
-                        raise DataError(f"{name}: non-finite value")
+                    records.context = f"{name}: "
+                    index = records.take("activation", 3, "%s")
+                    if index != f"{r} {i} {j}".split():
+                        raise records.error(f"expected {name}, got activation {' '.join(index)}")
+                    lo, hi = records.take("domain %f %f")
                     if not hi > lo:
-                        raise DataError(f"{name}: empty domain [{lo}, {hi}]")
-                    if mode == CONSTRAINED and w_b != 0.0:
-                        raise DataError(f"{name}: constrained activations have no w_b, got {w_b}")
+                        raise records.error(f"empty domain [{lo}, {hi}]")
                     # all activations reading one input column share its knots
                     first = domains[r].setdefault(j, (lo, hi))
                     if first != (lo, hi):
-                        raise DataError(f"{name}: domain [{lo}, {hi}] differs from "
-                                        f"{list(first)} of activation {r},0,{j}")
-                    p[0, i, j] = np.append(raw, (w_s, w_b))[:width]  # constrained: no w_b
-                    pos += 5
-            if lines[pos:] != ["end"]:
-                raise DataError("expected the end marker as the last line")
-            model = cls(dims, order, n_coef, mode, params, [])
-            model.t = [model._knots(*np.array(list(layer.values())).T[:, None])
-                       for layer in domains]
-        except (IndexError, ValueError, ConfigurationError) as exc:
-            raise DataError(f"malformed checkpoint: {exc}") from exc
-        return model
+                        raise records.error(f"domain [{lo}, {hi}] differs from "
+                                            f"{list(first)} of activation {r},0,{j}")
+                    (w_s,), (w_b,) = records.take("w_s %f"), records.take("w_b %f")
+                    if mode == CONSTRAINED and w_b != 0.0:
+                        raise records.error(f"constrained activations have no w_b, got {w_b}")
+                    p[0, i, j] = (records.take("raw", n_coef) + [w_s, w_b])[:width]
+            records.context = ""
+            records.take("end")
+            model.t = [model._knots(*np.array(list(d.values())).T[:, None]) for d in domains]
+            return model

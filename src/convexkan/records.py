@@ -1,0 +1,83 @@
+"""The reader of mesh, dataset and checkpoint files: a cursor over their
+records, one per non-blank line of tag words and values, that checks each
+record's tag, value count and finite numbers, naming the line that fails."""
+from __future__ import annotations
+
+import contextlib
+import math
+
+import numpy as np
+
+from .errors import ConfigurationError, DataError
+
+
+def _number(word: str) -> float:
+    v = float(word)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite number {word}")
+    return v
+
+
+def _count(word: str) -> int:
+    v = int(word)
+    if not 0 <= v < 2**63:
+        raise ValueError(f"{word} is not a count or an index")
+    return v
+
+
+SLOTS = {"%s": str, "%d": _count, "%f": _number}  # a word, a count or index, a number
+
+
+class Records:
+    """Cursor over the records of one ``kind`` file; ``context`` is a prefix
+    of every message, such as ``"activation 0,1,0: "`` while reading one."""
+
+    def __init__(self, text: str, kind: str):
+        self.text, self.kind, self.context, self.pos = text, kind, "", 0
+        self.lines = [ln for ln in text.splitlines() if ln.strip()]
+
+    def error(self, message: str, pos: int | None = None) -> DataError:
+        """The error at record ``pos``, by default the last one taken."""
+        pos = self.pos - 1 if pos is None else pos
+        numbers = [n for n, ln in enumerate(self.text.splitlines(), 1) if ln.strip()]
+        where = f"line {numbers[pos]}" if pos < len(numbers) else "end of file"
+        return DataError(f"{self.kind} file, {where}: {self.context}{message}")
+
+    def take(self, pattern: str, count: int | None = 0, slot: str = "%f") -> list:
+        """The values of the next record: ``pattern``, where ``%s``, ``%d`` and ``%f`` stand
+        for values, then ``count`` values of kind ``slot`` (any number if None)."""
+        line = self.lines[self.pos] if self.pos < len(self.lines) else ""
+        self.pos += 1
+        spec, words = pattern.split(), line.split()
+        n = len(spec)
+        if len(words) < n or count not in (None, len(words) - n) or any(
+                s != w for s, w in zip(spec, words) if s not in SLOTS):
+            raise self.error(f"expected {' '.join(spec + [slot] * (count or 0))!r}, got {line!r}")
+        try:
+            return [SLOTS[s](w) for s, w in zip(spec, words) if s in SLOTS] + list(
+                map(SLOTS[slot], words[n:]))
+        except ValueError as exc:
+            raise self.error(f"{exc} in {line!r}") from None
+
+    def rows(self, n: int, width: int, slot: str = "%f") -> np.ndarray:
+        """The next ``n`` records as an ``(n, width)`` array of ``slot`` values."""
+        dtype = np.float64 if slot == "%f" else np.int64
+        words = [ln.split() for ln in self.lines[self.pos : self.pos + n]]
+        with contextlib.suppress(ValueError, OverflowError):
+            a = np.array(words, dtype=dtype).reshape(len(words), width)
+            if len(words) == n and np.all(np.isfinite(a) if slot == "%f" else a >= 0):
+                self.pos += n
+                return a
+        # record by record, to name the first bad one
+        return np.array([self.take("", width, slot) for _ in range(n)], dtype=dtype)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        """Leaving the read of a whole file: a ConfigurationError becomes a
+        DataError at the last record, and a read that succeeded took them all."""
+        if isinstance(exc, ConfigurationError):
+            raise self.error(str(exc)) from None
+        if exc is None and self.pos < len(self.lines):
+            raise self.error(f"expected the end, got {self.lines[self.pos]!r}", self.pos)

@@ -391,12 +391,12 @@ def _number(tokens) -> float:
     return v
 
 
-def _parse(tokens, depth: int = 1) -> Form:
+def _parse(tokens, depth: int = 1, head=None) -> Form:
     """Read one prefix expression, nested ``depth`` records deep, from an
-    iterator over its tokens."""
+    iterator over its tokens, of which ``head`` may have been read."""
     if depth > MAX_NESTING:
         raise DataError(f"expression nested deeper than {MAX_NESTING} records")
-    head = next(tokens)
+    head = next(tokens) if head is None else head
     if head == "const":
         return Form(const=_number(tokens))
     if head == "var":
@@ -408,20 +408,24 @@ def _parse(tokens, depth: int = 1) -> Form:
         if np.any(coeffs < 0.0):
             raise DataError(f"negative K coefficients {coeffs.tolist()} in an affine record")
         return Form(coeffs, const)
+    w, s = 1.0, 0.0
     if head == "scaled":
         w, s = _number(tokens), _number(tokens)
         if w < 0.0:
             raise DataError(f"negative scaled weight {w}")
-        return _parse(tokens, depth + 1).scaled(w, s)
+        head = next(tokens)
+        # the writer's ``scaled w 0 <f>`` per term is one level with its f
+        if head not in ("exp", "softplus"):
+            return _parse(tokens, depth + 1, head).scaled(w, s)
     if head == "exp":
-        return Form(terms=[Term(1.0, LIBRARY[1], _parse(tokens, depth + 1))])
+        return Form(terms=[Term(1.0, LIBRARY[1], _parse(tokens, depth + 1))]).scaled(w, s)
     if head == "softplus":
         p = int(next(tokens))
         # below 1 the term is no longer convex and non-decreasing; the
         # library, and _ipow, stop at 4
         if not 1 <= p <= 4:
             raise DataError(f"softplus power {p} outside 1..4")
-        return Form(terms=[Term(1.0, LIBRARY[1 + p], _parse(tokens, depth + 1))])
+        return Form(terms=[Term(1.0, LIBRARY[1 + p], _parse(tokens, depth + 1))]).scaled(w, s)
     if head == "add":
         n = int(next(tokens))
         if n < 1:  # would read as the zero energy

@@ -351,6 +351,22 @@ class TestTrain:
         assert "line 3: repeated key 'epochs'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_flags_refused_with_config(self, tmp_path, dataset_file, capsys):
+        # the config file sets epochs, ensemble_size and seed; the flags
+        # would have been dropped silently
+        config = tmp_path / "small.cfg"
+        config.write_text("epochs=2\nensemble_size=1\n")
+        out = tmp_path / "m.ckpt"
+        argv = ["train", "--dataset", dataset_file, "--config", str(config), "--out", str(out)]
+        assert main([*argv, "--ensemble", "3", "--seed", "5"]) == 2
+        assert "--ensemble, --seed cannot be combined with --config" in capsys.readouterr().err
+        for flag in ("--epochs", "--ensemble", "--seed"):
+            assert main([*argv, flag, "1"]) == 2
+            assert f"error: {flag} cannot" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv) == 0
+        assert KANModel.load(out).size == 1
+
     def test_negative_seed_exits_2(self, tmp_path, dataset_file):
         out = tmp_path / "m.ckpt"
         assert main(

@@ -42,6 +42,7 @@ from convexkan.mechanics import (
 )
 from convexkan.network import KANModel
 from convexkan.symbolic import SymbolicEnergy, SymbolicMaterial
+from test_records import corpus as mutation_corpus
 
 
 def unit_square_two_tri():
@@ -91,6 +92,14 @@ class TestMesh:
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(DataError):
             Mesh(nodes=nodes, triangles=np.array([[0, 1, 2]]))
+
+    def test_mesh_without_triangles_rejected(self):
+        # an empty mesh passed every other check, and so did a dataset on it
+        with pytest.raises(DataError, match="^mesh has no triangles$"):
+            Mesh.loads("nodes 0 triangles 0\n")
+        with pytest.raises(DataError, match="^mesh has no triangles$"):
+            SpecimenDataset.loads("convexkan-dataset v1\nnoise_sigma 0\nnodes 0 triangles 0\n"
+                                  "partition groups 0\nsnapshots 1\nsnapshot delta 0\nreactions\n")
 
     def test_index_out_of_range(self):
         with pytest.raises(DataError):
@@ -560,6 +569,12 @@ MALFORMED = {
     "group_unknown_node": ("group left scale 0 dofs 3\n0 0", "group left scale 0 dofs 3\n9 0"),
     "group_bad_component": ("group left scale 0 dofs 3\n0 0", "group left scale 0 dofs 3\n0 2"),
     "group_shared_dof": ("group right scale 1 dofs 3\n6 0", "group right scale 1 dofs 3\n0 0"),
+    # one value too many on a record, and a non-finite group scale
+    "noise_sigma_extra": ("noise_sigma 0", "noise_sigma 0 0"),
+    "partition_extra": ("partition groups 4", "partition groups 4 0"),
+    "snapshots_extra": ("snapshots 1", "snapshots 1 0"),
+    "snapshot_extra": ("snapshot delta 0", "snapshot delta 0 0"),
+    "group_scale_nan": ("group left scale 0", "group left scale nan"),
 }
 
 
@@ -683,22 +698,28 @@ class TestDataset:
             SpecimenDataset.loads(malformed_dataset(case))
 
     def test_malformed_dataset_rejected_without_asserts(self):
-        # python -O strips assert statements; the parser must not rely on them
+        # python -O strips assert statements; the readers must not rely on
+        # them: the malformed datasets and the whole mutation corpus
         code = (
             "import sys\n"
             "from convexkan.errors import DataError\n"
-            "from convexkan.fem import SpecimenDataset\n"
-            "for text in sys.stdin.read().split('\\0'):\n"
+            "from convexkan.fem import Mesh, SpecimenDataset\n"
+            "from convexkan.network import KANModel\n"
+            "readers = {'mesh': Mesh, 'dataset': SpecimenDataset, 'checkpoint': KANModel}\n"
+            "for case in sys.stdin.read().split('\\0'):\n"
+            "    kind, _, text = case.partition('\\n')\n"
             "    try:\n"
-            "        SpecimenDataset.loads(text)\n"
+            "        readers[kind].loads(text)\n"
             "    except DataError:\n"
             "        continue\n"
-            "    sys.exit('accepted a malformed file')\n"
+            "    sys.exit(f'accepted a malformed {kind} file')\n"
         )
+        cases = [("dataset", malformed_dataset(c)) for c in sorted(MALFORMED)]
+        cases += [(kind, text) for kind, _, text in mutation_corpus()]
         src = str(Path(convexkan.__file__).resolve().parents[1])
         done = subprocess.run(
             [sys.executable, "-O", "-c", code],
-            input="\0".join(malformed_dataset(c) for c in sorted(MALFORMED)),
+            input="\0".join(f"{kind}\n{text}" for kind, text in cases),
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": src},
         )

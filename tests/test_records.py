@@ -1,0 +1,130 @@
+"""Mutation corpus over the record files: for every record of a mesh, a
+dataset and a checkpoint written by the library, the file with that record
+dropped, duplicated, with a value appended, or with its first number set to
+nan must be refused with DataError by the reader and with exit 2 by the CLI."""
+import pytest
+
+from convexkan.cli import main
+from convexkan.errors import DataError
+from convexkan.fem import (
+    Mesh,
+    SpecimenDataset,
+    biaxial_partition,
+    generate_dataset,
+    unit_square_hole_mesh,
+)
+from convexkan.mechanics import NeoHookean
+from convexkan.network import VANILLA, KANModel
+
+READERS = {"mesh": Mesh, "dataset": SpecimenDataset, "checkpoint": KANModel}
+
+
+def _is_number(word):
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
+def mutate(lines, k, how):
+    """``lines`` with record ``k`` mutated ``how``; None when the record has
+    no number to set to nan."""
+    if how == "drop":
+        return lines[:k] + lines[k + 1 :]
+    if how == "duplicate":
+        return lines[: k + 1] + lines[k:]
+    if how == "append":
+        return lines[:k] + [lines[k] + " 0"] + lines[k + 1 :]
+    words = lines[k].split()
+    first = next((m for m, w in enumerate(words) if _is_number(w)), None)
+    if first is None:
+        return None
+    return lines[:k] + [" ".join(words[:first] + ["nan"] + words[first + 1 :])] + lines[k + 1 :]
+
+
+def sources():
+    """(kind, text) of each file the corpus starts from."""
+    mesh = unit_square_hole_mesh(n=5)
+    ds = generate_dataset(mesh, biaxial_partition(mesh), NeoHookean(), [0.05, 0.1],
+                          noise_sigma=1e-4, seed=1)
+    return [
+        ("mesh", mesh.dumps()),
+        ("dataset", ds.dumps()),
+        ("checkpoint", KANModel.create(rng=0).dumps()),
+        ("checkpoint", KANModel.create(mode=VANILLA, rng=1).dumps()),
+    ]
+
+
+MUTATIONS = ("drop", "duplicate", "append", "nan")
+
+
+def corpus(kinds=READERS, mutations=MUTATIONS):
+    """(kind, label, text) of every mutated file."""
+    out = []
+    for kind, text in sources():
+        if kind not in kinds:
+            continue
+        lines = text.splitlines()
+        for how in mutations:
+            for k in range(len(lines)):
+                changed = mutate(lines, k, how)
+                if changed is not None:
+                    out.append((kind, f"{how} record {k + 1} {lines[k][:40]!r}",
+                                "\n".join(changed) + "\n"))
+    return out
+
+
+def test_sources_load_and_round_trip():
+    for kind, text in sources():
+        assert READERS[kind].loads(text).dumps() == text
+
+
+@pytest.mark.parametrize("how", MUTATIONS)
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_mutated_record_rejected(kind, how):
+    files = corpus([kind], [how])
+    assert len(files) > 40
+    accepted = []
+    for _, label, text in files:
+        try:
+            READERS[kind].loads(text)
+        except DataError as exc:
+            # the message names the file kind and where in it
+            assert str(exc).startswith(f"{kind} file, "), str(exc)
+            continue
+        accepted.append(label)
+    assert accepted == []
+
+
+# one command per file kind that reads it before any work
+COMMANDS = {
+    "mesh": ["generate", "--model", "NH", "--steps", "1", "--mesh"],
+    "dataset": ["train", "--epochs", "1", "--ensemble", "1", "--dataset"],
+    "checkpoint": ["distill", "--checkpoint"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_cli_exits_2_on_every_mutated_file(kind, tmp_path, capsys):
+    path, out = tmp_path / "input", tmp_path / "out"
+    for _, label, text in corpus([kind]):
+        path.write_text(text)
+        assert main([*COMMANDS[kind], str(path), "--out", str(out)]) == 2, label
+        assert f"error: {kind} file, " in capsys.readouterr().err, label
+    assert not out.exists()
+
+
+def test_line_numbers_count_blank_lines():
+    text = "\n\n" + unit_square_hole_mesh(n=5).dumps().replace("\n", "\n\n", 3)
+    lines = text.splitlines()
+    row = next(k for k, ln in enumerate(lines) if ln.count(" ") == 2)  # a triangle
+    lines[row] += " 0"
+    with pytest.raises(DataError, match=rf"^mesh file, line {row + 1}: "):
+        Mesh.loads("\n".join(lines))
+
+
+def test_reading_stops_at_the_end_of_the_file():
+    text = unit_square_hole_mesh(n=5).dumps().splitlines()
+    with pytest.raises(DataError, match="^mesh file, end of file: expected '%d %d %d'"):
+        Mesh.loads("\n".join(text[:-1]))

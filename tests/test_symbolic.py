@@ -684,6 +684,15 @@ class TestSerialization:
         with pytest.raises(DataError, match="nested deeper than"):
             SymbolicEnergy.loads(text(MAX_NESTING + 1))
 
+    @pytest.mark.parametrize("f", ["exp", "softplus 2"])
+    def test_deepest_form_survives_its_own_file(self, f):
+        # the writer puts each term as ``scaled w 0 <f>``: the pair is one
+        # level, so a form read MAX_NESTING - 1 term levels deep reads back
+        text = f"convexkan-symbolic v1\nenergy {(f + ' ') * (MAX_NESTING - 1)}var K1\n"
+        energy = SymbolicEnergy.loads(text)
+        assert len(list(energy.all_terms())) == MAX_NESTING - 1
+        assert SymbolicEnergy.loads(energy.dumps()).dumps() == energy.dumps()
+
     def test_recursion_deep_file_rejected(self):
         # raised RecursionError before the reader limited nesting
         with pytest.raises(DataError, match="nested deeper than"):
