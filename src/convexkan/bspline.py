@@ -57,6 +57,8 @@ class KnotVector:
             raise ConfigurationError(f"need n_coef > k, got n_coef={n_coef}, k={k}")
         n_span = n_coef - k  # intervals inside the natural domain
         s = (hi - lo) / n_span
+        if not (math.isfinite(lo - k * s) and math.isfinite(lo + n_coef * s)):  # first, last
+            raise ConfigurationError(f"knots of domain [{lo}, {hi}] are not finite")
         m_b = n_coef + k + 1
         t = lo + (np.arange(m_b) - k) * s
         return cls(t=t, k=k)

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     ConvexKanError,
-    DataError,
     EvaluationError,
     InadmissibleDeformationError,
     SolverError,
@@ -34,7 +33,6 @@ from .fem import (
     unit_square_hole_mesh,
 )
 from .mechanics import (
-    BENCHMARKS,
     NetworkMaterial,
     benchmark_model,
     compute_state,
@@ -169,26 +167,15 @@ def _training_mesh(args) -> Mesh:
 
 
 def cmd_generate(args) -> int:
-    kind = args.model.upper()
-    if kind not in BENCHMARKS:
-        raise ConfigurationError(
-            f"unknown material kind {args.model!r}; choose from {sorted(BENCHMARKS)}"
-        )
+    material = benchmark_model(args.model)
     if args.steps < 1:
         raise ConfigurationError(f"--steps must be >= 1, got {args.steps}")
     mesh = _training_mesh(args)
     part = biaxial_partition(mesh)
-    step = _DELTA_STEP[kind]
+    step = _DELTA_STEP[material.kind]
     deltas = [step * (t + 1) for t in range(args.steps)]
-    ds = generate_dataset(
-        mesh,
-        part,
-        benchmark_model(kind),
-        deltas,
-        noise_sigma=args.noise,
-        seed=args.seed,
-        noise_per_dof_constant=args.noise_per_dof_constant,
-    )
+    ds = generate_dataset(mesh, part, material, deltas, noise_sigma=args.noise, seed=args.seed,
+                          noise_per_dof_constant=args.noise_per_dof_constant)
     ds.save(args.out)
     print(
         f"wrote {args.out}: {ds.n_snapshots} snapshots on {mesh.n_nodes} nodes / "
@@ -199,13 +186,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    flags = {"--epochs": ("epochs", args.epochs), "--ensemble": ("ensemble_size", args.ensemble),
-             "--seed": ("seed", args.seed)}  # flag -> (config field, value)
-    given = {flag: item for flag, item in flags.items() if item[1] is not None}
-    if args.config and given:
-        raise ConfigurationError(f"{', '.join(given)} cannot be combined with --config")
+    config = TrainConfig(epochs=args.epochs, ensemble_size=args.ensemble, seed=args.seed,
+                         curvature_penalty=args.curvature_penalty)
     dataset = SpecimenDataset.load(args.dataset)
-    config = TrainConfig.load(args.config) if args.config else TrainConfig(**dict(given.values()))
     mode = VANILLA if args.ablation_vanilla else CONSTRAINED
     failures = {}
     model, reports = train_ensemble(config, dataset, mode=mode, failures=failures)
@@ -387,10 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train the spline-network energy")
     t.add_argument("--dataset", required=True)
     t.add_argument("--out", default="model.ckpt")
-    t.add_argument("--epochs", type=int, help=f"default {TrainConfig.epochs}")
-    t.add_argument("--ensemble", type=int, help=f"default {TrainConfig.ensemble_size}")
-    t.add_argument("--seed", type=int, help=f"default {TrainConfig.seed}")
-    t.add_argument("--config", help="key=value config file (not with the three flags above)")
+    t.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="default %(default)s")
+    t.add_argument("--ensemble", type=int, default=TrainConfig.ensemble_size,
+                   help="number of members, default %(default)s")
+    t.add_argument("--seed", type=int, default=TrainConfig.seed,
+                   help="seed of member 0 (member k: seed + k), default %(default)s")
+    t.add_argument("--curvature-penalty", type=float, default=TrainConfig.curvature_penalty,
+                   help="weight of the L1 prior on spline curvature (0: none), "
+                        "default %(default)s")
     t.add_argument("--log-prefix", help="write per-member CSV logs to PREFIX<k>.csv")
     t.add_argument("--ablation-vanilla", action="store_true",
                    help="unconstrained activations (convexity ablation)")
@@ -443,13 +430,10 @@ def main(argv=None) -> int:
     try:
         _check_output_dirs(args)
         return args.func(args)
-    except (ConfigurationError, DataError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (SolverError, TrainingError, EvaluationError, InadmissibleDeformationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ConvexKanError as exc:
+    except (ConvexKanError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

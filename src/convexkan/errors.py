@@ -30,4 +30,9 @@ class TrainingError(ConvexKanError):
 
 
 class DataError(ConvexKanError):
-    """Malformed mesh/dataset/checkpoint/config files."""
+    """Malformed mesh/dataset/checkpoint files or data; ``row`` is the index
+    of the row a refusal is about, within the block it was read from."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row

@@ -68,7 +68,7 @@ class Mesh:
             raise DataError("triangle node index out of range")
         unused = np.flatnonzero(np.bincount(self.triangles.ravel(), minlength=self.n_nodes) == 0)
         if unused.size:
-            raise DataError(f"node {unused[0]} belongs to no triangle")
+            raise DataError(f"node {unused[0]} belongs to no triangle", row=unused[0])
         self._setup_geometry()
 
     def _setup_geometry(self):
@@ -83,8 +83,10 @@ class Mesh:
             self.triangles[flipped] = self.triangles[flipped][:, [0, 2, 1]]
             signed = signed_area(self.triangles)
         X = self.nodes[self.triangles]
-        if np.any(signed <= 0.0):
-            raise DataError("degenerate (zero-area) triangle in mesh")
+        degenerate = np.flatnonzero(signed <= 0.0)
+        if degenerate.size:  # row: nodes, then triangles
+            raise DataError("degenerate (zero-area) triangle in mesh",
+                            row=self.n_nodes + degenerate[0])
         self.area = signed
         # gradient of the barycentric shape function N^a: rotate the opposite
         # edge by 90 degrees and scale by 1/(2A)
@@ -130,9 +132,16 @@ class Mesh:
 
     @classmethod
     def read(cls, records: Records) -> "Mesh":
-        """The mesh block at the cursor: its header, node rows, triangle rows."""
+        """The mesh block at the cursor: its header, node rows, triangle rows.
+        A node or triangle the mesh refuses is named at its row."""
         n_n, n_el = records.take("nodes %d triangles %d")
-        return cls(records.rows(n_n, 2), records.rows(n_el, 3, "%d"))
+        start = records.pos
+        try:
+            return cls(records.rows(n_n, 2), records.rows(n_el, 3, "%d"))
+        except DataError as exc:
+            if exc.row is None:
+                raise
+            raise records.error(str(exc), start + exc.row) from None
 
     @classmethod
     def load(cls, path) -> "Mesh":
@@ -492,12 +501,17 @@ class SpecimenDataset:
         with Records(text, "dataset") as records:
             records.take("convexkan-dataset v1")
             (sigma,) = records.take("noise_sigma %f")
+            if sigma < 0.0:
+                raise records.error(f"noise_sigma must be finite and >= 0, got {sigma}")
             mesh, groups = Mesh.read(records), []
             for _ in range(records.take("partition groups %d")[0]):
                 name, scale, m = records.take("group %s scale %f dofs %d")
                 groups.append(FixedGroup(name, records.rows(m, 2, "%d"), scale))
             partition, deltas, disp, reac = DofPartition(mesh.n_nodes, groups), [], [], []
-            for _ in range(records.take("snapshots %d")[0]):
+            (n_t,) = records.take("snapshots %d")
+            if n_t == 0:
+                raise records.error("dataset has no snapshots")
+            for _ in range(n_t):
                 deltas += records.take("snapshot delta %f")
                 disp.append(records.rows(mesh.n_nodes, 2))
                 reac.append(records.take("reactions", partition.n_reactions))

@@ -366,6 +366,7 @@ class KANModel:
             params = [np.empty((1, b, a, width)) for a, b in zip(dims[:-1], dims[1:])]
             model = cls(dims, order, n_coef, mode, params, [])  # params are filled in place
             domains = [{} for _ in dims[:-1]]  # [r][j] -> (lo, hi)
+            knots = [[] for _ in dims[:-1]]  # [r][j] -> the knots of input column j
             for r, p in enumerate(params):
                 for i, j in np.ndindex(p.shape[1:3]):
                     name = f"activation {r},{i},{j}"
@@ -374,8 +375,7 @@ class KANModel:
                     if index != f"{r} {i} {j}".split():
                         raise records.error(f"expected {name}, got activation {' '.join(index)}")
                     lo, hi = records.take("domain %f %f")
-                    if not hi > lo:
-                        raise records.error(f"empty domain [{lo}, {hi}]")
+                    at = records.pos - 1
                     # all activations reading one input column share its knots
                     first = domains[r].setdefault(j, (lo, hi))
                     if first != (lo, hi):
@@ -385,7 +385,12 @@ class KANModel:
                     if mode == CONSTRAINED and w_b != 0.0:
                         raise records.error(f"constrained activations have no w_b, got {w_b}")
                     p[0, i, j] = (records.take("raw", n_coef) + [w_s, w_b])[:width]
+                    if i == 0:  # the column's knots, once the raw record has bounded n_coef
+                        try:
+                            knots[r].append(KnotVector.from_domain(lo, hi, n_coef, order).t)
+                        except ConfigurationError as exc:
+                            raise records.error(str(exc), at) from None
             records.context = ""
             records.take("end")
-            model.t = [model._knots(*np.array(list(d.values())).T[:, None]) for d in domains]
+            model.t = [np.array(t)[None] for t in knots]
             return model

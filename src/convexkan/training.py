@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
@@ -31,83 +31,38 @@ from .network import CONSTRAINED, KANModel
 Array = npt.NDArray[np.float64]
 
 
+# Adam (Kingma & Ba 2015) on a triangular cyclic learning rate (Smith 2017),
+# as the paper trains: moment decays, denominator guard, and a rate rising
+# from BASE_LR to MAX_LR over CYCLE_STEP epochs and falling back over as many
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+BASE_LR, MAX_LR, CYCLE_STEP = 0.001, 0.1, 50
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 1000
-    base_lr: float = 0.001
-    max_lr: float = 0.1
-    cycle_step: int = 50
     ensemble_size: int = 10
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
     curvature_penalty: float = 1e-2  # weight of curvature_prior in train()
 
     def __post_init__(self):
         if self.epochs <= 0:
             raise ConfigurationError(f"epochs must be positive, got {self.epochs}")
-        if not (0.0 < self.base_lr <= self.max_lr and math.isfinite(self.max_lr)):
-            raise ConfigurationError(
-                f"need 0 < base_lr <= max_lr < inf, got {self.base_lr}, {self.max_lr}"
-            )
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigurationError(
-                f"need 0 <= beta1, beta2 < 1, got {self.beta1}, {self.beta2}"
-            )
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ConfigurationError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if self.cycle_step <= 0:
-            raise ConfigurationError(f"cycle_step must be positive, got {self.cycle_step}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.ensemble_size < 1:
-            raise ConfigurationError(
-                f"ensemble_size must be >= 1, got {self.ensemble_size}"
-            )
+            raise ConfigurationError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
         if not (math.isfinite(self.curvature_penalty) and self.curvature_penalty >= 0.0):
             raise ConfigurationError(
                 f"curvature_penalty must be finite and >= 0, got {self.curvature_penalty}"
             )
 
-    def save(self, path):
-        with open(path, "w") as fh:
-            for f in fields(self):
-                fh.write(f"{f.name}={getattr(self, f.name)}\n")
 
-    @classmethod
-    def load(cls, path) -> "TrainConfig":
-        values = {}
-        types = {f.name: f.type for f in fields(cls)}
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigurationError(f"line {lineno}: expected key=value")
-                key, _, val = line.partition("=")
-                key, val = key.strip(), val.strip()
-                if key not in types:
-                    raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
-                if key in values:
-                    raise ConfigurationError(f"line {lineno}: repeated key {key!r}")
-                caster = int if types[key] == "int" else float
-                try:
-                    values[key] = caster(val)
-                except ValueError:
-                    raise ConfigurationError(
-                        f"line {lineno}: bad value {val!r} for {key}"
-                    ) from None
-        return cls(**values)
-
-
-def cyclic_learning_rate(epoch: int, config: TrainConfig) -> float:
-    """Triangular schedule: base_lr at epoch 0, peaking at max_lr every
-    ``cycle_step`` epochs, then descending symmetrically."""
-    x = (epoch % (2 * config.cycle_step)) / config.cycle_step
-    frac = x if x <= 1.0 else 2.0 - x
-    return config.base_lr + (config.max_lr - config.base_lr) * frac
+def cyclic_learning_rate(epochs: int) -> Array:
+    """The learning rate of each of ``epochs`` epochs: linear from BASE_LR at
+    epoch 0 to MAX_LR at CYCLE_STEP and back at 2 * CYCLE_STEP, repeated."""
+    x = (np.arange(epochs) % (2 * CYCLE_STEP)) / CYCLE_STEP
+    return BASE_LR + (MAX_LR - BASE_LR) * np.where(x <= 1.0, x, 2.0 - x)
 
 
 @dataclass
@@ -132,20 +87,18 @@ class _Adam:
     """Plain Adam with bias correction, elementwise on parameter arrays of
     any shape: a stack of members steps each member exactly as alone."""
 
-    def __init__(self, shape, config: TrainConfig):
+    def __init__(self, shape):
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         self.t = 0
-        self.cfg = config
 
     def step(self, params: Array, grad: Array, lr: float) -> Array:
-        c = self.cfg
         self.t += 1
-        self.m = c.beta1 * self.m + (1.0 - c.beta1) * grad
-        self.v = c.beta2 * self.v + (1.0 - c.beta2) * grad * grad
-        mhat = self.m / (1.0 - c.beta1**self.t)
-        vhat = self.v / (1.0 - c.beta2**self.t)
-        return params - lr * mhat / (np.sqrt(vhat) + c.epsilon)
+        self.m = BETA1 * self.m + (1.0 - BETA1) * grad
+        self.v = BETA2 * self.v + (1.0 - BETA2) * grad * grad
+        mhat = self.m / (1.0 - BETA1**self.t)
+        vhat = self.v / (1.0 - BETA2**self.t)
+        return params - lr * mhat / (np.sqrt(vhat) + EPSILON)
 
     def keep(self, rows):
         """Keep the moments of the selected members only."""
@@ -259,8 +212,7 @@ def curvature_prior(model: KANModel, weight: float):
     return value, grad
 
 
-def _train_members(config: TrainConfig, states: ElementStates, seeds, dims, order,
-                   n_coef, mode):
+def _train_members(config: TrainConfig, states: ElementStates, seeds, mode):
     """Train one network per seed, all as the members of one model.
 
     Returns ``(model, reports, errors)``: the members that finished (if any
@@ -268,13 +220,12 @@ def _train_members(config: TrainConfig, states: ElementStates, seeds, dims, orde
     that left on a non-finite loss or gradient.  Every report's wall time is
     the whole pass's.
     """
-    model = KANModel.stack([KANModel.create(dims=dims, order=order, n_coef=n_coef, mode=mode,
-                                            rng=s) for s in seeds])
+    model = KANModel.stack([KANModel.create(mode=mode, rng=s) for s in seeds])
     alive = list(range(len(seeds)))
     params = model.parameter_vectors()
-    adam = _Adam(params.shape, config)
+    adam = _Adam(params.shape)
     losses = np.empty((len(seeds), config.epochs))
-    lrs = np.empty(config.epochs)
+    lrs = cyclic_learning_rate(config.epochs)
     errors = {}
     start = time.perf_counter()
     for epoch in range(config.epochs):
@@ -290,10 +241,8 @@ def _train_members(config: TrainConfig, states: ElementStates, seeds, dims, orde
             value, grad, params = value[ok], grad[ok], params[ok]
             adam.keep(ok)
             model = model.members(ok)
-        lr = cyclic_learning_rate(epoch, config)
         losses[alive, epoch] = value
-        lrs[epoch] = lr
-        params = adam.step(params, grad, lr)
+        params = adam.step(params, grad, lrs[epoch])
         model.set_parameter_vectors(params)
     final = loss_and_grad(model, states)[0] if alive else []
     wall_time = time.perf_counter() - start
@@ -305,45 +254,29 @@ def _train_members(config: TrainConfig, states: ElementStates, seeds, dims, orde
     return model, reports, errors
 
 
-def train(
-    config: TrainConfig,
-    dataset: SpecimenDataset,
-    dims=(3, 2, 1),
-    order: int = 5,
-    n_coef: int = 17,
-    mode: str = CONSTRAINED,
-    seed: int | None = None,
-):
-    """Train one network on a dataset; returns (model, report).
+def train(config: TrainConfig, dataset: SpecimenDataset):
+    """Train one constrained network on a dataset, seeded by ``config.seed``;
+    returns (model, report).
 
     Adam descends the force-balance loss plus
     ``curvature_prior(model, config.curvature_penalty)``; the report records
     the force-balance loss alone.
     """
-    seed = config.seed if seed is None else seed
-    model, reports, errors = _train_members(config, ElementStates(dataset), [seed], dims, order,
-                                            n_coef, mode)
+    model, reports, errors = _train_members(config, ElementStates(dataset), [config.seed],
+                                            CONSTRAINED)
     if errors:
         raise TrainingError(errors[0])
     return model, reports[0]
 
 
-def train_ensemble(
-    config: TrainConfig,
-    dataset: SpecimenDataset,
-    dims=(3, 2, 1),
-    order: int = 5,
-    n_coef: int = 17,
-    mode: str = CONSTRAINED,
-    failures: dict | None = None,
-):
+def train_ensemble(config: TrainConfig, dataset: SpecimenDataset, mode: str = CONSTRAINED,
+                   failures: dict | None = None):
     """Train ``ensemble_size`` independently seeded networks as the members
     of one model and return the one with the lowest final loss, along with
     every finished member's report.  ``failures``, when given, receives by
     member index the message of each member that left."""
     seeds = [config.seed + member for member in range(config.ensemble_size)]
-    model, reports, errors = _train_members(config, ElementStates(dataset), seeds, dims,
-                                            order, n_coef, mode)
+    model, reports, errors = _train_members(config, ElementStates(dataset), seeds, mode)
     if failures is not None:
         failures.update(errors)
     if not reports:

@@ -34,6 +34,7 @@ from convexkan.symbolic import (
     distill,
     settled_by_bound,
 )
+from convexkan.training import TrainConfig, train_ensemble
 
 
 def small_square_mesh(n=4):
@@ -333,50 +334,52 @@ class TestTrain:
              "--out", str(tmp_path / "m.ckpt")]
         ) == 2
 
-    def test_crashing_adam_config_exits_2(self, tmp_path, dataset_file):
+    def test_crashing_adam_config_exits_2(self, tmp_path, dataset_file, capsys):
+        # the config file is gone with Adam's settings: argparse refuses it
         config = tmp_path / "adam.cfg"
         config.write_text("epochs=2\nensemble_size=1\nbeta1=1.0\n")
-        assert main(
-            ["train", "--dataset", dataset_file, "--config", str(config),
-             "--out", str(tmp_path / "m.ckpt")]
-        ) == 2
-
-    def test_repeated_config_key_exits_2(self, tmp_path, dataset_file, capsys):
-        config = tmp_path / "twice.cfg"
-        config.write_text("epochs=2\nensemble_size=1\nepochs=5\n")
         out = tmp_path / "m.ckpt"
-        assert main(
-            ["train", "--dataset", dataset_file, "--config", str(config), "--out", str(out)]
-        ) == 2
-        assert "line 3: repeated key 'epochs'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--dataset", dataset_file, "--config", str(config), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_flags_refused_with_config(self, tmp_path, dataset_file, capsys):
-        # the config file sets epochs, ensemble_size and seed; the flags
-        # would have been dropped silently
-        config = tmp_path / "small.cfg"
-        config.write_text("epochs=2\nensemble_size=1\n")
+    def test_flags_set_the_config(self, tmp_path, dataset_file):
+        # each TrainConfig field has one flag, and the command trains what
+        # train_ensemble trains with that config
+        argv = ["train", "--dataset", dataset_file, "--epochs", "3", "--ensemble", "2",
+                "--seed", "4"]
+        out, default = tmp_path / "m.ckpt", tmp_path / "d.ckpt"
+        assert main([*argv, "--curvature-penalty", "0", "--out", str(out)]) == 0
+        model, _ = train_ensemble(
+            TrainConfig(epochs=3, ensemble_size=2, seed=4, curvature_penalty=0.0),
+            SpecimenDataset.load(dataset_file))
+        assert out.read_text() == model.dumps()
+        # without the flag, the default prior shapes the result
+        assert main([*argv, "--out", str(default)]) == 0
+        assert default.read_text() != out.read_text()
+
+    def test_defaults_are_train_configs(self):
+        args = cli.build_parser().parse_args(["train", "--dataset", "d.txt"])
+        assert TrainConfig(epochs=args.epochs, ensemble_size=args.ensemble, seed=args.seed,
+                           curvature_penalty=args.curvature_penalty) == TrainConfig()
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_curvature_penalty_exits_2(self, tmp_path, dataset_file, capsys, value):
         out = tmp_path / "m.ckpt"
-        argv = ["train", "--dataset", dataset_file, "--config", str(config), "--out", str(out)]
-        assert main([*argv, "--ensemble", "3", "--seed", "5"]) == 2
-        assert "--ensemble, --seed cannot be combined with --config" in capsys.readouterr().err
-        for flag in ("--epochs", "--ensemble", "--seed"):
-            assert main([*argv, flag, "1"]) == 2
-            assert f"error: {flag} cannot" in capsys.readouterr().err
+        assert main(
+            ["train", "--dataset", dataset_file, "--epochs", "1", "--ensemble", "1",
+             "--curvature-penalty", value, "--out", str(out)]
+        ) == 2
+        assert "error: curvature_penalty must be finite and >= 0" in capsys.readouterr().err
         assert not out.exists()
-        assert main(argv) == 0
-        assert KANModel.load(out).size == 1
 
     def test_negative_seed_exits_2(self, tmp_path, dataset_file):
         out = tmp_path / "m.ckpt"
         assert main(
             ["train", "--dataset", dataset_file, "--epochs", "1", "--ensemble", "1",
              "--seed", "-1", "--out", str(out)]
-        ) == 2
-        config = tmp_path / "seed.cfg"
-        config.write_text("epochs=1\nensemble_size=1\nseed=-1\n")
-        assert main(
-            ["train", "--dataset", dataset_file, "--config", str(config), "--out", str(out)]
         ) == 2
         assert not out.exists()
 

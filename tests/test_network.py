@@ -1,10 +1,13 @@
 """Network layer: forward passes, exact input derivatives, reverse-mode
 parameter gradients, grid initialization, checkpoint round-trips."""
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from convexkan.bspline import BSplineCurve, ConvexSpline, KnotVector
+from convexkan.cli import main
 from convexkan.errors import ConfigurationError, DataError, EvaluationError
 from convexkan.network import CONSTRAINED, VANILLA, KANModel, sigmoid, softplus
 from convexkan.symbolic import distill
@@ -372,6 +375,29 @@ class TestCheckpoint:
             lines[row] = f"{key} {value}"
         with pytest.raises(DataError, match="activation 0,0,0"):
             KANModel.loads("\n".join(lines))
+
+    @pytest.mark.parametrize("domain", ["-1e308 1e308", "1e308 1.7e308"])
+    def test_overflowing_knots_named_at_their_domain(self, tmp_path, capsys, domain):
+        # each number is finite, but the knots the domain spans are not: the
+        # file used to load, and evaluate then crashed in the spline basis
+        lines = fresh_model(seed=23).dumps().splitlines()
+        rows = [k + 1 for k, ln in enumerate(lines)  # layer 0, input column 0
+                if ln.startswith("activation 0 ") and ln.endswith(" 0")]
+        for k in rows:
+            lines[k] = f"domain {domain}"
+        lo, hi = (float(v) for v in domain.split())
+        with pytest.raises(DataError, match=re.escape(
+                f"checkpoint file, line {rows[0] + 1}: activation 0,0,0: "
+                f"knots of domain [{lo}, {hi}] are not finite")):
+            KANModel.loads("\n".join(lines))
+        ckpt, out = tmp_path / "big.ckpt", tmp_path / "out"
+        ckpt.write_text("\n".join(lines) + "\n")
+        for argv in (["evaluate", "--model", "NH", "--checkpoint", str(ckpt)],
+                     ["distill", "--checkpoint", str(ckpt)]):
+            assert main([*argv, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: checkpoint file, line {rows[0] + 1}: "), err
+        assert not list(tmp_path.glob("out*"))
 
     def test_headers_must_follow_packing_order(self):
         text = fresh_model(seed=24).dumps()

@@ -128,3 +128,61 @@ def test_reading_stops_at_the_end_of_the_file():
     text = unit_square_hole_mesh(n=5).dumps().splitlines()
     with pytest.raises(DataError, match="^mesh file, end of file: expected '%d %d %d'"):
         Mesh.loads("\n".join(text[:-1]))
+
+
+# refusals of what the records mean, raised once they are read: each names
+# the record it is about
+def _with_mesh_block(kind, edit):
+    """A ``kind`` file whose mesh block (header, node rows, triangle rows)
+    ``edit(mesh, lines)`` rewrote, and the line number of the block's header."""
+    mesh = unit_square_hole_mesh(n=5)
+    block = "\n".join(edit(mesh, mesh.dumps().splitlines())) + "\n"
+    if kind == "mesh":
+        return mesh, block, 1
+    ds = generate_dataset(mesh, biaxial_partition(mesh), NeoHookean(), [0.05])
+    return mesh, ds.dumps().replace(mesh.dumps(), block, 1), 3
+
+
+def _dataset():
+    return _with_mesh_block("dataset", lambda mesh, lines: lines)[1]
+
+
+@pytest.mark.parametrize("kind", ["mesh", "dataset"])
+def test_node_in_no_triangle_named_at_its_row(kind):
+    def orphan(mesh, lines):
+        header = f"nodes {mesh.n_nodes + 1} triangles {mesh.n_elements}"
+        return [header, *lines[1 : 1 + mesh.n_nodes], "0.5 0.5", *lines[1 + mesh.n_nodes :]]
+
+    mesh, text, first = _with_mesh_block(kind, orphan)
+    row = first + 1 + mesh.n_nodes  # the new node's row
+    with pytest.raises(DataError, match=rf"^{kind} file, line {row}: "
+                                        rf"node {mesh.n_nodes} belongs to no triangle$"):
+        READERS[kind].loads(text)
+
+
+@pytest.mark.parametrize("kind", ["mesh", "dataset"])
+def test_degenerate_triangle_named_at_its_row(kind):
+    def flatten(mesh, lines):
+        k = 1 + mesh.n_nodes + 3  # triangle 3
+        a, b, _ = lines[k].split()
+        return [*lines[:k], f"{a} {b} {a}", *lines[k + 1 :]]
+
+    mesh, text, first = _with_mesh_block(kind, flatten)
+    row = first + 1 + mesh.n_nodes + 3
+    with pytest.raises(DataError, match=rf"^{kind} file, line {row}: "
+                                        r"degenerate \(zero-area\) triangle in mesh$"):
+        READERS[kind].loads(text)
+
+
+def test_negative_noise_sigma_named_at_its_record():
+    text = _dataset().replace("\nnoise_sigma 0\n", "\nnoise_sigma -1\n", 1)
+    with pytest.raises(DataError, match=r"^dataset file, line 2: "
+                                        r"noise_sigma must be finite and >= 0, got -1.0$"):
+        SpecimenDataset.loads(text)
+
+
+def test_no_snapshots_named_at_its_record():
+    text = _dataset().partition("\nsnapshots ")[0] + "\nsnapshots 0\n"
+    row = len(text.splitlines())
+    with pytest.raises(DataError, match=rf"^dataset file, line {row}: dataset has no snapshots$"):
+        SpecimenDataset.loads(text)
