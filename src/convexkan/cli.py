@@ -433,7 +433,7 @@ def main(argv=None) -> int:
     except (SolverError, TrainingError, EvaluationError, InadmissibleDeformationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ConvexKanError, FileNotFoundError) as exc:
+    except (ConvexKanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

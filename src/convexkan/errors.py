@@ -31,7 +31,8 @@ class TrainingError(ConvexKanError):
 
 class DataError(ConvexKanError):
     """Malformed mesh/dataset/checkpoint files or data; ``row`` is the index
-    of the row a refusal is about, within the block it was read from."""
+    of the row a refusal is about, within the block it was read from (-1 for
+    the block's header)."""
 
     def __init__(self, message, row=None):
         super().__init__(message)

@@ -63,9 +63,12 @@ class Mesh:
         if not np.all(np.isfinite(self.nodes)):
             raise DataError("non-finite node coordinate in mesh")
         if self.n_elements == 0:
-            raise DataError("mesh has no triangles")
-        if self.triangles.min() < 0 or self.triangles.max() >= self.n_nodes:
-            raise DataError("triangle node index out of range")
+            raise DataError("mesh has no triangles", row=-1)
+        out = np.argwhere((self.triangles < 0) | (self.triangles >= self.n_nodes))
+        if out.size:
+            e, k = out[0]
+            raise DataError(f"triangle node index {self.triangles[e, k]} out of range "
+                            f"for {self.n_nodes} nodes", row=self.n_nodes + e)
         unused = np.flatnonzero(np.bincount(self.triangles.ravel(), minlength=self.n_nodes) == 0)
         if unused.size:
             raise DataError(f"node {unused[0]} belongs to no triangle", row=unused[0])
@@ -133,7 +136,7 @@ class Mesh:
     @classmethod
     def read(cls, records: Records) -> "Mesh":
         """The mesh block at the cursor: its header, node rows, triangle rows.
-        A node or triangle the mesh refuses is named at its row."""
+        A refused node or triangle is named at its row, an empty mesh at the header."""
         n_n, n_el = records.take("nodes %d triangles %d")
         start = records.pos
         try:

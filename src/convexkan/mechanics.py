@@ -56,19 +56,6 @@ def _element(e: int, single: bool) -> str:
     return "" if single else f"element {e}: "
 
 
-def _determinants(F3: Array, single: bool, n_el: int | None = None) -> Array:
-    """det F over an (M, 3, 3) stack.  Raises for the first det F <= 0,
-    naming its element; when the stack holds copies of an ``n_el``-element
-    stack laid end to end, entry m belongs to element m % n_el."""
-    J = np.linalg.det(F3)
-    bad = np.flatnonzero(J <= 0.0)
-    if bad.size:
-        m = int(bad[0])
-        e = m % (n_el or J.size)
-        raise InadmissibleDeformationError(f"{_element(e, single)}det(F) = {J[m]} <= 0")
-    return J
-
-
 class DeformationState:
     """Invariants and ansatz inputs K of one deformation gradient, or of a
     stack of them, and the chain rule from an energy's K-derivatives to its
@@ -84,7 +71,11 @@ class DeformationState:
     """
 
     def __init__(self, F3: Array, in_plane: bool, single: bool):
-        J = _determinants(F3, single)
+        J = np.linalg.det(F3)
+        bad = np.flatnonzero(J <= 0.0)
+        if bad.size:
+            e = int(bad[0])
+            raise InadmissibleDeformationError(f"{_element(e, single)}det(F) = {J[e]} <= 0")
         C = np.swapaxes(F3, -1, -2) @ F3
         I1 = np.trace(C, axis1=-2, axis2=-1)
         I2 = 0.5 * (I1 * I1 - np.einsum("nij,nji->n", C, C))
@@ -211,8 +202,9 @@ class MaterialModel:
 
     A material states its energy as a function of the ansatz inputs K
     through :meth:`k_value_grad_hess`, and :class:`DeformationState` turns
-    the K-derivatives into stress and tangent.  Ogden overrides
-    :meth:`response` instead.
+    the K-derivatives into stress and tangent.  Ogden, whose energy is not a
+    function of K, overrides :meth:`response` and reads the same
+    deformation state's kinematics and chain rule.
     """
 
     kind = "?"
@@ -253,66 +245,60 @@ class MaterialModel:
 
 
 class Ogden(MaterialModel):
-    """Principal-stretch model; stress and tangent by central finite
-    differences of the energy (ground-truth data generation only).
+    """Principal-stretch model (ground-truth data generation only),
+    W = mu/eta sum_i ((J^{-1/3} lambda_i)^eta - 1) + 3/2 (J - 1)^2.
 
-    The differences run over the whole stack at once: stress evaluates the
-    energy at 2 d^2 perturbed copies of the stack (d = 2 for in-plane input,
-    else 3), and the tangent differences the stress at 2 d^2 more.
+    In the eigenvalues x_i = lambda_i^2 of C, with p = eta/2, T = sum x_i^p,
+    a = mu/eta J^{-eta/3} and A = C^{p-1}, the stress is
+    P = eta a (F A - T/(3J) cof F) + 3 (J - 1) cof F.  The tangent takes its
+    J-terms from the deformation state's chain rule and differentiates A as
+    a matrix function of C (Daleckii-Krein): in C's eigenbasis dA is dC
+    scaled entrywise by the divided differences of x^{p-1}, which become
+    (p - 1) x^{p-2} where two stretches are equal.
     """
 
     kind = "OG"
     mu = 1.3
     eta = 1.3
 
-    def _fd_step(self, F3: Array):
-        """Stress difference step of each F in an (N, 3, 3) stack: (N,) or
-        one float for all."""
-        return 1e-6 * np.linalg.norm(F3, axis=(-2, -1))
-
-    def _steps(self, F3: Array) -> Array:
-        return np.broadcast_to(np.asarray(self._fd_step(F3), dtype=np.float64), (len(F3),))
-
-    def _energy(self, F3: Array, single: bool, n_el: int | None = None) -> Array:
-        """Energy of an (M, 3, 3) stack from C and J alone."""
-        J = _determinants(F3, single, n_el)
-        lam2 = np.maximum(np.linalg.eigvalsh(np.swapaxes(F3, -1, -2) @ F3), 1e-300)
-        lam_t = (J ** (-1.0 / 3.0))[:, None] * np.sqrt(lam2)
-        p = lam_t**self.eta
-        return self.mu / self.eta * (p[:, 0] + p[:, 1] + p[:, 2] - 3.0) + 1.5 * (J - 1.0) ** 2
-
-    @staticmethod
-    def _shifted(F3: Array, h: Array, dim: int) -> Array:
-        """F3 + h e_ij and F3 - h e_ij for every (i, j) of the dim x dim
-        block: shape (2, dim * dim, N, 3, 3)."""
-        ij = np.arange(dim * dim)
-        E = np.zeros((dim * dim, 3, 3))
-        E[ij, ij // dim, ij % dim] = 1.0
-        step = h[None, :, None, None] * E[:, None]
-        return np.stack([F3[None] + step, F3[None] - step])
-
-    def _stress(self, F3: Array, dim: int, single: bool, n_el: int) -> Array:
-        n, h = len(F3), self._steps(F3)
-        W = self._energy(self._shifted(F3, h, dim).reshape(-1, 3, 3), single, n_el)
-        W = W.reshape(2, dim * dim, n)
-        P = (W[0] - W[1]) / (2 * h)
-        return P.T.reshape(n, dim, dim)
-
     def response(self, F) -> Response:
-        F3, in_plane, single = _embed(F)
-        n, dim = len(F3), 2 if in_plane else 3
-        W = self._energy(F3, single)
+        state = compute_state(F)
+        F3, C, J, d = state._F, state._C, state._J, state.dim
+        eta, q = self.eta, 0.5 * self.eta - 1.0
+        x, Q = np.linalg.eigh(C)
+        x = np.maximum(x, 1e-300)
+        T, a = np.sum(x ** (0.5 * eta), axis=1), self.mu / eta * J ** (-eta / 3.0)
+        A = (Q * x[:, None] ** q) @ np.swapaxes(Q, -1, -2)
+        FA, cof = (F3 @ A)[:, :d, :d], state._dI[:, 2, :d, :d]
+        c = 3.0 * (J - 1.0) - eta * a * T / (3.0 * J)  # dW/dJ
+        P = (eta * a)[:, None, None] * FA + c[:, None, None] * cof
+
+        def energy():
+            lam2 = np.maximum(np.linalg.eigvalsh(C), 1e-300)
+            p = ((J ** (-1.0 / 3.0))[:, None] * np.sqrt(lam2)) ** eta
+            W = self.mu / eta * (p[:, 0] + p[:, 1] + p[:, 2] - 3.0) + 1.5 * (J - 1.0) ** 2
+            return _unbatch(W, state.single)
 
         def tangent():
-            # larger step: second differences
-            h = 10.0 * self._steps(F3)
-            P = self._stress(self._shifted(F3, h, dim).reshape(-1, 3, 3), dim, single, n)
-            P = P.reshape(2, dim, dim, n, dim, dim)  # (sign, k, l, element, i, j)
-            T = (P[0] - P[1]) / (2 * h)[None, None, :, None, None]
-            return _unbatch(T.transpose(2, 3, 4, 0, 1), single)
+            g, S = np.zeros((len(J), 3)), np.zeros((len(J), 3, 3))
+            g[:, 2], S[:, 2, 2] = c, eta * (eta + 3.0) * a * T / (9.0 * J * J) + 3.0
+            xa, xb = x[:, :, None], x[:, None, :]
+            same = xa == xb  # divided differences of x^q over C's eigenvalues
+            div = np.where(same, q * xb ** (q - 1.0),
+                           xb**q * np.expm1(q * np.log(xa / xb)) / np.where(same, 1.0, xa - xb))
+            # F dA for dF = e_kl is G (div * Q^T dC Q) Q^T with G = F Q, (N, k, l, i, j)
+            G = F3 @ Q
+            GQ = G[:, :d, None, :, None] * Q[:, None, :d, None, :]  # G_ka Q_lb
+            FdA = G[:, None, None, :d] @ (div[:, None, None] * (GQ + np.swapaxes(GQ, -1, -2)))
+            FdA = (FdA @ np.swapaxes(Q, -1, -2)[:, None, None, :, :d]).transpose(0, 3, 4, 1, 2)
+            # d(eta a)/dJ (FA (x) cof + cof (x) FA) + eta a (d_ik A_lj + F dA)
+            FAcof = FA[:, :, :, None, None] * cof[:, None, None]
+            out = state._chain(g, S, d) - (eta * eta / 3.0 * a / J)[:, None, None, None, None] * (
+                FAcof + FAcof.transpose(0, 3, 4, 1, 2))
+            FdA += np.eye(d)[:, None, :, None] * A[:, None, :d, None, :d]
+            return _unbatch(out + (eta * a)[:, None, None, None, None] * FdA, state.single)
 
-        return Response(lambda: _unbatch(W, single),
-                        _unbatch(self._stress(F3, dim, single, n), single), tangent)
+        return Response(energy, _unbatch(P, state.single), tangent)
 
 
 class NetworkMaterial(MaterialModel):

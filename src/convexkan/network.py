@@ -71,17 +71,25 @@ class KANModel:
     """
 
     def __init__(self, dims, order, n_coef, mode, params, t):
-        if len(dims) < 2 or dims[0] != 3 or dims[-1] != 1 or min(dims) < 1:
-            raise ConfigurationError(f"dims must map 3 inputs to 1 output, got {dims}")
-        if mode not in (CONSTRAINED, VANILLA):
-            raise ConfigurationError(f"unknown mode {mode!r}")
-        self.dims = tuple(int(d) for d in dims)
+        self.dims = self._checked_dims(dims)
         self.order = int(order)
         self.n_coef = int(n_coef)
-        self.mode = mode
+        self.mode = self._checked_mode(mode)
         self.params = params  # [layer r] -> (M, n_out, n_in, width)
         # [layer r] -> (M or 1, n_in, m_b): one row when every member has it
         self.t = [tr[:1] if np.all(tr == tr[:1]) else tr for tr in t]
+
+    @staticmethod
+    def _checked_dims(dims) -> tuple:
+        if len(dims) < 2 or dims[0] != 3 or dims[-1] != 1 or min(dims) < 1:
+            raise ConfigurationError(f"dims must map 3 inputs to 1 output, got {dims}")
+        return tuple(int(d) for d in dims)
+
+    @staticmethod
+    def _checked_mode(mode) -> str:
+        if mode not in (CONSTRAINED, VANILLA):
+            raise ConfigurationError(f"unknown mode {mode!r}")
+        return mode
 
     # -- construction ------------------------------------------------------
 
@@ -360,7 +368,8 @@ class KANModel:
     def loads(cls, text: str) -> "KANModel":
         with Records(text, "checkpoint") as records:
             records.take("convexkan-checkpoint v1")
-            (mode,), dims = records.take("mode %s"), records.take("dims", None, "%d")
+            mode = cls._checked_mode(*records.take("mode %s"))
+            dims = cls._checked_dims(records.take("dims", None, "%d"))
             (order,), (n_coef,) = records.take("order %d"), records.take("n_coef %d")
             width = n_coef + (2 if mode == VANILLA else 1)
             params = [np.empty((1, b, a, width)) for a, b in zip(dims[:-1], dims[1:])]

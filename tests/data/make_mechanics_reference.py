@@ -10,9 +10,14 @@ grid-initialized ``NetworkMaterial`` and of a ``SymbolicMaterial`` read from
 ``distilled_v1.sym`` with its energy zeroed at the identity.
 
 The committed file was written by the kinematics that chained the partials
-of W with respect to (I1, I2, J) through an F^{-T} from ``np.linalg.inv``;
-``tests/test_mechanics.py`` checks the current path against it.  Rewrite it
-only to record a deliberate change of the kinematics or of a material.
+of W with respect to (I1, I2, J) through an F^{-T} from ``np.linalg.inv``,
+and by an Ogden model whose stress and tangent were central differences of
+its energy and stress; ``tests/test_mechanics.py`` checks the current path
+against it.  The Ogden stress and tangent are now closed forms, so they are
+compared at that difference method's error: P within 1e-9 and dP/dF within
+1e-5 of the largest entry (measured: 4.5e-10 and 3.3e-6); every energy,
+Ogden's included, is still bit-identical.  Rewrite the file only to record a
+deliberate change of the kinematics or of a material.
 """
 from pathlib import Path
 

@@ -695,3 +695,24 @@ class TestOutputPaths:
                      missing=tmp_path / "missing")
         assert main([a.format(**names) for a in argv]) == 2
         assert sorted(tmp_path.iterdir()) == before
+
+
+class TestInputPaths:
+    """An input path that cannot be opened exits 2 with a message, not a
+    traceback: a directory raises IsADirectoryError, an OSError like any
+    other (missing file, no permission)."""
+
+    CASES = {
+        "generate": ["generate", "--model", "NH", "--mesh", "{dir}", "--out", "{tmp}/x.txt"],
+        "train": ["train", "--dataset", "{dir}", "--out", "{tmp}/m.ckpt"],
+        "distill": ["distill", "--checkpoint", "{dir}", "--out", "{tmp}/e.sym"],
+        "evaluate": ["evaluate", "--model", "NH", "--symbolic", "{dir}", "--out", "{tmp}/e.csv"],
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_directory_exits_2(self, tmp_path, capsys, case):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        assert main([a.format(dir=folder, tmp=tmp_path) for a in self.CASES[case]]) == 2
+        assert capsys.readouterr().err.startswith(f"error: [Errno 21] Is a directory: '{folder}'")
+        assert list(tmp_path.iterdir()) == [folder]

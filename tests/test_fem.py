@@ -95,14 +95,14 @@ class TestMesh:
 
     def test_mesh_without_triangles_rejected(self):
         # an empty mesh passed every other check, and so did a dataset on it
-        with pytest.raises(DataError, match="^mesh has no triangles$"):
+        with pytest.raises(DataError, match="^mesh file, line 1: mesh has no triangles$"):
             Mesh.loads("nodes 0 triangles 0\n")
-        with pytest.raises(DataError, match="^mesh has no triangles$"):
+        with pytest.raises(DataError, match="^dataset file, line 3: mesh has no triangles$"):
             SpecimenDataset.loads("convexkan-dataset v1\nnoise_sigma 0\nnodes 0 triangles 0\n"
                                   "partition groups 0\nsnapshots 1\nsnapshot delta 0\nreactions\n")
 
     def test_index_out_of_range(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"^triangle node index 2 out of range for 2 nodes$"):
             Mesh(nodes=np.zeros((2, 2)), triangles=np.array([[0, 1, 2]]))
 
     def test_node_in_no_triangle_rejected(self):

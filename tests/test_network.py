@@ -358,6 +358,17 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             KANModel.loads(text)
 
+    @pytest.mark.parametrize("record, bad, message", [
+        ("mode constrained", "mode foo", "unknown mode 'foo'"),
+        ("dims 3 2 1", "dims 4 2 1", "dims must map 3 inputs to 1 output, got [4, 2, 1]"),
+    ])
+    def test_bad_mode_or_dims_named_at_its_record(self, record, bad, message):
+        lines = fresh_model(seed=22).dumps().splitlines()
+        row = lines.index(record) + 1
+        lines[row - 1] = bad
+        with pytest.raises(DataError, match=re.escape(f"checkpoint file, line {row}: {message}")):
+            KANModel.loads("\n".join(lines))
+
     @pytest.mark.parametrize(
         "key, value",
         [

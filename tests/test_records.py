@@ -161,6 +161,20 @@ def test_node_in_no_triangle_named_at_its_row(kind):
 
 
 @pytest.mark.parametrize("kind", ["mesh", "dataset"])
+def test_node_index_out_of_range_named_at_its_row(kind):
+    def out_of_range(mesh, lines):
+        k = 1 + mesh.n_nodes + 3  # triangle 3
+        a, b, _ = lines[k].split()
+        return [*lines[:k], f"{a} {b} {mesh.n_nodes}", *lines[k + 1 :]]
+
+    mesh, text, first = _with_mesh_block(kind, out_of_range)
+    row = first + 1 + mesh.n_nodes + 3
+    with pytest.raises(DataError, match=rf"^{kind} file, line {row}: triangle node index "
+                                        rf"{mesh.n_nodes} out of range for {mesh.n_nodes} nodes$"):
+        READERS[kind].loads(text)
+
+
+@pytest.mark.parametrize("kind", ["mesh", "dataset"])
 def test_degenerate_triangle_named_at_its_row(kind):
     def flatten(mesh, lines):
         k = 1 + mesh.n_nodes + 3  # triangle 3

@@ -32,14 +32,16 @@ def close_to_largest(got, want, tol, key):
 
 def test_mechanics_reference(tmp_path):
     want, got = regenerate("mechanics", tmp_path)
+    # the committed Ogden stress and tangent are central differences
+    difference_error = {"_OG_P": 1e-9, "_OG_T": 1e-5}
     for key in want.files:
-        # K, the invariants, every energy and every Ogden output are exact
-        exact = key.startswith("F") or key.endswith(("_K", "_W", "_OG_P", "_OG_T")) or any(
+        # K, the invariants and every energy are exact
+        exact = key.startswith("F") or key.endswith(("_K", "_W")) or any(
             key.endswith("_" + name) for name in ("I1", "I2", "I3", "J", "I1_tilde", "I2_star"))
         if exact:
             npt.assert_array_equal(got[key], want[key], err_msg=key)
         else:
-            close_to_largest(got[key], want[key], 1e-13, key)
+            close_to_largest(got[key], want[key], difference_error.get(key[1:], 1e-13), key)
 
 
 def test_loss_grad_reference(tmp_path):
