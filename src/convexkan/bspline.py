@@ -191,37 +191,24 @@ def reparameterize(raw) -> Array:
     stack of them.  The first entry passes through; the rest are clamped at
     zero from below, then two cumulative sums turn non-negative increments
     into control points whose consecutive differences are non-negative and
-    non-decreasing.
+    non-decreasing.  Each row is first rounded to multiples of a power of two
+    ``q = 2**(e - 52)``, where ``2**e`` exceeds the bound on its partial sums,
+    ``|h_0| + sum_i (n - i) h_i``: they are then integer multiples of q below
+    ``2**53 q`` and add exactly (Higham 2002, ch. 2), so the constraint holds
+    in floating point, and an entry moves by at most ``(1 + n (n - 1) / 2) q / 2``.
     """
     p = np.asarray(raw, dtype=np.float64)
     if p.ndim == 0 or p.shape[-1] < 3:
         raise ConfigurationError(f"need at least 3 parameters, got shape {p.shape}")
     h = np.maximum(p, 0.0)
     h[..., 0] = p[..., 0]
-    d = np.empty_like(h)
-    d[..., 0] = h[..., 0]
-    d[..., 1:] = np.cumsum(h[..., 1:], axis=-1)
-    c = np.cumsum(d, axis=-1)
-    # Rounding in the cumulative sums can leave the floating-point differences
-    # of c violating the constraint by an ulp; nudge entries up until the
-    # constraint holds exactly as evaluated in double precision.  Entries
-    # before a row's first violation need no nudge, so its loop starts there,
-    # on Python floats (the same IEEE doubles, without numpy scalar overhead).
-    diff = np.diff(c, axis=-1)
-    prev = np.concatenate((np.zeros_like(diff[..., :1]), diff[..., :-1]), axis=-1)
-    bad = (diff < prev).reshape(-1, diff.shape[-1])
-    rows = c.reshape(-1, c.shape[-1])  # a view: c is a fresh contiguous array
-    flagged = np.flatnonzero(bad.any(axis=1))
-    if flagged.size:
-        block = rows[flagged].tolist()
-        for vals, start in zip(block, (np.argmax(bad[flagged], axis=1) + 1).tolist()):
-            prev = vals[start - 1] - vals[start - 2] if start > 1 else 0.0
-            for i in range(start, len(vals)):
-                while vals[i] - vals[i - 1] < prev:
-                    vals[i] = math.nextafter(vals[i], math.inf)
-                prev = vals[i] - vals[i - 1]
-        rows[flagged] = block
-    return c
+    # summed along the last axis, not by BLAS: a row gets one grid alone or in a stack
+    weights = np.arange(h.shape[-1] - 1, 0, -1.0)  # the control points each h_i enters
+    bound = np.abs(h[..., :1]) + np.sum(h[..., 1:] * weights, axis=-1, keepdims=True)
+    q = np.ldexp(1.0, np.frexp(np.maximum(bound, np.finfo(np.float64).tiny))[1] - 52)
+    h = np.rint(h / q) * q
+    h[..., 1:] = np.cumsum(h[..., 1:], axis=-1)  # the slopes
+    return np.cumsum(h, axis=-1)
 
 
 def reparameterize_vjp(raw, cbar) -> Array:

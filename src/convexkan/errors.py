@@ -2,7 +2,13 @@
 
 
 class ConvexKanError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; ``row`` is the index of the row a
+    refusal is about, within the block of a file it was read from (-1 for
+    the block's header)."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class ConfigurationError(ConvexKanError):
@@ -30,10 +36,4 @@ class TrainingError(ConvexKanError):
 
 
 class DataError(ConvexKanError):
-    """Malformed mesh/dataset/checkpoint files or data; ``row`` is the index
-    of the row a refusal is about, within the block it was read from (-1 for
-    the block's header)."""
-
-    def __init__(self, message, row=None):
-        super().__init__(message)
-        self.row = row
+    """Malformed mesh/dataset/checkpoint files or data."""

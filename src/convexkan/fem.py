@@ -137,14 +137,8 @@ class Mesh:
     def read(cls, records: Records) -> "Mesh":
         """The mesh block at the cursor: its header, node rows, triangle rows.
         A refused node or triangle is named at its row, an empty mesh at the header."""
-        n_n, n_el = records.take("nodes %d triangles %d")
-        start = records.pos
-        try:
+        with records.block("nodes %d triangles %d") as (n_n, n_el):
             return cls(records.rows(n_n, 2), records.rows(n_el, 3, "%d"))
-        except DataError as exc:
-            if exc.row is None:
-                raise
-            raise records.error(str(exc), start + exc.row) from None
 
     @classmethod
     def load(cls, path) -> "Mesh":
@@ -268,22 +262,27 @@ class DofPartition:
 
     def __post_init__(self):
         object.__setattr__(self, "groups", tuple(self.groups))
-        for g in self.groups:
-            if g.dofs[:, 0].min() < 0 or g.dofs[:, 0].max() >= self.n_nodes:
-                raise ConfigurationError(f"group {g.name!r} references unknown node")
-            if not np.all((g.dofs[:, 1] >= 0) & (g.dofs[:, 1] <= 1)):
-                raise ConfigurationError(f"group {g.name!r} has a bad component index")
-        flat = [2 * g.dofs[:, 0] + g.dofs[:, 1] for g in self.groups]
-        dofs, counts = np.unique(np.concatenate(flat or [[]]), return_counts=True)
-        if np.any(counts > 1):
-            node, comp = divmod(int(dofs[np.argmax(counts > 1)]), 2)
-            raise ConfigurationError(
-                f"DOF {(node, comp)} appears in more than one fixed group"
-            )
-        free = np.setdiff1d(np.arange(2 * self.n_nodes), dofs)
-        sizes = np.array([1] * free.size + [d.size for d in flat], dtype=np.int64)
+        dofs = np.concatenate([g.dofs for g in self.groups] or [np.zeros((0, 2), np.int64)])
+        owner = np.repeat(np.arange(len(self.groups)), [g.dofs.shape[0] for g in self.groups])
+        # a refusal names the first offending DOF's row: a group's record, then its DOFs
+        rows = np.arange(owner.size) + owner + 1
+        unknown = (dofs[:, 0] < 0) | (dofs[:, 0] >= self.n_nodes)
+        bad = unknown | (dofs[:, 1] < 0) | (dofs[:, 1] > 1)
+        if bad.any():
+            j = np.argmax(bad)
+            what = "references unknown node" if unknown[j] else "has a bad component index"
+            raise ConfigurationError(f"group {self.groups[owner[j]].name!r} {what}", row=rows[j])
+        flat = 2 * dofs[:, 0] + dofs[:, 1]
+        fixed, first = np.unique(flat, return_index=True)
+        if fixed.size < flat.size:
+            j = np.setdiff1d(np.arange(flat.size), first)[0]  # the first DOF listed again
+            node, comp = divmod(int(flat[j]), 2)
+            raise ConfigurationError(f"DOF {(node, comp)} appears in more than one fixed group",
+                                     row=rows[j])
+        free = np.setdiff1d(np.arange(2 * self.n_nodes), fixed)
+        sizes = np.r_[np.ones(free.size, np.int64), np.bincount(owner, minlength=len(self.groups))]
         object.__setattr__(self, "balance", sp.csr_matrix(
-            (np.ones(sizes.sum()), np.concatenate([free, *flat]), np.r_[0, np.cumsum(sizes)]),
+            (np.ones(sizes.sum()), np.concatenate([free, flat]), np.r_[0, np.cumsum(sizes)]),
             shape=(sizes.size, 2 * self.n_nodes)))
 
     @property
@@ -507,10 +506,11 @@ class SpecimenDataset:
             if sigma < 0.0:
                 raise records.error(f"noise_sigma must be finite and >= 0, got {sigma}")
             mesh, groups = Mesh.read(records), []
-            for _ in range(records.take("partition groups %d")[0]):
-                name, scale, m = records.take("group %s scale %f dofs %d")
-                groups.append(FixedGroup(name, records.rows(m, 2, "%d"), scale))
-            partition, deltas, disp, reac = DofPartition(mesh.n_nodes, groups), [], [], []
+            with records.block("partition groups %d") as (n_g,):
+                for _ in range(n_g):
+                    name, scale, m = records.take("group %s scale %f dofs %d")
+                    groups.append(FixedGroup(name, records.rows(m, 2, "%d"), scale))
+                partition, deltas, disp, reac = DofPartition(mesh.n_nodes, groups), [], [], []
             (n_t,) = records.take("snapshots %d")
             if n_t == 0:
                 raise records.error("dataset has no snapshots")

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, ConvexKanError, DataError
 
 
 def _number(word: str) -> float:
@@ -70,6 +70,18 @@ class Records:
                 return a
         # record by record, to name the first bad one
         return np.array([self.take("", width, slot) for _ in range(n)], dtype=dtype)
+
+    @contextlib.contextmanager
+    def block(self, header: str):
+        """Take a block's ``header`` and give its values; a refused ``row`` (-1: the
+        header) of the block read inside is named at its line."""
+        values, start = self.take(header), self.pos  # start: the block's first row
+        try:
+            yield values
+        except ConvexKanError as exc:
+            if exc.row is None:
+                raise
+            raise self.error(str(exc), start + exc.row) from None
 
     def __enter__(self):
         return self

@@ -128,8 +128,9 @@ class TestMechanicsConsistency:
     def test_stress_objectivity_and_reference_state(self):
         start = time.perf_counter()
         h = 1e-6
-        for kind, model in all_material_kinds().items():
-            rng = np.random.default_rng(abs(hash(kind)) % 2**31)
+        # each kind's seed is its index in sorted(BENCHMARKS), the network last
+        for seed, (kind, model) in enumerate(all_material_kinds().items()):
+            rng = np.random.default_rng(seed)
             for _ in range(100):
                 F = random_admissible_F(rng, scale=0.2)
                 # objectivity: rotations do not change the energy

@@ -1,5 +1,6 @@
 """Spline layer: basis recursion, derivatives, convex reparameterization,
 linear extension."""
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -292,39 +293,55 @@ class TestReparameterize:
             assert np.all(np.diff(d) >= 0.0)
 
     @staticmethod
-    def _nudge_every_index(raw):
-        """Reference: the float-exactness loop run over every index."""
-        p = np.asarray(raw, dtype=np.float64)
-        h = np.maximum(p, 0.0)
-        h[0] = p[0]
-        d = np.empty_like(h)
-        d[0] = h[0]
-        d[1:] = np.cumsum(h[1:])
-        c = np.cumsum(d)
-        prev = 0.0
-        for i in range(1, c.size):
-            while c[i] - c[i - 1] < prev:
-                c[i] = np.nextafter(c[i], np.inf)
-            prev = c[i] - c[i - 1]
-        return c
-
-    def test_bit_identical_to_full_nudge_loop(self):
+    def _corpus():
+        """4000 random rows, half of them curvature-sparse as the curvature
+        prior leaves them (most increments clamp to 0 and the control points
+        run linear), then rows at the edges of the float range."""
         rng = np.random.default_rng(5)
         raws = rng.normal(scale=3.0, size=(4000, 17))
-        # curvature-sparse rows, as the curvature prior leaves them: most
-        # increments clamp to 0 and the control points run linear
         sparse = raws[1::2]
         sparse[:, 2:][rng.uniform(size=sparse[:, 2:].shape) < 0.8] = -1.0
         sparse[:, 1] = np.abs(sparse[:, 1]) * 10.0 ** rng.uniform(-3, 3, size=len(sparse))
-        want = np.array([self._nudge_every_index(raw) for raw in raws])
+        big_first, neg_first = np.full(17, 1e-3), np.full(17, 1e-3)
+        big_first[0], neg_first[0] = 1e6, -1e6
+        steep = np.abs(rng.normal(size=17))
+        steep[1] *= 1e3
+        clamped = -np.abs(rng.normal(size=17))
+        clamped[0] = 0.7
+        huge = np.full(17, 1e290)
+        huge[0] = 1e300
+        edges = [big_first, neg_first, steep, clamped, np.zeros(17), np.full(17, 5e-324), huge]
+        return np.vstack([raws] + edges)
+
+    def test_within_grid_rounding_of_exact_rational_sums(self):
+        raws = self._corpus()
+        n = raws.shape[1]
+        got = reparameterize(raws)
+        for raw, row in zip(raws, got):
+            h = [float(raw[0])] + [max(float(v), 0.0) for v in raw[1:]]
+            exact, slope = [Fraction(h[0])], Fraction(0)
+            for v in h[1:]:
+                slope += Fraction(v)
+                exact.append(exact[-1] + slope)
+            bound = abs(h[0]) + math.fsum((n - i) * v for i, v in enumerate(h[1:], 1))
+            q = Fraction(2) ** (math.frexp(max(bound, np.finfo(np.float64).tiny))[1] - 52)
+            worst = max(abs(Fraction(float(c)) - e) for c, e in zip(row, exact))
+            assert worst <= (1 + Fraction(n * (n - 1), 2)) * q / 2
+
+    def test_constraint_exact_and_rows_independent_of_stacking(self):
+        raws = self._corpus()
         plain = np.cumsum(
             np.column_stack((raws[:, 0], np.cumsum(np.maximum(raws[:, 1:], 0.0), axis=1))),
             axis=1,
         )
-        assert np.sum(np.any(want != plain, axis=1)) > 100  # the nudge loop ran often
-        # the stack acts row by row, and each row as a vector of its own
-        npt.assert_array_equal(reparameterize(raws), want)
-        for raw, row in zip(raws[:200], want):
+        # the corpus reaches the rounding that plain cumulative sums get wrong
+        assert np.sum(np.any(np.diff(plain, 2) < 0.0, axis=1)) > 100
+        got = reparameterize(raws)
+        assert np.all(np.diff(got) >= 0.0)  # exact, no tolerance
+        assert np.all(np.diff(got, 2) >= 0.0)
+        stack = raws[-18:].reshape(3, 2, 3, 17)  # the edge rows among them
+        npt.assert_array_equal(reparameterize(stack).reshape(18, 17), got[-18:])
+        for raw, row in zip(raws, got):
             npt.assert_array_equal(reparameterize(raw), row)
 
     def test_vjp_matches_finite_difference(self):

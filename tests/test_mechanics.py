@@ -138,7 +138,7 @@ class TestBenchmarkModels:
     @pytest.mark.parametrize("kind", sorted(BENCHMARKS))
     def test_stress_matches_fd_of_energy(self, kind):
         model = benchmark_model(kind)
-        rng = np.random.default_rng(hash(kind) % 2**31)
+        rng = np.random.default_rng(sorted(BENCHMARKS).index(kind))
         for _ in range(5):
             F = random_admissible_F(rng, scale=0.2)
             P = model.stress(F)
@@ -481,10 +481,12 @@ class TestAgainstMechanicsReference:
     """``mechanics_reference_v1.npz`` (see ``make_mechanics_reference.py``)
     was written by the kinematics that chained (I1, I2, J)-partials through
     an F^{-T} from ``np.linalg.inv``, and its Ogden stress and tangent are
-    central differences.  K, the invariants and every energy are
-    bit-identical; the F-derivatives, stresses and tangents may move by
-    rounding only, except Ogden's, which move by the difference error: P by
-    up to 1e-9 and dP/dF by up to 1e-5 of the largest entry."""
+    central differences.  K, the invariants and every energy but the
+    network's are bit-identical; the F-derivatives, stresses and tangents,
+    and the network's energy, whose control points were nudged up by ulps
+    where they are now rounded onto one grid per row, may move by rounding
+    only, except Ogden's, which move by the difference error: P by up to
+    1e-9 and dP/dF by up to 1e-5 of the largest entry."""
 
     REF = np.load(DATA / "mechanics_reference_v1.npz")
 
@@ -506,7 +508,10 @@ class TestAgainstMechanicsReference:
     def test_material(self, materials, kind, dim):
         model, F = materials[kind], self.REF[f"F{dim}"]
         want = {q: self.REF[f"{dim}_{kind}_{q}"] for q in "WPT"}
-        npt.assert_array_equal(model.energy(F), want["W"])
+        if kind == "ICKAN":
+            assert_close_to(model.energy(F), want["W"], rtol=1e-13)
+        else:
+            npt.assert_array_equal(model.energy(F), want["W"])
         tol = {"P": 1e-9, "T": 1e-5} if kind == "OG" else {"P": 1e-13, "T": 1e-13}
         for q, got in (("P", model.stress(F)), ("T", model.tangent(F))):
             assert_close_to(got, want[q], rtol=tol[q])

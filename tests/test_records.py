@@ -200,3 +200,23 @@ def test_no_snapshots_named_at_its_record():
     row = len(text.splitlines())
     with pytest.raises(DataError, match=rf"^dataset file, line {row}: dataset has no snapshots$"):
         SpecimenDataset.loads(text)
+
+
+@pytest.mark.parametrize("group, at, refusal", [
+    ("left", 0, "unknown_node"),
+    ("top", 2, "bad_component"),
+    ("right", 1, "shared_dof"),
+])
+def test_bad_dof_row_named_at_its_line(group, at, refusal):
+    lines = _dataset().splitlines()
+    first = lines.index(next(ln for ln in lines if ln.startswith("group ")))
+    row = lines.index(next(ln for ln in lines if ln.startswith(f"group {group} "))) + 1 + at
+    node, comp = lines[first + 1].split()  # the first group's first DOF
+    lines[row], message = {
+        "unknown_node": ("999 0", f"group '{group}' references unknown node"),
+        "bad_component": ("0 2", f"group '{group}' has a bad component index"),
+        "shared_dof": (f"{node} {comp}",
+                       rf"DOF \({node}, {comp}\) appears in more than one fixed group"),
+    }[refusal]
+    with pytest.raises(DataError, match=rf"^dataset file, line {row + 1}: {message}$"):
+        SpecimenDataset.loads("\n".join(lines) + "\n")

@@ -35,9 +35,12 @@ def test_mechanics_reference(tmp_path):
     # the committed Ogden stress and tangent are central differences
     difference_error = {"_OG_P": 1e-9, "_OG_T": 1e-5}
     for key in want.files:
-        # K, the invariants and every energy are exact
-        exact = key.startswith("F") or key.endswith(("_K", "_W")) or any(
+        # K, the invariants and every energy are exact, but for the network's:
+        # its control points were nudged by ulps where they are now rounded
+        # onto one grid per row
+        exact = key.startswith("F") or key.endswith("_K") or any(
             key.endswith("_" + name) for name in ("I1", "I2", "I3", "J", "I1_tilde", "I2_star"))
+        exact |= key.endswith("_W") and not key.endswith("_ICKAN_W")
         if exact:
             npt.assert_array_equal(got[key], want[key], err_msg=key)
         else:
