@@ -43,7 +43,6 @@ from .symbolic import (
     SymbolicEnergy,
     SymbolicMaterial,
     distill,
-    network_parity_r2,
     settled_by_bound,
 )
 from .training import TrainConfig, train_ensemble
@@ -211,8 +210,7 @@ def _load_learned(args):
     if getattr(args, "checkpoint", None):
         out["ickan"] = NetworkMaterial(KANModel.load(args.checkpoint))
     if getattr(args, "symbolic", None):
-        energy = SymbolicEnergy.load(args.symbolic)
-        out["sym"] = SymbolicMaterial(energy, getattr(args, "shift_symbolic", False))
+        out["sym"] = SymbolicMaterial(SymbolicEnergy.load(args.symbolic))
     return out
 
 
@@ -265,13 +263,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    model = KANModel.load(args.checkpoint)
-    energy = distill(model, lambda_sym=args.lambda_sym)
-    if args.shift_symbolic:
-        # the saved energy vanishes at K = 0, so its parity is against the
-        # network shifted the same way
-        energy.const -= energy.value(np.zeros(3))
-        energy.parity_r2 = network_parity_r2(energy, model, offset=model.forward(np.zeros(3)))
+    energy = distill(KANModel.load(args.checkpoint), lambda_sym=args.lambda_sym)
     energy.save(args.out)
     text_path = f"{args.out}.txt"
     with open(text_path, "w") as fh:
@@ -387,8 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--model", required=True, help="truth material kind")
     e.add_argument("--checkpoint")
     e.add_argument("--symbolic", help="distilled expression file")
-    e.add_argument("--shift-symbolic", action="store_true",
-                   help="re-apply the W(I)=0 shift to the symbolic model")
     e.add_argument("--samples", type=int, default=41)
     e.add_argument("--out", default="evaluation.csv")
     e.set_defaults(func=cmd_evaluate)
@@ -397,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--checkpoint", required=True)
     d.add_argument("--out", default="energy.sym")
     d.add_argument("--lambda-sym", type=float, default=LAMBDA_SYM)
-    d.add_argument("--shift-symbolic", action="store_true",
-                   help="subtract the K=0 energy from the distilled constant")
     d.set_defaults(func=cmd_distill)
 
     s = sub.add_parser("simulate", help="validation solve with a learned model")

@@ -202,13 +202,15 @@ class MaterialModel:
 
     A material states its energy as a function of the ansatz inputs K
     through :meth:`k_value_grad_hess`, and :class:`DeformationState` turns
-    the K-derivatives into stress and tangent.  Ogden, whose energy is not a
-    function of K, overrides :meth:`response` and reads the same
-    deformation state's kinematics and chain rule.
+    the K-derivatives into stress and tangent.  :meth:`response` subtracts
+    the value at K = 0, so that every material's W vanishes at F = I, the
+    undeformed state (Thakolkaran et al. 2022).  Ogden, whose energy is not
+    a function of K, overrides :meth:`response` and reads the same
+    deformation state's kinematics and chain rule; its closed form vanishes
+    at F = I itself.
     """
 
     kind = "?"
-    subtract_reference_energy = True
     _w0 = None
 
     def k_value_grad_hess(self, K: Array):
@@ -223,14 +225,14 @@ class MaterialModel:
         return self._w0
 
     def response(self, F) -> Response:
-        """W, P and (when read) dP/dF at F from one deformation state and
-        one K-derivative evaluation."""
+        """W less the reference energy, P and (when read) dP/dF at F from
+        one deformation state and one K-derivative evaluation."""
         state = compute_state(F)
         w, g, H = self.k_value_grad_hess(state.K)
 
         def energy():
-            shifted = w - self.reference_energy() if self.subtract_reference_energy else w
-            return float(shifted) if np.ndim(shifted) == 0 else shifted
+            W = w - self.reference_energy()
+            return float(W) if np.ndim(W) == 0 else W
 
         return Response(energy, state.stress(g), lambda: state.tangent(g, H))
 
@@ -302,8 +304,8 @@ class Ogden(MaterialModel):
 
 
 class NetworkMaterial(MaterialModel):
-    """Strain energy given by a trained spline network plus the constant
-    correction that zeroes the energy at the undeformed state."""
+    """Strain energy given by a trained spline network, less its value at
+    the undeformed state."""
 
     kind = "ICKAN"
 

@@ -372,12 +372,11 @@ class KANModel:
             dims = cls._checked_dims(records.take("dims", None, "%d"))
             (order,), (n_coef,) = records.take("order %d"), records.take("n_coef %d")
             width = n_coef + (2 if mode == VANILLA else 1)
-            params = [np.empty((1, b, a, width)) for a, b in zip(dims[:-1], dims[1:])]
-            model = cls(dims, order, n_coef, mode, params, [])  # params are filled in place
-            domains = [{} for _ in dims[:-1]]  # [r][j] -> (lo, hi)
-            knots = [[] for _ in dims[:-1]]  # [r][j] -> the knots of input column j
-            for r, p in enumerate(params):
-                for i, j in np.ndindex(p.shape[1:3]):
+            # arrays are built from the records read, never sized by the header
+            params, knots = [], []  # [r] -> the layer; [r][j] -> the knots of input column j
+            for r, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
+                rows, domains, t = [], {}, []  # domains: [j] -> (lo, hi)
+                for i, j in ((i, j) for i in range(b) for j in range(a)):  # np.ndindex lists them
                     name = f"activation {r},{i},{j}"
                     records.context = f"{name}: "
                     index = records.take("activation", 3, "%s")
@@ -386,20 +385,21 @@ class KANModel:
                     lo, hi = records.take("domain %f %f")
                     at = records.pos - 1
                     # all activations reading one input column share its knots
-                    first = domains[r].setdefault(j, (lo, hi))
+                    first = domains.setdefault(j, (lo, hi))
                     if first != (lo, hi):
                         raise records.error(f"domain [{lo}, {hi}] differs from "
                                             f"{list(first)} of activation {r},0,{j}")
                     (w_s,), (w_b,) = records.take("w_s %f"), records.take("w_b %f")
                     if mode == CONSTRAINED and w_b != 0.0:
                         raise records.error(f"constrained activations have no w_b, got {w_b}")
-                    p[0, i, j] = (records.take("raw", n_coef) + [w_s, w_b])[:width]
+                    rows.append((records.take("raw", n_coef) + [w_s, w_b])[:width])
                     if i == 0:  # the column's knots, once the raw record has bounded n_coef
                         try:
-                            knots[r].append(KnotVector.from_domain(lo, hi, n_coef, order).t)
+                            t.append(KnotVector.from_domain(lo, hi, n_coef, order).t)
                         except ConfigurationError as exc:
                             raise records.error(str(exc), at) from None
+                params.append(np.array(rows).reshape(1, b, a, width))
+                knots.append(np.array(t)[None])
             records.context = ""
             records.take("end")
-            model.t = [np.array(t)[None] for t in knots]
-            return model
+            return cls(dims, order, n_coef, mode, params, knots)

@@ -1,6 +1,7 @@
-"""The reader of mesh, dataset and checkpoint files: a cursor over their
-records, one per non-blank line of tag words and values, that checks each
-record's tag, value count and finite numbers, naming the line that fails."""
+"""The reader of mesh, dataset, checkpoint and symbolic files: a cursor over
+their records, one per non-blank line of tag words and values, that checks
+each record's tag, value count and finite numbers, naming the line that
+fails."""
 from __future__ import annotations
 
 import contextlib
@@ -30,17 +31,21 @@ SLOTS = {"%s": str, "%d": _count, "%f": _number}  # a word, a count or index, a 
 
 class Records:
     """Cursor over the records of one ``kind`` file; ``context`` is a prefix
-    of every message, such as ``"activation 0,1,0: "`` while reading one."""
+    of every message, such as ``"activation 0,1,0: "`` while reading one.
+    Lines after the first that start with ``comment`` are comments."""
 
-    def __init__(self, text: str, kind: str):
-        self.text, self.kind, self.context, self.pos = text, kind, "", 0
-        self.lines = [ln for ln in text.splitlines() if ln.strip()]
+    def __init__(self, text: str, kind: str, comment: str | None = None):
+        self.kind, self.context, self.pos = kind, "", 0
+        numbered = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        if comment:
+            numbered[1:] = [(n, ln) for n, ln in numbered[1:] if not ln.startswith(comment)]
+        self.numbers = [n for n, _ in numbered]
+        self.lines = [ln for _, ln in numbered]
 
     def error(self, message: str, pos: int | None = None) -> DataError:
         """The error at record ``pos``, by default the last one taken."""
         pos = self.pos - 1 if pos is None else pos
-        numbers = [n for n, ln in enumerate(self.text.splitlines(), 1) if ln.strip()]
-        where = f"line {numbers[pos]}" if pos < len(numbers) else "end of file"
+        where = f"line {self.numbers[pos]}" if pos < len(self.numbers) else "end of file"
         return DataError(f"{self.kind} file, {where}: {self.context}{message}")
 
     def take(self, pattern: str, count: int | None = 0, slot: str = "%f") -> list:
@@ -52,7 +57,9 @@ class Records:
         n = len(spec)
         if len(words) < n or count not in (None, len(words) - n) or any(
                 s != w for s, w in zip(spec, words) if s not in SLOTS):
-            raise self.error(f"expected {' '.join(spec + [slot] * (count or 0))!r}, got {line!r}")
+            k = count or 0  # a long run of values is stated by its count
+            want = " ".join(spec + [slot] * k) if k <= 3 else f"{' '.join(spec)} <{k} x {slot}>"
+            raise self.error(f"expected {want!r}, got {line!r}")
         try:
             return [SLOTS[s](w) for s, w in zip(spec, words) if s in SLOTS] + list(
                 map(SLOTS[slot], words[n:]))

@@ -17,6 +17,7 @@ import numpy.typing as npt
 from .errors import ConfigurationError, DataError, EvaluationError
 from .mechanics import MaterialModel
 from .network import CONSTRAINED, GRID_INIT_RANGE, KANModel, softplus
+from .records import Records
 
 Array = npt.NDArray[np.float64]
 
@@ -466,22 +467,20 @@ class SymbolicEnergy(Form):
 
     @classmethod
     def loads(cls, text: str) -> "SymbolicEnergy":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "convexkan-symbolic v1":
-            raise DataError("not a symbolic-energy file (bad header)")
-        body = [ln for ln in lines[1:] if not ln.startswith("#")]
-        if len(body) != 1 or not body[0].startswith("energy "):
-            raise DataError("expected a single 'energy <prefix...>' line")
-        tokens = iter(body[0].split()[1:])
-        try:
-            form = _parse(tokens)
-        except StopIteration:
-            raise DataError("unexpected end of expression") from None
-        except ValueError as exc:
-            raise DataError(f"malformed expression: {exc}") from None
-        rest = list(tokens)
-        if rest:
-            raise DataError(f"trailing tokens in expression: {rest}")
+        with Records(text, "symbolic", comment="#") as records:
+            records.take("convexkan-symbolic v1")
+            tokens = iter(records.take("energy", None, "%s"))
+            try:
+                form = _parse(tokens)
+            except StopIteration:
+                raise records.error("unexpected end of expression") from None
+            except ValueError as exc:
+                raise records.error(f"malformed expression: {exc}") from None
+            except DataError as exc:
+                raise records.error(str(exc)) from None
+            rest = list(tokens)
+            if rest:
+                raise records.error(f"trailing tokens in expression: {rest}")
         return cls(form.coeffs, form.const, form.terms)
 
     @classmethod
@@ -527,31 +526,21 @@ def distill(model: KANModel, lambda_sym: float = LAMBDA_SYM) -> SymbolicEnergy:
         ]
     out = forms[0]
     energy = SymbolicEnergy(out.coeffs, out.const, out.terms, activation_fits=fits)
-    energy.parity_r2 = network_parity_r2(energy, model)
+    K = np.random.default_rng(PARITY_SEED).uniform(*GRID_INIT_RANGE, size=(PARITY_SAMPLES, 3))
+    y_net = model.forward(K)
+    energy.parity_r2 = _r2(y_net, float(np.sum((y_net - energy.value(K)) ** 2)))
     return energy
 
 
-def network_parity_r2(energy: SymbolicEnergy, model: KANModel, offset: float = 0.0) -> float:
-    """R^2 of the energy against the network's output minus ``offset``, at
-    PARITY_SAMPLES K points drawn from the grid-initialization box."""
-    K = np.random.default_rng(PARITY_SEED).uniform(*GRID_INIT_RANGE, size=(PARITY_SAMPLES, 3))
-    y_net = model.forward(K) - offset
-    return _r2(y_net, float(np.sum((y_net - energy.value(K)) ** 2)))
-
-
 class SymbolicMaterial(MaterialModel):
-    """Material model backed by a distilled closed-form energy.
-
-    By default the constant offset is kept as distilled (the expression need
-    not vanish at F = I); pass ``zero_at_identity=True`` to subtract W(K=0).
-    """
+    """Material model backed by a distilled closed-form energy.  The file
+    keeps the network's constant; like every material, the model's W is
+    taken relative to its value at K = 0, so it vanishes at F = I."""
 
     kind = "SYM"
-    subtract_reference_energy = False
 
-    def __init__(self, energy: SymbolicEnergy, zero_at_identity: bool = False):
+    def __init__(self, energy: SymbolicEnergy):
         self.symbolic = energy
-        self.subtract_reference_energy = bool(zero_at_identity)
 
     def k_value_grad_hess(self, K):
         """W, dW/dK and d2W/dK2; raises EvaluationError where any of them

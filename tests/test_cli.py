@@ -476,11 +476,20 @@ class TestEvaluate:
 
             monkeypatch.setattr(cls, "k_value_grad_hess", counted)
         self._evaluate(tmp_path, checkpoint_file, 11)
-        # the distilled energy keeps its constant: no reference-energy call
+        # every model's energy is shifted by its value at K = 0, read once
         assert counts == {("NeoHookean", "stack"): 1, ("NeoHookean", "reference"): 1,
                           ("NetworkMaterial", "stack"): 1,
                           ("NetworkMaterial", "reference"): 1,
-                          ("SymbolicMaterial", "stack"): 1}
+                          ("SymbolicMaterial", "stack"): 1,
+                          ("SymbolicMaterial", "reference"): 1}
+
+    def test_every_energy_vanishes_at_the_undeformed_state(self, tmp_path, checkpoint_file):
+        _, out = self._evaluate(tmp_path, checkpoint_file, 4)
+        with open(out) as fh:
+            rows = [r for r in csv.DictReader(fh) if float(r["gamma"]) == 0.0]
+        assert len(rows) == 6
+        for r in rows:
+            assert [float(r[f"W_{name}"]) for name in ("true", "ickan", "sym")] == [0.0] * 3, r
 
     def test_requires_a_model_exits_2(self, tmp_path):
         assert main(["evaluate", "--model", "NH", "--out", str(tmp_path / "e.csv")]) == 2
@@ -523,21 +532,15 @@ class TestDistill:
         text = (tmp_path / "energy.sym.txt").read_text()
         assert text.strip()
 
-    @pytest.mark.parametrize("shift", [False, True])
-    def test_printed_parity_describes_saved_energy(self, tmp_path, checkpoint_file, capsys,
-                                                   shift):
+    def test_printed_parity_describes_saved_energy(self, tmp_path, checkpoint_file, capsys):
         out = tmp_path / "energy.sym"
-        argv = ["distill", "--checkpoint", checkpoint_file, "--out", str(out)]
-        assert main(argv + ["--shift-symbolic"] * shift) == 0
+        assert main(["distill", "--checkpoint", checkpoint_file, "--out", str(out)]) == 0
         printed = re.search(r"parity R\^2 vs network: (\S+)", capsys.readouterr().out)
         energy, model = SymbolicEnergy.load(out), KANModel.load(checkpoint_file)
         # distill's parity points: PARITY_SAMPLES draws with PARITY_SEED
         K = np.random.default_rng(PARITY_SEED).uniform(
             *GRID_INIT_RANGE, size=(PARITY_SAMPLES, 3))
         y_net = model.forward(K)
-        if shift:  # the saved energy vanishes at K = 0; so does its reference
-            assert abs(energy.value(np.zeros(3))) < 1e-12
-            y_net = y_net - model.forward(np.zeros(3))
         assert abs(float(printed.group(1)) - r2_score(energy.value(K), y_net)) <= 1e-6
 
     def test_complexity_report(self, tmp_path, checkpoint_file, capsys):
@@ -651,11 +654,15 @@ class TestSimulate:
              "--out", str(tmp_path / "s")]
         ) == 2
 
-    def test_no_shift_symbolic_option(self, tmp_path, mesh_file):
-        # the shift moves only the energy's constant: nothing simulate writes
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--model", "NH", "--symbolic", "x.sym"],
+        ["evaluate", "--model", "NH", "--symbolic", "x.sym"],
+        ["distill", "--checkpoint", "x.ckpt"],
+    ], ids=lambda command: command[0])
+    def test_no_shift_symbolic_option(self, tmp_path, command):
+        # every material's energy vanishes at F = I: there is no shift to ask for
         with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--model", "NH", "--symbolic", "x.sym", "--shift-symbolic",
-                  "--mesh", mesh_file, "--out", str(tmp_path / "s")])
+            main([*command, "--shift-symbolic", "--out", str(tmp_path / "s")])
         assert exc.value.code == 2
 
 

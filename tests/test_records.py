@@ -15,6 +15,7 @@ from convexkan.fem import (
 )
 from convexkan.mechanics import NeoHookean
 from convexkan.network import VANILLA, KANModel
+from convexkan.records import Records
 
 READERS = {"mesh": Mesh, "dataset": SpecimenDataset, "checkpoint": KANModel}
 
@@ -113,6 +114,30 @@ def test_cli_exits_2_on_every_mutated_file(kind, tmp_path, capsys):
         assert main([*COMMANDS[kind], str(path), "--out", str(out)]) == 2, label
         assert f"error: {kind} file, " in capsys.readouterr().err, label
     assert not out.exists()
+
+
+# headers whose counts would ask for terabytes: the reader builds its
+# arrays from the records it reads, so each is refused where the file ends
+# short of what the header promised
+@pytest.mark.parametrize("record, header, message", [
+    ("dims 3 2 1", "dims 3 100000000000 1",
+     "line 36: activation 0,2,0: expected activation 0,2,0, got activation 1 0 0"),
+    ("n_coef 17", "n_coef 100000000000",
+     "line 10: activation 0,0,0: expected 'raw <100000000000 x %f>', got 'raw "),
+])
+def test_checkpoint_header_sizes_nothing(tmp_path, capsys, record, header, message):
+    path, out = tmp_path / "model.ckpt", tmp_path / "out"
+    path.write_text(KANModel.create(rng=0).dumps().replace(f"\n{record}\n", f"\n{header}\n", 1))
+    assert main([*COMMANDS["checkpoint"], str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: checkpoint file, {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [4, 10**7, 10**11])
+def test_refusal_states_a_long_count(count):
+    want = rf"^checkpoint file, line 1: expected 'raw <{count} x %f>', got 'raw 1 2'$"
+    with pytest.raises(DataError, match=want):
+        Records("raw 1 2\n", "checkpoint").take("raw", count)
 
 
 def test_line_numbers_count_blank_lines():

@@ -629,6 +629,28 @@ class TestSerialization:
         with pytest.raises(DataError):
             SymbolicEnergy.loads("nope\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("nope\n", "line 1: expected 'convexkan-symbolic v1', got 'nope'"),
+        ("# a comment\nconvexkan-symbolic v1\nenergy var K1\n",
+         "line 1: expected 'convexkan-symbolic v1', got '# a comment'"),
+        ("convexkan-symbolic v1\n\n# a comment\n", "end of file: expected 'energy', got ''"),
+        ("convexkan-symbolic v1\n\nenergy scaled -1 0 exp var K1\n",
+         r"line 3: negative scaled weight -1.0"),
+        ("convexkan-symbolic v1\nenergy add 2 const 1\n", "line 2: unexpected end of expression"),
+        ("convexkan-symbolic v1\nenergy var K1 var K2\n",
+         r"line 2: trailing tokens in expression: \['var', 'K2'\]"),
+        ("convexkan-symbolic v1\nenergy var K1\n# a comment\nenergy var K2\n",
+         "line 4: expected the end, got 'energy var K2'"),
+    ])
+    def test_refusal_names_the_line(self, text, message):
+        with pytest.raises(DataError, match=f"^symbolic file, {message}$"):
+            SymbolicEnergy.loads(text)
+
+    def test_comments_anywhere_after_the_header(self):
+        text = "convexkan-symbolic v1\n# before\n\nenergy affine 0 0.5 0 1.5\n# after\n"
+        energy = SymbolicEnergy.loads(text)
+        npt.assert_array_equal(energy.coeffs, [0.5, 0.0, 1.5])
+
     def test_truncated_expression(self):
         with pytest.raises(DataError):
             SymbolicEnergy.loads("convexkan-symbolic v1\nenergy add 2 const 1\n")
@@ -808,7 +830,7 @@ class TestSymbolicMaterial:
         energy = SymbolicEnergy.loads(
             "convexkan-symbolic v1\nenergy add 2 affine 0.3 0.5 0 1.5 scaled 1 0 exp var K1\n"
         )
-        mat = SymbolicMaterial(energy, zero_at_identity=True)
+        mat = SymbolicMaterial(energy)
         at_zero = []
         vgh = energy.vgh
         energy.vgh = lambda K: at_zero.append(not np.any(K)) or vgh(K)
@@ -834,9 +856,15 @@ class TestSymbolicMaterial:
             assert not np.all(np.isfinite(energy.vgh(K)[0]))
 
     def test_offset_flag(self):
+        # the distilled form carries the network's constant; the material's
+        # W vanishes at F = I whatever the constant, and a hand-shifted
+        # constant changes neither W, P nor dP/dF
         energy = distill(KANModel.create(rng=23))
-        raw = SymbolicMaterial(energy).energy(np.eye(3))
-        shifted = SymbolicMaterial(energy, zero_at_identity=True).energy(np.eye(3))
-        assert abs(shifted) < 1e-12
-        # the unshifted form generally carries the distilled constant
-        npt.assert_allclose(raw - shifted, energy.vgh(np.zeros(3))[0], rtol=1e-12)
+        assert abs(energy.value(np.zeros(3))) > 1e-3
+        assert abs(SymbolicMaterial(energy).energy(np.eye(3))) < 1e-12
+        shifted = SymbolicEnergy.loads(energy.dumps())
+        shifted.const -= shifted.value(np.zeros(3))
+        F = np.eye(3) + 0.1 * np.random.default_rng(24).normal(size=(5, 3, 3))
+        a, b = SymbolicMaterial(energy).response(F), SymbolicMaterial(shifted).response(F)
+        for got, want in ((b.energy, a.energy), (b.stress, a.stress), (b.tangent, a.tangent)):
+            npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
