@@ -80,7 +80,7 @@ class KnotVector:
 @functools.lru_cache(maxsize=None)
 def _span_matrices(k: int) -> Array:
     """Matrix form (Qin 2000, *The Visual Computer* 16:177) of the k + 1
-    uniform B-splines non-zero on a knot span: ``sum_p u**p M[d, p, r]`` is
+    uniform B-splines non-zero on a knot span: ``sum_p M[d, r, p] u**p`` is
     ``s**d`` times the ``d``-th derivative of ``B_{mu-k+r}`` at ``t_mu + u*s``
     (zero for ``d > k``), from the uniform Cox-de Boor recursion."""
     V = [np.eye(k + 1, 1)]  # V[d][p, r]: u**p coefficient of B_{mu-d+r}, order d
@@ -94,7 +94,7 @@ def _span_matrices(k: int) -> Array:
         D = V[k - d]
         for _ in range(d):  # d-th derivative: d-th difference of order k - d
             D = -np.diff(np.pad(D, ((0, 0), (1, 1))), axis=1)  # D[r-1] - D[r]
-        M[d] = D
+        M[d] = D.T
     M.flags.writeable = False  # shared by every caller through the cache
     return M
 
@@ -108,9 +108,10 @@ def _local_values(x, t, k: int, orders):
     ``x`` is ``(..., N)`` and ``t`` is ``(..., m_b)``; their leading axes
     broadcast, so one call evaluates many point sets, each on its own knots.
     Returns the spans ``mu`` ``(..., N)`` and the values ``(len(orders),
-    ..., N, k + 1)``, column ``r`` for ``B_{mu-k+r}``.  Points off ``[t_1,
-    t_{m_b})`` get zeros, points in the outer spans the partial values of
-    the functions defined there.
+    ..., k + 1, N)``, row ``r`` for ``B_{mu-k+r}``, from one (k + 1) x (k + 1)
+    product per order and point set: a point set gets the same bits alone or
+    among others.  Points off ``[t_1, t_{m_b})`` get zeros, points in the
+    outer spans the partial values of the functions defined there.
     """
     x, t, orders = np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64), list(orders)
     if k < max(orders):
@@ -118,32 +119,34 @@ def _local_values(x, t, k: int, orders):
             f"order-{max(orders)} derivative needs spline order k >= {max(orders)}, got k={k}"
         )
     m_b = t.shape[-1]
-    shape = np.broadcast_shapes(x.shape[:-1], t.shape[:-1]) + x.shape[-1:]
-    x = np.broadcast_to(x, shape)
-    t = t.reshape((1,) * (len(shape) - t.ndim) + t.shape)
+    t = t.reshape((1,) * (x.ndim - t.ndim) + t.shape)
     # the span from the spacing, settled against the knots themselves: the
     # estimate is off by at most one
     flat = t.ravel()
     first = np.arange(0, flat.size, m_b).reshape(t.shape[:-1] + (1,))
     s = t[..., 1:2] - t[..., :1]
-    mu = np.clip(np.floor((x - t[..., :1]) / s), 0, m_b - 2).astype(np.intp)
+    mu = np.floor((x - t[..., :1]) / s)  # of the broadcast shape
+    shape = mu.shape
+    mu = np.minimum(np.maximum(mu, 0, out=mu), m_b - 2, out=mu).astype(np.intp)
     at = first + mu
-    mu += (flat[at + 1] <= x) & (mu < m_b - 2)
-    mu -= (flat[at] > x) & (mu > 0)
+    mu += flat[at + 1] <= x
+    mu -= flat[at] > x
+    np.minimum(np.maximum(mu, 0, out=mu), m_b - 2, out=mu)  # x past the first or last knot
     u = (x - flat[first + mu]) / s
-    powers = np.empty((k + 1,) + shape)  # u**p, p = 0..k, as np.vander forms them
-    powers[0] = 1.0
+    powers = np.empty(shape[:-1] + (k + 1,) + shape[-1:])  # u**p, p = 0..k
+    powers[..., 0, :] = 1.0
     for p in range(1, k + 1):
-        np.multiply(powers[p - 1], u, out=powers[p])
-    # every order's scale s**d from one power call: rounding then does not
-    # depend on which orders are asked for
+        np.multiply(powers[..., p - 1, :], u, out=powers[..., p, :])
+    # each order's matrices scaled by s**d, (len(orders), ..., k + 1, k + 1)
     lead = (1,) * (len(shape) - 1)
-    d = np.arange(3.0).reshape((3,) + lead + (1, 1))
-    M = _span_matrices(k).reshape((3,) + lead + (k + 1, k + 1)) / s[..., None] ** d
-    vals = np.moveaxis(powers, 0, -1) @ M[orders]
+    d = np.array(orders, dtype=np.float64).reshape((-1,) + lead + (1, 1))
+    M = _span_matrices(k)[orders].reshape(d.shape[:-2] + (k + 1, k + 1)) / s[..., None] ** d
+    if shape[-1] == 1:  # BLAS takes one column through gemv, which rounds unlike
+        powers = np.repeat(powers, 2, axis=-1)  # gemm: a point's bits would depend on N
+    vals = (M @ powers)[..., : shape[-1]]
     outside = (x < t[..., :1]) | (x >= t[..., -1:])
     if outside.any():
-        vals[:, outside] = 0.0
+        np.copyto(vals, 0.0, where=outside[..., None, :])
     return mu, vals
 
 
@@ -155,8 +158,32 @@ def _scatter(mu, vals, k: int, n_b: int) -> Array:
     rows = np.zeros((len(vals), mu.size * width))
     at = ((np.arange(mu.size) * width + mu.ravel() - k - lo)[:, None] + np.arange(k + 1)).ravel()
     for order_rows, order_vals in zip(rows, vals):
-        order_rows[at] = order_vals.ravel()
+        order_rows[at] = order_vals.swapaxes(-1, -2).ravel()
     return rows.reshape((len(vals),) + mu.shape + (width,))[..., -lo : n_b - lo]
+
+
+def local_rows(x, t, k: int, orders=(0, 1, 2)):
+    """The non-zero entries of :func:`design_rows`: spans ``mu`` ``(..., N)``
+    and values ``(len(orders), ..., k + 1, N)`` such that the ``d``-th
+    derivative at ``x`` of the spline with control points ``c`` is ``sum_r
+    vals[d, ..., r, n] * c[mu[..., n] - k + r]``, with the linear extension
+    beyond the natural domain baked in.  A point on the natural domain's right
+    end reads the column ``c[n_b]`` past the last control point; take it as 0.
+    """
+    x, t, orders = np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64), list(orders)
+    lo, hi = t[..., k : k + 1], t[..., t.shape[-1] - k - 1 : t.shape[-1] - k]
+    xc = np.minimum(np.maximum(x, lo), hi)
+    past = (x != xc)[..., None, :]
+    extend = bool(past.any())
+    # past the edge the value continues with the edge's slope
+    need = orders + [1] * (extend and 0 in orders and 1 not in orders)
+    mu, vals = _local_values(xc, t, k, need)
+    if extend and 0 in orders:
+        v0 = vals[need.index(0)]
+        np.add(v0, (x - xc)[..., None, :] * vals[need.index(1)], out=v0, where=past)
+    if extend and 2 in orders:
+        np.copyto(vals[need.index(2)], 0.0, where=past)
+    return mu, vals[: len(orders)]
 
 
 def design_rows(x, t, k: int, orders=(0, 1, 2)) -> Array:
@@ -168,20 +195,7 @@ def design_rows(x, t, k: int, orders=(0, 1, 2)) -> Array:
     Shapes as in :func:`_local_values`: ``x`` is ``(..., N)``, ``t`` is
     ``(..., m_b)`` and the rows are ``(len(orders), ..., N, n_b)``.
     """
-    x, t, orders = np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64), list(orders)
-    lo, hi = t[..., k : k + 1], t[..., t.shape[-1] - k - 1 : t.shape[-1] - k]
-    xc = np.clip(x, lo, hi)
-    past = (x != xc)[..., None]
-    extend = bool(past.any())
-    # past the edge the value continues with the edge's slope
-    need = orders + [1] * (extend and 0 in orders and 1 not in orders)
-    mu, vals = _local_values(xc, t, k, need)
-    if extend and 0 in orders:
-        v0 = vals[need.index(0)]
-        np.add(v0, (x - xc)[..., None] * vals[need.index(1)], out=v0, where=past)
-    if extend and 2 in orders:
-        np.copyto(vals[need.index(2)], 0.0, where=past)
-    return _scatter(mu, vals[: len(orders)], k, t.shape[-1] - k - 1)
+    return _scatter(*local_rows(x, t, k, orders), k, np.shape(t)[-1] - k - 1)
 
 
 def reparameterize(raw) -> Array:

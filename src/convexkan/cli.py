@@ -424,6 +424,9 @@ def main(argv=None) -> int:
     except (ConvexKanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a count that asks for more memory than there is
+        print(f"error: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

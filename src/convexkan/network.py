@@ -14,7 +14,7 @@ import math
 import numpy as np
 import numpy.typing as npt
 
-from .bspline import KnotVector, design_rows, reparameterize, reparameterize_vjp
+from .bspline import KnotVector, design_rows, local_rows, reparameterize, reparameterize_vjp
 from .errors import ConfigurationError, EvaluationError
 from .records import Records
 
@@ -64,7 +64,9 @@ class KANModel:
     reading input column ``j`` of layer ``r`` share one knot vector:
     ``t[r]`` is ``(M, n_in, m_b)``, or ``(1, n_in, m_b)`` when every member
     has the same knots, so that their design rows are computed once for all.
-    A member's parameter vector is its layers' arrays flattened in order.
+    The layers' arrays are views of one ``(M, n_edges, width)`` array, edge
+    by edge in layer order, so that maps acting edge by edge run once for
+    all layers; a member's parameter vector is its row of it, flattened.
 
     The layer sweep runs over every member at once; ``forward``,
     ``forward_with_input_derivatives`` and checkpoints take one network.
@@ -75,7 +77,9 @@ class KANModel:
         self.order = int(order)
         self.n_coef = int(n_coef)
         self.mode = self._checked_mode(mode)
-        self.params = params  # [layer r] -> (M, n_out, n_in, width)
+        self._all = np.concatenate([np.reshape(p, (len(p), -1, p.shape[-1])) for p in params],
+                                   axis=1, dtype=np.float64)
+        self.params = self._by_layer(self._all)  # [layer r] -> (M, n_out, n_in, width)
         # [layer r] -> (M or 1, n_in, m_b): one row when every member has it
         self.t = [tr[:1] if np.all(tr == tr[:1]) else tr for tr in t]
 
@@ -135,17 +139,35 @@ class KANModel:
 
     @property
     def size(self) -> int:
-        return self.params[0].shape[0]
+        return self._all.shape[0]
+
+    def _by_layer(self, a) -> list:
+        """Per layer, the view of ``a`` ``(M, n_edges, ...)`` on the layer's
+        edges, ``(M, n_out, n_in, ...)``."""
+        views, e = [], 0
+        for n_in, n_out in zip(self.dims[:-1], self.dims[1:]):
+            edges = a[:, e : e + n_out * n_in]
+            views.append(edges.reshape(a.shape[:1] + (n_out, n_in) + a.shape[2:]))
+            e += n_out * n_in
+        return views
 
     def parameter_vectors(self) -> Array:
         """One parameter vector per member, ``(M, n_parameters)``."""
-        return np.concatenate([p.reshape(self.size, -1) for p in self.params], axis=1)
+        return self._all.reshape(self.size, -1).copy()
 
     def set_parameter_vectors(self, V: Array):
         """Write ``(M, n_parameters)`` vectors into the members in place."""
-        ends = np.cumsum([p[0].size for p in self.params])
-        for p, v in zip(self.params, np.split(V, ends[:-1], axis=1)):
-            p[...] = v.reshape(p.shape)
+        self._all[...] = np.reshape(V, self._all.shape)
+
+    def _control_points(self) -> list:
+        """Per layer, the unscaled control points ``c`` ``(M, n_out, n_in,
+        n_coef)`` and the scales ``w`` ``(M, n_out, n_in)`` of its splines."""
+        raw, n = self._all, self.n_coef
+        if self.mode == CONSTRAINED:
+            c, w = reparameterize(raw[..., :n]), softplus(raw[..., n])
+        else:
+            c, w = raw[..., :n], raw[..., n]
+        return list(zip(self._by_layer(c), self._by_layer(w)))
 
     def domain(self, r: int, j: int) -> tuple[float, float]:
         """Layer ``r``'s natural domain on input column ``j`` (member 0's)."""
@@ -169,17 +191,21 @@ class KANModel:
         afterwards."""
         lo, hi = (np.full((1, self.dims[0]), v) for v in GRID_INIT_RANGE)
         self.t = []
-        for r in range(self.n_layers):
+        for r, cw in enumerate(self._control_points()):
             self.t.append(self._knots(lo, hi))
-            z = np.linspace(lo, hi, GRID_INIT_POINTS, axis=1)  # (M or 1, N, n_in)
-            y = self._layer(r, z, orders=(0,))[0]
-            lo, hi = y.min(axis=1), y.max(axis=1)
+            z = np.linspace(lo, hi, GRID_INIT_POINTS, axis=-1)  # (M or 1, n_in, N)
+            y = self._layer(r, z, cw, orders=(0,))[0]
+            lo, hi = y.min(axis=-1), y.max(axis=-1)
             mid, narrow = 0.5 * (lo + hi), hi - lo < MIN_DOMAIN_WIDTH
             lo = np.where(narrow, mid - 0.5 * MIN_DOMAIN_WIDTH, lo)
             hi = np.where(narrow, mid + 0.5 * MIN_DOMAIN_WIDTH, hi)
         return self
 
     # -- forward passes ----------------------------------------------------
+    #
+    # Every per-point array carries the point axis last: values (M, n, N),
+    # input Jacobians (M, n, d0, N) and Hessians (M, n, d0, d0, N), so sums
+    # over the short axes are vector multiply-adds over the points.
 
     def _check_input(self, K):
         K = np.asarray(K, dtype=np.float64)
@@ -191,52 +217,99 @@ class KANModel:
             raise EvaluationError("non-finite network input")
         return Kb, scalar
 
-    def _edges(self, r: int, x, rows=None, orders=(0, 1, 2)):
+    def _edges(self, r: int, x, cw=None, rows=None, orders=(0, 1, 2)):
         """Every edge of layer ``r`` for every member at the layer's column
-        inputs ``x``, ``(M or 1, n_in, N)``.  Returns ``(phi, c, rows)``:
-        ``phi`` and its derivatives of the given ``orders``, ``(len(orders),
-        M, n_in, N, n_out)``, the unscaled control points ``c``, ``(M, n_out,
-        n_in, n_coef)``, and the design rows ``(len(orders), M or 1, n_in, N,
-        n_b)``, which may be passed in if already computed.  The scale
-        ``w_s`` is folded into the control points: ``phi = rows @ (w * c)``."""
-        p, n = self.params[r], self.n_coef
-        x = np.ascontiguousarray(x)
-        if rows is None:
-            rows = design_rows(x, self.t[r], self.order, orders)
-        c = reparameterize(p[..., :n]) if self.mode == CONSTRAINED else p[..., :n]
-        w = softplus(p[..., n]) if self.mode == CONSTRAINED else p[..., n]
-        phi = rows @ (w[..., None] * c).transpose(0, 2, 3, 1)
-        if self.mode == VANILLA:
-            w_b = p[..., n + 1].transpose(0, 2, 1)[:, :, None, :]
-            phi += w_b * np.stack(_silu(x))[list(orders), ..., None]
-        return phi, c, rows
+        inputs ``x``, ``(M or 1, n_in, N)``, given the layer's
+        :meth:`_control_points` ``cw`` (by default computed here).  Returns
+        ``(phi, basis)``: ``phi`` and its derivatives of the given ``orders``,
+        ``(len(orders), M, n_out, n_in, N)``, and the basis ``(at, b)`` that
+        :meth:`_pull` reads.  The scale ``w_s`` is folded into the control
+        points: ``phi = b @ (w * c)``.
 
-    def _layer(self, r, z, A=None, H=None, rows=None, orders=(0, 1, 2)):
-        """Outputs ``y`` (M, N, n_out) of layer ``r`` at inputs ``z``
-        (M or 1, N, n_in), and, given the inputs' Jacobian ``A``
-        (M or 1, N, n_in, d0) and Hessian ``H`` (M, N, n_in, d0, d0) with
-        respect to the network input, the outputs' ones.  Returns
+        Given layer ``r``'s design rows with the point axis last, ``rows``
+        ``(len(orders), M or 1, n_in, n_b, N)``, ``b`` is them, ``at`` is
+        None, and each order is one product.  Otherwise ``b`` is the k + 1
+        basis values live at each point, ``(len(orders), M or 1, n_in, k + 1,
+        N)``, summed against the k + 1 control points they multiply, and
+        ``at`` ``(M, n_out, n_in, N)`` numbers those control points' window
+        among all edges' windows.
+        """
+        p, n, k = self.params[r], self.n_coef, self.order
+        c, w = self._control_points()[r] if cw is None else cw
+        if rows is not None:  # per member and column j: (n_out, n_b) @ (n_b, N)
+            at, b = None, rows
+            phi = ((w[..., None] * c).transpose(0, 2, 1, 3) @ rows).transpose(0, 1, 3, 2, 4)
+        else:
+            mu, b = local_rows(x, self.t[r], k, orders)
+            # each point's k + 1 live control points are one window of its
+            # edge's, numbered among all edges' windows; a padding column
+            # past the last control point reads as 0
+            wc = np.zeros(p.shape[:-1] + (n + 1,))
+            np.multiply(w[..., None], c, out=wc[..., :n])
+            n_win = n + 1 - k
+            windows = wc[..., np.arange(n_win)[:, None] + np.arange(k + 1)]  # (..., n_win, k + 1)
+            first = np.arange(0, math.prod(windows.shape[:-1]), n_win)
+            at = first.reshape(windows.shape[:3] + (1,)) + mu[:, None] - k
+            phi = np.einsum("omjqn,qmijn->omijn", b,
+                            windows.reshape(-1, k + 1).T.take(at, axis=1))
+        if self.mode == VANILLA:
+            w_b = p[..., n + 1, None]
+            phi += w_b * np.stack(_silu(x))[list(orders), :, None]
+        return phi, (at, b)
+
+    def _pull(self, basis, mb, zb=None) -> Array:
+        """The gradient of ``sum(mb * phi' + zb * phi)`` over the points with
+        respect to the scaled control points ``w * c``, ``(M, n_out, n_in,
+        n_b)``, for a layer's :meth:`_edges` ``basis`` by order; ``mb`` is
+        ``(M, n_out, n_in, N)`` and ``zb`` None or ``(M, n_out, 1, N)``."""
+        at, b = basis
+        if at is None:  # per member and column j: (n_out, N) @ (N, n_b)
+            cbar = mb.transpose(0, 2, 1, 3) @ b[1].swapaxes(-1, -2)
+            if zb is not None:
+                cbar += zb.transpose(0, 2, 1, 3) @ b[0].swapaxes(-1, -2)
+            return cbar.transpose(0, 2, 1, 3)
+        seed = b[1][:, None] * mb[..., None, :]
+        if zb is not None:
+            seed += b[0][:, None] * zb[..., None, :]
+        n, k = self.n_coef, self.order
+        shape = at.shape[:3] + (n + 1,)
+        size = math.prod(shape)
+        # window w of edge e starts at control point w + e * k; point n adds
+        # into copy n % 4 of the bins, so that neighbouring points of one knot
+        # span do not wait on each other's sums
+        start = at + np.arange(0, size // (n + 1) * k, k).reshape(at.shape[:3] + (1,))
+        offsets = np.arange(k + 1)[:, None] + np.arange(at.shape[-1]) % 4 * size
+        bins = start[..., None, :] + offsets
+        cbar = np.bincount(bins.ravel(), seed.ravel(), 4 * size)
+        return cbar.reshape((4,) + shape).sum(axis=0)[..., :n]
+
+    def _layer(self, r, z, cw, A=None, H=None, rows=None, orders=(0, 1, 2)):
+        """Outputs ``y`` (M, n_out, N) of layer ``r`` with the
+        :meth:`_control_points` ``cw`` at inputs ``z``
+        (M or 1, n_in, N), and, given the inputs' Jacobian ``A``
+        (M or 1, n_in, d0, N) and Hessian ``H`` (M or 1, n_in, d0, d0, N)
+        with respect to the network input, the outputs' ones.  Returns
         ``(y, Ay, Hy, edges)``, with None for what was not asked or needs an
         order not in ``orders``, and the layer's :meth:`_edges` with ``phi``
-        and ``rows`` as dicts by order."""
-        phi, c, rows = self._edges(r, z.transpose(0, 2, 1), rows, orders)
-        phi, rows = dict(zip(orders, phi)), dict(zip(orders, rows))
-        y = phi[0].sum(axis=1) if 0 in phi else None
-        Ay = None if A is None else phi[1].transpose(0, 2, 3, 1) @ A
+        and the basis values as dicts by order."""
+        phi, (at, b) = self._edges(r, z, cw, rows, orders)
+        phi, b = dict(zip(orders, phi)), dict(zip(orders, b))
+        y = phi[0].sum(axis=2) if 0 in phi else None
+        Ay = None if A is None else (phi[1][:, :, :, None] * A[:, None]).sum(axis=2)
         Hy = None
         if H is not None:
-            Hy = np.einsum("mjni,mnjk,mnjl->mnikl", phi[2], A, A) + np.einsum(
-                "mjni,mnjkl->mnikl", phi[1], H
-            )
-        return y, Ay, Hy, (phi, c, rows)
+            AA = A[:, :, :, None] * A[:, :, None]
+            Hy = (phi[2][:, :, :, None, None] * AA[:, None]
+                  + phi[1][:, :, :, None, None] * H[:, None]).sum(axis=2)
+        return y, Ay, Hy, (phi, (at, b))
 
     def forward(self, K):
         self._one("forward")
         z, scalar = self._check_input(K)
-        z = z[None]
-        for r in range(self.n_layers):
-            z = self._layer(r, z, orders=(0,))[0]
-        out = z[0, :, 0]
+        z = z.T[None]
+        for r, cw in enumerate(self._control_points()):
+            z = self._layer(r, z, cw, orders=(0,))[0]
+        out = z[0, 0]
         return float(out[0]) if scalar else out
 
     def forward_with_input_derivatives(self, K):
@@ -248,88 +321,90 @@ class KANModel:
             )
         Kb, scalar = self._check_input(K)
         N, d0 = Kb.shape
-        z = Kb[None]
-        A = np.broadcast_to(np.eye(d0), (1, N, d0, d0))
-        H = np.zeros((1, N, d0, d0, d0))
-        for r in range(self.n_layers):
-            z, A, H, _ = self._layer(r, z, A, H)
-        W, g, Hess = z[0, :, 0], A[0, :, 0, :], H[0, :, 0]
+        z = Kb.T[None]
+        A = np.broadcast_to(np.eye(d0)[..., None], (1, d0, d0, N))
+        H = np.zeros((1, d0, d0, d0, N))
+        for r, cw in enumerate(self._control_points()):
+            z, A, H, _ = self._layer(r, z, cw, A, H)
+        W, g, Hess = z[0, 0], A[0, 0].T, H[0, 0].transpose(2, 0, 1)
         if scalar:
             return float(W[0]), g[0], Hess[0]
         return W, g, Hess
 
     # -- reverse accumulation ---------------------------------------------
 
+    def layer0_rows(self, z0) -> Array:
+        """Layer 0's order-(0, 1) design rows at its inputs ``z0`` (1, d0,
+        N), with the point axis last: ``(2, M or 1, d0, n_b, N)``."""
+        rows = design_rows(z0, self.t[0], self.order, (0, 1))
+        return np.ascontiguousarray(rows.swapaxes(-1, -2))
+
     def _forward_cache(self, Kb, rows0=None, w_seeded=False):
         """Forward pass over every member at the shared inputs ``Kb``,
-        storing what a reverse pass needs; ``rows0`` are layer 0's
-        order-(0, 1) design rows at ``Kb``, if computed.  Layers build only
-        the orders read: values (at the output only if ``w_seeded``), slopes,
-        and curvatures above layer 0, where the reverse sweep stops."""
-        N, d0 = Kb.shape
-        zs = [Kb[None]]
-        As = [np.broadcast_to(np.eye(d0), (1, N, d0, d0))]
-        edges = []
-        for r in range(self.n_layers):
-            if r == 0:  # the inputs are K itself: the Jacobian is the identity
-                y, _, _, e = self._layer(0, zs[0], rows=rows0, orders=(0, 1))
-                Ay = e[0][1].transpose(0, 2, 3, 1)
+        storing what a reverse pass needs; ``rows0`` are
+        :meth:`layer0_rows` at ``Kb``, if computed.  Layer 0 reads its
+        design rows, the layers above the k + 1 basis values live at their
+        inputs.  Layers build only the orders read: values (at the output
+        only if ``w_seeded``), slopes, and curvatures above layer 0, where
+        the reverse sweep stops."""
+        z0 = Kb.T[None]
+        if rows0 is None:
+            rows0 = self.layer0_rows(z0)
+        cws = self._control_points()
+        zs, As, edges = [z0], [None], []  # layer 0's inputs are K: A is the identity
+        for r, cw in enumerate(cws):
+            if r == 0:
+                y, _, _, e = self._layer(0, z0, cw, rows=rows0, orders=(0, 1))
+                Ay = e[0][1]
             else:
                 last = r == self.n_layers - 1 and not w_seeded
-                y, Ay, _, e = self._layer(r, zs[-1], As[-1],
+                y, Ay, _, e = self._layer(r, zs[-1], cw, As[-1],
                                           orders=(1, 2) if last else (0, 1, 2))
             zs.append(y)
             As.append(Ay)
             edges.append(e)
-        return {"z": zs, "A": As, "edges": edges}
+        return {"z": zs, "A": As, "edges": edges, "cw": cws}
 
     def backward_batch(self, cache, seed_w=None, seed_g=None) -> Array:
         """Per member ``m``, the gradient of ``sum_n [seed_w[m, n] * W(K_n) +
-        seed_g[m, n] . grad_K W(K_n)]`` with respect to its parameter vector:
-        ``(M, n_parameters)``.
+        seed_g[m, :, n] . grad_K W(K_n)]`` with respect to its parameter
+        vector: ``(M, n_parameters)``.
 
         ``cache`` is :meth:`_forward_cache` at the inputs ``K``, built with
-        ``w_seeded`` if ``seed_w`` (M, N) is given; ``seed_g`` is (M, N, d0).
+        ``w_seeded`` if ``seed_w`` (M, N) is given; ``seed_g`` is (M, d0, N).
         The gradient-seeded path is what force-residual training needs, since
         the stress depends on the input gradient of the energy.
         """
-        N, d0 = cache["z"][0].shape[1:]
+        d0, N = cache["z"][0].shape[1:]
         M, n = self.size, self.n_coef
-        zbar = None if seed_w is None else np.reshape(seed_w, (M, N, 1))
-        Abar = np.zeros((M, N, 1, d0)) if seed_g is None else np.reshape(seed_g, (M, N, 1, d0))
-        grads = []
-        for r in reversed(range(self.n_layers)):
-            z, A = cache["z"][r], cache["A"][r]
-            phi, c, rows = cache["edges"][r]
-            p = self.params[r]
-            # per column j: zbar (None while 0) and its slope seed, (M, n_in, N, n_out)
-            zb = None if zbar is None else zbar[:, None]
-            if r == 0:  # identity A: column j's slope seed is Abar[..., j]
-                m = Abar.transpose(0, 3, 1, 2)
-            else:
-                m = (A @ Abar.swapaxes(-1, -2)).transpose(0, 2, 1, 3)
-            cbar = rows[1].swapaxes(-1, -2) @ m
-            if zb is not None:
-                cbar += rows[0].swapaxes(-1, -2) @ zb
-            cbar = cbar.transpose(0, 3, 1, 2)  # like c: (M, n_out, n_in, n_coef)
-            g = np.empty_like(p)
-            if self.mode == CONSTRAINED:
-                w, dw = softplus(p[..., n]), sigmoid(p[..., n])
-                g[..., :n] = reparameterize_vjp(p[..., :n], w[..., None] * cbar)
-            else:
-                w, dw = p[..., n], 1.0
-                g[..., :n] = w[..., None] * cbar
-            g[..., n] = dw * np.einsum("mijb,mijb->mij", cbar, c)  # phi is linear in w
+        zbar = None if seed_w is None else np.asarray(seed_w).reshape(M, 1, N)
+        Abar = np.zeros((M, 1, d0, N)) if seed_g is None else np.asarray(seed_g)[:, None]
+        grad = np.empty_like(self._all)
+        cbars = np.empty(self._all.shape[:-1] + (n,))  # like c, for every layer
+        layers = zip(cache["z"], cache["A"], cache["edges"], cache["cw"],
+                     self._by_layer(grad), self._by_layer(cbars))
+        for r, (z, A, (phi, basis), (c, _), g, cbar) in reversed(list(enumerate(layers))):
+            # per edge (i, j): the seeds of phi (None while 0) and of its slope
+            # sum_k Abar[i, k] A[j, k], (M, n_out, n_in, N); layer 0's A is I
+            zb = None if zbar is None else zbar[:, :, None]
+            mb = Abar if r == 0 else (Abar[:, :, None] * A[:, None]).sum(axis=3)
+            cbar[...] = self._pull(basis, mb, zb)
+            g[..., n] = np.einsum("mijb,mijb->mij", cbar, c)  # phi is linear in w
             if self.mode == VANILLA:
-                sv, sd, _ = (v[..., None] for v in _silu(z.transpose(0, 2, 1)))
-                gb = np.sum(sd * m, axis=2) + (0.0 if zb is None else np.sum(sv * zb, axis=2))
-                g[..., n + 1] = gb.transpose(0, 2, 1)
-            grads.append(g)
+                sv, sd, _ = (v[:, None] for v in _silu(z))
+                gb = (sd * mb).sum(axis=-1) + (0.0 if zb is None else (sv * zb).sum(axis=-1))
+                g[..., n + 1] = gb
             if r > 0:
-                zbar_j = m * phi[2] if zb is None else zb * phi[1] + m * phi[2]
-                zbar = np.sum(zbar_j, axis=3).transpose(0, 2, 1)
-                Abar = phi[1].transpose(0, 2, 1, 3) @ Abar
-        return np.concatenate([g.reshape(M, -1) for g in reversed(grads)], axis=1)
+                zbar_j = mb * phi[2] if zb is None else zb * phi[1] + mb * phi[2]
+                zbar = zbar_j.sum(axis=1)
+                Abar = (phi[1][:, :, :, None] * Abar[:, :, None]).sum(axis=1)
+        raw = self._all
+        if self.mode == CONSTRAINED:
+            grad[..., :n] = reparameterize_vjp(raw[..., :n], softplus(raw[..., n, None]) * cbars)
+            grad[..., n] *= sigmoid(raw[..., n])
+        else:
+            grad[..., :n] = raw[..., n, None] * cbars
+        return grad.reshape(M, -1)
 
     # -- checkpointing -----------------------------------------------------
 

@@ -12,21 +12,41 @@ import numpy as np
 from .errors import ConfigurationError, ConvexKanError, DataError
 
 
+def _short(word: str) -> str:
+    """A word as a refusal quotes it: at most 24 characters."""
+    return word if len(word) <= 24 else word[:21] + "..."
+
+
 def _number(word: str) -> float:
-    v = float(word)
+    try:
+        v = float(word)
+    except ValueError:
+        raise ValueError(f"{_short(word)!r} is not a number") from None
     if not math.isfinite(v):
-        raise ValueError(f"non-finite number {word}")
+        raise ValueError(f"non-finite number {_short(word)}")
     return v
 
 
 def _count(word: str) -> int:
-    v = int(word)
+    try:
+        v = int(word)
+    except ValueError:
+        raise ValueError(f"{_short(word)!r} is not a count or an index") from None
     if not 0 <= v < 2**63:
-        raise ValueError(f"{word} is not a count or an index")
+        raise ValueError(f"{_short(word)} is not a count or an index")
     return v
 
 
 SLOTS = {"%s": str, "%d": _count, "%f": _number}  # a word, a count or index, a number
+
+
+def _quoted(line: str) -> str:
+    """A record as a refusal quotes it: whole if short, else its tag and
+    first three values, each cut to 24 characters, and its count of values."""
+    if len(line) <= 80:
+        return repr(line)
+    words = line.split()
+    return f"{' '.join(_short(w) for w in words[:4])!r} ... ({len(words) - 1} values)"
 
 
 class Records:
@@ -59,12 +79,12 @@ class Records:
                 s != w for s, w in zip(spec, words) if s not in SLOTS):
             k = count or 0  # a long run of values is stated by its count
             want = " ".join(spec + [slot] * k) if k <= 3 else f"{' '.join(spec)} <{k} x {slot}>"
-            raise self.error(f"expected {want!r}, got {line!r}")
+            raise self.error(f"expected {want!r}, got {_quoted(line)}")
         try:
             return [SLOTS[s](w) for s, w in zip(spec, words) if s in SLOTS] + list(
                 map(SLOTS[slot], words[n:]))
         except ValueError as exc:
-            raise self.error(f"{exc} in {line!r}") from None
+            raise self.error(f"{exc} in {_quoted(line)}") from None
 
     def rows(self, n: int, width: int, slot: str = "%f") -> np.ndarray:
         """The next ``n`` records as an ``(n, width)`` array of ``slot`` values."""
@@ -99,4 +119,4 @@ class Records:
         if isinstance(exc, ConfigurationError):
             raise self.error(str(exc)) from None
         if exc is None and self.pos < len(self.lines):
-            raise self.error(f"expected the end, got {self.lines[self.pos]!r}", self.pos)
+            raise self.error(f"expected the end, got {_quoted(self.lines[self.pos])}", self.pos)

@@ -507,7 +507,7 @@ def distill(model: KANModel, lambda_sym: float = LAMBDA_SYM) -> SymbolicEnergy:
 
             def phi(x, r=r, i=i, j=j):
                 x = np.broadcast_to(x, (1, model.dims[r], np.size(x)))
-                return model._edges(r, x, orders=(0,))[0][0, 0, j, :, i]
+                return model._edges(r, x, orders=(0,))[0][0, 0, i, j]
 
             try:
                 fits[(r, i, j)] = fit_activation(

@@ -22,7 +22,6 @@ import numpy as np
 import numpy.typing as npt
 import scipy.sparse as sp
 
-from .bspline import design_rows
 from .errors import ConfigurationError, InadmissibleDeformationError, TrainingError
 from .fem import SpecimenDataset, area_blocks, deformation_gradients, nodal_forces
 from .mechanics import MaterialModel, NetworkMaterial, compute_state
@@ -146,7 +145,7 @@ class ElementStates:
         key = (k, t0.shape, t0.tobytes())
         if key != self._rows0_key:
             self._rows0_key = key
-            self._rows0 = design_rows(self.K.T[None], t0, k, (0, 1))
+            self._rows0 = model.layer0_rows(self.K.T[None])
         return self._rows0
 
 
@@ -173,6 +172,16 @@ def loss(model, dataset: SpecimenDataset) -> float:
     return total
 
 
+def _residuals(model: KANModel, states: ElementStates):
+    """The force residuals ``L g - y`` of each of a model's M members, one
+    column per member, and the forward sweep's cache they came from."""
+    Kb, _ = model._check_input(states.K)
+    cache = model._forward_cache(Kb, states.layer0_rows(model))
+    # the energy's K-gradients (M, 1, 3, N) as one column per member, point by point
+    g = cache["A"][-1][:, 0].transpose(2, 1, 0).reshape(-1, model.size)
+    return states.L @ g - states.y[:, None], cache
+
+
 def loss_and_grad(model: KANModel, states: ElementStates):
     """Loss and its gradient w.r.t. the network parameter vector of each of
     a model's M members: ``(M,)`` and ``(M, n_parameters)``.
@@ -181,14 +190,10 @@ def loss_and_grad(model: KANModel, states: ElementStates):
     residuals are ``L g - y``, and their adjoint ``2 L^T (L g - y)`` seeds
     one reverse sweep through all members.
     """
-    Kb, _ = model._check_input(states.K)
-    cache = model._forward_cache(Kb, states.layer0_rows(model))
-    M, N = model.size, Kb.shape[0]
-    g = cache["A"][-1][:, :, 0, :].reshape(M, 3 * N).T  # one column per member
-    res = states.L @ g - states.y[:, None]
-    value = np.sum(res * res, axis=0)
-    seed_g = (states.LT @ (2.0 * res)).T.reshape(M, N, 3)
-    return value, model.backward_batch(cache, seed_g=seed_g)
+    res, cache = _residuals(model, states)
+    N = states.K.shape[0]
+    seed_g = (states.LT @ (2.0 * res)).reshape(N, 3, model.size).transpose(2, 1, 0)
+    return np.sum(res * res, axis=0), model.backward_batch(cache, seed_g=seed_g)
 
 
 def curvature_prior(model: KANModel, weight: float):
@@ -244,7 +249,10 @@ def _train_members(config: TrainConfig, states: ElementStates, seeds, mode):
         losses[alive, epoch] = value
         params = adam.step(params, grad, lrs[epoch])
         model.set_parameter_vectors(params)
-    final = loss_and_grad(model, states)[0] if alive else []
+    final = []
+    if alive:  # the final parameters' losses need no reverse sweep
+        res = _residuals(model, states)[0]
+        final = np.sum(res * res, axis=0)
     wall_time = time.perf_counter() - start
     reports = [
         TrainReport(losses=losses[a], lrs=lrs, final_loss=float(f), wall_time=wall_time,

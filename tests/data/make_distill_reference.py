@@ -31,7 +31,7 @@ def activation_samples(model, r, i, j):
     the spline network's phi there."""
     x = np.linspace(*model.domain(r, j), FIT_POINTS)
     z = np.broadcast_to(x, (1, model.dims[r], FIT_POINTS))
-    return x, model._edges(r, z)[0][0, 0, j, :, i]
+    return x, model._edges(r, z)[0][0, 0, i, j]
 
 
 def main(path=Path(__file__).with_name("distill_reference_v1.npz")):

@@ -94,7 +94,7 @@ def main(path=Path(__file__).with_name("loss_grad_reference_v1.npz")):
             out[f"{tag}_forward"] = model.forward(K_FIXED)
             out[f"{tag}_W"], out[f"{tag}_G"], out[f"{tag}_H"] = W, G, H
             cache = model._forward_cache(K_FIXED, w_seeded=True)
-            out[f"{tag}_seeded"] = model.backward_batch(cache, seed_w[None], seed_g[None])[0]
+            out[f"{tag}_seeded"] = model.backward_batch(cache, seed_w[None], seed_g.T[None])[0]
     np.savez_compressed(path, **out)
     print(f"wrote {path}")
 

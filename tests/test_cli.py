@@ -704,6 +704,30 @@ class TestOutputPaths:
         assert sorted(tmp_path.iterdir()) == before
 
 
+class TestHugeCounts:
+    """A count that asks for more memory than there is exits 2 with one
+    error line, not a traceback; numpy refuses the allocation at once."""
+
+    CASES = {
+        "train": ["train", "--dataset", "{dataset}", "--epochs", "1000000000000",
+                  "--ensemble", "1", "--out", "{tmp}/m.ckpt"],
+        "evaluate": ["evaluate", "--model", "NH", "--symbolic", "{sym}",
+                     "--samples", "1000000000000", "--out", "{tmp}/e.csv"],
+        "simulate": ["simulate", "--model", "NH", "--symbolic", "{sym}", "--mesh", "{mesh}",
+                     "--steps", "1000000000000", "--out", "{tmp}/s"],
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_2_with_one_line(self, tmp_path, capsys, mesh_file, dataset_file, case):
+        sym = tmp_path / "nh.sym"
+        sym.write_text("convexkan-symbolic v1\nenergy affine 0 0.5 0 1.5\n")
+        capsys.readouterr()
+        names = dict(mesh=mesh_file, dataset=dataset_file, sym=sym, tmp=tmp_path)
+        assert main([a.format(**names) for a in self.CASES[case]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: Unable to allocate ") and err.count("\n") == 1
+
+
 class TestInputPaths:
     """An input path that cannot be opened exits 2 with a message, not a
     traceback: a directory raises IsADirectoryError, an OSError like any

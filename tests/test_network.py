@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from convexkan.bspline import BSplineCurve, ConvexSpline, KnotVector
+from convexkan.bspline import BSplineCurve, ConvexSpline, KnotVector, design_rows
 from convexkan.cli import main
 from convexkan.errors import ConfigurationError, DataError, EvaluationError
 from convexkan.network import CONSTRAINED, VANILLA, KANModel, sigmoid, softplus
@@ -44,10 +44,10 @@ def parameter_fd(model, objective, h=1e-5):
 
 def backward(m, K, seed_w=None, seed_g=None):
     """``backward_batch`` of a model of one at inputs ``K`` for one set of
-    seeds: one gradient row."""
+    seeds, ``seed_g`` (N, d0) like ``K``: one gradient row."""
     cache = m._forward_cache(np.asarray(K, dtype=np.float64), w_seeded=seed_w is not None)
     return m.backward_batch(cache, None if seed_w is None else seed_w[None],
-                            None if seed_g is None else seed_g[None])[0]
+                            None if seed_g is None else seed_g.T[None])[0]
 
 
 def edge_spline(m, r, i, j):
@@ -530,3 +530,81 @@ class TestAgainstPerEdgeReference:
                 backward(m, K, seed_g=seed_g),
                 reference_backward(m, K, np.zeros(40), seed_g),
             )
+
+
+def layer_points(model, r, rng):
+    """Inputs ``(M, n_in, N)`` of layer ``r`` on each member's knots: inside
+    the natural domain, on every knot, in the outer spans, and past both
+    edges, where the splines continue linearly."""
+    t, k = np.broadcast_to(model.t[r], (model.size,) + model.t[r].shape[1:]), model.order
+    s = t[..., 1:2] - t[..., :1]
+    lo, hi = t[..., k : k + 1], t[..., -k - 1 : -k]
+    return np.concatenate([
+        lo + (hi - lo) * rng.uniform(size=lo.shape[:-1] + (20,)),
+        t,
+        t[..., :k] + 0.5 * s,
+        t[..., -k - 1 : -1] + 0.5 * s,
+        lo - s * np.array([0.25, 3.0, 40.0]),
+        hi + s * np.array([0.25, 3.0, 40.0]),
+    ], axis=-1)
+
+
+class TestLocalProducts:
+    """Layers fed by the parameters read the k + 1 basis values live at each
+    point, gathered from the control points and pulled back with one
+    bincount; that gives what the dense design rows give."""
+
+    @staticmethod
+    def model(mode, dims, knots, order):
+        """Three members; on ``"per-member"`` knots every layer's domains
+        differ by member, on ``"shared"`` knots every member has member 0's."""
+        m = KANModel.stack([fresh_model(seed=40 + s, mode=mode, dims=dims, order=order)
+                            for s in range(3)])
+        for r in range(m.n_layers):
+            t = m.t[r][:1]
+            if knots == "per-member":
+                scale, shift = np.array([[1.0, 1.3, 0.8], [0.0, 0.2, -0.1]])[..., None, None]
+                t = t * scale + shift
+            m.t[r] = t
+        return m
+
+    # at order 2 the curvature of the last basis function is not 0 where it
+    # starts, on the natural domain's right end: the padding column must be
+    @pytest.mark.parametrize("order", [5, 2])
+    @pytest.mark.parametrize("knots", ["shared", "per-member"])
+    @pytest.mark.parametrize("dims", [(3, 2, 1), (3, 3, 2, 1)], ids=["321", "3321"])
+    @pytest.mark.parametrize("mode", [CONSTRAINED, VANILLA])
+    def test_equal_dense_rows(self, mode, dims, knots, order):
+        m = self.model(mode, dims, knots, order)
+        rng = np.random.default_rng(5)
+        n = m.n_coef
+        for r in range(m.n_layers):
+            x = layer_points(m, r, rng)
+            phi, basis = m._edges(r, x)
+            rows = design_rows(x, m.t[r], m.order)  # (3, M, n_in, N, n_b)
+            p, (c, w) = m.params[r], m._control_points()[r]
+            want = np.einsum("dmjnb,mijb->dmijn", rows, w[..., None] * c)
+            if mode == VANILLA:
+                sg = sigmoid(x)
+                silu = np.stack([x * sg, sg * (1 + x * (1 - sg)),
+                                 sg * (1 - sg) * (2 + x * (1 - 2 * sg))])
+                want += p[..., n + 1, None] * silu[:, :, None]
+            assert_close_relative(phi, want, 1e-13)
+            mb = rng.normal(size=phi.shape[1:])
+            zb = rng.normal(size=phi.shape[1:3] + (1, phi.shape[-1]))
+            want = (np.einsum("mijn,mjnb->mijb", mb, rows[1])
+                    + np.einsum("min,mjnb->mijb", zb[:, :, 0], rows[0]))
+            assert_close_relative(m._pull(basis, mb, zb), want, 1e-13)
+
+    @pytest.mark.parametrize("mode", [CONSTRAINED, VANILLA])
+    def test_point_alone_gets_the_bits_of_its_batch(self, mode):
+        m = fresh_model(seed=3, mode=mode, dims=(3, 3, 2, 1))
+        K = np.random.default_rng(3).uniform(-8.0, 30.0, size=(25, 3))
+        W, g, H = m.forward_with_input_derivatives(K)
+        values = m.forward(K)
+        for n in range(len(K)):
+            assert m.forward(K[n]) == values[n]
+            Wn, gn, Hn = m.forward_with_input_derivatives(K[n])
+            assert Wn == W[n]
+            npt.assert_array_equal(gn, g[n])
+            npt.assert_array_equal(Hn, H[n])

@@ -140,6 +140,24 @@ def test_refusal_states_a_long_count(count):
         Records("raw 1 2\n", "checkpoint").take("raw", count)
 
 
+# a refusal quotes a record by its tag, first three values and value count,
+# however long the record or its words
+@pytest.mark.parametrize("text, args", [
+    ("raw " + " ".join(["1.5"] * 10**5), ("raw", 17)),
+    ("raw 1 2 inf " + " ".join(["1"] * 10**5), ("raw", None)),
+    ("raw 1 " + "x" * 10**5, ("raw", None)),
+    ("dims 3 " + "9" * 1000 + " 1", ("dims", None, "%d")),
+])
+def test_refusal_quotes_a_long_record_briefly(text, args):
+    with pytest.raises(DataError, match="^checkpoint file, line 1: ") as err:
+        Records(text + "\n", "checkpoint").take(*args)
+    assert len(str(err.value)) < 200, str(err.value)[:300]
+    with pytest.raises(DataError, match="^checkpoint file, line 2: expected the end") as err:
+        with Records("end\n" + text + "\n", "checkpoint") as records:
+            records.take("end")
+    assert len(str(err.value)) < 200, str(err.value)[:300]
+
+
 def test_line_numbers_count_blank_lines():
     text = "\n\n" + unit_square_hole_mesh(n=5).dumps().replace("\n", "\n\n", 3)
     lines = text.splitlines()

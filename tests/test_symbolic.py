@@ -416,7 +416,7 @@ def activation_targets():
             for i, j in np.ndindex(layer.shape[1:3]):
                 def phi(x, model=model, r=r, i=i, j=j):
                     z = np.broadcast_to(x, (1, model.dims[r], np.size(x)))
-                    return model._edges(r, z, orders=(0,))[0][0, 0, j, :, i]
+                    return model._edges(r, z, orders=(0,))[0][0, 0, i, j]
 
                 yield f"create{s}-{r}{i}{j}", phi, model.domain(r, j)
 
@@ -566,7 +566,7 @@ def activation_samples(model, r, i, j):
     """The fit samples of activation (r, i, j), as distill draws them."""
     x = np.linspace(*model.domain(r, j), FIT_POINTS)
     z = np.broadcast_to(x, (1, model.dims[r], FIT_POINTS))
-    return x, model._edges(r, z)[0][0, 0, j, :, i]
+    return x, model._edges(r, z)[0][0, 0, i, j]
 
 
 class TestDistillAgainstReference:

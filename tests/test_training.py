@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from convexkan import cli, network, training
+from convexkan import bspline, cli, network, training
 from convexkan.errors import ConfigurationError, TrainingError
 from convexkan.fem import (
     Mesh,
@@ -267,18 +267,20 @@ class TestRequestedOrders:
 
     @staticmethod
     def record(monkeypatch, model):
-        """Patch design_rows to log (layer, orders) per call on ``model``'s
-        knots."""
-        calls, real = [], training.design_rows
+        """Patch the dense design rows and the local basis values the layer
+        sweep reads to log (layer, orders) per call on ``model``'s knots."""
+        calls = []
 
-        def logged(x, t, k, orders=(0, 1, 2)):
-            layer = next(r for r in range(model.n_layers)
-                         if np.array_equal(t[0], model.t[r][0]))
-            calls.append((layer, tuple(orders)))
-            return real(x, t, k, orders)
+        def logging(real):
+            def logged(x, t, k, orders=(0, 1, 2)):
+                layer = next(r for r in range(model.n_layers)
+                             if np.array_equal(t[0], model.t[r][0]))
+                calls.append((layer, tuple(orders)))
+                return real(x, t, k, orders)
+            return logged
 
-        monkeypatch.setattr(network, "design_rows", logged)
-        monkeypatch.setattr(training, "design_rows", logged)
+        monkeypatch.setattr(network, "design_rows", logging(bspline.design_rows))
+        monkeypatch.setattr(network, "local_rows", logging(bspline.local_rows))
         return calls
 
     @pytest.mark.parametrize("dims", [(3, 2, 1), (3, 3, 2, 1)], ids=["321", "3321"])
@@ -380,6 +382,21 @@ class TestTrain:
         _, g, H = model.forward_with_input_derivatives(K)
         assert g.min() >= -1e-12
         assert np.linalg.eigvalsh(H).min() >= -1e-8
+
+    def test_final_loss_runs_no_reverse_sweep(self, monkeypatch):
+        ds = two_element_dataset(n_t=2)
+        sweeps, real = [], KANModel.backward_batch
+
+        def counted(self, *args, **kwargs):
+            sweeps.append(self.size)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(KANModel, "backward_batch", counted)
+        model, report = train(TrainConfig(epochs=4, seed=1), ds)
+        assert sweeps == [1] * 4  # one per epoch
+        monkeypatch.undo()
+        npt.assert_allclose(report.final_loss, loss(model, ds), rtol=1e-10)
+        assert report.final_loss == single(loss_and_grad, model, ElementStates(ds))[0]
 
     def test_csv_log(self, tmp_path):
         ds = two_element_dataset()
