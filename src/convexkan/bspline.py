@@ -108,10 +108,11 @@ def _local_values(x, t, k: int, orders):
     ``x`` is ``(..., N)`` and ``t`` is ``(..., m_b)``; their leading axes
     broadcast, so one call evaluates many point sets, each on its own knots.
     Returns the spans ``mu`` ``(..., N)`` and the values ``(len(orders),
-    ..., k + 1, N)``, row ``r`` for ``B_{mu-k+r}``, from one (k + 1) x (k + 1)
-    product per order and point set: a point set gets the same bits alone or
-    among others.  Points off ``[t_1, t_{m_b})`` get zeros, points in the
-    outer spans the partial values of the functions defined there.
+    ..., k + 1, N)``, row ``r`` for ``B_{mu-k+r}``, each a polynomial in the
+    point's offset into its span summed by Horner's rule in elementwise
+    operations, not by BLAS: a point gets the same bits alone or among any
+    others.  Points off ``[t_1, t_{m_b})`` get zeros, points in the outer
+    spans the partial values of the functions defined there.
     """
     x, t, orders = np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64), list(orders)
     if k < max(orders):
@@ -132,18 +133,16 @@ def _local_values(x, t, k: int, orders):
     mu += flat[at + 1] <= x
     mu -= flat[at] > x
     np.minimum(np.maximum(mu, 0, out=mu), m_b - 2, out=mu)  # x past the first or last knot
-    u = (x - flat[first + mu]) / s
-    powers = np.empty(shape[:-1] + (k + 1,) + shape[-1:])  # u**p, p = 0..k
-    powers[..., 0, :] = 1.0
-    for p in range(1, k + 1):
-        np.multiply(powers[..., p - 1, :], u, out=powers[..., p, :])
+    u = np.repeat(((x - flat[first + mu]) / s)[..., None, :], k + 1, axis=-2)  # (..., k + 1, N)
     # each order's matrices scaled by s**d, (len(orders), ..., k + 1, k + 1)
     lead = (1,) * (len(shape) - 1)
     d = np.array(orders, dtype=np.float64).reshape((-1,) + lead + (1, 1))
     M = _span_matrices(k)[orders].reshape(d.shape[:-2] + (k + 1, k + 1)) / s[..., None] ** d
-    if shape[-1] == 1:  # BLAS takes one column through gemv, which rounds unlike
-        powers = np.repeat(powers, 2, axis=-1)  # gemm: a point's bits would depend on N
-    vals = (M @ powers)[..., : shape[-1]]
+    vals = np.empty(M.shape[:1] + u.shape)
+    vals[...] = M[..., k, None]
+    for p in range(k - 1, -1, -1):
+        vals *= u
+        vals += M[..., p, None]
     outside = (x < t[..., :1]) | (x >= t[..., -1:])
     if outside.any():
         np.copyto(vals, 0.0, where=outside[..., None, :])
@@ -170,7 +169,9 @@ def local_rows(x, t, k: int, orders=(0, 1, 2)):
     beyond the natural domain baked in.  A point on the natural domain's right
     end reads the column ``c[n_b]`` past the last control point; take it as 0.
     """
-    x, t, orders = np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64), list(orders)
+    # in C order, so that the values and every index built from them are too
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    t, orders = np.asarray(t, dtype=np.float64), list(orders)
     lo, hi = t[..., k : k + 1], t[..., t.shape[-1] - k - 1 : t.shape[-1] - k]
     xc = np.minimum(np.maximum(x, lo), hi)
     past = (x != xc)[..., None, :]

@@ -274,14 +274,10 @@ class KANModel:
         n, k = self.n_coef, self.order
         shape = at.shape[:3] + (n + 1,)
         size = math.prod(shape)
-        # window w of edge e starts at control point w + e * k; point n adds
-        # into copy n % 4 of the bins, so that neighbouring points of one knot
-        # span do not wait on each other's sums
+        # window w of edge e starts at control point w + e * k
         start = at + np.arange(0, size // (n + 1) * k, k).reshape(at.shape[:3] + (1,))
-        offsets = np.arange(k + 1)[:, None] + np.arange(at.shape[-1]) % 4 * size
-        bins = start[..., None, :] + offsets
-        cbar = np.bincount(bins.ravel(), seed.ravel(), 4 * size)
-        return cbar.reshape((4,) + shape).sum(axis=0)[..., :n]
+        bins = start[..., None, :] + np.arange(k + 1)[:, None]
+        return np.bincount(bins.ravel(), seed.ravel(), size).reshape(shape)[..., :n]
 
     def _layer(self, r, z, cw, A=None, H=None, rows=None, orders=(0, 1, 2)):
         """Outputs ``y`` (M, n_out, N) of layer ``r`` with the
