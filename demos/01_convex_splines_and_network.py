@@ -5,27 +5,34 @@ Run:  python3 demos/01_convex_splines_and_network.py
 """
 import numpy as np
 
-from convexkan.bspline import ConvexSpline, KnotVector
+from convexkan.bspline import KnotVector, design_rows, reparameterize
 from convexkan.network import KANModel
 
 # --- a single constrained spline -------------------------------------------
 # Raw parameters are free reals; the reparameterization turns them into
 # control points whose second differences are non-negative, so the curve is
 # convex and non-decreasing on its natural domain no matter what we feed in.
+# The design rows of the knots give value, slope and curvature at any points
+# as one product with the control points.
 rng = np.random.default_rng(0)
 knots = KnotVector.from_domain(-5.0, 25.0, n_coef=17, k=5)
-spline = ConvexSpline(knots=knots, raw=rng.normal(size=17))
+control_points = reparameterize(rng.normal(size=17))
+
+
+def spline(x):
+    return design_rows(np.atleast_1d(x), knots.t, knots.k) @ control_points
+
 
 x = np.linspace(-5.0, 25.0, 400)
-y, dy, d2y = spline.eval_extended(x)
+y, dy, d2y = spline(x)
 print("spline slope range:", dy.min(), "->", dy.max())
 print("monotone:", bool(dy.min() >= 0.0))
 print("convex:  ", bool(d2y.min() >= -1e-10))
 
 # Outside the natural domain the curve continues linearly with the endpoint
 # slope, so the guarantees survive arbitrary extrapolation.
-left_val, left_slope, _ = spline.eval_extended(np.array([-40.0, -30.0]))
-edge_slope = spline.eval_extended(-5.0)[1]
+left_val, left_slope, _ = spline(np.array([-40.0, -30.0]))
+edge_slope = spline(-5.0)[1, 0]
 print("left extension is affine:", np.allclose(np.diff(left_val), 10 * edge_slope))
 
 # --- the full network -------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 from convexkan.cli import evaluation_paths, rel_rms
 from convexkan.fem import biaxial_partition, generate_dataset, unit_square_hole_mesh
 from convexkan.mechanics import NeoHookean, NetworkMaterial
-from convexkan.training import TrainConfig, train_ensemble
+from convexkan.training import TrainConfig, train
 
 hidden = NeoHookean()  # the "material" of the virtual experiment
 
@@ -28,7 +28,7 @@ print(f"dataset: {dataset.n_snapshots} snapshots, "
       f"{dataset.partition.n_reactions} reactions per snapshot")
 
 config = TrainConfig(epochs=300, ensemble_size=2, seed=0)
-model, reports = train_ensemble(config, dataset)
+model, reports = train(config, dataset)
 for rep in reports:
     tag = "*" if rep.selected else " "
     print(f" {tag} seed {rep.seed}: final loss {rep.final_loss:.3e} "

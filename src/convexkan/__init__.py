@@ -5,7 +5,7 @@ distillation, and FEM redeployment."""
 from .network import KANModel
 from .mechanics import BENCHMARKS, NetworkMaterial, benchmark_model, compute_state
 from .fem import Mesh, SpecimenDataset, generate_dataset, solve
-from .training import TrainConfig, train, train_ensemble
+from .training import TrainConfig, train
 from .symbolic import SymbolicEnergy, SymbolicMaterial, distill
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "generate_dataset",
     "solve",
     "train",
-    "train_ensemble",
 ]
 
 __version__ = "0.1.0"

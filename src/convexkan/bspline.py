@@ -64,17 +64,9 @@ class KnotVector:
         return cls(t=t, k=k)
 
     @property
-    def m_b(self) -> int:
-        return self.t.size
-
-    @property
     def n_b(self) -> int:
         """Number of basis functions this knot vector supports at order k."""
-        return self.m_b - self.k - 1
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return float(self.t[self.k]), float(self.t[self.m_b - self.k - 1])
+        return self.t.size - self.k - 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -245,13 +237,11 @@ def reparameterize_vjp(raw, cbar) -> Array:
 @dataclass
 class BSplineCurve:
     """A spline curve ``psi(x) = sum_i c_i B_i(x)`` with linear extrapolation
-    beyond the natural domain.
+    beyond the natural domain: ``design_rows(x) @ c`` for control points
+    ``c``, such as ``raw`` itself or ``reparameterize(raw)``.
 
     ``raw`` is one parameter vector of length ``n_b`` or an ``(m, n_b)``
-    stack of them, one curve per row on the shared knots.  The base class
-    uses the raw parameters directly as control points (unconstrained);
-    :class:`ConvexSpline` reparameterizes them to enforce a convex
-    non-decreasing curve.
+    stack of them, one curve per row on the shared knots.
     """
 
     knots: KnotVector
@@ -264,39 +254,9 @@ class BSplineCurve:
                 f"expected {self.knots.n_b} parameters per curve, got shape {self.raw.shape}"
             )
 
-    @property
-    def control_points(self) -> Array:
-        return self.raw
-
-    def coeff_vjp(self, cbar: Array) -> Array:
-        """Gradient w.r.t. raw parameters given a gradient w.r.t. control points."""
-        return np.asarray(cbar, dtype=np.float64)
-
     def design_rows(self, x) -> tuple[Array, Array, Array]:
         """Rows ``(b0, b1, b2)`` such that value/slope/curvature at ``x`` are
         ``b0 @ c``, ``b1 @ c``, ``b2 @ c``, with the linear extension baked in
         for points outside the natural domain."""
         b = design_rows(np.atleast_1d(x), self.knots.t, self.knots.k)
         return tuple(b[:, 0] if np.ndim(x) == 0 else b)
-
-    def eval_extended(self, x):
-        """Value, first and second derivative at ``x`` (scalar or array), of
-        shape ``x.shape`` for one curve and ``x.shape + (m,)`` for a stack.
-
-        Inside the natural domain these are the exact spline derivatives;
-        outside, the curve continues linearly with the endpoint slope.
-        """
-        c = self.control_points.T
-        return tuple(b @ c for b in self.design_rows(x))
-
-
-@dataclass
-class ConvexSpline(BSplineCurve):
-    """Spline constrained to be convex and non-decreasing by construction."""
-
-    @property
-    def control_points(self) -> Array:
-        return reparameterize(self.raw)
-
-    def coeff_vjp(self, cbar: Array) -> Array:
-        return reparameterize_vjp(self.raw, cbar)

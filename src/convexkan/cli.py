@@ -45,7 +45,7 @@ from .symbolic import (
     distill,
     settled_by_bound,
 )
-from .training import TrainConfig, train_ensemble
+from .training import TrainConfig, train
 
 # delta schedules of the training specimen, per material family
 _DELTA_STEP = {"NH": 0.1, "GT": 0.1, "IH": 0.1, "HW": 0.1, "AB": 0.05, "OG": 0.05}
@@ -190,7 +190,7 @@ def cmd_train(args) -> int:
     dataset = SpecimenDataset.load(args.dataset)
     mode = VANILLA if args.ablation_vanilla else CONSTRAINED
     failures = {}
-    model, reports = train_ensemble(config, dataset, mode=mode, failures=failures)
+    model, reports = train(config, dataset, mode=mode, failures=failures)
     model.save(args.out)
     for member, message in sorted(failures.items()):
         print(f"member {member} failed: {message}", file=sys.stderr)

@@ -16,7 +16,7 @@ import numpy.typing as npt
 
 from .bspline import KnotVector, design_rows, local_rows, reparameterize, reparameterize_vjp
 from .errors import ConfigurationError, EvaluationError
-from .records import Records
+from .records import Records, _short
 
 Array = npt.NDArray[np.float64]
 
@@ -92,7 +92,7 @@ class KANModel:
     @staticmethod
     def _checked_mode(mode) -> str:
         if mode not in (CONSTRAINED, VANILLA):
-            raise ConfigurationError(f"unknown mode {mode!r}")
+            raise ConfigurationError(f"unknown mode {_short(str(mode))!r}")
         return mode
 
     # -- construction ------------------------------------------------------

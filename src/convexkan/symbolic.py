@@ -17,7 +17,7 @@ import numpy.typing as npt
 from .errors import ConfigurationError, DataError, EvaluationError
 from .mechanics import MaterialModel
 from .network import CONSTRAINED, GRID_INIT_RANGE, KANModel, softplus
-from .records import Records
+from .records import Records, _count, _number, _short
 
 Array = npt.NDArray[np.float64]
 
@@ -302,13 +302,11 @@ def _fmt(v: float) -> str:
 
 @dataclass
 class Term:
-    """weight * f(inner), tagged with the activation (layer, i, j) that
-    introduced it, or None when read from a file."""
+    """weight * f(inner)."""
 
     weight: float
     f: CandidateFunction
     inner: "Form"
-    provenance: tuple | None = None
 
 
 @dataclass
@@ -332,12 +330,12 @@ class Form:
         return Form(w * self.coeffs, w * self.const + s,
                     [replace(t, weight=w * t.weight) for t in self.terms])
 
-    def apply(self, fit: FittedActivation, provenance) -> "Form":
+    def apply(self, fit: FittedActivation) -> "Form":
         """The fitted activation c * f(a * self + b) + d; a linear fit stays
         in the affine part."""
         if fit.candidate.name == "x":
             return self.scaled(fit.c * fit.a, fit.c * fit.b + fit.d)
-        term = Term(fit.c, fit.candidate, self.scaled(fit.a, fit.b), provenance)
+        term = Term(fit.c, fit.candidate, self.scaled(fit.a, fit.b))
         return Form(const=fit.d, terms=[term])
 
     def all_terms(self):
@@ -385,13 +383,6 @@ class Form:
         return " + ".join(parts)
 
 
-def _number(tokens) -> float:
-    v = float(next(tokens))
-    if not math.isfinite(v):
-        raise DataError(f"non-finite number {v} in expression")
-    return v
-
-
 def _parse(tokens, depth: int = 1, head=None) -> Form:
     """Read one prefix expression, nested ``depth`` records deep, from an
     iterator over its tokens, of which ``head`` may have been read."""
@@ -399,19 +390,22 @@ def _parse(tokens, depth: int = 1, head=None) -> Form:
         raise DataError(f"expression nested deeper than {MAX_NESTING} records")
     head = next(tokens) if head is None else head
     if head == "const":
-        return Form(const=_number(tokens))
+        return Form(const=_number(next(tokens)))
     if head == "var":
-        return Form.variable(VAR_NAMES.index(next(tokens)))
+        name = next(tokens)
+        if name not in VAR_NAMES:
+            raise DataError(f"unknown variable {_short(name)!r}, expected K1, K2 or K3")
+        return Form.variable(VAR_NAMES.index(name))
     # a negative weight on K or on a term would make W decrease somewhere
     if head == "affine":
-        const = _number(tokens)
-        coeffs = np.array([_number(tokens) for _ in range(3)])
+        const = _number(next(tokens))
+        coeffs = np.array([_number(next(tokens)) for _ in range(3)])
         if np.any(coeffs < 0.0):
             raise DataError(f"negative K coefficients {coeffs.tolist()} in an affine record")
         return Form(coeffs, const)
     w, s = 1.0, 0.0
     if head == "scaled":
-        w, s = _number(tokens), _number(tokens)
+        w, s = _number(next(tokens)), _number(next(tokens))
         if w < 0.0:
             raise DataError(f"negative scaled weight {w}")
         head = next(tokens)
@@ -421,21 +415,21 @@ def _parse(tokens, depth: int = 1, head=None) -> Form:
     if head == "exp":
         return Form(terms=[Term(1.0, LIBRARY[1], _parse(tokens, depth + 1))]).scaled(w, s)
     if head == "softplus":
-        p = int(next(tokens))
+        p = _count(next(tokens))
         # below 1 the term is no longer convex and non-decreasing; the
         # library, and _ipow, stop at 4
         if not 1 <= p <= 4:
             raise DataError(f"softplus power {p} outside 1..4")
         return Form(terms=[Term(1.0, LIBRARY[1 + p], _parse(tokens, depth + 1))]).scaled(w, s)
     if head == "add":
-        n = int(next(tokens))
+        n = _count(next(tokens))
         if n < 1:  # would read as the zero energy
             raise DataError(f"'add {n}': a sum needs at least one part")
         form = Form()
         for _ in range(n):  # a comprehension would cost a stack frame per level
             form = form + _parse(tokens, depth + 1)
         return form
-    raise DataError(f"unknown expression token {head!r}")
+    raise DataError(f"unknown expression token {_short(head)!r}")
 
 
 @dataclass
@@ -480,7 +474,9 @@ class SymbolicEnergy(Form):
                 raise records.error(str(exc)) from None
             rest = list(tokens)
             if rest:
-                raise records.error(f"trailing tokens in expression: {rest}")
+                more = f" ... ({len(rest)} tokens)" if len(rest) > 3 else ""
+                raise records.error(
+                    f"trailing tokens in expression: {[_short(t) for t in rest[:3]]}{more}")
         return cls(form.coeffs, form.const, form.terms)
 
     @classmethod
@@ -520,8 +516,7 @@ def distill(model: KANModel, lambda_sym: float = LAMBDA_SYM) -> SymbolicEnergy:
     forms = [Form.variable(m) for m in range(model.dims[0])]
     for r in range(model.n_layers):
         forms = [
-            sum([forms[j].apply(fits[(r, i, j)], (r, i, j)) for j in range(model.dims[r])],
-                Form())
+            sum([forms[j].apply(fits[(r, i, j)]) for j in range(model.dims[r])], Form())
             for i in range(model.dims[r + 1])
         ]
     out = forms[0]

@@ -2,8 +2,10 @@
 
 The loss is the force-balance residual: squared nodal forces at free DOFs
 plus squared mismatch between measured reactions and the summed forces of
-each Dirichlet group.  Optimized full-batch with hand-rolled Adam and a
-triangular cyclic learning rate; ensembling picks the lowest-loss member.
+each Dirichlet group.  :func:`train` optimizes
+``TrainConfig.ensemble_size`` seeded members together, full-batch with
+hand-rolled Adam on a triangular cyclic learning rate, and keeps the member
+with the lowest final loss (one member is ``ensemble_size=1``).
 
 Constrained networks are also pulled towards zero spline curvature by an L1
 prior on the curvature increments (a P-spline difference penalty used as a
@@ -262,27 +264,17 @@ def _train_members(config: TrainConfig, states: ElementStates, seeds, mode):
     return model, reports, errors
 
 
-def train(config: TrainConfig, dataset: SpecimenDataset):
-    """Train one constrained network on a dataset, seeded by ``config.seed``;
-    returns (model, report).
+def train(config: TrainConfig, dataset: SpecimenDataset, mode: str = CONSTRAINED,
+          failures: dict | None = None):
+    """Train ``ensemble_size`` networks, seeded ``config.seed`` upwards, as
+    the members of one model and return the one with the lowest final loss,
+    along with every finished member's report.  ``failures``, when given,
+    receives by member index the message of each member that left.
 
     Adam descends the force-balance loss plus
-    ``curvature_prior(model, config.curvature_penalty)``; the report records
+    ``curvature_prior(model, config.curvature_penalty)``; the reports record
     the force-balance loss alone.
     """
-    model, reports, errors = _train_members(config, ElementStates(dataset), [config.seed],
-                                            CONSTRAINED)
-    if errors:
-        raise TrainingError(errors[0])
-    return model, reports[0]
-
-
-def train_ensemble(config: TrainConfig, dataset: SpecimenDataset, mode: str = CONSTRAINED,
-                   failures: dict | None = None):
-    """Train ``ensemble_size`` independently seeded networks as the members
-    of one model and return the one with the lowest final loss, along with
-    every finished member's report.  ``failures``, when given, receives by
-    member index the message of each member that left."""
     seeds = [config.seed + member for member in range(config.ensemble_size)]
     model, reports, errors = _train_members(config, ElementStates(dataset), seeds, mode)
     if failures is not None:

@@ -10,11 +10,7 @@ SRC = Path(convexkan.__file__).parent
 
 # definitions nothing in the package names, each with the reason it stays
 ALLOWED = {
-    "bspline.BSplineCurve.coeff_vjp": "perfbench's bspline span and demos/01",
-    "bspline.BSplineCurve.eval_extended": "perfbench's bspline span and demos/01",
-    "bspline.ConvexSpline": "perfbench's bspline span and demos/01",
-    "bspline.ConvexSpline.coeff_vjp": "perfbench's bspline span and demos/01",
-    "training.train": "perfbench's training.train span",
+    "bspline.BSplineCurve": "perfbench's bspline.design_rows span patches its design_rows",
     "training.loss": "the independent nodal_forces oracle of the tests and of "
                      "perfbench's discover check",
 }

@@ -9,7 +9,6 @@ import pytest
 
 from convexkan.bspline import (
     BSplineCurve,
-    ConvexSpline,
     KnotVector,
     _local_values,
     _scatter,
@@ -24,6 +23,11 @@ def rows(x, kv, order=0):
     """Every basis function's derivative of the given order at the points x,
     ``(len(x), n_b)``, inside the natural domain of ``kv``."""
     return design_rows(x, kv.t, kv.k, (order,))[0]
+
+
+def natural_domain(kv):
+    """``[t_{k+1}, t_{m_b-k}]``, where the basis is a partition of unity."""
+    return float(kv.t[kv.k]), float(kv.t[-kv.k - 1])
 
 
 def kernel_rows(x, kv, order=0):
@@ -64,9 +68,9 @@ def rational_basis(x, t, i, k, deriv=0):
 class TestKnotVector:
     def test_from_domain_matches_appendix_defaults(self):
         kv = KnotVector.from_domain(-5.0, 25.0, n_coef=17, k=5)
-        assert kv.m_b == 23
+        assert kv.t.size == 23
         assert kv.n_b == 17
-        npt.assert_allclose(kv.domain, (-5.0, 25.0))
+        npt.assert_allclose(natural_domain(kv), (-5.0, 25.0))
         npt.assert_allclose(np.diff(kv.t), 30.0 / 12)
 
     def test_rejects_nonuniform(self):
@@ -88,7 +92,7 @@ class TestEvalBasis:
 
     def test_partition_of_unity_cubic(self):
         kv = KnotVector.from_domain(-2.0, 3.0, n_coef=9, k=3)
-        lo, hi = kv.domain
+        lo, hi = natural_domain(kv)
         x = np.linspace(lo, hi, 1000)
         npt.assert_allclose(rows(x, kv).sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
@@ -109,7 +113,7 @@ class TestEvalBasis:
 class TestBasisDerivatives:
     def test_derivative_sum_vanishes(self):
         kv = KnotVector.from_domain(0.0, 2.0, n_coef=11, k=4)
-        x = np.linspace(*kv.domain, 257)
+        x = np.linspace(*natural_domain(kv), 257)
         npt.assert_allclose(rows(x, kv, 1).sum(axis=1), 0.0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("order", [1, 2])
@@ -162,7 +166,7 @@ def dense_design_rows(x, knots):
             db * B[:, 1 : n_b + 1] - dc * B[:, 2 : n_b + 2]
         )
 
-    lo, hi = knots.domain
+    lo, hi = natural_domain(knots)
     xc = np.clip(x, lo, hi)
     b0, b1, b2 = all_orders(xc, k), derivative_rows(xc, 1), derivative_rows(xc, 2)
     outside = (x < lo) | (x > hi)
@@ -362,82 +366,99 @@ class TestReparameterize:
             npt.assert_array_equal(reparameterize_vjp(raw[row], cbar[row]), got[row])
 
 
+def curve(kv, c, x):
+    """Value, slope and curvature at ``x`` (scalar or array) of the spline
+    with control points ``c`` on ``kv``, the design rows times ``c``: of
+    shape ``x.shape`` for one vector of control points and ``x.shape + (m,)``
+    for an ``(m, n_b)`` stack of them."""
+    b = design_rows(np.atleast_1d(x), kv.t, kv.k) @ np.asarray(c).T
+    return tuple(b[:, 0] if np.ndim(x) == 0 else b)
+
+
 def random_convex_spline(rng, n_coef=17, k=5, lo=-5.0, hi=25.0):
+    """Knots and the control points of a random convex spline on them."""
     kv = KnotVector.from_domain(lo, hi, n_coef=n_coef, k=k)
-    return ConvexSpline(knots=kv, raw=rng.uniform(-1.0, 1.0, size=n_coef))
+    return kv, reparameterize(rng.uniform(-1.0, 1.0, size=n_coef))
 
 
 class TestEvalExtended:
     def test_continuous_at_left_endpoint(self):
-        sp = random_convex_spline(np.random.default_rng(1))
-        lo, _ = sp.knots.domain
-        v_in, d_in, _ = sp.eval_extended(lo)
-        v_out, d_out, d2_out = sp.eval_extended(lo - 1e-12)
+        kv, c = random_convex_spline(np.random.default_rng(1))
+        lo, _ = natural_domain(kv)
+        v_in, d_in, _ = curve(kv, c, lo)
+        v_out, d_out, d2_out = curve(kv, c, lo - 1e-12)
         assert abs(v_in - v_out) < 1e-10
         assert abs(d_in - d_out) < 1e-8
         assert d2_out == 0.0
 
     def test_left_extension_is_linear_with_endpoint_slope(self):
-        sp = random_convex_spline(np.random.default_rng(2))
-        lo, _ = sp.knots.domain
-        v0, slope, _ = sp.eval_extended(lo)
-        v, d, d2 = sp.eval_extended(lo - 1.0)
+        kv, c = random_convex_spline(np.random.default_rng(2))
+        lo, _ = natural_domain(kv)
+        v0, slope, _ = curve(kv, c, lo)
+        v, d, d2 = curve(kv, c, lo - 1.0)
         assert slope >= 0.0
         npt.assert_allclose(v, v0 - slope, rtol=0, atol=1e-12)
         npt.assert_allclose(d, slope, rtol=0, atol=1e-12)
         assert d2 == 0.0
 
     def test_monotone_beyond_right_end(self):
-        sp = random_convex_spline(np.random.default_rng(4))
-        _, hi = sp.knots.domain
-        v1 = sp.eval_extended(hi + 0.5)[0]
-        v2 = sp.eval_extended(hi + 2.5)[0]
+        kv, c = random_convex_spline(np.random.default_rng(4))
+        _, hi = natural_domain(kv)
+        v1 = curve(kv, c, hi + 0.5)[0]
+        v2 = curve(kv, c, hi + 2.5)[0]
         assert v2 >= v1
 
     def test_convex_and_monotone_everywhere(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            sp = random_convex_spline(rng)
-            lo, hi = sp.knots.domain
+            kv, c = random_convex_spline(rng)
+            lo, hi = natural_domain(kv)
             pad = 0.5 * (hi - lo)
             x = np.linspace(lo - pad, hi + pad, 1000)
-            _, d1, d2 = sp.eval_extended(x)
+            _, d1, d2 = curve(kv, c, x)
             assert np.min(d1) >= -1e-12
             assert np.min(d2) >= -1e-10
 
     def test_analytic_derivatives_match_fd(self):
-        sp = random_convex_spline(np.random.default_rng(6))
+        kv, c = random_convex_spline(np.random.default_rng(6))
         rng = np.random.default_rng(7)
-        lo, hi = sp.knots.domain
+        lo, hi = natural_domain(kv)
         x = rng.uniform(lo + 0.01, hi - 0.01, size=30)
         x += 1e-4  # avoid landing exactly on knots
         h = 1e-6
-        v, d1, d2 = sp.eval_extended(x)
-        vp, d1p, _ = sp.eval_extended(x + h)
-        vm, d1m, _ = sp.eval_extended(x - h)
+        v, d1, d2 = curve(kv, c, x)
+        vp, d1p, _ = curve(kv, c, x + h)
+        vm, d1m, _ = curve(kv, c, x - h)
         npt.assert_allclose(d1, (vp - vm) / (2 * h), rtol=1e-5, atol=1e-8)
         npt.assert_allclose(d2, (d1p - d1m) / (2 * h), rtol=1e-5, atol=1e-8)
 
     def test_knot_scaling_preserves_sign_pattern(self):
         rng = np.random.default_rng(8)
-        raw = rng.uniform(-1.0, 1.0, size=11)
+        c = reparameterize(rng.uniform(-1.0, 1.0, size=11))
         for lam in (0.1, 3.0, 40.0):
-            a = ConvexSpline(KnotVector.from_domain(0.0, 1.0, 11, 3), raw.copy())
-            b = ConvexSpline(KnotVector.from_domain(0.0, lam, 11, 3), raw.copy())
+            a = KnotVector.from_domain(0.0, 1.0, 11, 3)
+            b = KnotVector.from_domain(0.0, lam, 11, 3)
             xa = np.linspace(0.0, 1.0, 400)
-            _, d1a, d2a = a.eval_extended(xa)
-            _, d1b, d2b = b.eval_extended(xa * lam)
+            _, d1a, d2a = curve(a, c, xa)
+            _, d1b, d2b = curve(b, c, xa * lam)
             assert np.min(d1a) >= -1e-12 and np.min(d1b) >= -1e-12
             assert np.min(d2a) >= -1e-10 and np.min(d2b) >= -1e-10
 
 
 class TestUnconstrainedCurve:
     def test_raw_used_directly(self):
+        # the rows carry no constraint: raw control points give a curve that
+        # falls and bends down, their reparameterization one that does neither
         kv = KnotVector.from_domain(0.0, 1.0, 8, 3)
         raw = np.array([0.5, -1.0, 2.0, 0.0, 1.0, -0.5, 0.25, 3.0])
-        sp = BSplineCurve(knots=kv, raw=raw)
-        npt.assert_array_equal(sp.control_points, raw)
-        npt.assert_array_equal(sp.coeff_vjp(raw * 2), raw * 2)
+        x = np.linspace(0.0, 1.0, 101)
+        rows = BSplineCurve(knots=kv, raw=raw).design_rows(x)
+        for got, want in zip(rows, design_rows(x, kv.t, kv.k)):
+            npt.assert_array_equal(got, want)
+        _, d1, d2 = (b @ raw for b in rows)
+        assert d1.min() < 0.0 and d2.min() < 0.0
+        _, d1, d2 = (b @ reparameterize(raw) for b in rows)
+        assert d1.min() >= -1e-12 and d2.min() >= -1e-10
 
 
 class TestCurveStack:
@@ -446,13 +467,11 @@ class TestCurveStack:
         kv = KnotVector.from_domain(-5.0, 25.0, n_coef=17, k=5)
         raws = rng.uniform(-1.0, 1.0, size=(4, 17))
         x = np.linspace(-10.0, 30.0, 300)
-        for spline_cls in (ConvexSpline, BSplineCurve):
-            stack = spline_cls(knots=kv, raw=raws)
-            got = stack.eval_extended(x)
+        for points in (reparameterize, np.asarray):  # convex, and raw as control points
+            got = curve(kv, points(raws), x)
             for row, raw in enumerate(raws):
-                single = spline_cls(knots=kv, raw=raw)
-                npt.assert_array_equal(stack.control_points[row], single.control_points)
-                for g, w in zip(got, single.eval_extended(x)):
+                npt.assert_array_equal(points(raws)[row], points(raw))
+                for g, w in zip(got, curve(kv, points(raw), x)):
                     assert g.shape == (300, 4)
                     npt.assert_allclose(g[:, row], w, rtol=1e-13, atol=1e-13 * np.abs(w).max())
 

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from convexkan.bspline import BSplineCurve, ConvexSpline, KnotVector, design_rows
+from convexkan.bspline import design_rows, reparameterize, reparameterize_vjp
 from convexkan.cli import main
 from convexkan.errors import ConfigurationError, DataError, EvaluationError
 from convexkan.network import CONSTRAINED, VANILLA, KANModel, sigmoid, softplus
@@ -50,11 +50,19 @@ def backward(m, K, seed_w=None, seed_g=None):
                             None if seed_g is None else seed_g.T[None])[0]
 
 
-def edge_spline(m, r, i, j):
-    """The spline of edge (r, i, j) as a curve of its own."""
-    spline_cls = ConvexSpline if m.mode == CONSTRAINED else BSplineCurve
-    knots = KnotVector(t=m.t[r][0, j], k=m.order)
-    return spline_cls(knots=knots, raw=m.params[r][0, i, j, : m.n_coef].copy())
+def edge_spline(m, r, i, j, x):
+    """The spline of edge (r, i, j) as a curve of its own: its value, slope
+    and curvature rows ``(3, len(x), n_coef)`` at points x, and its raw
+    parameters, which are its control points in vanilla mode and are
+    reparameterized in constrained mode."""
+    rows = design_rows(np.atleast_1d(x), m.t[r][0, j], m.order)
+    return rows, m.params[r][0, i, j, : m.n_coef].copy()
+
+
+def edge_curve(m, r, i, j, x):
+    """psi, psi' and psi'' of edge (r, i, j)'s spline at points x."""
+    rows, raw = edge_spline(m, r, i, j, x)
+    return rows @ (reparameterize(raw) if m.mode == CONSTRAINED else raw)
 
 
 class TestCreate:
@@ -145,7 +153,7 @@ class TestForward:
         want = np.zeros(20)
         for j in range(3):
             w_s = m.params[0][0, 0, j, m.n_coef]
-            want += softplus(w_s) * edge_spline(m, 0, 0, j).eval_extended(K[:, j])[0]
+            want += softplus(w_s) * edge_curve(m, 0, 0, j, K[:, j])[0]
         npt.assert_allclose(m.forward(K), want, rtol=1e-12)
 
     def test_monotone_in_each_input(self):
@@ -307,7 +315,7 @@ class TestGridInit:
             vals = np.zeros(100)
             for j in range(3):
                 w_s = m.params[0][0, i, j, m.n_coef]
-                vals += softplus(w_s) * edge_spline(m, 0, i, j).eval_extended(x)[0]
+                vals += softplus(w_s) * edge_curve(m, 0, i, j, x)[0]
             lo, hi = m.domain(1, i)
             npt.assert_allclose((lo, hi), (vals.min(), vals.max()), rtol=1e-12)
 
@@ -440,7 +448,7 @@ class TestCheckpoint:
 
 def edge_values(m, r, i, j, x):
     """phi, phi', phi'' of edge (r, i, j) at points x."""
-    psi = edge_spline(m, r, i, j).eval_extended(x)
+    psi = edge_curve(m, r, i, j, x)
     w_s = m.params[r][0, i, j, m.n_coef]
     if m.mode == CONSTRAINED:
         return [softplus(w_s) * v for v in psi]
@@ -483,15 +491,14 @@ def reference_backward(m, K, seed_w, seed_g):
         for i in range(m.dims[r + 1]):
             for j in range(m.dims[r]):
                 x = z[:, j]
-                spline = edge_spline(m, r, i, j)
-                b0, b1, _ = spline.design_rows(x)
-                psi, dpsi, _ = spline.eval_extended(x)
+                (b0, b1, _), raw = edge_spline(m, r, i, j, x)
+                psi, dpsi, _ = edge_curve(m, r, i, j, x)
                 _, dphi, d2phi = edge_values(m, r, i, j, x)
                 yb, mb = zbar[:, i], np.sum(Abar[:, i] * A[:, j], axis=1)
                 w_s = m.params[r][0, i, j, n]
                 g = grads[r][i, j]
                 if m.mode == CONSTRAINED:
-                    g[:n] += softplus(w_s) * spline.coeff_vjp(b0.T @ yb + b1.T @ mb)
+                    g[:n] += softplus(w_s) * reparameterize_vjp(raw, b0.T @ yb + b1.T @ mb)
                     g[n] += sigmoid(w_s) * (yb @ psi + mb @ dpsi)
                 else:
                     s = sigmoid(x)

@@ -1,13 +1,18 @@
-"""The README's command lines against the parser: every flag it writes after
-a ``convexkan`` command exists on that command, and every command line of
-its bash blocks parses, so that a flag that is gone from the CLI cannot live
-on in the docs."""
+"""The README against the package: every flag it writes after a
+``convexkan`` command exists on that command, every command line of its bash
+blocks parses, and every dotted name it quotes resolves, so that a flag or a
+name that is gone from the package cannot live on in the docs."""
+import functools
+import importlib
+import inspect
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import convexkan
 from convexkan.cli import build_parser
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
@@ -58,3 +63,32 @@ def test_every_flag_after_a_command_exists():
                 unknown.append(f"{words[0]} {flag}")
     assert unknown == []
     assert checked >= 10
+
+
+def package_heads():
+    """What a dotted name of the package starts with: ``convexkan``, one of
+    its modules, or a class one of them defines."""
+    heads = {"convexkan": convexkan}
+    for info in pkgutil.iter_modules(convexkan.__path__):
+        module = importlib.import_module(f"convexkan.{info.name}")
+        heads[info.name] = module
+        heads.update((name, obj) for name, obj in vars(module).items()
+                     if inspect.isclass(obj) and obj.__module__ == module.__name__)
+    return heads
+
+
+def test_every_dotted_name_resolves():
+    # such as `convexkan.training`, `bspline.local_rows` or `DeformationState.stress`;
+    # file names such as `energy.sym` start with no name of the package
+    heads, checked, missing = package_heads(), 0, []
+    for span in re.findall(r"`([^`]+)`", FENCE.sub("", README)):
+        if not re.fullmatch(r"\w+(\.\w+)+", span) or span.split(".")[0] not in heads:
+            continue
+        checked += 1
+        first, *rest = span.split(".")
+        try:
+            functools.reduce(getattr, rest, heads[first])
+        except AttributeError:
+            missing.append(span)
+    assert missing == []
+    assert checked >= 22

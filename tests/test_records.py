@@ -16,6 +16,7 @@ from convexkan.fem import (
 from convexkan.mechanics import NeoHookean
 from convexkan.network import VANILLA, KANModel
 from convexkan.records import Records
+from convexkan.symbolic import SymbolicEnergy
 
 READERS = {"mesh": Mesh, "dataset": SpecimenDataset, "checkpoint": KANModel}
 
@@ -156,6 +157,35 @@ def test_refusal_quotes_a_long_record_briefly(text, args):
         with Records("end\n" + text + "\n", "checkpoint") as records:
             records.take("end")
     assert len(str(err.value)) < 200, str(err.value)[:300]
+
+
+# so is a long word in a slot that the checkpoint and expression readers
+# check themselves, after Records has taken the record
+LONG = "x" * 10**5
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("checkpoint", KANModel.create(rng=0).dumps().replace("\nmode constrained", f"\nmode {LONG}")),
+    *(("symbolic", f"convexkan-symbolic v1\n\nenergy {expr}\n") for expr in (
+        LONG,  # an unknown token
+        f"const {LONG}", f"affine 0 0.5 {LONG} 1.5", f"scaled {LONG} 0 exp var K1",
+        f"var {LONG}", f"softplus {LONG} var K1", f"add {LONG} var K1",
+        f"var K1 {LONG}", "var K1" + " K2" * 10**5,  # trailing tokens
+    )),
+], ids=["mode", "token", "const", "affine", "scaled", "var", "softplus", "add", "trailing_word",
+        "trailing_tokens"])
+def test_refusal_quotes_a_long_word_briefly(kind, text):
+    reader = {"checkpoint": KANModel, "symbolic": SymbolicEnergy}[kind]
+    line = 2 if kind == "checkpoint" else 3
+    with pytest.raises(DataError, match=f"^{kind} file, line {line}: ") as err:
+        reader.loads(text)
+    assert len(str(err.value)) < 200, str(err.value)[:300]
+
+
+def test_unknown_variable_named():
+    with pytest.raises(DataError, match=r"^symbolic file, line 2: unknown variable 'K4', "
+                                        "expected K1, K2 or K3$"):
+        SymbolicEnergy.loads("convexkan-symbolic v1\nenergy var K4\n")
 
 
 def test_line_numbers_count_blank_lines():

@@ -29,7 +29,6 @@ from convexkan.training import (
     loss,
     loss_and_grad,
     train,
-    train_ensemble,
 )
 from test_network import backward, parameter_fd
 
@@ -335,8 +334,8 @@ class TestCurvaturePrior:
 
     def test_train_reports_pure_force_loss(self):
         ds = two_element_dataset(n_t=2)
-        cfg = TrainConfig(epochs=20, seed=3, curvature_penalty=0.05)
-        model, report = train(cfg, ds)
+        cfg = TrainConfig(epochs=20, ensemble_size=1, seed=3, curvature_penalty=0.05)
+        model, (report,) = train(cfg, ds)
         npt.assert_allclose(report.final_loss, loss(model, ds), rtol=1e-10)
         # the prior is active: it changes the trained parameters
         plain, _ = train(replace(cfg, curvature_penalty=0.0), ds)
@@ -348,35 +347,35 @@ class TestTrain:
         ds = two_element_dataset()
         cfg = TrainConfig(epochs=1, ensemble_size=1, seed=5)
         before = parameters(KANModel.create(rng=5))
-        model, report = train(cfg, ds)
+        model, (report,) = train(cfg, ds)
         assert report.losses.size == 1
         assert np.any(parameters(model) != before)
 
     def test_loss_decreases(self):
         ds = two_element_dataset(n_t=2)
         cfg = TrainConfig(epochs=120, ensemble_size=1, seed=3)
-        _, report = train(cfg, ds)
+        _, (report,) = train(cfg, ds)
         assert report.final_loss < 0.2 * report.losses[0]
 
     def test_deterministic(self):
         ds = two_element_dataset()
-        cfg = TrainConfig(epochs=10, seed=7)
-        m1, r1 = train(cfg, ds)
-        m2, r2 = train(cfg, ds)
+        cfg = TrainConfig(epochs=10, ensemble_size=1, seed=7)
+        m1, (r1,) = train(cfg, ds)
+        m2, (r2,) = train(cfg, ds)
         npt.assert_array_equal(parameters(m1), parameters(m2))
         npt.assert_array_equal(r1.losses, r2.losses)
 
     def test_loss_trace_finite_and_report_shape(self):
         ds = two_element_dataset()
-        cfg = TrainConfig(epochs=5, seed=1)
-        _, report = train(cfg, ds)
+        cfg = TrainConfig(epochs=5, ensemble_size=1, seed=1)
+        _, (report,) = train(cfg, ds)
         assert np.all(np.isfinite(report.losses))
         assert report.lrs[0] == training.BASE_LR
         assert report.wall_time > 0.0
 
     def test_trained_model_stays_convex(self):
         ds = two_element_dataset()
-        cfg = TrainConfig(epochs=30, seed=2)
+        cfg = TrainConfig(epochs=30, ensemble_size=1, seed=2)
         model, _ = train(cfg, ds)
         K = np.random.default_rng(0).uniform(-5.0, 25.0, size=(500, 3))
         _, g, H = model.forward_with_input_derivatives(K)
@@ -392,7 +391,7 @@ class TestTrain:
             return real(self, *args, **kwargs)
 
         monkeypatch.setattr(KANModel, "backward_batch", counted)
-        model, report = train(TrainConfig(epochs=4, seed=1), ds)
+        model, (report,) = train(TrainConfig(epochs=4, ensemble_size=1, seed=1), ds)
         assert sweeps == [1] * 4  # one per epoch
         monkeypatch.undo()
         npt.assert_allclose(report.final_loss, loss(model, ds), rtol=1e-10)
@@ -400,7 +399,7 @@ class TestTrain:
 
     def test_csv_log(self, tmp_path):
         ds = two_element_dataset()
-        _, report = train(TrainConfig(epochs=3, seed=1), ds)
+        _, (report,) = train(TrainConfig(epochs=3, ensemble_size=1, seed=1), ds)
         path = tmp_path / "log.csv"
         report.write_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -409,18 +408,19 @@ class TestTrain:
 
 
 class TestEnsemble:
-    def test_size_one_matches_train(self):
+    def test_size_one_returns_its_only_member(self):
         ds = two_element_dataset()
         cfg = TrainConfig(epochs=5, ensemble_size=1, seed=11)
-        m1, _ = train(cfg, ds)
-        m2, reports = train_ensemble(cfg, ds)
-        npt.assert_array_equal(parameters(m1), parameters(m2))
-        assert len(reports) == 1 and reports[0].selected
+        model, reports = train(cfg, ds)
+        assert model.size == 1 and len(reports) == 1
+        report, = reports
+        assert report.selected and (report.member, report.seed) == (0, 11)
+        npt.assert_allclose(report.final_loss, loss(model, ds), rtol=1e-10)
 
     def test_selects_lowest_final_loss(self):
         ds = two_element_dataset()
         cfg = TrainConfig(epochs=8, ensemble_size=3, seed=0)
-        best, reports = train_ensemble(cfg, ds)
+        best, reports = train(cfg, ds)
         finals = [r.final_loss for r in reports]
         sel = [r.selected for r in reports]
         assert sel.count(True) == 1
@@ -429,8 +429,8 @@ class TestEnsemble:
     def test_deterministic_selection(self):
         ds = two_element_dataset()
         cfg = TrainConfig(epochs=6, ensemble_size=2, seed=4)
-        b1, _ = train_ensemble(cfg, ds)
-        b2, _ = train_ensemble(cfg, ds)
+        b1, _ = train(cfg, ds)
+        b2, _ = train(cfg, ds)
         npt.assert_array_equal(parameters(b1), parameters(b2))
 
 
@@ -525,10 +525,10 @@ class TestStackedTraining:
     def test_members_match_train_alone(self):
         ds = holed_square_dataset()
         cfg = TrainConfig(epochs=20, ensemble_size=3, seed=4)
-        _, reports = train_ensemble(cfg, ds)
+        _, reports = train(cfg, ds)
         assert [r.seed for r in reports] == [4, 5, 6]
         for report in reports:
-            _, alone = train(replace(cfg, seed=report.seed), ds)
+            _, (alone,) = train(replace(cfg, ensemble_size=1, seed=report.seed), ds)
             npt.assert_allclose(report.final_loss, alone.final_loss, rtol=1e-9)
             npt.assert_allclose(report.losses, alone.losses, rtol=1e-9)
         # one stacked pass: every member reports its wall time
@@ -555,9 +555,9 @@ class TestStackedTraining:
     def test_non_finite_member_leaves_the_stack(self, monkeypatch, where):
         ds = holed_square_dataset()
         cfg = TrainConfig(epochs=12, ensemble_size=3, seed=0)
-        clean = {r.seed: r for r in train_ensemble(cfg, ds)[1]}
+        clean = {r.seed: r for r in train(cfg, ds)[1]}
         self.poison(monkeypatch, member=1, epoch=5, where=where)
-        best, reports = train_ensemble(cfg, ds)
+        best, reports = train(cfg, ds)
         assert [r.seed for r in reports] == [0, 2]
         for r in reports:
             npt.assert_allclose(r.final_loss, clean[r.seed].final_loss, rtol=1e-12)
@@ -570,7 +570,7 @@ class TestStackedTraining:
         cfg = TrainConfig(epochs=5, ensemble_size=3, seed=0)
         self.poison(monkeypatch, member=slice(None), epoch=2, where="loss")
         with pytest.raises(TrainingError) as err:
-            train_ensemble(cfg, ds)
+            train(cfg, ds)
         assert str(err.value) == "all ensemble members failed: " + "; ".join(
             f"member {m}: non-finite loss or gradient at epoch 2" for m in range(3)
         )
