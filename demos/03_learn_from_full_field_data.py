@@ -28,11 +28,11 @@ print(f"dataset: {dataset.n_snapshots} snapshots, "
       f"{dataset.partition.n_reactions} reactions per snapshot")
 
 config = TrainConfig(epochs=300, ensemble_size=2, seed=0)
-model, reports = train(config, dataset)
-for rep in reports:
-    tag = "*" if rep.selected else " "
-    print(f" {tag} seed {rep.seed}: final loss {rep.final_loss:.3e} "
-          f"({rep.wall_time:.1f}s)")
+model, report = train(config, dataset)  # one report, one row per member
+for member, (seed, final) in enumerate(zip(report.seeds, report.final_loss)):
+    tag = "*" if member == report.selected else " "
+    print(f" {tag} seed {seed}: final loss {final:.3e}")
+print(f"   all members in one stacked pass: {report.wall_time:.1f}s")
 
 # How close is the learned energy to the hidden one along unseen paths?
 learned = NetworkMaterial(model)

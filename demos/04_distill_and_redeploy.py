@@ -8,7 +8,7 @@ import numpy as np
 
 from convexkan.cli import r2_score
 from convexkan.fem import solve, two_hole_mesh, uniaxial_partition
-from convexkan.mechanics import NeoHookean, NetworkMaterial, compute_state
+from convexkan.mechanics import NetworkMaterial, compute_state
 from convexkan.symbolic import SymbolicEnergy, SymbolicMaterial, distill
 from convexkan.network import KANModel
 

@@ -189,17 +189,18 @@ def cmd_train(args) -> int:
                          curvature_penalty=args.curvature_penalty)
     dataset = SpecimenDataset.load(args.dataset)
     mode = VANILLA if args.ablation_vanilla else CONSTRAINED
-    failures = {}
-    model, reports = train(config, dataset, mode=mode, failures=failures)
+    model, report = train(config, dataset, mode=mode)
     model.save(args.out)
-    for member, message in sorted(failures.items()):
+    for member, message in sorted(report.failures.items()):
         print(f"member {member} failed: {message}", file=sys.stderr)
     print("member  seed  final_loss  wall_s  selected")
-    for rep in reports:
-        mark = "*" if rep.selected else " "
-        print(f"{rep.member:6d}  {rep.seed:4d}  {rep.final_loss:.6e}  {rep.wall_time:6.1f}  {mark}")
+    for member, (seed, final) in enumerate(zip(report.seeds, report.final_loss)):
+        if member in report.failures:
+            continue
+        mark = "*" if member == report.selected else " "
+        print(f"{member:6d}  {seed:4d}  {final:.6e}  {report.wall_time:6.1f}  {mark}")
         if args.log_prefix:
-            rep.write_csv(f"{args.log_prefix}{rep.member}.csv")
+            report.write_csv(f"{args.log_prefix}{member}.csv", member)
     print(f"wrote checkpoint {args.out}")
     return 0
 

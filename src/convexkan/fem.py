@@ -389,10 +389,10 @@ def tangent_matrix(mesh: Mesh, T: Array, D: sp.csr_matrix, DT: sp.csr_matrix) ->
     return DT @ (area_blocks(mesh, np.reshape(T, (-1, 4, 4))) @ D)
 
 
-def _newton(mesh, partition, model, u, r, prescribed, tol):
+def _newton(mesh, partition, model, u, r, f, prescribed, tol):
     """Newton iteration from the field ``u``, whose element F give the
-    material response ``r``, to equilibrium with the fixed DOFs at their
-    values in the field ``prescribed``.
+    material response ``r`` and the nodal forces ``f``, to equilibrium with
+    the fixed DOFs at their values in the field ``prescribed``.
 
     Each field visited is evaluated once: its response gives the forces,
     and its tangent the free-DOF stiffness K_ff = D_f^T blockdiag(area T)
@@ -400,7 +400,8 @@ def _newton(mesh, partition, model, u, r, prescribed, tol):
     update solves K_ff du_f = -f_f - K_fc du_c at ``u``, where
     du_c = prescribed_c - u_c, so the increment enters through the tangent;
     convergence is checked only once it is applied.  Returns (u, its
-    response, residual history of the iterates that carry the increment).
+    response, its nodal forces, residual history of the iterates that carry
+    the increment).
     Raises SolverError on stagnation.
     """
     free = partition.free_flat_indices()
@@ -414,13 +415,12 @@ def _newton(mesh, partition, model, u, r, prescribed, tol):
     loaded = not np.any(du)
     history = []
     for _ in range(MAX_ITER):
-        f = scatter_forces(mesh, r.stress)
         rhs = -f.ravel()[free]
         res = np.abs(rhs).max() if free.size else 0.0
         if loaded:
             history.append(res)
             if res < tol * (1.0 + np.linalg.norm(reaction(partition, f))):
-                return u, r, history
+                return u, r, f, history
         T = np.reshape(r.tangent, (-1, 4, 4))
         K = tangent_matrix(mesh, T, D_f, D_fT)
         if not loaded:  # K_fc du_c: the forces of the stress increment T : D du
@@ -436,6 +436,7 @@ def _newton(mesh, partition, model, u, r, prescribed, tol):
             flat[fixed] = prescribed[fixed]
             loaded = True
         r = model.response(deformation_gradients(mesh, u))
+        f = scatter_forces(mesh, r.stress)
     raise SolverError(
         f"Newton did not converge in {MAX_ITER} iterations",
         residual=history[-1] if history else None,
@@ -544,6 +545,7 @@ def solve(mesh: Mesh, partition: DofPartition, model: MaterialModel, deltas,
         raise ConfigurationError(f"load schedule must be non-empty and finite, got {deltas}")
     u = np.zeros((mesh.n_nodes, 2))
     r = model.response(deformation_gradients(mesh, u))
+    f = scatter_forces(mesh, r.stress)
     disp = np.empty((deltas.size, mesh.n_nodes, 2))
     reac = np.empty((deltas.size, partition.n_reactions))
     reached = 0.0
@@ -554,8 +556,8 @@ def solve(mesh: Mesh, partition: DofPartition, model: MaterialModel, deltas,
             land = abs(inc) >= abs(delta - reached) - 1e-15 * (1.0 + abs(delta))
             target = delta if land else reached + inc
             try:
-                u, r, _ = _newton(mesh, partition, model, u, r,
-                                  partition.prescribed(target), tol)
+                u, r, f, _ = _newton(mesh, partition, model, u, r, f,
+                                     partition.prescribed(target), tol)
             except (SolverError, InadmissibleDeformationError, EvaluationError) as exc:
                 halvings += 1
                 if halvings > MAX_HALVINGS:
@@ -570,7 +572,7 @@ def solve(mesh: Mesh, partition: DofPartition, model: MaterialModel, deltas,
             if land:
                 break
         disp[t] = u
-        reac[t] = reaction(partition, scatter_forces(mesh, r.stress))
+        reac[t] = reaction(partition, f)
     return SpecimenDataset(mesh=mesh, partition=partition, deltas=deltas,
                            displacements=disp, reactions=reac)
 

@@ -68,42 +68,25 @@ def cyclic_learning_rate(epochs: int) -> Array:
 
 @dataclass
 class TrainReport:
+    """One training run, one row per member: ``losses`` (M, epochs) and
+    ``final_loss`` (M,) are NaN for a member that failed, from its failure
+    epoch on; ``failures`` gives its message by member index, and
+    ``selected`` is the member returned."""
+    seeds: npt.NDArray[np.int64]
     losses: Array
     lrs: Array
-    final_loss: float
+    final_loss: Array
+    failures: dict[int, str]
+    selected: int
     wall_time: float
-    seed: int
-    member: int = 0
-    selected: bool = False
 
-    def write_csv(self, path):
+    def write_csv(self, path, member: int):
+        """Write one member's loss log."""
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["epoch", "lr", "loss"])
-            for e, (lr, lo) in enumerate(zip(self.lrs, self.losses)):
+            for e, (lr, lo) in enumerate(zip(self.lrs, self.losses[member])):
                 w.writerow([e, f"{lr:.10g}", f"{lo:.17g}"])
-
-
-class _Adam:
-    """Plain Adam with bias correction, elementwise on parameter arrays of
-    any shape: a stack of members steps each member exactly as alone."""
-
-    def __init__(self, shape):
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
-        self.t = 0
-
-    def step(self, params: Array, grad: Array, lr: float) -> Array:
-        self.t += 1
-        self.m = BETA1 * self.m + (1.0 - BETA1) * grad
-        self.v = BETA2 * self.v + (1.0 - BETA2) * grad * grad
-        mhat = self.m / (1.0 - BETA1**self.t)
-        vhat = self.v / (1.0 - BETA2**self.t)
-        return params - lr * mhat / (np.sqrt(vhat) + EPSILON)
-
-    def keep(self, rows):
-        """Keep the moments of the selected members only."""
-        self.m, self.v = self.m[rows], self.v[rows]
 
 
 class ElementStates:
@@ -219,69 +202,50 @@ def curvature_prior(model: KANModel, weight: float):
     return value, grad
 
 
-def _train_members(config: TrainConfig, states: ElementStates, seeds, mode):
-    """Train one network per seed, all as the members of one model.
+def train(config: TrainConfig, dataset: SpecimenDataset, mode: str = CONSTRAINED):
+    """Train ``ensemble_size`` networks, seeded ``config.seed`` upwards, as
+    the members of one model and return the one with the lowest final loss,
+    as a model of one, with the run's :class:`TrainReport`.
 
-    Returns ``(model, reports, errors)``: the members that finished (if any
-    did) and their reports, and by member index the message of each member
-    that left on a non-finite loss or gradient.  Every report's wall time is
-    the whole pass's.
+    Adam descends the force-balance loss plus
+    ``curvature_prior(model, config.curvature_penalty)``; the report records
+    the force-balance loss alone.  A member whose loss or gradient turns
+    non-finite keeps its row: its parameters freeze and its gradient counts
+    as zero, so the other members step exactly as without it.
     """
-    model = KANModel.stack([KANModel.create(mode=mode, rng=s) for s in seeds])
-    alive = list(range(len(seeds)))
+    states = ElementStates(dataset)
+    seeds = config.seed + np.arange(config.ensemble_size)
+    model = KANModel.stack([KANModel.create(mode=mode, rng=int(s)) for s in seeds])
     params = model.parameter_vectors()
-    adam = _Adam(params.shape)
-    losses = np.empty((len(seeds), config.epochs))
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    alive = np.ones(len(seeds), dtype=bool)
+    losses = np.full((len(seeds), config.epochs), np.nan)
     lrs = cyclic_learning_rate(config.epochs)
-    errors = {}
+    failures = {}
     start = time.perf_counter()
     for epoch in range(config.epochs):
         value, grad = loss_and_grad(model, states)
         grad += curvature_prior(model, config.curvature_penalty)[1]
         ok = np.isfinite(value) & np.all(np.isfinite(grad), axis=1)
-        if not ok.all():
-            for k in np.flatnonzero(~ok):
-                errors[alive[k]] = f"non-finite loss or gradient at epoch {epoch}"
-            alive = [a for a, keep in zip(alive, ok) if keep]
-            if not alive:
-                break
-            value, grad, params = value[ok], grad[ok], params[ok]
-            adam.keep(ok)
-            model = model.members(ok)
-        losses[alive, epoch] = value
-        params = adam.step(params, grad, lrs[epoch])
+        for k in np.flatnonzero(alive & ~ok):
+            failures[int(k)] = f"non-finite loss or gradient at epoch {epoch}"
+        alive &= ok
+        if not alive.any():
+            raise TrainingError("all ensemble members failed: " + "; ".join(
+                f"member {k}: {msg}" for k, msg in sorted(failures.items())))
+        losses[alive, epoch] = value[alive]
+        grad[~alive] = 0.0
+        m = BETA1 * m + (1.0 - BETA1) * grad
+        v = BETA2 * v + (1.0 - BETA2) * grad * grad
+        mhat = m / (1.0 - BETA1 ** (epoch + 1))
+        vhat = v / (1.0 - BETA2 ** (epoch + 1))
+        params = np.where(alive[:, None], params - lrs[epoch] * mhat / (np.sqrt(vhat) + EPSILON),
+                          params)
         model.set_parameter_vectors(params)
-    final = []
-    if alive:  # the final parameters' losses need no reverse sweep
-        res = _residuals(model, states)[0]
-        final = np.sum(res * res, axis=0)
-    wall_time = time.perf_counter() - start
-    reports = [
-        TrainReport(losses=losses[a], lrs=lrs, final_loss=float(f), wall_time=wall_time,
-                    seed=seeds[a], member=a)
-        for a, f in zip(alive, final)
-    ]
-    return model, reports, errors
-
-
-def train(config: TrainConfig, dataset: SpecimenDataset, mode: str = CONSTRAINED,
-          failures: dict | None = None):
-    """Train ``ensemble_size`` networks, seeded ``config.seed`` upwards, as
-    the members of one model and return the one with the lowest final loss,
-    along with every finished member's report.  ``failures``, when given,
-    receives by member index the message of each member that left.
-
-    Adam descends the force-balance loss plus
-    ``curvature_prior(model, config.curvature_penalty)``; the reports record
-    the force-balance loss alone.
-    """
-    seeds = [config.seed + member for member in range(config.ensemble_size)]
-    model, reports, errors = _train_members(config, ElementStates(dataset), seeds, mode)
-    if failures is not None:
-        failures.update(errors)
-    if not reports:
-        raise TrainingError("all ensemble members failed: " + "; ".join(
-            f"member {m}: {msg}" for m, msg in sorted(errors.items())))
-    best = int(np.argmin([r.final_loss for r in reports]))
-    reports[best].selected = True
-    return model.members([best]), reports
+    res = _residuals(model, states)[0]  # the final losses need no reverse sweep
+    final = np.where(alive, np.sum(res * res, axis=0), np.nan)
+    best = int(np.nanargmin(final))
+    report = TrainReport(seeds=seeds, losses=losses, lrs=lrs, final_loss=final,
+                         failures=failures, selected=best,
+                         wall_time=time.perf_counter() - start)
+    return model.members([best]), report

@@ -32,7 +32,7 @@ from convexkan.mechanics import (
     benchmark_model,
     compute_state,
 )
-from convexkan.network import CONSTRAINED, VANILLA, KANModel
+from convexkan.network import VANILLA, KANModel
 from convexkan.symbolic import distill
 from convexkan.training import TrainConfig, train
 from test_mechanics import random_rotation
@@ -190,7 +190,8 @@ class TestPatchTest:
         u0 = exact.copy()
         u0[~on_edge] += 1e-3
         r0 = NeoHookean().response(deformation_gradients(mesh, u0))
-        u, _, hist = fem._newton(mesh, part, NeoHookean(), u0, r0, u0, 1e-9)
+        f0 = fem.scatter_forces(mesh, r0.stress)
+        u, _, _, hist = fem._newton(mesh, part, NeoHookean(), u0, r0, f0, u0, 1e-9)
         npt.assert_allclose(u[~on_edge], exact[~on_edge], atol=1e-10)
         assert len(hist) <= 4  # initial residual + at most 3 corrections
 

@@ -1,12 +1,14 @@
 """API surface: every function, class and method of the package is named
 somewhere in the package besides its own definition, so that no second path
-for a concept lives on for the tests alone."""
+for a concept lives on for the tests alone; and every name a file of the
+package, its tests or its demos imports is read in that file."""
 import ast
 from pathlib import Path
 
 import convexkan
 
 SRC = Path(convexkan.__file__).parent
+ROOT = Path(__file__).parent.parent
 
 # definitions nothing in the package names, each with the reason it stays
 ALLOWED = {
@@ -55,3 +57,31 @@ def test_every_definition_is_named_in_the_package():
     }
     assert sorted(unused - set(ALLOWED)) == [], "delete them, or allow them with a reason"
     assert sorted(set(ALLOWED) - unused) == [], "now named in the package: drop from ALLOWED"
+
+
+def unread_imports(tree):
+    """The names a module imports but never reads; a name listed in its
+    ``__all__`` counts as read.  ``__future__`` imports bind nothing."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return imported - read
+
+
+def test_every_imported_name_is_read():
+    files = [path for folder in ("src", "tests", "demos")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert SRC / "training.py" in files and len(files) > 20
+    unread = {f"{path.relative_to(ROOT)}: {name}"
+              for path in files for name in unread_imports(ast.parse(path.read_text()))}
+    assert sorted(unread) == [], "delete the imports"

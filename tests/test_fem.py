@@ -386,16 +386,17 @@ class TestForcesAndReactions:
 
 
 def newton_from(mesh, part, model, u0, prescribed, tol=1e-9):
-    """Newton iteration from the field u0: (u, response, residual history)."""
+    """Newton iteration from the field u0: (u, response, forces, residual history)."""
     r0 = model.response(deformation_gradients(mesh, u0))
-    return fem._newton(mesh, part, model, u0, r0, prescribed, tol)
+    f0 = fem.scatter_forces(mesh, r0.stress)
+    return fem._newton(mesh, part, model, u0, r0, f0, prescribed, tol)
 
 
 class TestSolve:
     def test_zero_load_is_identity(self):
         m = unit_square_hole_mesh(n=11)
         part = biaxial_partition(m)
-        u, _, hist = newton_from(m, part, NeoHookean(), np.zeros((m.n_nodes, 2)),
+        u, _, _, hist = newton_from(m, part, NeoHookean(), np.zeros((m.n_nodes, 2)),
                                  part.prescribed(0.0))
         npt.assert_array_equal(u, 0.0)
         assert len(hist) == 1
@@ -424,7 +425,7 @@ class TestSolve:
         u0 = exact.copy()
         u0[~on_edge] += 1e-3  # perturb interior so Newton has work to do
         u0[bnd] = exact[bnd]
-        u, _, hist = newton_from(mesh, part, NeoHookean(), u0, u0)
+        u, _, _, hist = newton_from(mesh, part, NeoHookean(), u0, u0)
         # prescribed values are all zero-scale here, so pin them by hand
         u_fix = u.copy()
         u_fix[bnd] = exact[bnd]
@@ -437,14 +438,14 @@ class TestSolve:
         m = square_grid_mesh(6)
         part = biaxial_partition(m)
         zero = np.zeros((m.n_nodes, 2))
-        _, _, hist = newton_from(m, part, NeoHookean(), zero, part.prescribed(0.2), tol=1e-12)
+        _, _, _, hist = newton_from(m, part, NeoHookean(), zero, part.prescribed(0.2), tol=1e-12)
         assert len(hist) == 1 and hist[0] < 1e-14
         # heterogeneous field around the hole; rates are read on the residuals
         # above round-off
         m = unit_square_hole_mesh(n=11)
         part = biaxial_partition(m)
         zero = np.zeros((m.n_nodes, 2))
-        _, _, hist = newton_from(m, part, NeoHookean(), zero, part.prescribed(0.2), tol=1e-12)
+        _, _, _, hist = newton_from(m, part, NeoHookean(), zero, part.prescribed(0.2), tol=1e-12)
         r = np.array(hist)
         r = r[r > 1e-13]
         assert len(r) >= 3 and r[-2] > 0.0
@@ -497,11 +498,11 @@ class TestSolve:
         right = part.groups[2]  # scale 1: its prescribed value is the target
         targets, real_newton = [], fem._newton
 
-        def newton(mesh, partition, model, u, f, prescribed, tol):
+        def newton(mesh, partition, model, u, r, f, prescribed, tol):
             targets.append(float(prescribed[right.dofs[0, 0], right.dofs[0, 1]]))
             if len(targets) == 2:
                 raise SolverError("forced failure", residual=1.0)
-            return real_newton(mesh, partition, model, u, f, prescribed, tol)
+            return real_newton(mesh, partition, model, u, r, f, prescribed, tol)
 
         monkeypatch.setattr(fem, "_newton", newton)
         u = solve(m, part, model, [0.1, 0.2]).displacements[-1]

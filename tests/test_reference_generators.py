@@ -67,6 +67,16 @@ def test_loss_grad_reference(tmp_path):
                                 atol=tol * np.abs(want[key]).max(), err_msg=key)
 
 
+def test_train_reference(tmp_path):
+    # loss_grad_reference's gradient tolerance: 1e-12 of each member's largest
+    # entry (the selected parameters are one member, each final loss its own)
+    want, got = regenerate("train", tmp_path)
+    for key in want.files:
+        rows = len(want[key])
+        for g, w in zip(got[key].reshape(rows, -1), want[key].reshape(rows, -1)):
+            npt.assert_allclose(g, w, rtol=0, atol=1e-12 * np.abs(w).max(), err_msg=key)
+
+
 def test_distill_reference(tmp_path):
     # (a, b, c, d) may move where an activation's candidate residuals tie
     want, got = regenerate("distill", tmp_path)

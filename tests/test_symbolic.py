@@ -10,7 +10,7 @@ import pytest
 
 import convexkan.symbolic as symbolic
 from convexkan.errors import ConfigurationError, DataError, EvaluationError
-from convexkan.network import CONSTRAINED, VANILLA, KANModel, W_S_UNIT, softplus
+from convexkan.network import VANILLA, KANModel, W_S_UNIT, softplus
 from convexkan.symbolic import (
     FIT_POINTS,
     LIBRARY,

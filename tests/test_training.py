@@ -23,7 +23,6 @@ from convexkan.network import CONSTRAINED, VANILLA, KANModel
 from convexkan.training import (
     ElementStates,
     TrainConfig,
-    TrainReport,
     curvature_prior,
     cyclic_learning_rate,
     loss,
@@ -335,8 +334,8 @@ class TestCurvaturePrior:
     def test_train_reports_pure_force_loss(self):
         ds = two_element_dataset(n_t=2)
         cfg = TrainConfig(epochs=20, ensemble_size=1, seed=3, curvature_penalty=0.05)
-        model, (report,) = train(cfg, ds)
-        npt.assert_allclose(report.final_loss, loss(model, ds), rtol=1e-10)
+        model, report = train(cfg, ds)
+        npt.assert_allclose(report.final_loss[0], loss(model, ds), rtol=1e-10)
         # the prior is active: it changes the trained parameters
         plain, _ = train(replace(cfg, curvature_penalty=0.0), ds)
         assert np.any(parameters(model) != parameters(plain))
@@ -347,31 +346,33 @@ class TestTrain:
         ds = two_element_dataset()
         cfg = TrainConfig(epochs=1, ensemble_size=1, seed=5)
         before = parameters(KANModel.create(rng=5))
-        model, (report,) = train(cfg, ds)
-        assert report.losses.size == 1
+        model, report = train(cfg, ds)
+        assert report.losses.shape == (1, 1)
         assert np.any(parameters(model) != before)
 
     def test_loss_decreases(self):
         ds = two_element_dataset(n_t=2)
         cfg = TrainConfig(epochs=120, ensemble_size=1, seed=3)
-        _, (report,) = train(cfg, ds)
-        assert report.final_loss < 0.2 * report.losses[0]
+        _, report = train(cfg, ds)
+        assert report.final_loss[0] < 0.2 * report.losses[0, 0]
 
     def test_deterministic(self):
         ds = two_element_dataset()
         cfg = TrainConfig(epochs=10, ensemble_size=1, seed=7)
-        m1, (r1,) = train(cfg, ds)
-        m2, (r2,) = train(cfg, ds)
+        m1, r1 = train(cfg, ds)
+        m2, r2 = train(cfg, ds)
         npt.assert_array_equal(parameters(m1), parameters(m2))
         npt.assert_array_equal(r1.losses, r2.losses)
 
     def test_loss_trace_finite_and_report_shape(self):
         ds = two_element_dataset()
         cfg = TrainConfig(epochs=5, ensemble_size=1, seed=1)
-        _, (report,) = train(cfg, ds)
-        assert np.all(np.isfinite(report.losses))
+        _, report = train(cfg, ds)
+        assert report.losses.shape == (1, 5) and np.all(np.isfinite(report.losses))
+        assert report.final_loss.shape == (1,) and report.seeds.tolist() == [1]
         assert report.lrs[0] == training.BASE_LR
         assert report.wall_time > 0.0
+        assert report.failures == {} and report.selected == 0
 
     def test_trained_model_stays_convex(self):
         ds = two_element_dataset()
@@ -391,17 +392,17 @@ class TestTrain:
             return real(self, *args, **kwargs)
 
         monkeypatch.setattr(KANModel, "backward_batch", counted)
-        model, (report,) = train(TrainConfig(epochs=4, ensemble_size=1, seed=1), ds)
+        model, report = train(TrainConfig(epochs=4, ensemble_size=1, seed=1), ds)
         assert sweeps == [1] * 4  # one per epoch
         monkeypatch.undo()
-        npt.assert_allclose(report.final_loss, loss(model, ds), rtol=1e-10)
-        assert report.final_loss == single(loss_and_grad, model, ElementStates(ds))[0]
+        npt.assert_allclose(report.final_loss[0], loss(model, ds), rtol=1e-10)
+        assert report.final_loss[0] == single(loss_and_grad, model, ElementStates(ds))[0]
 
     def test_csv_log(self, tmp_path):
         ds = two_element_dataset()
-        _, (report,) = train(TrainConfig(epochs=3, ensemble_size=1, seed=1), ds)
+        _, report = train(TrainConfig(epochs=3, ensemble_size=1, seed=1), ds)
         path = tmp_path / "log.csv"
-        report.write_csv(path)
+        report.write_csv(path, 0)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,lr,loss"
         assert len(lines) == 4
@@ -411,20 +412,18 @@ class TestEnsemble:
     def test_size_one_returns_its_only_member(self):
         ds = two_element_dataset()
         cfg = TrainConfig(epochs=5, ensemble_size=1, seed=11)
-        model, reports = train(cfg, ds)
-        assert model.size == 1 and len(reports) == 1
-        report, = reports
-        assert report.selected and (report.member, report.seed) == (0, 11)
-        npt.assert_allclose(report.final_loss, loss(model, ds), rtol=1e-10)
+        model, report = train(cfg, ds)
+        assert model.size == 1 and report.final_loss.shape == (1,)
+        assert report.selected == 0 and report.seeds.tolist() == [11]
+        npt.assert_allclose(report.final_loss[0], loss(model, ds), rtol=1e-10)
 
     def test_selects_lowest_final_loss(self):
         ds = two_element_dataset()
         cfg = TrainConfig(epochs=8, ensemble_size=3, seed=0)
-        best, reports = train(cfg, ds)
-        finals = [r.final_loss for r in reports]
-        sel = [r.selected for r in reports]
-        assert sel.count(True) == 1
-        assert finals[sel.index(True)] == min(finals)
+        best, report = train(cfg, ds)
+        assert report.final_loss.shape == (3,)
+        assert report.final_loss[report.selected] == report.final_loss.min()
+        npt.assert_allclose(loss(best, ds), report.final_loss.min(), rtol=1e-10)
 
     def test_deterministic_selection(self):
         ds = two_element_dataset()
@@ -525,14 +524,12 @@ class TestStackedTraining:
     def test_members_match_train_alone(self):
         ds = holed_square_dataset()
         cfg = TrainConfig(epochs=20, ensemble_size=3, seed=4)
-        _, reports = train(cfg, ds)
-        assert [r.seed for r in reports] == [4, 5, 6]
-        for report in reports:
-            _, (alone,) = train(replace(cfg, ensemble_size=1, seed=report.seed), ds)
-            npt.assert_allclose(report.final_loss, alone.final_loss, rtol=1e-9)
-            npt.assert_allclose(report.losses, alone.losses, rtol=1e-9)
-        # one stacked pass: every member reports its wall time
-        assert len({r.wall_time for r in reports}) == 1
+        _, report = train(cfg, ds)
+        assert report.seeds.tolist() == [4, 5, 6]
+        for member, seed in enumerate(report.seeds):
+            _, alone = train(replace(cfg, ensemble_size=1, seed=int(seed)), ds)
+            npt.assert_allclose(report.final_loss[member], alone.final_loss[0], rtol=1e-9)
+            npt.assert_allclose(report.losses[member], alone.losses[0], rtol=1e-9)
 
     @staticmethod
     def poison(monkeypatch, member, epoch, where):
@@ -552,18 +549,26 @@ class TestStackedTraining:
         monkeypatch.setattr(training, "loss_and_grad", poisoned)
 
     @pytest.mark.parametrize("where", ["loss", "gradient"])
-    def test_non_finite_member_leaves_the_stack(self, monkeypatch, where):
+    def test_non_finite_member_is_masked_in_place(self, monkeypatch, where):
         ds = holed_square_dataset()
         cfg = TrainConfig(epochs=12, ensemble_size=3, seed=0)
-        clean = {r.seed: r for r in train(cfg, ds)[1]}
+        clean_best, clean = train(cfg, ds)
         self.poison(monkeypatch, member=1, epoch=5, where=where)
-        best, reports = train(cfg, ds)
-        assert [r.seed for r in reports] == [0, 2]
-        for r in reports:
-            npt.assert_allclose(r.final_loss, clean[r.seed].final_loss, rtol=1e-12)
-            npt.assert_allclose(r.losses, clean[r.seed].losses, rtol=1e-12)
+        best, report = train(cfg, ds)
+        assert report.seeds.tolist() == [0, 1, 2]
+        assert report.failures == {1: "non-finite loss or gradient at epoch 5"}
+        # the survivors step exactly as in the clean run
+        npt.assert_array_equal(report.losses[[0, 2]], clean.losses[[0, 2]])
+        npt.assert_array_equal(report.final_loss[[0, 2]], clean.final_loss[[0, 2]])
+        # the failed member keeps its losses before the failure epoch only
+        npt.assert_array_equal(report.losses[1, :5], clean.losses[1, :5])
+        assert np.all(np.isnan(report.losses[1, 5:])) and np.isnan(report.final_loss[1])
+        assert report.final_loss[report.selected] == np.nanmin(report.final_loss)
+        # the clean run selects a survivor, so both return the same member
+        assert report.selected == clean.selected != 1
+        npt.assert_array_equal(parameters(best), parameters(clean_best))
         monkeypatch.undo()
-        npt.assert_allclose(loss(best, ds), min(r.final_loss for r in reports), rtol=1e-10)
+        npt.assert_allclose(loss(best, ds), np.nanmin(report.final_loss), rtol=1e-10)
 
     def test_every_member_failing_raises(self, monkeypatch):
         ds = two_element_dataset()
