@@ -5,7 +5,7 @@ Run:  python3 demos/01_convex_splines_and_network.py
 """
 import numpy as np
 
-from convexkan.bspline import KnotVector, design_rows, reparameterize
+from convexkan.bspline import design_rows, reparameterize, uniform_knots
 from convexkan.network import KANModel
 
 # --- a single constrained spline -------------------------------------------
@@ -15,12 +15,13 @@ from convexkan.network import KANModel
 # The design rows of the knots give value, slope and curvature at any points
 # as one product with the control points.
 rng = np.random.default_rng(0)
-knots = KnotVector.from_domain(-5.0, 25.0, n_coef=17, k=5)
+k = 5  # spline order: quintic
+t = uniform_knots(-5.0, 25.0, n_coef=17, k=k)
 control_points = reparameterize(rng.normal(size=17))
 
 
 def spline(x):
-    return design_rows(np.atleast_1d(x), knots.t, knots.k) @ control_points
+    return design_rows(np.atleast_1d(x), t, k) @ control_points
 
 
 x = np.linspace(-5.0, 25.0, 400)

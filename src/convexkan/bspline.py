@@ -20,53 +20,29 @@ Array = npt.NDArray[np.float64]
 _UNIFORMITY_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class KnotVector:
-    """Uniformly spaced knots ``t`` for splines of order ``k``.
-
-    The natural domain (where the basis forms a partition of unity) is
-    ``[t_{k+1}, t_{m_b-k}]`` in 1-based terms, i.e. ``t[k] .. t[-k-1]``.
-    """
-
-    t: Array
-    k: int
-
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=np.float64)
-        object.__setattr__(self, "t", t)
-        if self.k < 0:
-            raise ConfigurationError(f"spline order must be non-negative, got {self.k}")
-        if t.ndim != 1 or t.size < self.k + 2:
-            raise ConfigurationError(
-                f"need at least k+2={self.k + 2} knots, got {t.size}"
-            )
-        steps = np.diff(t)
-        s = steps[0]
-        if s <= 0:
-            raise ConfigurationError("knots must be strictly increasing")
-        if np.any(np.abs(steps - s) > _UNIFORMITY_RTOL * max(abs(s), 1.0)):
-            raise ConfigurationError("knots are not uniformly spaced")
-
-    @classmethod
-    def from_domain(cls, lo: float, hi: float, n_coef: int, k: int) -> "KnotVector":
-        """Knots whose natural domain is exactly ``[lo, hi]`` for ``n_coef`` basis
-        functions of order ``k``."""
-        if hi <= lo:
-            raise ConfigurationError(f"empty domain [{lo}, {hi}]")
-        if n_coef <= k:
-            raise ConfigurationError(f"need n_coef > k, got n_coef={n_coef}, k={k}")
-        n_span = n_coef - k  # intervals inside the natural domain
-        s = (hi - lo) / n_span
-        if not (math.isfinite(lo - k * s) and math.isfinite(lo + n_coef * s)):  # first, last
-            raise ConfigurationError(f"knots of domain [{lo}, {hi}] are not finite")
-        m_b = n_coef + k + 1
-        t = lo + (np.arange(m_b) - k) * s
-        return cls(t=t, k=k)
-
-    @property
-    def n_b(self) -> int:
-        """Number of basis functions this knot vector supports at order k."""
-        return self.t.size - self.k - 1
+def uniform_knots(lo: float, hi: float, n_coef: int, k: int) -> Array:
+    """The ``n_coef + k + 1`` uniformly spaced knots ``t`` of ``n_coef`` basis
+    functions of order ``k`` whose natural domain (where the basis forms a
+    partition of unity) is exactly ``[lo, hi]``: ``[t_{k+1}, t_{m_b-k}]`` in
+    1-based terms, i.e. ``t[k] .. t[-k-1]``."""
+    if hi <= lo:
+        raise ConfigurationError(f"empty domain [{lo}, {hi}]")
+    if n_coef <= k:
+        raise ConfigurationError(f"need n_coef > k, got n_coef={n_coef}, k={k}")
+    n_span = n_coef - k  # intervals inside the natural domain
+    s = (hi - lo) / n_span
+    if not (math.isfinite(lo - k * s) and math.isfinite(lo + n_coef * s)):  # first, last
+        raise ConfigurationError(f"knots of domain [{lo}, {hi}] are not finite")
+    if k < 0:
+        raise ConfigurationError(f"spline order must be non-negative, got {k}")
+    t = lo + (np.arange(n_coef + k + 1) - k) * s
+    # a domain narrow against its distance from 0 rounds its knots together
+    steps = np.diff(t)
+    if steps[0] <= 0:
+        raise ConfigurationError("knots must be strictly increasing")
+    if np.any(np.abs(steps - steps[0]) > _UNIFORMITY_RTOL * max(abs(steps[0]), 1.0)):
+        raise ConfigurationError("knots are not uniformly spaced")
+    return t
 
 
 @functools.lru_cache(maxsize=None)
@@ -236,27 +212,17 @@ def reparameterize_vjp(raw, cbar) -> Array:
 
 @dataclass
 class BSplineCurve:
-    """A spline curve ``psi(x) = sum_i c_i B_i(x)`` with linear extrapolation
-    beyond the natural domain: ``design_rows(x) @ c`` for control points
-    ``c``, such as ``raw`` itself or ``reparameterize(raw)``.
+    """A spline curve ``psi(x) = sum_i c_i B_i(x)`` on the uniform knots ``t``
+    of order ``k``, with linear extrapolation beyond the natural domain:
+    ``design_rows(x) @ c`` for control points ``c``, such as ``raw`` itself
+    or ``reparameterize(raw)``."""
 
-    ``raw`` is one parameter vector of length ``n_b`` or an ``(m, n_b)``
-    stack of them, one curve per row on the shared knots.
-    """
-
-    knots: KnotVector
-    raw: Array
-
-    def __post_init__(self):
-        self.raw = np.asarray(self.raw, dtype=np.float64)
-        if self.raw.ndim not in (1, 2) or self.raw.shape[-1] != self.knots.n_b:
-            raise ConfigurationError(
-                f"expected {self.knots.n_b} parameters per curve, got shape {self.raw.shape}"
-            )
+    t: Array
+    k: int
 
     def design_rows(self, x) -> tuple[Array, Array, Array]:
         """Rows ``(b0, b1, b2)`` such that value/slope/curvature at ``x`` are
         ``b0 @ c``, ``b1 @ c``, ``b2 @ c``, with the linear extension baked in
         for points outside the natural domain."""
-        b = design_rows(np.atleast_1d(x), self.knots.t, self.knots.k)
+        b = design_rows(np.atleast_1d(x), self.t, self.k)
         return tuple(b[:, 0] if np.ndim(x) == 0 else b)

@@ -169,17 +169,16 @@ def cmd_generate(args) -> int:
     material = benchmark_model(args.model)
     if args.steps < 1:
         raise ConfigurationError(f"--steps must be >= 1, got {args.steps}")
+    deltas = _DELTA_STEP[material.kind] * np.arange(1, args.steps + 1)
     mesh = _training_mesh(args)
     part = biaxial_partition(mesh)
-    step = _DELTA_STEP[material.kind]
-    deltas = [step * (t + 1) for t in range(args.steps)]
     ds = generate_dataset(mesh, part, material, deltas, noise_sigma=args.noise, seed=args.seed,
                           noise_per_dof_constant=args.noise_per_dof_constant)
     ds.save(args.out)
     print(
         f"wrote {args.out}: {ds.n_snapshots} snapshots on {mesh.n_nodes} nodes / "
         f"{mesh.n_elements} elements, {part.n_reactions} reaction groups, "
-        f"delta = {deltas}, sigma_u = {args.noise:g}"
+        f"delta = {deltas.tolist()}, sigma_u = {args.noise:g}"
     )
     return 0
 
@@ -340,6 +339,17 @@ def cmd_simulate(args) -> int:
 # -- argument parsing -------------------------------------------------------
 
 
+def int64(text: str) -> int:
+    """The type of every integer flag: an int that int64 holds, since the
+    counts and seeds become numpy sizes and integers.  Out of range it raises
+    ConfigurationError, which argparse passes on, so :func:`main` refuses
+    the command line with exit 2 and one line."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ConfigurationError(f"{text} does not fit in a 64-bit integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="convexkan",
@@ -350,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="synthesize a full-field training dataset")
     g.add_argument("--model", required=True, help="truth material kind (NH/IH/HW/GT/AB/OG)")
     g.add_argument("--noise", type=float, default=0.0, help="displacement noise sigma_u")
-    g.add_argument("--steps", type=int, default=3, help="number of load snapshots")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--steps", type=int64, default=3, help="number of load snapshots")
+    g.add_argument("--seed", type=int64, default=0)
     g.add_argument("--mesh", help="mesh file (default: built-in holed square)")
     g.add_argument("--out", default="dataset.txt")
     g.add_argument("--noise-per-dof-constant", action="store_true",
@@ -363,10 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train the spline-network energy")
     t.add_argument("--dataset", required=True)
     t.add_argument("--out", default="model.ckpt")
-    t.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="default %(default)s")
-    t.add_argument("--ensemble", type=int, default=TrainConfig.ensemble_size,
+    t.add_argument("--epochs", type=int64, default=TrainConfig.epochs, help="default %(default)s")
+    t.add_argument("--ensemble", type=int64, default=TrainConfig.ensemble_size,
                    help="number of members, default %(default)s")
-    t.add_argument("--seed", type=int, default=TrainConfig.seed,
+    t.add_argument("--seed", type=int64, default=TrainConfig.seed,
                    help="seed of member 0 (member k: seed + k), default %(default)s")
     t.add_argument("--curvature-penalty", type=float, default=TrainConfig.curvature_penalty,
                    help="weight of the L1 prior on spline curvature (0: none), "
@@ -380,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--model", required=True, help="truth material kind")
     e.add_argument("--checkpoint")
     e.add_argument("--symbolic", help="distilled expression file")
-    e.add_argument("--samples", type=int, default=41)
+    e.add_argument("--samples", type=int64, default=41)
     e.add_argument("--out", default="evaluation.csv")
     e.set_defaults(func=cmd_evaluate)
 
@@ -396,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--symbolic")
     s.add_argument("--mesh", help="mesh file (default: built-in two-hole plate)")
     s.add_argument("--delta", type=float, default=0.1, help="final load parameter")
-    s.add_argument("--steps", type=int, help="number of load increments")
+    s.add_argument("--steps", type=int64, help="number of load increments")
     s.add_argument("--out", default="simulation")
     s.add_argument("--paper-scale", action="store_true")
     s.set_defaults(func=cmd_simulate)
@@ -415,8 +425,8 @@ def _check_output_dirs(args):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         _check_output_dirs(args)
         return args.func(args)
     except (SolverError, TrainingError, EvaluationError, InadmissibleDeformationError) as exc:

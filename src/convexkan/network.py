@@ -14,7 +14,7 @@ import math
 import numpy as np
 import numpy.typing as npt
 
-from .bspline import KnotVector, design_rows, local_rows, reparameterize, reparameterize_vjp
+from .bspline import design_rows, local_rows, reparameterize, reparameterize_vjp, uniform_knots
 from .errors import ConfigurationError, EvaluationError
 from .records import Records, _short
 
@@ -182,8 +182,8 @@ class KANModel:
 
     def _knots(self, lo, hi) -> Array:
         """Knots ``(M, n_in, m_b)`` on the natural domains ``[lo, hi]``, ``(M, n_in)``."""
-        return np.array([[KnotVector.from_domain(a, b, self.n_coef, self.order).t
-                          for a, b in zip(*row)] for row in zip(lo.tolist(), hi.tolist())])
+        return np.array([[uniform_knots(a, b, self.n_coef, self.order) for a, b in zip(*row)]
+                         for row in zip(lo.tolist(), hi.tolist())])
 
     def grid_initialize(self) -> "KANModel":
         """Set each spline's natural domain, for every member at once, by
@@ -466,7 +466,7 @@ class KANModel:
                     rows.append((records.take("raw", n_coef) + [w_s, w_b])[:width])
                     if i == 0:  # the column's knots, once the raw record has bounded n_coef
                         try:
-                            t.append(KnotVector.from_domain(lo, hi, n_coef, order).t)
+                            t.append(uniform_knots(lo, hi, n_coef, order))
                         except ConfigurationError as exc:
                             raise records.error(str(exc), at) from None
                 params.append(np.array(rows).reshape(1, b, a, width))

@@ -53,6 +53,9 @@ class TrainConfig:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.ensemble_size < 1:
             raise ConfigurationError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
+        if self.seed + self.ensemble_size > 2**63:  # the last member's seed is an int64
+            raise ConfigurationError(f"seed + ensemble_size must be <= 2**63, got "
+                                     f"{self.seed} + {self.ensemble_size}")
         if not (math.isfinite(self.curvature_penalty) and self.curvature_penalty >= 0.0):
             raise ConfigurationError(
                 f"curvature_penalty must be finite and >= 0, got {self.curvature_penalty}"
@@ -99,8 +102,7 @@ class ElementStates:
     ``f = D^T (area dK/dF^T g)`` per element.  Stacking every snapshot's
     force balance (see :class:`DofPartition`) gives the sparse operator ``L``
     and target ``y`` with loss ``|L g - y|^2`` for ``g`` flattened row by row.
-    Only the energy network changes, and its layer-0 design rows only with
-    its layer-0 knots.
+    Only the energy network changes.
     """
 
     def __init__(self, dataset: SpecimenDataset):
@@ -121,17 +123,6 @@ class ElementStates:
         self.LT = self.L.T.tocsr()
         n_free = S.shape[0] - dataset.partition.n_reactions
         self.y = np.column_stack((np.zeros((len(L), n_free)), dataset.reactions)).ravel()
-        self._rows0_key = None
-
-    def layer0_rows(self, model: KANModel) -> Array:
-        """The layer-0 value and slope rows at K of a model (what a training
-        sweep reads there), recomputed when its layer-0 knots change."""
-        t0, k = model.t[0], model.order
-        key = (k, t0.shape, t0.tobytes())
-        if key != self._rows0_key:
-            self._rows0_key = key
-            self._rows0 = model.layer0_rows(self.K.T[None])
-        return self._rows0
 
 
 def loss(model, dataset: SpecimenDataset) -> float:
@@ -157,25 +148,28 @@ def loss(model, dataset: SpecimenDataset) -> float:
     return total
 
 
-def _residuals(model: KANModel, states: ElementStates):
+def _residuals(model: KANModel, states: ElementStates, rows0=None):
     """The force residuals ``L g - y`` of each of a model's M members, one
-    column per member, and the forward sweep's cache they came from."""
+    column per member, and the forward sweep's cache they came from;
+    ``rows0`` are ``model.layer0_rows`` at ``states.K``, if built."""
     Kb, _ = model._check_input(states.K)
-    cache = model._forward_cache(Kb, states.layer0_rows(model))
+    cache = model._forward_cache(Kb, rows0)
     # the energy's K-gradients (M, 1, 3, N) as one column per member, point by point
     g = cache["A"][-1][:, 0].transpose(2, 1, 0).reshape(-1, model.size)
     return states.L @ g - states.y[:, None], cache
 
 
-def loss_and_grad(model: KANModel, states: ElementStates):
+def loss_and_grad(model: KANModel, states: ElementStates, rows0=None):
     """Loss and its gradient w.r.t. the network parameter vector of each of
     a model's M members: ``(M,)`` and ``(M, n_parameters)``.
 
     One forward sweep gives every member's energy K-gradients g; the
     residuals are ``L g - y``, and their adjoint ``2 L^T (L g - y)`` seeds
-    one reverse sweep through all members.
+    one reverse sweep through all members.  The sweep reads the layer-0
+    rows ``rows0`` if given (``model.layer0_rows`` at ``states.K``), and
+    builds them from the model's knots otherwise.
     """
-    res, cache = _residuals(model, states)
+    res, cache = _residuals(model, states, rows0)
     N = states.K.shape[0]
     seed_g = (states.LT @ (2.0 * res)).reshape(N, 3, model.size).transpose(2, 1, 0)
     return np.sum(res * res, axis=0), model.backward_batch(cache, seed_g=seed_g)
@@ -223,8 +217,9 @@ def train(config: TrainConfig, dataset: SpecimenDataset, mode: str = CONSTRAINED
     lrs = cyclic_learning_rate(config.epochs)
     failures = {}
     start = time.perf_counter()
+    rows0 = model.layer0_rows(states.K.T[None])  # the knots never move
     for epoch in range(config.epochs):
-        value, grad = loss_and_grad(model, states)
+        value, grad = loss_and_grad(model, states, rows0)
         grad += curvature_prior(model, config.curvature_penalty)[1]
         ok = np.isfinite(value) & np.all(np.isfinite(grad), axis=1)
         for k in np.flatnonzero(alive & ~ok):
@@ -242,7 +237,7 @@ def train(config: TrainConfig, dataset: SpecimenDataset, mode: str = CONSTRAINED
         params = np.where(alive[:, None], params - lrs[epoch] * mhat / (np.sqrt(vhat) + EPSILON),
                           params)
         model.set_parameter_vectors(params)
-    res = _residuals(model, states)[0]  # the final losses need no reverse sweep
+    res = _residuals(model, states, rows0)[0]  # the final losses need no reverse sweep
     final = np.where(alive, np.sum(res * res, axis=0), np.nan)
     best = int(np.nanargmin(final))
     report = TrainReport(seeds=seeds, losses=losses, lrs=lrs, final_loss=final,

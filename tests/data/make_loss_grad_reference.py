@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from convexkan.bspline import KnotVector
+from convexkan.bspline import uniform_knots
 from convexkan.fem import Mesh, SpecimenDataset, biaxial_partition, unit_square_hole_mesh
 from convexkan.network import CONSTRAINED, VANILLA, KANModel
 from convexkan.training import ElementStates, loss_and_grad
@@ -68,7 +68,7 @@ def reference_model(mode, dims, seed, K=None) -> KANModel:
         p[..., model.n_coef] = rng.uniform(-1.0, 1.5, size=p.shape[:3])
     if K is not None:
         lo, hi = np.quantile(K, [0.25 - 0.05 * seed, 0.75 + 0.05 * seed], axis=0)
-        model.t[0] = np.array([[KnotVector.from_domain(a, b, model.n_coef, model.order).t
+        model.t[0] = np.array([[uniform_knots(a, b, model.n_coef, model.order)
                                 for a, b in zip(lo, hi)]])
     return model
 

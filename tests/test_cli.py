@@ -728,6 +728,8 @@ class TestHugeCounts:
 
     COUNT = str(10**17)
     CASES = {
+        "generate": ["generate", "--model", "NH", "--mesh", "{mesh}", "--steps", COUNT,
+                     "--out", "{tmp}/d.txt"],
         "train": ["train", "--dataset", "{dataset}", "--epochs", COUNT,
                   "--ensemble", "1", "--out", "{tmp}/m.ckpt"],
         "evaluate": ["evaluate", "--model", "NH", "--symbolic", "{sym}",
@@ -745,6 +747,42 @@ class TestHugeCounts:
         assert main([a.format(**names) for a in self.CASES[case]]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory: Unable to allocate ") and err.count("\n") == 1
+
+    # past int64 numpy takes no size or seed: the argument parser refuses them
+    PAST = str(10**20)
+    PAST_INT64 = {
+        "train_epochs": ["train", "--dataset", "{dataset}", "--epochs", PAST,
+                         "--ensemble", "1", "--out", "{tmp}/m.ckpt"],
+        "evaluate": ["evaluate", "--model", "NH", "--symbolic", "{sym}",
+                     "--samples", PAST, "--out", "{tmp}/e.csv"],
+        "simulate": ["simulate", "--model", "NH", "--symbolic", "{sym}", "--mesh", "{mesh}",
+                     "--steps", PAST, "--out", "{tmp}/s"],
+        "train_seed": ["train", "--dataset", "{dataset}", "--epochs", "1", "--ensemble", "1",
+                       "--seed", str(2**63), "--out", "{tmp}/m.ckpt"],
+    }
+
+    @pytest.mark.parametrize("case", PAST_INT64)
+    def test_past_int64_exits_2_with_one_line(self, tmp_path, capsys, mesh_file, dataset_file,
+                                              case):
+        sym = tmp_path / "nh.sym"
+        sym.write_text("convexkan-symbolic v1\nenergy affine 0 0.5 0 1.5\n")
+        capsys.readouterr()
+        files = set(tmp_path.iterdir())
+        names = dict(mesh=mesh_file, dataset=dataset_file, sym=sym, tmp=tmp_path)
+        assert main([a.format(**names) for a in self.PAST_INT64[case]]) == 2
+        value = str(2**63) if case == "train_seed" else self.PAST
+        assert capsys.readouterr().err == f"error: {value} does not fit in a 64-bit integer\n"
+        assert set(tmp_path.iterdir()) == files
+
+    def test_last_member_seed_past_int64_exits_2(self, tmp_path, capsys, dataset_file):
+        # each seed fits, but member 2's, seed + 2, would wrap negative
+        capsys.readouterr()
+        argv = ["train", "--dataset", dataset_file, "--epochs", "1", "--ensemble", "3",
+                "--seed", str(2**63 - 1), "--out", str(tmp_path / "m.ckpt")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: seed + ensemble_size must be <= 2**63, got {2**63 - 1} + 3\n")
+        assert not (tmp_path / "m.ckpt").exists()
 
 
 class TestInputPaths:

@@ -418,6 +418,23 @@ class TestCheckpoint:
             assert err.startswith(f"error: checkpoint file, line {rows[0] + 1}: "), err
         assert not list(tmp_path.glob("out*"))
 
+    @pytest.mark.parametrize("domain, refusal", [
+        ("1e16 1.0000000000000004e16", "knots must be strictly increasing"),
+        ("10000 10001.2", "knots are not uniformly spaced"),
+    ])
+    def test_rounded_knots_named_at_their_domain(self, domain, refusal):
+        # each domain is finite and non-empty, but its knots round: at 1e16
+        # floats are 2 apart, so knots a third apart merge; near 1e4 steps of
+        # 0.1 differ by more than 1e-12 once rounded
+        lines = fresh_model(seed=23).dumps().splitlines()
+        rows = [k + 1 for k, ln in enumerate(lines)  # layer 0, input column 0
+                if ln.startswith("activation 0 ") and ln.endswith(" 0")]
+        for k in rows:
+            lines[k] = f"domain {domain}"
+        with pytest.raises(DataError, match=re.escape(
+                f"checkpoint file, line {rows[0] + 1}: activation 0,0,0: {refusal}")):
+            KANModel.loads("\n".join(lines))
+
     def test_headers_must_follow_packing_order(self):
         text = fresh_model(seed=24).dumps()
         # a duplicated header would leave edge 0,0,1 unset, and index -1

@@ -160,27 +160,34 @@ def edit_layer0_domains(model, lo, hi):
 
 
 class TestLayer0RowCache:
-    """ElementStates keeps the layer-0 design rows at K, keyed on the
-    layer-0 knots."""
+    """``train`` builds the layer-0 design rows at K once per run, on the
+    knots ``create`` fixed, and passes them to each epoch's
+    ``loss_and_grad``; called without rows, ``loss_and_grad`` builds them
+    from the model's own knots."""
 
-    def test_cached_rows_match_cache_free_pass(self, monkeypatch):
+    def test_cached_rows_match_cache_free_pass(self):
         ds = two_element_dataset(n_t=2)
         states = ElementStates(ds)
         for seed, mode in ((3, CONSTRAINED), (4, VANILLA)):
             net = KANModel.create(rng=seed, mode=mode)
-            loss_and_grad(net, states)  # fills the cache
-            value, grad = loss_and_grad(net, states)
-            with monkeypatch.context() as mp:
-                mp.setattr(states, "layer0_rows", lambda model: None)  # every row fresh
-                want_value, want_grad = loss_and_grad(net, states)
+            value, grad = loss_and_grad(net, states, net.layer0_rows(states.K.T[None]))
+            want_value, want_grad = loss_and_grad(net, states)  # every row fresh
             npt.assert_allclose(value, want_value, rtol=1e-12)
             npt.assert_allclose(grad, want_grad, rtol=0, atol=1e-12 * np.abs(want_grad).max())
 
-    def test_rows_shared_by_models_with_the_same_knots(self):
-        states = ElementStates(two_element_dataset())
-        a = KANModel.create(rng=5)
-        b = KANModel.create(rng=6)  # ensemble members share knots
-        assert states.layer0_rows(a) is states.layer0_rows(b)
+    def test_train_builds_rows_once(self, monkeypatch):
+        ds = two_element_dataset(n_t=2)
+        builds, real = [], KANModel.layer0_rows
+
+        def counted(self, z0):
+            builds.append(self.size)
+            return real(self, z0)
+
+        monkeypatch.setattr(KANModel, "layer0_rows", counted)
+        for epochs in (1, 6):
+            builds.clear()
+            train(TrainConfig(epochs=epochs, ensemble_size=2, seed=1), ds)
+            assert builds == [2]  # one build for both members and every epoch
 
     def test_edited_domains_get_fresh_rows(self):
         ds = two_element_dataset(n_t=2)
@@ -195,8 +202,10 @@ class TestLayer0RowCache:
         npt.assert_allclose(got[1], want[1], rtol=0, atol=1e-12 * np.abs(want[1]).max())
         npt.assert_allclose(got[0], loss(edited, ds), rtol=1e-10)
         # the edited model differs from net only in its layer-0 knots, so
-        # with net's stale rows it would have reproduced net's loss
+        # with net's rows it reproduces net's loss
         assert abs(want[0] - before[0]) > 1e-3 * abs(want[0])
+        stale = single(loss_and_grad, edited, states, net.layer0_rows(states.K.T[None]))
+        npt.assert_allclose(stale[0], before[0], rtol=1e-10)
         # and the original knots get their own rows back
         npt.assert_array_equal(single(loss_and_grad, net, states)[1], before[1])
 
@@ -536,8 +545,8 @@ class TestStackedTraining:
         """Make ``member`` of a 3-stack non-finite at ``epoch``."""
         real, calls = training.loss_and_grad, []
 
-        def poisoned(model, states):
-            value, grad = real(model, states)
+        def poisoned(model, *args):
+            value, grad = real(model, *args)
             calls.append(model.size)
             if len(calls) == epoch + 1 and model.size == 3:
                 if where == "loss":
