@@ -14,14 +14,16 @@ cover only the middle of the data's K range, one domain per member, so that
 points on both sides run on the linear extension.  For each (mode,
 architecture) it also records, for one such model on its grid-initialized
 knots, ``forward`` and ``forward_with_input_derivatives`` at a fixed K set
-over and past the knot box, and ``backward_batch`` there with both a W seed
-and a gradient seed.
+over and past the knot box, and ``backward_batch`` there with a gradient
+seed.
 
 The committed file was written by the layer sweep that built all three
 derivative orders of design rows at every layer and scaled the splines
 ``psi`` by ``softplus(w_s)`` after the product; ``tests/test_training.py``
 checks the current sweep against it.  Rewrite it only to record a
-deliberate change of the sweep.
+deliberate change of the sweep.  The ``_seeded`` entries were rewritten
+once, when ``backward_batch`` lost its W seed, by the sweep just before
+that change.
 """
 from pathlib import Path
 
@@ -79,9 +81,8 @@ def main(path=Path(__file__).with_name("loss_grad_reference_v1.npz")):
     out = dict(zip(("nodes", "triangles", "deltas", "displacements", "reactions"), arrays))
     out["K_fixed"] = K_FIXED
     rng = np.random.default_rng(7)
-    seed_w = rng.normal(size=K_FIXED.shape[0])
-    seed_g = rng.normal(size=K_FIXED.shape)
-    out["seed_w"], out["seed_g"] = seed_w, seed_g
+    rng.normal(size=K_FIXED.shape[0])  # the retired W seed's draw: seed_g stays as it was
+    out["seed_g"] = seed_g = rng.normal(size=K_FIXED.shape)
     for mode in MODES:
         for dims in ARCHS:
             tag = f"{mode}_{''.join(map(str, dims))}"
@@ -93,8 +94,8 @@ def main(path=Path(__file__).with_name("loss_grad_reference_v1.npz")):
             W, G, H = model.forward_with_input_derivatives(K_FIXED)
             out[f"{tag}_forward"] = model.forward(K_FIXED)
             out[f"{tag}_W"], out[f"{tag}_G"], out[f"{tag}_H"] = W, G, H
-            cache = model._forward_cache(K_FIXED, w_seeded=True)
-            out[f"{tag}_seeded"] = model.backward_batch(cache, seed_w[None], seed_g.T[None])[0]
+            cache = model._forward_cache(K_FIXED)
+            out[f"{tag}_seeded"] = model.backward_batch(cache, seed_g=seed_g.T[None])[0]
     np.savez_compressed(path, **out)
     print(f"wrote {path}")
 

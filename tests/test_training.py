@@ -264,7 +264,7 @@ class TestAgainstLossGradReference:
         assert_close_to_largest(W, ref[tag + "_W"], 1e-13, "W")
         assert_close_to_largest(G, ref[tag + "_G"], g_tol, "grad W")
         assert_close_to_largest(H, ref[tag + "_H"], 1e-12, "hess W")
-        got = backward(model, K, ref["seed_w"], ref["seed_g"])
+        got = backward(model, K, seed_g=ref["seed_g"])
         assert_close_to_largest(got, ref[tag + "_seeded"], 1e-12, "seeded gradient")
 
 
