@@ -192,12 +192,14 @@ def cmd_train(args) -> int:
     model.save(args.out)
     for member, message in sorted(report.failures.items()):
         print(f"member {member} failed: {message}", file=sys.stderr)
-    print("member  seed  final_loss  wall_s  selected")
-    for member, (seed, final) in enumerate(zip(report.seeds, report.final_loss)):
+    print("member  seed  final_loss  explained  dead  wall_s  selected")
+    rows = zip(report.seeds, report.final_loss, report.explained, report.dead)
+    for member, (seed, final, explained, dead) in enumerate(rows):
         if member in report.failures:
             continue
         mark = "*" if member == report.selected else " "
-        print(f"{member:6d}  {seed:4d}  {final:.6e}  {report.wall_time:6.1f}  {mark}")
+        print(f"{member:6d}  {seed:4d}  {final:.6e}  {explained:9.6f}  {dead:4d}  "
+              f"{report.wall_time:6.1f}  {mark}")
         if args.log_prefix:
             report.write_csv(f"{args.log_prefix}{member}.csv", member)
     print(f"wrote checkpoint {args.out}")

@@ -64,22 +64,21 @@ class KANModel:
     reading input column ``j`` of layer ``r`` share one knot vector:
     ``t[r]`` is ``(M, n_in, m_b)``, or ``(1, n_in, m_b)`` when every member
     has the same knots, so that their design rows are computed once for all.
-    The layers' arrays are views of one ``(M, n_edges, width)`` array, edge
-    by edge in layer order, so that maps acting edge by edge run once for
-    all layers; a member's parameter vector is its row of it, flattened.
+    The layers' arrays are views of one ``(M, n_edges, width)`` array
+    ``raw``, edge by edge in layer order, so that maps acting edge by edge
+    run once for all layers; training reads and writes ``raw`` alone.
 
     The layer sweep runs over every member at once; ``forward``,
     ``forward_with_input_derivatives`` and checkpoints take one network.
     """
 
-    def __init__(self, dims, order, n_coef, mode, params, t):
+    def __init__(self, dims, order, n_coef, mode, raw, t):
         self.dims = self._checked_dims(dims)
         self.order = int(order)
         self.n_coef = int(n_coef)
         self.mode = self._checked_mode(mode)
-        self._all = np.concatenate([np.reshape(p, (len(p), -1, p.shape[-1])) for p in params],
-                                   axis=1, dtype=np.float64)
-        self.params = self._by_layer(self._all)  # [layer r] -> (M, n_out, n_in, width)
+        self.raw = np.asarray(raw, dtype=np.float64)  # (M, n_edges, width)
+        self.params = self._by_layer(self.raw)  # [layer r] -> (M, n_out, n_in, width)
         # [layer r] -> (M or 1, n_in, m_b): one row when every member has it
         self.t = [tr[:1] if np.all(tr == tr[:1]) else tr for tr in t]
 
@@ -101,19 +100,17 @@ class KANModel:
     def create(cls, dims=(3, 2, 1), order=5, n_coef=17, mode=CONSTRAINED, rng=None):
         """One network with random control points, grid-initialized."""
         rng = np.random.default_rng(rng)
-        params = []
-        for n_in, n_out in zip(dims[:-1], dims[1:]):
-            p = np.full((1, n_out, n_in, n_coef + (2 if mode == VANILLA else 1)), W_S_UNIT)
-            for i, j in np.ndindex(n_out, n_in):
-                p[0, i, j, :n_coef] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=n_coef)
-                if mode == VANILLA:  # w_s, w_b
-                    p[0, i, j, n_coef:] = rng.uniform(-0.1, 0.1, size=2)
-            if mode == CONSTRAINED:
-                # a negative base slope raw[1] would be clamped to 0 with zero
-                # gradient, freezing the activation flat
-                p[..., 1] = np.abs(p[..., 1])
-            params.append(p)
-        return cls(dims, order, n_coef, mode, params, []).grid_initialize()
+        n_edges = sum(a * b for a, b in zip(dims[:-1], dims[1:]))
+        raw = np.full((1, n_edges, n_coef + (2 if mode == VANILLA else 1)), W_S_UNIT)
+        for edge in raw[0]:  # edge by edge in layer order, as _by_layer reads them
+            edge[:n_coef] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=n_coef)
+            if mode == VANILLA:  # w_s, w_b
+                edge[n_coef:] = rng.uniform(-0.1, 0.1, size=2)
+        if mode == CONSTRAINED:
+            # a negative base slope raw[1] would be clamped to 0 with zero
+            # gradient, freezing the activation flat
+            raw[..., 1] = np.abs(raw[..., 1])
+        return cls(dims, order, n_coef, mode, raw, []).grid_initialize()
 
     @classmethod
     def stack(cls, models) -> "KANModel":
@@ -122,15 +119,13 @@ class KANModel:
         spec = (a.dims, a.order, a.n_coef, a.mode)
         if any((m.dims, m.order, m.n_coef, m.mode) != spec for m in models):
             raise ConfigurationError("stacked models must share one architecture")
-        params = [np.concatenate(layer) for layer in zip(*(m.params for m in models))]
         t = [np.concatenate([np.broadcast_to(m.t[r], (m.size, *m.t[r].shape[1:]))
                              for m in models]) for r in range(a.n_layers)]
-        return cls(*spec, params, t)
+        return cls(*spec, np.concatenate([m.raw for m in models]), t)
 
     def members(self, rows) -> "KANModel":
         """The members ``rows`` (indices or a mask) as a new model, in copies."""
-        return KANModel(self.dims, self.order, self.n_coef, self.mode,
-                        [p[rows] for p in self.params],
+        return KANModel(self.dims, self.order, self.n_coef, self.mode, self.raw[rows],
                         [t[rows] if len(t) > 1 else t.copy() for t in self.t])
 
     @property
@@ -139,7 +134,7 @@ class KANModel:
 
     @property
     def size(self) -> int:
-        return self._all.shape[0]
+        return self.raw.shape[0]
 
     def _by_layer(self, a) -> list:
         """Per layer, the view of ``a`` ``(M, n_edges, ...)`` on the layer's
@@ -151,18 +146,10 @@ class KANModel:
             e += n_out * n_in
         return views
 
-    def parameter_vectors(self) -> Array:
-        """One parameter vector per member, ``(M, n_parameters)``."""
-        return self._all.reshape(self.size, -1).copy()
-
-    def set_parameter_vectors(self, V: Array):
-        """Write ``(M, n_parameters)`` vectors into the members in place."""
-        self._all[...] = np.reshape(V, self._all.shape)
-
     def _control_points(self) -> list:
         """Per layer, the unscaled control points ``c`` ``(M, n_out, n_in,
         n_coef)`` and the scales ``w`` ``(M, n_out, n_in)`` of its splines."""
-        raw, n = self._all, self.n_coef
+        raw, n = self.raw, self.n_coef
         if self.mode == CONSTRAINED:
             c, w = reparameterize(raw[..., :n]), softplus(raw[..., n])
         else:
@@ -329,23 +316,22 @@ class KANModel:
 
     # -- reverse accumulation ---------------------------------------------
 
-    def layer0_rows(self, z0) -> Array:
-        """Layer 0's order-(0, 1) design rows at its inputs ``z0`` (1, d0,
-        N), with the point axis last: ``(2, M or 1, d0, n_b, N)``."""
-        rows = design_rows(z0, self.t[0], self.order, (0, 1))
+    def layer0_rows(self, K) -> Array:
+        """Layer 0's order-(0, 1) design rows at the inputs ``K`` (N, d0),
+        with the point axis last: ``(2, M or 1, d0, n_b, N)``."""
+        rows = design_rows(K.T[None], self.t[0], self.order, (0, 1))
         return np.ascontiguousarray(rows.swapaxes(-1, -2))
 
-    def _forward_cache(self, Kb, rows0=None, w_seeded=False):
+    def _forward_cache(self, Kb, rows0=None):
         """Forward pass over every member at the shared inputs ``Kb``,
         storing what a reverse pass needs; ``rows0`` are
         :meth:`layer0_rows` at ``Kb``, if computed.  Layer 0 reads its
         design rows, the layers above the k + 1 basis values live at their
-        inputs.  Layers build only the orders read: values (at the output
-        only if ``w_seeded``), slopes, and curvatures above layer 0, where
-        the reverse sweep stops."""
+        inputs.  Layers build only the orders read: values below the output,
+        slopes, and curvatures above layer 0, where the reverse sweep stops."""
         z0 = Kb.T[None]
         if rows0 is None:
-            rows0 = self.layer0_rows(z0)
+            rows0 = self.layer0_rows(Kb)
         cws = self._control_points()
         zs, As, edges = [z0], [None], []  # layer 0's inputs are K: A is the identity
         for r, cw in enumerate(cws):
@@ -353,30 +339,26 @@ class KANModel:
                 y, _, _, e = self._layer(0, z0, cw, rows=rows0, orders=(0, 1))
                 Ay = e[0][1]
             else:
-                last = r == self.n_layers - 1 and not w_seeded
                 y, Ay, _, e = self._layer(r, zs[-1], cw, As[-1],
-                                          orders=(1, 2) if last else (0, 1, 2))
+                                          orders=(1, 2) if r == self.n_layers - 1 else (0, 1, 2))
             zs.append(y)
             As.append(Ay)
             edges.append(e)
         return {"z": zs, "A": As, "edges": edges, "cw": cws}
 
-    def backward_batch(self, cache, seed_w=None, seed_g=None) -> Array:
-        """Per member ``m``, the gradient of ``sum_n [seed_w[m, n] * W(K_n) +
-        seed_g[m, :, n] . grad_K W(K_n)]`` with respect to its parameter
-        vector: ``(M, n_parameters)``.
+    def backward_batch(self, cache, seed_g) -> Array:
+        """Per member ``m``, the gradient of ``sum_n seed_g[m, :, n] .
+        grad_K W(K_n)`` with respect to its parameters ``raw[m]``: ``raw``'s
+        shape ``(M, n_edges, width)``.
 
-        ``cache`` is :meth:`_forward_cache` at the inputs ``K``, built with
-        ``w_seeded`` if ``seed_w`` (M, N) is given; ``seed_g`` is (M, d0, N).
-        The gradient-seeded path is what force-residual training needs, since
-        the stress depends on the input gradient of the energy.
+        ``cache`` is :meth:`_forward_cache` at the inputs ``K`` and ``seed_g``
+        is (M, d0, N): force-residual training seeds the energy's input
+        gradient, since the stress depends on it.
         """
-        d0, N = cache["z"][0].shape[1:]
-        M, n = self.size, self.n_coef
-        zbar = None if seed_w is None else np.asarray(seed_w).reshape(M, 1, N)
-        Abar = np.zeros((M, 1, d0, N)) if seed_g is None else np.asarray(seed_g)[:, None]
-        grad = np.empty_like(self._all)
-        cbars = np.empty(self._all.shape[:-1] + (n,))  # like c, for every layer
+        n = self.n_coef
+        zbar, Abar = None, np.asarray(seed_g)[:, None]
+        grad = np.empty_like(self.raw)
+        cbars = np.empty(self.raw.shape[:-1] + (n,))  # like c, for every layer
         layers = zip(cache["z"], cache["A"], cache["edges"], cache["cw"],
                      self._by_layer(grad), self._by_layer(cbars))
         for r, (z, A, (phi, basis), (c, _), g, cbar) in reversed(list(enumerate(layers))):
@@ -394,13 +376,13 @@ class KANModel:
                 zbar_j = mb * phi[2] if zb is None else zb * phi[1] + mb * phi[2]
                 zbar = zbar_j.sum(axis=1)
                 Abar = (phi[1][:, :, :, None] * Abar[:, :, None]).sum(axis=1)
-        raw = self._all
+        raw = self.raw
         if self.mode == CONSTRAINED:
             grad[..., :n] = reparameterize_vjp(raw[..., :n], softplus(raw[..., n, None]) * cbars)
             grad[..., n] *= sigmoid(raw[..., n])
         else:
             grad[..., :n] = raw[..., n, None] * cbars
-        return grad.reshape(M, -1)
+        return grad
 
     # -- checkpointing -----------------------------------------------------
 
@@ -444,9 +426,9 @@ class KANModel:
             (order,), (n_coef,) = records.take("order %d"), records.take("n_coef %d")
             width = n_coef + (2 if mode == VANILLA else 1)
             # arrays are built from the records read, never sized by the header
-            params, knots = [], []  # [r] -> the layer; [r][j] -> the knots of input column j
+            raw, knots = [], []  # [edge] -> its record; [r][j] -> the knots of input column j
             for r, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
-                rows, domains, t = [], {}, []  # domains: [j] -> (lo, hi)
+                domains, t = {}, []  # domains: [j] -> (lo, hi)
                 for i, j in ((i, j) for i in range(b) for j in range(a)):  # np.ndindex lists them
                     name = f"activation {r},{i},{j}"
                     records.context = f"{name}: "
@@ -463,14 +445,13 @@ class KANModel:
                     (w_s,), (w_b,) = records.take("w_s %f"), records.take("w_b %f")
                     if mode == CONSTRAINED and w_b != 0.0:
                         raise records.error(f"constrained activations have no w_b, got {w_b}")
-                    rows.append((records.take("raw", n_coef) + [w_s, w_b])[:width])
+                    raw.append((records.take("raw", n_coef) + [w_s, w_b])[:width])
                     if i == 0:  # the column's knots, once the raw record has bounded n_coef
                         try:
                             t.append(uniform_knots(lo, hi, n_coef, order))
                         except ConfigurationError as exc:
                             raise records.error(str(exc), at) from None
-                params.append(np.array(rows).reshape(1, b, a, width))
                 knots.append(np.array(t)[None])
             records.context = ""
             records.take("end")
-            return cls(dims, order, n_coef, mode, params, knots)
+            return cls(dims, order, n_coef, mode, np.array(raw)[None], knots)

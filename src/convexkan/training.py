@@ -74,11 +74,19 @@ class TrainReport:
     """One training run, one row per member: ``losses`` (M, epochs) and
     ``final_loss`` (M,) are NaN for a member that failed, from its failure
     epoch on; ``failures`` gives its message by member index, and
-    ``selected`` is the member returned."""
+    ``selected`` is the member returned.
+
+    ``explained`` (M,) is ``1 - final_loss / |y|^2`` for the force data
+    ``y`` (:class:`ElementStates`): 0 at the zero-force model, NaN for a
+    failed member or when ``y`` is 0.  ``dead`` (M,) counts the constrained
+    activations whose ``raw[1:n_coef]`` are all negative: those splines are
+    flat and get zero gradient for good (0 in vanilla mode)."""
     seeds: npt.NDArray[np.int64]
     losses: Array
     lrs: Array
     final_loss: Array
+    explained: Array
+    dead: npt.NDArray[np.int64]
     failures: dict[int, str]
     selected: int
     wall_time: float
@@ -151,7 +159,7 @@ def loss(model, dataset: SpecimenDataset) -> float:
 def _residuals(model: KANModel, states: ElementStates, rows0=None):
     """The force residuals ``L g - y`` of each of a model's M members, one
     column per member, and the forward sweep's cache they came from;
-    ``rows0`` are ``model.layer0_rows`` at ``states.K``, if built."""
+    ``rows0`` are ``model.layer0_rows(states.K)``, if built."""
     Kb, _ = model._check_input(states.K)
     cache = model._forward_cache(Kb, rows0)
     # the energy's K-gradients (M, 1, 3, N) as one column per member, point by point
@@ -160,38 +168,35 @@ def _residuals(model: KANModel, states: ElementStates, rows0=None):
 
 
 def loss_and_grad(model: KANModel, states: ElementStates, rows0=None):
-    """Loss and its gradient w.r.t. the network parameter vector of each of
-    a model's M members: ``(M,)`` and ``(M, n_parameters)``.
+    """Loss and its gradient w.r.t. the parameters of each of a model's M
+    members: ``(M,)`` and ``model.raw``'s shape ``(M, n_edges, width)``.
 
     One forward sweep gives every member's energy K-gradients g; the
     residuals are ``L g - y``, and their adjoint ``2 L^T (L g - y)`` seeds
     one reverse sweep through all members.  The sweep reads the layer-0
-    rows ``rows0`` if given (``model.layer0_rows`` at ``states.K``), and
-    builds them from the model's knots otherwise.
+    rows ``rows0`` if given (``model.layer0_rows(states.K)``), and builds
+    them from the model's knots otherwise.
     """
     res, cache = _residuals(model, states, rows0)
     N = states.K.shape[0]
     seed_g = (states.LT @ (2.0 * res)).reshape(N, 3, model.size).transpose(2, 1, 0)
-    return np.sum(res * res, axis=0), model.backward_batch(cache, seed_g=seed_g)
+    return np.sum(res * res, axis=0), model.backward_batch(cache, seed_g)
 
 
 def curvature_prior(model: KANModel, weight: float):
-    """Value and gradient of ``weight * sum max(raw[2:], 0)`` over all
+    """Value and gradient of ``weight * sum max(raw[2:n_coef], 0)`` over all
     activations of each member of a constrained model: ``(M,)`` and
-    ``(M, n_parameters)``.
+    ``model.raw``'s shape.
 
-    ``raw[2:]`` are the curvature increments of each convex spline (see
+    ``raw[2:n_coef]`` are the curvature increments of each convex spline (see
     :func:`bspline.reparameterize`); the gradient uses the same subgradient of
     the clamp as :func:`bspline.reparameterize_vjp`.  Vanilla models carry no
     prior.
     """
-    v = model.parameter_vectors()
-    value, grad = np.zeros(len(v)), np.zeros_like(v)
+    value, grad = np.zeros(model.size), np.zeros_like(model.raw)
     if model.mode == CONSTRAINED:
-        n = model.n_coef
-        # constrained packing: per activation the n raw entries, then w_s
-        h = v.reshape(len(v), -1, n + 1)[..., 2:n]
-        grad.reshape(h.shape[:-1] + (n + 1,))[..., 2:n] = weight * (h >= 0.0)
+        h = model.raw[..., 2 : model.n_coef]
+        grad[..., 2 : model.n_coef] = weight * (h >= 0.0)
         value = weight * np.maximum(h, 0.0).sum(axis=(1, 2))
     return value, grad
 
@@ -210,18 +215,17 @@ def train(config: TrainConfig, dataset: SpecimenDataset, mode: str = CONSTRAINED
     states = ElementStates(dataset)
     seeds = config.seed + np.arange(config.ensemble_size)
     model = KANModel.stack([KANModel.create(mode=mode, rng=int(s)) for s in seeds])
-    params = model.parameter_vectors()
-    m, v = np.zeros_like(params), np.zeros_like(params)
+    m, v = np.zeros_like(model.raw), np.zeros_like(model.raw)
     alive = np.ones(len(seeds), dtype=bool)
     losses = np.full((len(seeds), config.epochs), np.nan)
     lrs = cyclic_learning_rate(config.epochs)
     failures = {}
     start = time.perf_counter()
-    rows0 = model.layer0_rows(states.K.T[None])  # the knots never move
+    rows0 = model.layer0_rows(states.K)  # the knots never move
     for epoch in range(config.epochs):
         value, grad = loss_and_grad(model, states, rows0)
         grad += curvature_prior(model, config.curvature_penalty)[1]
-        ok = np.isfinite(value) & np.all(np.isfinite(grad), axis=1)
+        ok = np.isfinite(value) & np.all(np.isfinite(grad), axis=(1, 2))
         for k in np.flatnonzero(alive & ~ok):
             failures[int(k)] = f"non-finite loss or gradient at epoch {epoch}"
         alive &= ok
@@ -234,13 +238,16 @@ def train(config: TrainConfig, dataset: SpecimenDataset, mode: str = CONSTRAINED
         v = BETA2 * v + (1.0 - BETA2) * grad * grad
         mhat = m / (1.0 - BETA1 ** (epoch + 1))
         vhat = v / (1.0 - BETA2 ** (epoch + 1))
-        params = np.where(alive[:, None], params - lrs[epoch] * mhat / (np.sqrt(vhat) + EPSILON),
-                          params)
-        model.set_parameter_vectors(params)
+        np.subtract(model.raw, lrs[epoch] * mhat / (np.sqrt(vhat) + EPSILON), out=model.raw,
+                    where=alive[:, None, None])
     res = _residuals(model, states, rows0)[0]  # the final losses need no reverse sweep
     final = np.where(alive, np.sum(res * res, axis=0), np.nan)
     best = int(np.nanargmin(final))
+    yy = states.y @ states.y
+    explained = 1.0 - final / yy if yy > 0.0 else np.full_like(final, np.nan)
+    flat = np.all(model.raw[..., 1 : model.n_coef] < 0.0, axis=2) & (model.mode == CONSTRAINED)
     report = TrainReport(seeds=seeds, losses=losses, lrs=lrs, final_loss=final,
-                         failures=failures, selected=best,
+                         explained=explained, dead=flat.sum(axis=1), failures=failures,
+                         selected=best,
                          wall_time=time.perf_counter() - start)
     return model.members([best]), report

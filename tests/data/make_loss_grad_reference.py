@@ -89,13 +89,13 @@ def main(path=Path(__file__).with_name("loss_grad_reference_v1.npz")):
             for M in SIZES:
                 models = [reference_model(mode, dims, s, states.K) for s in range(M)]
                 value, grad = loss_and_grad(KANModel.stack(models), states)
-                out[f"{tag}_M{M}_loss"], out[f"{tag}_M{M}_grad"] = value, grad
+                out[f"{tag}_M{M}_loss"], out[f"{tag}_M{M}_grad"] = value, grad.reshape(M, -1)
             model = reference_model(mode, dims, 0)
             W, G, H = model.forward_with_input_derivatives(K_FIXED)
             out[f"{tag}_forward"] = model.forward(K_FIXED)
             out[f"{tag}_W"], out[f"{tag}_G"], out[f"{tag}_H"] = W, G, H
             cache = model._forward_cache(K_FIXED)
-            out[f"{tag}_seeded"] = model.backward_batch(cache, seed_g=seed_g.T[None])[0]
+            out[f"{tag}_seeded"] = model.backward_batch(cache, seed_g.T[None]).ravel()
     np.savez_compressed(path, **out)
     print(f"wrote {path}")
 

@@ -8,9 +8,9 @@ square, two analytic displacement snapshots, fixed reactions), so the
 fixture depends on neither the mesh generator nor the FEM solve.
 
 It records ``train(TrainConfig(epochs=5, ensemble_size=3, seed=0))``: the
-selected member's parameter vector, every member's per-epoch losses and
-every member's final loss.  This pins Adam's trajectory on the cyclic
-learning rate, the curvature prior and the selection.
+selected member's parameters ``raw``, flattened, every member's per-epoch
+losses and every member's final loss.  This pins Adam's trajectory on the
+cyclic learning rate, the curvature prior and the selection.
 
 The committed file was written by the trainer that kept Adam's moments in
 an optimizer object and dropped failed members from the stack;
@@ -38,7 +38,7 @@ def dataset() -> SpecimenDataset:
 
 def main(path=DATA / "train_reference_v1.npz"):
     model, report = train(CONFIG, dataset())
-    np.savez_compressed(path, parameters=model.parameter_vectors(), losses=report.losses,
+    np.savez_compressed(path, parameters=model.raw.reshape(1, -1), losses=report.losses,
                         final_loss=report.final_loss)
     print(f"wrote {path}")
 

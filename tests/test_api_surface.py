@@ -1,6 +1,7 @@
 """API surface: every function, class and method of the package is named
-somewhere in the package besides its own definition, so that no second path
-for a concept lives on for the tests alone; and every name a file of the
+somewhere in the package besides its own definition, and every parameter
+default is passed by some call in the package, so that no second path for
+a concept lives on for the tests alone; and every name a file of the
 package, its tests or its demos imports is read in that file."""
 import ast
 from pathlib import Path
@@ -15,6 +16,18 @@ ALLOWED = {
     "bspline.BSplineCurve": "perfbench's bspline.design_rows span patches its design_rows",
     "training.loss": "the independent nodal_forces oracle of the tests and of "
                      "perfbench's discover check",
+}
+
+# parameter defaults no call in the package passes, each with the reason it stays
+ARCHITECTURE = "checkpoints and the reference fixtures hold other architectures"
+ALLOWED_DEFAULTS = {
+    "fem.solve(tol)": "perfbench reads its default as the bound on a recomputed residual",
+    "fem.unit_square_hole_mesh(radius)": "the specimen's hole size, checked and refused "
+                                         "on its own",
+    "network.KANModel.create(dims)": ARCHITECTURE,
+    "network.KANModel.create(order)": ARCHITECTURE,
+    "network.KANModel.create(n_coef)": ARCHITECTURE,
+    "cli.main(argv)": "the console script calls main() to parse sys.argv",
 }
 
 
@@ -57,6 +70,69 @@ def test_every_definition_is_named_in_the_package():
     }
     assert sorted(unused - set(ALLOWED)) == [], "delete them, or allow them with a reason"
     assert sorted(set(ALLOWED) - unused) == [], "now named in the package: drop from ALLOWED"
+
+
+def defaults(tree):
+    """(qualified name, name, position, parameter) of each parameter with a
+    default on a top-level function or a method other than ``__init__``;
+    ``position`` is its index among a call's positional arguments, or None
+    if it is keyword-only."""
+    def parameters(fn, qualified, bound):
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        for i, arg in enumerate(positional[first:], first - bound):
+            yield qualified, fn.name, i, arg.arg
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield qualified, fn.name, None, arg.arg
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield from parameters(node, node.name, False)
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name != "__init__":
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    yield from parameters(item, f"{node.name}.{item.name}", not static)
+
+
+def calls(tree):
+    """(name, call) of each call of a bare name or an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                yield node.func.id, node
+            elif isinstance(node.func, ast.Attribute):
+                yield node.func.attr, node
+
+
+def passes(call, position, parameter):
+    """Whether ``call`` may pass ``parameter``: by keyword (or ``**``), at
+    its ``position``, or through a ``*`` argument at or before it."""
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    return position is not None and (len(call.args) > position or any(
+        isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_default_is_passed_in_the_package():
+    modules = trees()
+    by_name = {}
+    for tree in modules.values():
+        for name, call in calls(tree):
+            by_name.setdefault(name, []).append(call)
+    unpassed = {
+        f"{module}.{qualified}({parameter})"
+        for module, tree in modules.items()
+        for qualified, name, position, parameter in defaults(tree)
+        if not any(passes(call, position, parameter) for call in by_name.get(name, []))
+    }
+    assert sorted(unpassed - set(ALLOWED_DEFAULTS)) == [], \
+        "drop the defaults, or allow them with a reason"
+    assert sorted(set(ALLOWED_DEFAULTS) - unpassed) == [], \
+        "now passed in the package: drop from ALLOWED_DEFAULTS"
 
 
 def unread_imports(tree):

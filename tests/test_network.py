@@ -25,29 +25,27 @@ def flat_model():
 
 
 def parameter_fd(model, objective, h=1e-5):
-    """Central differences of ``objective()`` in each entry of the parameter
-    vector of a model of one, written into the model."""
-    v0 = model.parameter_vectors()[0]
-    fd = np.empty_like(v0)
-    for p in range(v0.size):
-        vp, vm = v0.copy(), v0.copy()
-        vp[p] += h
-        vm[p] -= h
-        model.set_parameter_vectors(vp[None])
+    """Central differences of ``objective()`` in each entry of the
+    parameters ``raw[0]`` of a model of one, written into the model, in
+    their shape ``(n_edges, width)``."""
+    raw = model.raw[0]
+    fd = np.empty_like(raw)
+    for p in np.ndindex(raw.shape):
+        x = raw[p]
+        raw[p] = x + h
         up = objective()
-        model.set_parameter_vectors(vm[None])
+        raw[p] = x - h
         um = objective()
+        raw[p] = x
         fd[p] = (up - um) / (2 * h)
-    model.set_parameter_vectors(v0[None])
     return fd
 
 
-def backward(m, K, seed_w=None, seed_g=None):
-    """``backward_batch`` of a model of one at inputs ``K`` for one set of
-    seeds, ``seed_g`` (N, d0) like ``K``: one gradient row."""
-    cache = m._forward_cache(np.asarray(K, dtype=np.float64), w_seeded=seed_w is not None)
-    return m.backward_batch(cache, None if seed_w is None else seed_w[None],
-                            None if seed_g is None else seed_g.T[None])[0]
+def backward(m, K, seed_g):
+    """``backward_batch`` of a model of one at inputs ``K`` for the seed
+    ``seed_g`` (N, d0) like ``K``: the gradient in ``raw[0]``'s shape."""
+    cache = m._forward_cache(np.asarray(K, dtype=np.float64))
+    return m.backward_batch(cache, seed_g.T[None])[0]
 
 
 def edge_spline(m, r, i, j, x):
@@ -115,8 +113,7 @@ class TestMemberAxis:
         models = [fresh_model(seed=s, mode=VANILLA) for s in (5, 6, 7)]
         stack = KANModel.stack(models)
         picked = stack.members([2, 0])
-        npt.assert_array_equal(picked.parameter_vectors(),
-                               [models[2].parameter_vectors()[0], models[0].parameter_vectors()[0]])
+        npt.assert_array_equal(picked.raw, [models[2].raw[0], models[0].raw[0]])
         assert picked.t[1].shape[0] == 2
         K = np.random.default_rng(4).uniform(-5.0, 25.0, size=(7, 3))
         for m in (0, 1, 2):
@@ -261,23 +258,16 @@ class TestConvexityProperties:
 class TestBackward:
     def test_zero_seed_zero_gradient(self):
         m = fresh_model(seed=13)
-        g = backward(m, np.array([[1.0, 2.0, 3.0]]), seed_w=np.zeros(1))
+        g = backward(m, np.array([[1.0, 2.0, 3.0]]), np.zeros((1, 3)))
         npt.assert_array_equal(g, 0.0)
 
     def test_linear_in_seed(self):
         m = fresh_model(seed=14)
         K = np.array([[0.5, 1.0, 2.0]])
-        g1 = backward(m, K, seed_w=np.ones(1))
-        g3 = backward(m, K, seed_w=np.full(1, 3.0))
-        npt.assert_allclose(g3, 3.0 * g1, rtol=1e-12)
-
-    @pytest.mark.parametrize("mode", [CONSTRAINED, VANILLA])
-    def test_value_seed_matches_parameter_fd(self, mode):
-        m = fresh_model(seed=15, mode=mode)
-        K = np.array([[0.3, 1.7, 4.0], [-1.0, 0.2, 8.0]])
-        got = backward(m, K, seed_w=np.ones(2))
-        fd = parameter_fd(m, lambda: m.forward(K).sum())
-        npt.assert_allclose(got, fd, rtol=1e-4, atol=1e-7)
+        g1 = backward(m, K, np.ones((1, 3)))
+        g3 = backward(m, K, np.full((1, 3), 3.0))
+        # entries that cancel to ~1e-17 differ in their last bits
+        assert_close_relative(g3, 3.0 * g1)
 
     @pytest.mark.parametrize("mode", [CONSTRAINED, VANILLA])
     def test_gradient_seed_matches_parameter_fd(self, mode):
@@ -285,7 +275,7 @@ class TestBackward:
         K = np.array([[0.3, 1.7, 4.0], [2.0, -0.5, 12.0]])
         rng = np.random.default_rng(17)
         seed_g = rng.normal(size=(2, 3))
-        got = backward(m, K, seed_g=seed_g)
+        got = backward(m, K, seed_g)
 
         def objective():
             _, g, _ = m.forward_with_input_derivatives(K)
@@ -329,7 +319,7 @@ class TestCheckpoint:
         m2 = KANModel.load(path)
         assert m2.mode == m.mode
         assert m2.dims == m.dims
-        npt.assert_array_equal(m2.parameter_vectors(), m.parameter_vectors())
+        npt.assert_array_equal(m2.raw, m.raw)
         for r in range(m.n_layers):
             columns = range(m.dims[r])
             assert [m.domain(r, j) for j in columns] == [m2.domain(r, j) for j in columns]
@@ -495,13 +485,13 @@ def reference_forward(m, K):
     return z[:, 0], A[:, 0], H[:, 0], tape
 
 
-def reference_backward(m, K, seed_w, seed_g):
-    """Gradient of sum(seed_w * W + seed_g . grad W) by reverse accumulation
-    edge by edge."""
+def reference_backward(m, K, seed_g):
+    """Gradient of sum(seed_g . grad W) by reverse accumulation edge by
+    edge, in ``raw[0]``'s shape."""
     _, _, _, tape = reference_forward(m, K)
     n = m.n_coef
     grads = [np.zeros_like(p[0]) for p in m.params]
-    zbar, Abar = seed_w[:, None], seed_g[:, None, :]
+    zbar, Abar = np.zeros((len(K), 1)), seed_g[:, None, :]
     for r in reversed(range(m.n_layers)):
         z, A = tape[r]
         new_zbar, new_Abar = np.zeros(z.shape), np.zeros(A.shape)
@@ -525,7 +515,7 @@ def reference_backward(m, K, seed_w, seed_g):
                 new_zbar[:, j] += yb * dphi + mb * d2phi
                 new_Abar[:, j] += dphi[:, None] * Abar[:, i]
         zbar, Abar = new_zbar, new_Abar
-    return np.concatenate([g.ravel() for g in grads])
+    return np.concatenate([g.reshape(-1, g.shape[-1]) for g in grads])
 
 
 def assert_close_relative(got, want, rtol=1e-12):
@@ -545,15 +535,8 @@ class TestAgainstPerEdgeReference:
             assert_close_relative(m.forward(K), W)
             for got, want in zip(m.forward_with_input_derivatives(K), (W, g, H)):
                 assert_close_relative(got, want)
-            seed_w, seed_g = rng.normal(size=40), rng.normal(size=(40, 3))
-            assert_close_relative(
-                backward(m, K, seed_w=seed_w),
-                reference_backward(m, K, seed_w, np.zeros((40, 3))),
-            )
-            assert_close_relative(
-                backward(m, K, seed_g=seed_g),
-                reference_backward(m, K, np.zeros(40), seed_g),
-            )
+            seed_g = rng.normal(size=(40, 3))
+            assert_close_relative(backward(m, K, seed_g), reference_backward(m, K, seed_g))
 
 
 def layer_points(model, r, rng):

@@ -13,8 +13,8 @@ SPANS_PY = Path(__file__).parent.parent / "perfbench" / "spans.py"
 # targets that name nothing, each with the reason it stays in SPANS
 DEAD = {
     "network:KANModel.set_parameter_vector":
-        "the method became set_parameter_vectors when the ensemble's members were "
-        "stacked; the span moves with the benchmark's own change (ROADMAP item 1)",
+        "no method writes a parameter vector any more: training steps KANModel.raw "
+        "in place; the span goes with the benchmark's own change (ROADMAP item 1)",
 }
 
 

@@ -40,11 +40,6 @@ def two_element_dataset(delta=0.1, model=None, n_t=1):
     return generate_dataset(mesh, part, model or NeoHookean(), deltas)
 
 
-def parameters(model):
-    """The parameter vector of a model of one."""
-    return model.parameter_vectors()[0]
-
-
 def single(fn, model, *args):
     """A training function's value and gradient for a model of one."""
     value, grad = fn(model, *args)
@@ -170,7 +165,7 @@ class TestLayer0RowCache:
         states = ElementStates(ds)
         for seed, mode in ((3, CONSTRAINED), (4, VANILLA)):
             net = KANModel.create(rng=seed, mode=mode)
-            value, grad = loss_and_grad(net, states, net.layer0_rows(states.K.T[None]))
+            value, grad = loss_and_grad(net, states, net.layer0_rows(states.K))
             want_value, want_grad = loss_and_grad(net, states)  # every row fresh
             npt.assert_allclose(value, want_value, rtol=1e-12)
             npt.assert_allclose(grad, want_grad, rtol=0, atol=1e-12 * np.abs(want_grad).max())
@@ -179,9 +174,9 @@ class TestLayer0RowCache:
         ds = two_element_dataset(n_t=2)
         builds, real = [], KANModel.layer0_rows
 
-        def counted(self, z0):
+        def counted(self, K):
             builds.append(self.size)
-            return real(self, z0)
+            return real(self, K)
 
         monkeypatch.setattr(KANModel, "layer0_rows", counted)
         for epochs in (1, 6):
@@ -204,7 +199,7 @@ class TestLayer0RowCache:
         # the edited model differs from net only in its layer-0 knots, so
         # with net's rows it reproduces net's loss
         assert abs(want[0] - before[0]) > 1e-3 * abs(want[0])
-        stale = single(loss_and_grad, edited, states, net.layer0_rows(states.K.T[None]))
+        stale = single(loss_and_grad, edited, states, net.layer0_rows(states.K))
         npt.assert_allclose(stale[0], before[0], rtol=1e-10)
         # and the original knots get their own rows back
         npt.assert_array_equal(single(loss_and_grad, net, states)[1], before[1])
@@ -246,7 +241,7 @@ class TestAgainstLossGradReference:
         value, grad = loss_and_grad(KANModel.stack(models), states)
         key = f"{self.tag(mode, dims)}_M{M}"
         npt.assert_allclose(value, self.REF[key + "_loss"], rtol=1e-12)
-        for got, want in zip(grad, self.REF[key + "_grad"]):
+        for got, want in zip(grad.reshape(M, -1), self.REF[key + "_grad"]):
             assert_close_to_largest(got, want, 1e-12, "gradient")
 
     @pytest.mark.parametrize("mode, dims", CASES, ids=lambda v: "".join(map(str, v)))
@@ -264,7 +259,7 @@ class TestAgainstLossGradReference:
         assert_close_to_largest(W, ref[tag + "_W"], 1e-13, "W")
         assert_close_to_largest(G, ref[tag + "_G"], g_tol, "grad W")
         assert_close_to_largest(H, ref[tag + "_H"], 1e-12, "hess W")
-        got = backward(model, K, seed_g=ref["seed_g"])
+        got = backward(model, K, ref["seed_g"]).ravel()
         assert_close_to_largest(got, ref[tag + "_seeded"], 1e-12, "seeded gradient")
 
 
@@ -300,12 +295,6 @@ class TestRequestedOrders:
         want = [(0, (0, 1))] + [(r, (0, 1, 2)) for r in range(1, last)] + [(last, (1, 2))]
         assert calls == want
 
-    def test_value_seed_adds_output_values(self, monkeypatch):
-        model = KANModel.create(rng=2)
-        calls = self.record(monkeypatch, model)
-        backward(model, np.array([[1.0, 2.0, 3.0]]), seed_w=np.ones(1))
-        assert calls == [(0, (0, 1)), (1, (0, 1, 2))]
-
     def test_forward_orders(self, monkeypatch):
         model = KANModel.create(dims=(3, 3, 2, 1), rng=2)
         calls = self.record(monkeypatch, model)
@@ -326,9 +315,7 @@ class TestCurvaturePrior:
 
     def test_gradient_matches_fd(self):
         net = KANModel.create(rng=5)
-        v0 = net.parameter_vectors()
-        v0[np.abs(v0) < 1e-3] = 0.05  # stay away from the clamp kink
-        net.set_parameter_vectors(v0)
+        net.raw[np.abs(net.raw) < 1e-3] = 0.05  # stay away from the clamp kink
         grad = curvature_prior(net, 0.7)[1][0]
         fd = parameter_fd(net, lambda: curvature_prior(net, 0.7)[0][0], 1e-6)
         npt.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
@@ -347,17 +334,17 @@ class TestCurvaturePrior:
         npt.assert_allclose(report.final_loss[0], loss(model, ds), rtol=1e-10)
         # the prior is active: it changes the trained parameters
         plain, _ = train(replace(cfg, curvature_penalty=0.0), ds)
-        assert np.any(parameters(model) != parameters(plain))
+        assert np.any(model.raw != plain.raw)
 
 
 class TestTrain:
     def test_single_epoch_changes_parameters(self):
         ds = two_element_dataset()
         cfg = TrainConfig(epochs=1, ensemble_size=1, seed=5)
-        before = parameters(KANModel.create(rng=5))
+        before = KANModel.create(rng=5).raw
         model, report = train(cfg, ds)
         assert report.losses.shape == (1, 1)
-        assert np.any(parameters(model) != before)
+        assert np.any(model.raw != before)
 
     def test_loss_decreases(self):
         ds = two_element_dataset(n_t=2)
@@ -370,7 +357,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=10, ensemble_size=1, seed=7)
         m1, r1 = train(cfg, ds)
         m2, r2 = train(cfg, ds)
-        npt.assert_array_equal(parameters(m1), parameters(m2))
+        npt.assert_array_equal(m1.raw, m2.raw)
         npt.assert_array_equal(r1.losses, r2.losses)
 
     def test_loss_trace_finite_and_report_shape(self):
@@ -439,7 +426,78 @@ class TestEnsemble:
         cfg = TrainConfig(epochs=6, ensemble_size=2, seed=4)
         b1, _ = train(cfg, ds)
         b2, _ = train(cfg, ds)
-        npt.assert_array_equal(parameters(b1), parameters(b2))
+        npt.assert_array_equal(b1.raw, b2.raw)
+
+
+def nh_dataset(scale):
+    """Noiseless NH data on the 11-grid holed square, delta = 0.1, 0.2, 0.3,
+    with the reactions times ``scale``: exact data of the material scale * NH."""
+    mesh = unit_square_hole_mesh(n=11)
+    ds = generate_dataset(mesh, biaxial_partition(mesh), NeoHookean(), [0.1, 0.2, 0.3])
+    return replace(ds, reactions=scale * ds.reactions)
+
+
+class TestReport:
+    """``explained`` says how much of the force data each member explains,
+    and ``dead`` how many of its activations Adam can no longer move."""
+
+    CONFIG = TrainConfig(epochs=300, ensemble_size=3, seed=0)
+
+    def test_member_at_zero_force_is_reported(self):
+        # on 0.03 * NH the clamp traps member 1 at the zero-force model
+        ds = nh_dataset(0.03)
+        best, report = train(self.CONFIG, ds)
+        y2 = np.sum(ds.reactions**2)  # the free-DOF targets are 0
+        npt.assert_allclose(report.explained, 1.0 - report.final_loss / y2, rtol=0, atol=1e-12)
+        assert abs(report.explained[1]) < 1e-12
+        npt.assert_allclose(report.explained[[0, 2]], 0.892083, atol=1e-6)
+        assert report.dead.tolist() == [4, 6, 5] and report.selected == 2
+        # edges (0, i, j), then (1, 0, i): every path from K1 and K2 holds a
+        # flat activation, so the selected member fits K3 alone
+        flat = np.all(best.raw[0, :, 1 : best.n_coef] < 0.0, axis=1)
+        assert flat.tolist() == [True, True, False, True, True, False, True, False]
+
+    def test_unscaled_data_are_explained(self):
+        _, report = train(self.CONFIG, nh_dataset(1.0))
+        assert np.all(report.explained > 0.99999)
+        assert report.dead.tolist() == [2, 2, 2]  # the K2 edges: NH does not read K2
+
+    def test_cli_table(self, tmp_path, capsys):
+        ds, path = nh_dataset(0.03), tmp_path / "ds.txt"
+        ds.save(path)
+        assert cli.main(["train", "--dataset", str(path), "--epochs", "300", "--ensemble", "3",
+                         "--seed", "0", "--out", str(tmp_path / "m.ckpt")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "member  seed  final_loss  explained  dead  wall_s  selected"
+        rows = [ln.split() for ln in lines[1:4]]
+        assert [row[3:5] for row in rows] == [["0.892083", "4"], ["-0.000000", "6"],
+                                              ["0.892083", "5"]]
+        # the selected row ends in "*" and keeps final_loss third
+        assert [row[-1] == "*" for row in rows] == [False, False, True]
+        best = KANModel.load(tmp_path / "m.ckpt")
+        npt.assert_allclose(float(rows[2][2]), loss(best, ds), rtol=1e-6)
+
+    def test_zero_force_data_read_nan(self):  # a RuntimeWarning fails it
+        ds = two_element_dataset()
+        zero = replace(ds, deltas=[0.0], displacements=np.zeros((1, 4, 2)),
+                       reactions=np.zeros((1, 4)))
+        _, report = train(TrainConfig(epochs=2, ensemble_size=2, seed=0), zero)
+        assert np.all(np.isnan(report.explained)) and np.all(np.isfinite(report.final_loss))
+
+    @pytest.mark.parametrize("mode, dead", [(CONSTRAINED, 8), (VANILLA, 0)])
+    def test_dead_counts_clamped_splines_only(self, monkeypatch, mode, dead):
+        # vanilla control points are not clamped: negative ones are not flat
+        real = KANModel.create
+
+        def negative(**kwargs):
+            model = real(**kwargs)
+            model.raw[..., 1 : model.n_coef] = -1.0
+            return model
+
+        monkeypatch.setattr(KANModel, "create", negative)
+        cfg = TrainConfig(epochs=2, ensemble_size=2, seed=0)
+        _, report = train(cfg, two_element_dataset(), mode=mode)
+        assert report.dead.tolist() == [dead, dead]
 
 
 class TestErrors:
@@ -484,23 +542,26 @@ class TestStackedPass:
         assert len({m.domain(1, 0) for m in models}) == 3
         alone = [single(loss_and_grad, m, states) for m in models]
         values, grads = loss_and_grad(KANModel.stack(models), states)
-        assert values.shape == (3,) and grads.shape == (3, parameters(models[0]).size)
+        assert values.shape == (3,) and grads.shape == (3,) + models[0].raw.shape[1:]
         for (value, grad), v, g in zip(alone, values, grads):
             npt.assert_allclose(v, value, rtol=1e-12)
             npt.assert_allclose(g, grad, rtol=0, atol=1e-12 * np.abs(grad).max())
 
     def test_stack_and_members_copy_parameters(self):
         models = [KANModel.create(rng=s) for s in (1, 2)]
-        want = [np.concatenate([p.ravel() for p in m.params]) for m in models]
+        # raw holds every layer's edges in layer order, and params are its views
+        want = [np.concatenate([p[0].reshape(-1, p.shape[-1]) for p in m.params])
+                for m in models]
         stack = KANModel.stack(models)
-        npt.assert_array_equal(stack.parameter_vectors(), want)
+        npt.assert_array_equal(stack.raw, want)
         picked = stack.members([1])
-        stack.set_parameter_vectors(2.0 * stack.parameter_vectors())
-        npt.assert_array_equal(stack.parameter_vectors(), 2.0 * np.array(want))
+        stack.raw *= 2.0
+        for p, q in zip(stack.params, KANModel.stack(models).params):
+            npt.assert_array_equal(p, 2.0 * q)
         # neither the source models nor a picked member see the write
         for m, w in zip(models, want):
-            npt.assert_array_equal(np.concatenate([p.ravel() for p in m.params]), w)
-        npt.assert_array_equal(picked.parameter_vectors()[0], want[1])
+            npt.assert_array_equal(m.raw[0], w)
+        npt.assert_array_equal(picked.raw[0], want[1])
 
     def test_rejects_mixed_architectures(self):
         a = KANModel.create(rng=1)
@@ -552,7 +613,7 @@ class TestStackedTraining:
                 if where == "loss":
                     value[member] = np.nan
                 else:
-                    grad[member, 0] = np.inf
+                    grad[member, 0, 0] = np.inf
             return value, grad
 
         monkeypatch.setattr(training, "loss_and_grad", poisoned)
@@ -572,10 +633,11 @@ class TestStackedTraining:
         # the failed member keeps its losses before the failure epoch only
         npt.assert_array_equal(report.losses[1, :5], clean.losses[1, :5])
         assert np.all(np.isnan(report.losses[1, 5:])) and np.isnan(report.final_loss[1])
+        assert np.isnan(report.explained[1]) and np.all(np.isfinite(report.explained[[0, 2]]))
         assert report.final_loss[report.selected] == np.nanmin(report.final_loss)
         # the clean run selects a survivor, so both return the same member
         assert report.selected == clean.selected != 1
-        npt.assert_array_equal(parameters(best), parameters(clean_best))
+        npt.assert_array_equal(best.raw, clean_best.raw)
         monkeypatch.undo()
         npt.assert_allclose(loss(best, ds), np.nanmin(report.final_loss), rtol=1e-10)
 
