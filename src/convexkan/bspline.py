@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import numpy.typing as npt
@@ -67,26 +68,50 @@ def _span_matrices(k: int) -> Array:
     return M
 
 
-def _local_values(x, t, k: int, orders):
-    """The k + 1 B-splines non-zero on each point's knot span ``[t_mu,
-    t_mu+1)``, half-open as in the Cox-de Boor recursion (so a derivative
-    that jumps at a knot takes its right-hand value): their derivatives of
-    the given ``orders`` at ``x`` on the uniform knots ``t``.
-
-    ``x`` is ``(..., N)`` and ``t`` is ``(..., m_b)``; their leading axes
-    broadcast, so one call evaluates many point sets, each on its own knots.
-    Returns the spans ``mu`` ``(..., N)`` and the values ``(len(orders),
-    ..., k + 1, N)``, row ``r`` for ``B_{mu-k+r}``, each a polynomial in the
-    point's offset into its span summed by Horner's rule in elementwise
-    operations, not by BLAS: a point gets the same bits alone or among any
-    others.  Points off ``[t_1, t_{m_b})`` get zeros, points in the outer
-    spans the partial values of the functions defined there.
-    """
-    x, t, orders = np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64), list(orders)
+def _checked_orders(orders, k: int, extend: bool) -> list:
+    """The derivative orders to evaluate for ``orders``: order 1 joins order
+    0 when some point lies past the natural domain, where the value
+    continues with the edge's slope."""
+    orders = list(orders)
     if k < max(orders):
         raise ConfigurationError(
             f"order-{max(orders)} derivative needs spline order k >= {max(orders)}, got k={k}"
         )
+    return orders + [1] * (extend and 0 in orders and 1 not in orders)
+
+
+def _clamped(x, t, k: int):
+    """``x`` clamped onto the natural domain of the knots ``t`` and the
+    distance ``x - x_c`` past it, None when no point is past."""
+    lo, hi = t[..., k : k + 1], t[..., t.shape[-1] - k - 1 : t.shape[-1] - k]
+    xc = np.minimum(np.maximum(x, lo), hi)
+    dx = x - xc
+    return xc, (dx if dx.any() else None)
+
+
+def _extend(vals, orders, dx) -> None:
+    """Continue the values ``vals`` by order past the natural domain, in
+    place: ``phi += dx * phi'`` and ``phi'' = 0`` where ``dx`` is not 0."""
+    if dx is None:
+        return
+    past = dx != 0
+    if 0 in orders:
+        v0 = vals[orders.index(0)]
+        np.add(v0, dx * vals[orders.index(1)], out=v0, where=past)
+    if 2 in orders:
+        np.copyto(vals[orders.index(2)], 0.0, where=past)
+
+
+def _spans(x, t):
+    """Each point's knot span ``[t_mu, t_mu+1)``, half-open as in the
+    Cox-de Boor recursion (so a derivative that jumps at a knot takes its
+    right-hand value), on the uniform knots ``t``.
+
+    ``x`` is ``(..., N)`` and ``t`` is ``(..., m_b)``; their leading axes
+    broadcast.  Returns ``mu`` ``(..., N)``, clamped onto ``[0, m_b - 2]``
+    for points off the knots, the offsets ``u = (x - t_mu) / s`` into the
+    spans and the spacings ``s`` ``(..., 1)``.
+    """
     m_b = t.shape[-1]
     t = t.reshape((1,) * (x.ndim - t.ndim) + t.shape)
     # the span from the spacing, settled against the knots themselves: the
@@ -95,22 +120,43 @@ def _local_values(x, t, k: int, orders):
     first = np.arange(0, flat.size, m_b).reshape(t.shape[:-1] + (1,))
     s = t[..., 1:2] - t[..., :1]
     mu = np.floor((x - t[..., :1]) / s)  # of the broadcast shape
-    shape = mu.shape
     mu = np.minimum(np.maximum(mu, 0, out=mu), m_b - 2, out=mu).astype(np.intp)
     at = first + mu
     mu += flat[at + 1] <= x
     mu -= flat[at] > x
     np.minimum(np.maximum(mu, 0, out=mu), m_b - 2, out=mu)  # x past the first or last knot
-    u = np.repeat(((x - flat[first + mu]) / s)[..., None, :], k + 1, axis=-2)  # (..., k + 1, N)
+    return mu, (x - flat[first + mu]) / s, s
+
+
+def _local_values(x, t, k: int, orders):
+    """The k + 1 B-splines non-zero on each point's knot span (see
+    :func:`_spans`): their derivatives of the given ``orders`` at ``x`` on
+    the uniform knots ``t``.
+
+    ``x`` is ``(..., N)`` and ``t`` is ``(..., m_b)``; their leading axes
+    broadcast, so one call evaluates many point sets, each on its own knots.
+    Returns the spans ``mu`` ``(..., N)`` and the values ``(len(orders),
+    ..., k + 1, N)``, row ``r`` for ``B_{mu-k+r}``, each a polynomial of
+    degree ``k - d`` in the point's offset into its span summed by Horner's
+    rule in elementwise operations, not by BLAS: a point gets the same bits
+    alone or among any others.  Points off ``[t_1, t_{m_b})`` get zeros,
+    points in the outer spans the partial values of the functions defined
+    there.
+    """
+    x, t = np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64)
+    orders = _checked_orders(orders, k, False)
+    mu, u, s = _spans(x, t)
+    u = np.repeat(u[..., None, :], k + 1, axis=-2)  # (..., k + 1, N)
     # each order's matrices scaled by s**d, (len(orders), ..., k + 1, k + 1)
-    lead = (1,) * (len(shape) - 1)
+    lead = (1,) * (mu.ndim - 1)
     d = np.array(orders, dtype=np.float64).reshape((-1,) + lead + (1, 1))
     M = _span_matrices(k)[orders].reshape(d.shape[:-2] + (k + 1, k + 1)) / s[..., None] ** d
     vals = np.empty(M.shape[:1] + u.shape)
-    vals[...] = M[..., k, None]
-    for p in range(k - 1, -1, -1):
-        vals *= u
-        vals += M[..., p, None]
+    for v, Md, order in zip(vals, M, orders):
+        v[...] = Md[..., k - order, None]  # the powers above k - d are 0
+        for p in range(k - order - 1, -1, -1):
+            v *= u
+            v += Md[..., p, None]
     outside = (x < t[..., :1]) | (x >= t[..., -1:])
     if outside.any():
         np.copyto(vals, 0.0, where=outside[..., None, :])
@@ -129,32 +175,6 @@ def _scatter(mu, vals, k: int, n_b: int) -> Array:
     return rows.reshape((len(vals),) + mu.shape + (width,))[..., -lo : n_b - lo]
 
 
-def local_rows(x, t, k: int, orders=(0, 1, 2)):
-    """The non-zero entries of :func:`design_rows`: spans ``mu`` ``(..., N)``
-    and values ``(len(orders), ..., k + 1, N)`` such that the ``d``-th
-    derivative at ``x`` of the spline with control points ``c`` is ``sum_r
-    vals[d, ..., r, n] * c[mu[..., n] - k + r]``, with the linear extension
-    beyond the natural domain baked in.  A point on the natural domain's right
-    end reads the column ``c[n_b]`` past the last control point; take it as 0.
-    """
-    # in C order, so that the values and every index built from them are too
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    t, orders = np.asarray(t, dtype=np.float64), list(orders)
-    lo, hi = t[..., k : k + 1], t[..., t.shape[-1] - k - 1 : t.shape[-1] - k]
-    xc = np.minimum(np.maximum(x, lo), hi)
-    past = (x != xc)[..., None, :]
-    extend = bool(past.any())
-    # past the edge the value continues with the edge's slope
-    need = orders + [1] * (extend and 0 in orders and 1 not in orders)
-    mu, vals = _local_values(xc, t, k, need)
-    if extend and 0 in orders:
-        v0 = vals[need.index(0)]
-        np.add(v0, (x - xc)[..., None, :] * vals[need.index(1)], out=v0, where=past)
-    if extend and 2 in orders:
-        np.copyto(vals[need.index(2)], 0.0, where=past)
-    return mu, vals[: len(orders)]
-
-
 def design_rows(x, t, k: int, orders=(0, 1, 2)) -> Array:
     """Rows ``b_d`` for each derivative order ``d`` in ``orders``, stacked on
     a leading axis, such that the ``d``-th derivative at ``x`` of the spline
@@ -164,7 +184,109 @@ def design_rows(x, t, k: int, orders=(0, 1, 2)) -> Array:
     Shapes as in :func:`_local_values`: ``x`` is ``(..., N)``, ``t`` is
     ``(..., m_b)`` and the rows are ``(len(orders), ..., N, n_b)``.
     """
-    return _scatter(*local_rows(x, t, k, orders), k, np.shape(t)[-1] - k - 1)
+    # in C order, so that the values and every index built from them are too
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    xc, dx = _clamped(x, t, k)
+    need = _checked_orders(orders, k, dx is not None)
+    mu, vals = _local_values(xc, t, k, need)
+    _extend(vals, need, None if dx is None else dx[..., None, :])
+    return _scatter(mu, vals[: len(orders)], k, t.shape[-1] - k - 1)
+
+
+class Spans(NamedTuple):
+    """Where :func:`power_values` found its points, for :func:`power_pull`:
+    each point's window among all splines' windows ``at``, its offset ``u``
+    into its span, the spacings ``s``, the distances ``dx`` past the natural
+    domain (None when no point is past), and the control points' shape."""
+    at: npt.NDArray[np.intp]
+    u: Array
+    s: Array
+    dx: Array | None
+    shape: tuple
+
+
+def power_values(x, t, k: int, c, orders=(0, 1, 2)):
+    """The derivatives of the given ``orders`` at ``x`` of the splines with
+    control points ``c`` on the uniform knots ``t``, with the linear
+    extension beyond the natural domain, in per-span power form.
+
+    ``x`` is ``(..., N)``, ``t`` is ``(..., m_b)`` and ``c`` is ``(...,
+    n_b)``; their leading axes broadcast, and ``c``'s are the full ones.  On
+    the span ``[t_mu, t_mu+1)`` (see :func:`_spans`) the ``d``-th derivative
+    is a polynomial of degree ``k - d`` in ``u = (x - t_mu) / s`` whose
+    coefficients are the window ``c[mu-k .. mu]`` times the span matrix
+    (de Boor's ppform): one table per spline and order, from the parameters
+    alone.  Each point takes its window's row of the table and sums it by
+    Horner's rule in elementwise operations, so a point gets the same bits
+    alone or among any others.  A point on the natural domain's right end
+    reads a column ``c[n_b]`` past the last control point, taken as 0.
+
+    Returns the values ``(len(orders), ..., N)`` and the :class:`Spans`
+    that :func:`power_pull` reads.
+    """
+    x, t, c = (np.asarray(a, dtype=np.float64) for a in (x, t, c))
+    xc, dx = _clamped(x, t, k)
+    need = _checked_orders(orders, k, dx is not None)
+    mu, u, s = _spans(xc, t)
+    n_win = c.shape[-1] + 1 - k  # the windows of k + 1 control points, and the padding
+    # each spline's table (len(need), k + 1, n_splines * n_win), powers first
+    cp = np.concatenate([c, np.zeros(c.shape[:-1] + (1,))], axis=-1)
+    windows = cp[..., np.arange(n_win)[:, None] + np.arange(k + 1)]  # (..., n_win, k + 1)
+    lead = (1,) * (c.ndim - 1)
+    d = np.array(need, dtype=np.float64).reshape((-1,) + lead + (1, 1))
+    M = _span_matrices(k)[need].reshape(d.shape[:-2] + (k + 1, k + 1))
+    table = windows @ M / s[..., None] ** d
+    table = np.moveaxis(table, -1, 1).reshape(len(need), k + 1, -1)
+    first = np.arange(0, table.shape[-1], n_win).reshape(c.shape[:-1] + (1,))
+    at = first + (mu - k)
+    vals = np.empty((len(need),) + at.shape)
+    for v, order_table, order in zip(vals, table, need):
+        a = np.take(order_table[: k - order + 1], at, axis=-1)
+        v[...] = a[k - order]
+        for p in range(k - order - 1, -1, -1):
+            v *= u
+            v += a[p]
+    _extend(vals, need, dx)
+    return vals[: len(orders)], Spans(at, u, s, dx, c.shape)
+
+
+def power_pull(spans: Spans, k: int, mb, zb=None) -> Array:
+    """The gradient of ``sum(mb * phi' + zb * phi)`` over the points with
+    respect to the control points ``c`` of :func:`power_values`, in ``c``'s
+    shape; ``mb`` and ``zb`` (None for 0) broadcast against the values.
+
+    Past the natural domain ``phi = phi(x_c) + dx * phi'(x_c)``, so the
+    slope's seed is ``mb + zb * dx`` there.  Each order's seeds are summed
+    into each window's power sums ``S[q] = sum seed * u**q``, one bincount
+    per power, and ``S @ M[d]^T / s**d`` is the gradient with respect to
+    the window's k + 1 control points, added onto them window by window.
+    """
+    at, u, s, dx, shape = spans
+    n_b, n_win = shape[-1], shape[-1] + 1 - k
+    size = math.prod(shape[:-1]) * n_win
+    # the slope's seeds, then the value's; the slope has no power k
+    seeds = np.empty((1 if zb is None else 2,) + at.shape)
+    seeds[0] = mb if zb is None or dx is None else mb + zb * dx
+    if zb is not None:
+        seeds[1] = zb
+    n_q = k + len(seeds) - 1
+    bins = (at + np.arange(0, len(seeds) * size, size).reshape((-1,) + (1,) * at.ndim)).ravel()
+    S = np.empty((n_q, len(seeds) * size))
+    for q in range(n_q):
+        S[q] = np.bincount(bins, seeds.ravel(), len(S[q]))
+        if q + 1 < n_q:
+            seeds *= u
+    # per order d = 1, 0: (..., n_win, k + 1), the window's control points last
+    S = np.moveaxis(S.reshape((n_q, len(seeds)) + shape[:-1] + (n_win,)), 0, -1)
+    M = _span_matrices(k)
+    win = S[0] @ M[1, :, :n_q].T / s[..., None]
+    if zb is not None:
+        win += S[1] @ M[0].T
+    cbar = np.zeros(shape[:-1] + (n_b + 1,))
+    for r in range(k + 1):
+        cbar[..., r : r + n_win] += win[..., r]
+    return cbar[..., :n_b]
 
 
 def reparameterize(raw) -> Array:

@@ -14,7 +14,8 @@ import math
 import numpy as np
 import numpy.typing as npt
 
-from .bspline import design_rows, local_rows, reparameterize, reparameterize_vjp, uniform_knots
+from .bspline import (design_rows, power_pull, power_values, reparameterize, reparameterize_vjp,
+                      uniform_knots)
 from .errors import ConfigurationError, EvaluationError
 from .records import Records, _short
 
@@ -209,62 +210,45 @@ class KANModel:
         inputs ``x``, ``(M or 1, n_in, N)``, given the layer's
         :meth:`_control_points` ``cw`` (by default computed here).  Returns
         ``(phi, basis)``: ``phi`` and its derivatives of the given ``orders``,
-        ``(len(orders), M, n_out, n_in, N)``, and the basis ``(at, b)`` that
-        :meth:`_pull` reads.  The scale ``w_s`` is folded into the control
-        points: ``phi = b @ (w * c)``.
+        ``(len(orders), M, n_out, n_in, N)``, and the basis ``(spans, rows)``
+        that :meth:`_pull` reads.  The scale ``w_s`` is folded into the
+        control points: ``phi = b @ (w * c)``.
 
         Given layer ``r``'s design rows with the point axis last, ``rows``
-        ``(len(orders), M or 1, n_in, n_b, N)``, ``b`` is them, ``at`` is
-        None, and each order is one product.  Otherwise ``b`` is the k + 1
-        basis values live at each point, ``(len(orders), M or 1, n_in, k + 1,
-        N)``, summed against the k + 1 control points they multiply, and
-        ``at`` ``(M, n_out, n_in, N)`` numbers those control points' window
-        among all edges' windows.
+        ``(len(orders), M or 1, n_in, n_b, N)``, each order is one product
+        and ``spans`` is None.  Otherwise each edge's spline is summed in
+        per-span power form (:func:`bspline.power_values`): one coefficient
+        table per edge and order, from which each point takes its span's
+        k + 1 coefficients, and ``spans`` says where the points fell.
         """
-        p, n, k = self.params[r], self.n_coef, self.order
+        p, n = self.params[r], self.n_coef
         c, w = self._control_points()[r] if cw is None else cw
         if rows is not None:  # per member and column j: (n_out, n_b) @ (n_b, N)
-            at, b = None, rows
+            spans = None
             phi = ((w[..., None] * c).transpose(0, 2, 1, 3) @ rows).transpose(0, 1, 3, 2, 4)
-        else:
-            mu, b = local_rows(x, self.t[r], k, orders)
-            # each point's k + 1 live control points are one window of its
-            # edge's, numbered among all edges' windows; a padding column
-            # past the last control point reads as 0
-            wc = np.zeros(p.shape[:-1] + (n + 1,))
-            np.multiply(w[..., None], c, out=wc[..., :n])
-            n_win = n + 1 - k
-            windows = wc[..., np.arange(n_win)[:, None] + np.arange(k + 1)]  # (..., n_win, k + 1)
-            first = np.arange(0, math.prod(windows.shape[:-1]), n_win)
-            at = first.reshape(windows.shape[:3] + (1,)) + mu[:, None] - k
-            phi = np.einsum("omjqn,qmijn->omijn", b,
-                            windows.reshape(-1, k + 1).T.take(at, axis=1))
+        else:  # each edge (i, j) reads column j's inputs and knots
+            phi, spans = power_values(x[:, None], self.t[r][:, None], self.order,
+                                      w[..., None] * c, orders)
         if self.mode == VANILLA:
             w_b = p[..., n + 1, None]
             phi += w_b * np.stack(_silu(x))[list(orders), :, None]
-        return phi, (at, b)
+        return phi, (spans, rows)
 
     def _pull(self, basis, mb, zb=None) -> Array:
         """The gradient of ``sum(mb * phi' + zb * phi)`` over the points with
         respect to the scaled control points ``w * c``, ``(M, n_out, n_in,
-        n_b)``, for a layer's :meth:`_edges` ``basis`` by order; ``mb`` is
-        ``(M, n_out, n_in, N)`` and ``zb`` None or ``(M, n_out, 1, N)``."""
-        at, b = basis
-        if at is None:  # per member and column j: (n_out, N) @ (N, n_b)
-            cbar = mb.transpose(0, 2, 1, 3) @ b[1].swapaxes(-1, -2)
-            if zb is not None:
-                cbar += zb.transpose(0, 2, 1, 3) @ b[0].swapaxes(-1, -2)
-            return cbar.transpose(0, 2, 1, 3)
-        seed = b[1][:, None] * mb[..., None, :]
+        n_b)``, for a layer's :meth:`_edges` ``basis``; ``mb`` is ``(M,
+        n_out, n_in, N)`` and ``zb`` None or ``(M, n_out, 1, N)``.  Dense
+        rows, orders (0, 1), give it as one product per order; otherwise it
+        is taken from each window's power sums (:func:`bspline.power_pull`)."""
+        spans, rows = basis
+        if spans is not None:
+            return power_pull(spans, self.order, mb, zb)
+        # per member and column j: (n_out, N) @ (N, n_b)
+        cbar = mb.transpose(0, 2, 1, 3) @ rows[1].swapaxes(-1, -2)
         if zb is not None:
-            seed += b[0][:, None] * zb[..., None, :]
-        n, k = self.n_coef, self.order
-        shape = at.shape[:3] + (n + 1,)
-        size = math.prod(shape)
-        # window w of edge e starts at control point w + e * k
-        start = at + np.arange(0, size // (n + 1) * k, k).reshape(at.shape[:3] + (1,))
-        bins = start[..., None, :] + np.arange(k + 1)[:, None]
-        return np.bincount(bins.ravel(), seed.ravel(), size).reshape(shape)[..., :n]
+            cbar += zb.transpose(0, 2, 1, 3) @ rows[0].swapaxes(-1, -2)
+        return cbar.transpose(0, 2, 1, 3)
 
     def _layer(self, r, z, cw, A=None, H=None, rows=None, orders=(0, 1, 2)):
         """Outputs ``y`` (M, n_out, N) of layer ``r`` with the
@@ -274,9 +258,9 @@ class KANModel:
         with respect to the network input, the outputs' ones.  Returns
         ``(y, Ay, Hy, edges)``, with None for what was not asked or needs an
         order not in ``orders``, and the layer's :meth:`_edges` with ``phi``
-        and the basis values as dicts by order."""
-        phi, (at, b) = self._edges(r, z, cw, rows, orders)
-        phi, b = dict(zip(orders, phi)), dict(zip(orders, b))
+        as a dict by order."""
+        phi, basis = self._edges(r, z, cw, rows, orders)
+        phi = dict(zip(orders, phi))
         y = phi[0].sum(axis=2) if 0 in phi else None
         Ay = None if A is None else (phi[1][:, :, :, None] * A[:, None]).sum(axis=2)
         Hy = None
@@ -284,7 +268,7 @@ class KANModel:
             AA = A[:, :, :, None] * A[:, :, None]
             Hy = (phi[2][:, :, :, None, None] * AA[:, None]
                   + phi[1][:, :, :, None, None] * H[:, None]).sum(axis=2)
-        return y, Ay, Hy, (phi, (at, b))
+        return y, Ay, Hy, (phi, basis)
 
     def forward(self, K):
         self._one("forward")

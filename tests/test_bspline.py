@@ -8,11 +8,16 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from convexkan import bspline
 from convexkan.bspline import (
     BSplineCurve,
     _local_values,
     _scatter,
+    _span_matrices,
+    _spans,
     design_rows,
+    power_pull,
+    power_values,
     reparameterize,
     reparameterize_vjp,
     uniform_knots,
@@ -289,6 +294,101 @@ class TestRequestedOrders:
         assert full.shape[1] == 2
         npt.assert_array_equal(design_rows(x[:1], t, 5, (0,))[0].view(np.int64),
                                full[0].view(np.int64))
+
+
+def full_horner_values(x, t, k, orders):
+    """``_local_values`` with every order's Horner loop run for all k steps,
+    from the powers above ``k - d``, whose coefficients are 0."""
+    orders = list(orders)
+    mu, u, s = _spans(x, t)
+    u = np.repeat(u[..., None, :], k + 1, axis=-2)
+    lead = (1,) * (mu.ndim - 1)
+    d = np.array(orders, dtype=np.float64).reshape((-1,) + lead + (1, 1))
+    M = _span_matrices(k)[orders].reshape(d.shape[:-2] + (k + 1, k + 1)) / s[..., None] ** d
+    vals = np.empty(M.shape[:1] + u.shape)
+    vals[...] = M[..., k, None]
+    for p in range(k - 1, -1, -1):
+        vals *= u
+        vals += M[..., p, None]
+    outside = (x < t[..., :1]) | (x >= t[..., -1:])
+    np.copyto(vals, 0.0, where=outside[..., None, :])
+    return mu, vals
+
+
+def points_on_every_span(t, k, rng):
+    """Points inside the natural domain, on every knot and next to it, in
+    the outer spans, and past both ends of the natural domain."""
+    lo, hi = natural_domain(t, k)
+    s = t[1] - t[0]
+    return np.concatenate([
+        rng.uniform(lo, hi, 200),
+        t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
+        t[:-1] + 0.5 * s,
+        lo - s * np.array([0.25, 3.0, 40.0]),
+        hi + s * np.array([0.25, 3.0, 40.0]),
+    ])
+
+
+class TestHornerDegree:
+    """Order d's Horner loop starts at the power k - d: the powers above it
+    have zero coefficients, so skipping them leaves every bit of the rows."""
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_rows_bitwise_equal_full_horner(self, monkeypatch, k):
+        t = uniform_knots(-2.0, 3.0, n_coef=k + 9, k=k)
+        x = points_on_every_span(t, k, np.random.default_rng(k))
+        got = design_rows(x, t, k)
+        monkeypatch.setattr(bspline, "_local_values", full_horner_values)
+        want = design_rows(x, t, k)
+        npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestPowerForm:
+    """``power_values`` sums each spline in per-span power form and
+    ``power_pull`` takes the control-point gradient from power sums; they
+    give what the dense design rows give, the linear extension included."""
+
+    @staticmethod
+    def splines(k, mode, rng):
+        """Knots, points and four splines' control points: convex (scaled,
+        as a constrained network's edges) or raw."""
+        t = uniform_knots(-5.0, 25.0, n_coef=17, k=k)
+        raw = rng.uniform(-1.0, 1.0, size=(4, 17))
+        c = 1.7 * reparameterize(raw) if mode == "constrained" else raw
+        return t, points_on_every_span(t, k, rng), c
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("mode", ["constrained", "vanilla"])
+    def test_values_equal_design_rows(self, k, mode):
+        t, x, c = self.splines(k, mode, np.random.default_rng(20 + k))
+        got, _ = power_values(x, t, k, c)
+        want = np.einsum("dnb,sb->dsn", design_rows(x, t, k), c)
+        assert got.shape == want.shape == (3, 4, x.size)
+        for order, (g, w) in enumerate(zip(got, want)):
+            npt.assert_allclose(g, w, rtol=0, atol=1e-13 * np.abs(w).max(),
+                                err_msg=f"order {order}")
+        for orders in [(0,), (1, 2), (2,)]:  # past the ends, order 0 reads the slope
+            npt.assert_array_equal(power_values(x, t, k, c, orders)[0], got[list(orders)])
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("mode", ["constrained", "vanilla"])
+    def test_pull_equals_dense_transpose_product(self, k, mode):
+        rng = np.random.default_rng(30 + k)
+        t, x, c = self.splines(k, mode, rng)
+        _, spans = power_values(x, t, k, c, (0, 1))
+        rows = design_rows(x, t, k, (0, 1))
+        mb, zb = rng.normal(size=(2, 4, x.size))
+        want = mb @ rows[1] + zb @ rows[0]
+        npt.assert_allclose(power_pull(spans, k, mb, zb), want,
+                            rtol=0, atol=1e-13 * np.abs(want).max())
+        want = mb @ rows[1]
+        npt.assert_allclose(power_pull(spans, k, mb), want,
+                            rtol=0, atol=1e-13 * np.abs(want).max())
+
+    def test_order_above_k_refused(self):
+        t = uniform_knots(0.0, 1.0, n_coef=5, k=1)
+        with pytest.raises(ConfigurationError, match="needs spline order k >= 2"):
+            power_values(np.array([0.5]), t, 1, np.zeros(5), (2,))
 
 
 class TestReparameterize:

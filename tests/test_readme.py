@@ -78,7 +78,7 @@ def package_heads():
 
 
 def test_every_dotted_name_resolves():
-    # such as `convexkan.training`, `bspline.local_rows` or `DeformationState.stress`;
+    # such as `convexkan.training`, `bspline.design_rows` or `DeformationState.stress`;
     # file names such as `energy.sym` start with no name of the package
     heads, checked, missing = package_heads(), 0, []
     for span in re.findall(r"`([^`]+)`", FENCE.sub("", README)):

@@ -269,20 +269,22 @@ class TestRequestedOrders:
 
     @staticmethod
     def record(monkeypatch, model):
-        """Patch the dense design rows and the local basis values the layer
-        sweep reads to log (layer, orders) per call on ``model``'s knots."""
+        """Patch the dense design rows and the per-span power form the layer
+        sweep reads to log (layer, orders) per call on ``model``'s knots
+        (one member's: the power form gets them with an axis for the edges'
+        outputs)."""
         calls = []
 
         def logging(real):
-            def logged(x, t, k, orders=(0, 1, 2)):
+            def logged(x, t, k, *args):
                 layer = next(r for r in range(model.n_layers)
-                             if np.array_equal(t[0], model.t[r][0]))
-                calls.append((layer, tuple(orders)))
-                return real(x, t, k, orders)
+                             if np.array_equal(np.squeeze(t), np.squeeze(model.t[r])))
+                calls.append((layer, tuple(args[-1])))
+                return real(x, t, k, *args)
             return logged
 
         monkeypatch.setattr(network, "design_rows", logging(bspline.design_rows))
-        monkeypatch.setattr(network, "local_rows", logging(bspline.local_rows))
+        monkeypatch.setattr(network, "power_values", logging(bspline.power_values))
         return calls
 
     @pytest.mark.parametrize("dims", [(3, 2, 1), (3, 3, 2, 1)], ids=["321", "3321"])
