@@ -128,70 +128,22 @@ def _spans(x, t):
     return mu, (x - flat[first + mu]) / s, s
 
 
-def _local_values(x, t, k: int, orders):
-    """The k + 1 B-splines non-zero on each point's knot span (see
-    :func:`_spans`): their derivatives of the given ``orders`` at ``x`` on
-    the uniform knots ``t``.
-
-    ``x`` is ``(..., N)`` and ``t`` is ``(..., m_b)``; their leading axes
-    broadcast, so one call evaluates many point sets, each on its own knots.
-    Returns the spans ``mu`` ``(..., N)`` and the values ``(len(orders),
-    ..., k + 1, N)``, row ``r`` for ``B_{mu-k+r}``, each a polynomial of
-    degree ``k - d`` in the point's offset into its span summed by Horner's
-    rule in elementwise operations, not by BLAS: a point gets the same bits
-    alone or among any others.  Points off ``[t_1, t_{m_b})`` get zeros,
-    points in the outer spans the partial values of the functions defined
-    there.
-    """
-    x, t = np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64)
-    orders = _checked_orders(orders, k, False)
-    mu, u, s = _spans(x, t)
-    u = np.repeat(u[..., None, :], k + 1, axis=-2)  # (..., k + 1, N)
-    # each order's matrices scaled by s**d, (len(orders), ..., k + 1, k + 1)
-    lead = (1,) * (mu.ndim - 1)
-    d = np.array(orders, dtype=np.float64).reshape((-1,) + lead + (1, 1))
-    M = _span_matrices(k)[orders].reshape(d.shape[:-2] + (k + 1, k + 1)) / s[..., None] ** d
-    vals = np.empty(M.shape[:1] + u.shape)
-    for v, Md, order in zip(vals, M, orders):
-        v[...] = Md[..., k - order, None]  # the powers above k - d are 0
-        for p in range(k - order - 1, -1, -1):
-            v *= u
-            v += Md[..., p, None]
-    outside = (x < t[..., :1]) | (x >= t[..., -1:])
-    if outside.any():
-        np.copyto(vals, 0.0, where=outside[..., None, :])
-    return mu, vals
-
-
-def _scatter(mu, vals, k: int, n_b: int) -> Array:
-    """Dense rows ``(len(vals), ..., N, n_b)`` of :func:`_local_values`, through
-    a buffer only as wide as ``B_1 .. B_{n_b}`` and the windows touched."""
-    lo = min(0, int(mu.min(initial=k)) - k)
-    width = max(n_b, int(mu.max(initial=0)) + 1) - lo
-    rows = np.zeros((len(vals), mu.size * width))
-    at = ((np.arange(mu.size) * width + mu.ravel() - k - lo)[:, None] + np.arange(k + 1)).ravel()
-    for order_rows, order_vals in zip(rows, vals):
-        order_rows[at] = order_vals.swapaxes(-1, -2).ravel()
-    return rows.reshape((len(vals),) + mu.shape + (width,))[..., -lo : n_b - lo]
-
-
 def design_rows(x, t, k: int, orders=(0, 1, 2)) -> Array:
     """Rows ``b_d`` for each derivative order ``d`` in ``orders``, stacked on
     a leading axis, such that the ``d``-th derivative at ``x`` of the spline
     with control points ``c`` on the uniform knots ``t`` of order ``k`` is
     ``b_d @ c``, with the linear extension beyond the natural domain baked in.
 
-    Shapes as in :func:`_local_values`: ``x`` is ``(..., N)``, ``t`` is
-    ``(..., m_b)`` and the rows are ``(len(orders), ..., N, n_b)``.
+    ``x`` is ``(..., N)`` and ``t`` is ``(..., m_b)``; their leading axes
+    broadcast, so one call evaluates many point sets, each on its own knots.
+    The rows are ``(len(orders), ..., N, n_b)``: :func:`power_values` of the
+    unit control points, one spline per basis function.
     """
-    # in C order, so that the values and every index built from them are too
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    xc, dx = _clamped(x, t, k)
-    need = _checked_orders(orders, k, dx is not None)
-    mu, vals = _local_values(xc, t, k, need)
-    _extend(vals, need, None if dx is None else dx[..., None, :])
-    return _scatter(mu, vals[: len(orders)], k, t.shape[-1] - k - 1)
+    x, t = np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64)
+    n_b = t.shape[-1] - k - 1
+    lead = np.broadcast_shapes(x.shape[:-1], t.shape[:-1])
+    c = np.broadcast_to(np.eye(n_b), lead + (n_b, n_b))
+    return power_values(x[..., None, :], t[..., None, :], k, c, orders)[0].swapaxes(-1, -2)
 
 
 class Spans(NamedTuple):
@@ -242,11 +194,10 @@ def power_values(x, t, k: int, c, orders=(0, 1, 2)):
     at = first + (mu - k)
     vals = np.empty((len(need),) + at.shape)
     for v, order_table, order in zip(vals, table, need):
-        a = np.take(order_table[: k - order + 1], at, axis=-1)
-        v[...] = a[k - order]
+        np.take(order_table[k - order], at, out=v)  # one power at a time
         for p in range(k - order - 1, -1, -1):
             v *= u
-            v += a[p]
+            v += np.take(order_table[p], at)
     _extend(vals, need, dx)
     return vals[: len(orders)], Spans(at, u, s, dx, c.shape)
 

@@ -310,9 +310,9 @@ class KANModel:
         """Forward pass over every member at the shared inputs ``Kb``,
         storing what a reverse pass needs; ``rows0`` are
         :meth:`layer0_rows` at ``Kb``, if computed.  Layer 0 reads its
-        design rows, the layers above the k + 1 basis values live at their
-        inputs.  Layers build only the orders read: values below the output,
-        slopes, and curvatures above layer 0, where the reverse sweep stops."""
+        design rows, the layers above sum their splines in power form.  Layers
+        build only the orders read: values below the output, slopes, and
+        curvatures above layer 0, where the reverse sweep stops."""
         z0 = Kb.T[None]
         if rows0 is None:
             rows0 = self.layer0_rows(Kb)

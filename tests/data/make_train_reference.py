@@ -12,8 +12,8 @@ selected member's parameters ``raw``, flattened, every member's per-epoch
 losses and every member's final loss.  This pins Adam's trajectory on the
 cyclic learning rate, the curvature prior and the selection.
 
-The committed file was written by the trainer that kept Adam's moments in
-an optimizer object and dropped failed members from the stack;
+The committed file was re-recorded in ``d142c8e``, when the spline layers
+whose inputs move changed to the per-span power form;
 ``tests/test_reference_generators.py`` checks the current trainer against
 it.  Rewrite it only to record a deliberate change of the trainer.
 """

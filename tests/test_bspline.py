@@ -8,11 +8,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from convexkan import bspline
 from convexkan.bspline import (
     BSplineCurve,
-    _local_values,
-    _scatter,
     _span_matrices,
     _spans,
     design_rows,
@@ -27,21 +24,14 @@ from convexkan.errors import ConfigurationError
 
 def rows(x, t, k, order=0):
     """Every basis function's derivative of the given order at the points x,
-    ``(len(x), n_b)``, inside the natural domain of the knots ``t``."""
+    ``(len(x), n_b)``, with the linear extension past the natural domain of
+    the knots ``t``."""
     return design_rows(x, t, k, (order,))[0]
 
 
 def natural_domain(t, k):
     """``[t_{k+1}, t_{m_b-k}]``, where the basis is a partition of unity."""
     return float(t[k]), float(t[-k - 1])
-
-
-def kernel_rows(x, t, k, order=0):
-    """The same from the local kernel and scatter that ``design_rows`` runs,
-    without its linear extension, so that points in the outer spans and off
-    the knots see the B-splines themselves."""
-    mu, vals = _local_values(x, t, k, (order,))
-    return _scatter(mu, vals, k, t.size - k - 1)[0]
 
 
 def rational_basis(x, t, i, k, deriv=0):
@@ -69,6 +59,29 @@ def rational_basis(x, t, i, k, deriv=0):
             x, t, i + 1, k - 1
         )
     return left + right
+
+
+def rational_rows(xs, t, k, deriv=0):
+    """Every basis function's derivative of order ``deriv`` at the rational
+    points ``xs``, with the linear extension, in exact rationals: past the
+    natural domain the value is the edge value plus ``dx`` times the edge
+    slope, the slope is the edge slope and the curvature is 0."""
+    lo, hi = t[k], t[-k - 1]
+    n_b = len(t) - k - 1
+
+    def at(x, d):
+        return [rational_basis(x, t, i, k, d) for i in range(n_b)]
+
+    got = []
+    for x in xs:
+        xc = min(max(x, lo), hi)
+        if x == xc:
+            got.append(at(x, deriv))
+        elif deriv == 0:
+            got.append([v + (x - xc) * g for v, g in zip(at(xc, 0), at(xc, 1))])
+        else:
+            got.append(at(xc, 1) if deriv == 1 else [Fraction(0)] * n_b)
+    return np.array([[float(v) for v in row] for row in got])
 
 
 class TestKnotVector:
@@ -120,16 +133,13 @@ class TestEvalBasis:
         npt.assert_allclose(rows(x, t, 3).sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_matches_exact_rational_recursion(self):
-        # k=2, knots {0..5}: compare against the exact-arithmetic oracle
+        # k=2, knots {0..5}: compare against the exact-arithmetic oracle on
+        # the natural domain [2, 3], on every knot and past both ends
         t = [0, 1, 2, 3, 4, 5]
-        for x in [Fraction(p, 8) for p in range(1, 40, 2)]:  # 20 sample points
-            got = kernel_rows(np.array([float(x)]), np.array(t, dtype=float), 2)[0]
-            want = [float(rational_basis(x, t, i, 2)) for i in range(len(t) - 3)]
-            npt.assert_allclose(got, want, rtol=0, atol=1e-14)
-
-    def test_zero_outside_support(self):
-        t = uniform_knots(0.0, 1.0, n_coef=8, k=3)
-        npt.assert_array_equal(kernel_rows(t[:1] - 1.0, t, 3), 0.0)
+        xs = [Fraction(p, 8) for p in range(1, 40, 2)] + [Fraction(v) for v in t]
+        for x in xs:  # 20 sample points and the knots
+            got = rows(np.array([float(x)]), np.array(t, dtype=float), 2)[0]
+            npt.assert_allclose(got, rational_rows([x], t, 2)[0], rtol=0, atol=1e-14)
 
 
 class TestBasisDerivatives:
@@ -200,13 +210,13 @@ def dense_design_rows(x, t, k):
 
 
 class TestLocalKernel:
-    """The local span kernel against the exact-rational oracle and against
-    the dense recursion it replaced.
+    """Design rows, summed span by span, against the exact-rational oracle
+    and against the dense recursion they replaced.
 
-    Each point evaluates only the k + 1 functions non-zero on the half-open
+    Each point reads only the k + 1 functions non-zero on the half-open
     span ``[t_mu, t_mu+1)`` that holds it, the span the Cox-de Boor indicator
     picks.  So even where a derivative jumps at a knot (the first derivative
-    for k = 1, the second for k = 2) the kernel gives the right-hand value,
+    for k = 1, the second for k = 2) the rows give the right-hand value,
     as the oracle and the dense recursion do: there is no difference to
     allow for at knots, for any k.
     """
@@ -216,8 +226,8 @@ class TestLocalKernel:
         # dyadic knots and points: exact in floats and in the oracle
         t = [Fraction(-5, 4) + Fraction(3, 4) * i for i in range(k + 9)]
         eps = Fraction(1, 2**30)
-        xs = [t[0] - 1, t[0] - eps, t[-1], t[-1] + eps]  # off the knots: zero
-        for a, b in zip(t[:-1], t[1:]):  # every span, outer spans included
+        xs = [t[0] - 1, t[0] - eps, t[-1], t[-1] + eps]  # past both ends
+        for a, b in zip(t[:-1], t[1:]):  # every span, the outer ones past the ends
             xs += [a, a + eps, (3 * a + b) / 4, (a + b) / 2, b - eps]
         return t, xs
 
@@ -225,18 +235,11 @@ class TestLocalKernel:
     def test_matches_exact_rational_oracle(self, k):
         t, xs = self.knots_and_points(k)
         x, tf = (np.array([float(v) for v in vs]) for vs in (xs, t))
-        got = [kernel_rows(x, tf, k, order) for order in range(3)]
-        for deriv, rows in enumerate(got):
-            want = np.array(
-                [[float(rational_basis(v, t, i, k, deriv)) for i in range(len(t) - k - 1)]
-                 for v in xs]
-            )
+        for deriv in range(3):
+            want = rational_rows(xs, t, k, deriv)
             scale = np.abs(want).max()
-            npt.assert_allclose(rows, want, rtol=0, atol=1e-13 * scale, err_msg=f"deriv {deriv}")
-        # a point of an outer span sees only the functions defined there
-        assert np.count_nonzero(got[0][xs.index((t[0] + t[1]) / 2)]) == 1
-        for rows in got:  # off [t_1, t_{m_b}): exact zeros
-            npt.assert_array_equal(rows[:4], 0.0)
+            npt.assert_allclose(rows(x, tf, k, deriv), want, rtol=0, atol=1e-13 * scale,
+                                err_msg=f"deriv {deriv}")
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("domain", [(-5.0, 25.0), (0.1234, 0.98765), (-3.3e-3, 7.77)])
@@ -296,23 +299,28 @@ class TestRequestedOrders:
                                full[0].view(np.int64))
 
 
-def full_horner_values(x, t, k, orders):
-    """``_local_values`` with every order's Horner loop run for all k steps,
-    from the powers above ``k - d``, whose coefficients are 0."""
-    orders = list(orders)
-    mu, u, s = _spans(x, t)
-    u = np.repeat(u[..., None, :], k + 1, axis=-2)
-    lead = (1,) * (mu.ndim - 1)
-    d = np.array(orders, dtype=np.float64).reshape((-1,) + lead + (1, 1))
-    M = _span_matrices(k)[orders].reshape(d.shape[:-2] + (k + 1, k + 1)) / s[..., None] ** d
-    vals = np.empty(M.shape[:1] + u.shape)
-    vals[...] = M[..., k, None]
+def full_horner_values(x, t, k, c):
+    """``power_values(x, t, k, c)`` for points ``x`` and knots ``t`` of one
+    axis and control points ``c`` ``(n_s, n_b)``, with every order's Horner
+    loop run for all k steps, from the powers above ``k - d``, whose
+    coefficients are 0."""
+    xc = np.minimum(np.maximum(x, t[k : k + 1]), t[-k - 1 : t.size - k])
+    mu, u, s = _spans(xc, t)
+    n_win = c.shape[-1] + 1 - k
+    cp = np.concatenate([c, np.zeros(c.shape[:-1] + (1,))], axis=-1)
+    windows = cp[..., np.arange(n_win)[:, None] + np.arange(k + 1)]  # (n_s, n_win, k + 1)
+    d = np.arange(3.0).reshape(3, 1, 1, 1)
+    M = _span_matrices(k)[[0, 1, 2]].reshape(3, 1, k + 1, k + 1)
+    coef = (windows @ M / s[..., None] ** d)[:, :, mu - k]  # (3, n_s, N, k + 1)
+    vals = coef[..., k].copy()
     for p in range(k - 1, -1, -1):
         vals *= u
-        vals += M[..., p, None]
-    outside = (x < t[..., :1]) | (x >= t[..., -1:])
-    np.copyto(vals, 0.0, where=outside[..., None, :])
-    return mu, vals
+        vals += coef[..., p]
+    dx = x - xc
+    past = dx != 0
+    vals[0] = np.where(past, vals[0] + dx * vals[1], vals[0])
+    vals[2][:, past] = 0.0
+    return vals
 
 
 def points_on_every_span(t, k, rng):
@@ -331,22 +339,24 @@ def points_on_every_span(t, k, rng):
 
 class TestHornerDegree:
     """Order d's Horner loop starts at the power k - d: the powers above it
-    have zero coefficients, so skipping them leaves every bit of the rows."""
+    have zero coefficients, so skipping them leaves every bit of the values,
+    for random control points and for the unit ones of the design rows."""
 
     @pytest.mark.parametrize("k", [3, 5])
-    def test_rows_bitwise_equal_full_horner(self, monkeypatch, k):
+    def test_rows_bitwise_equal_full_horner(self, k):
+        rng = np.random.default_rng(k)
         t = uniform_knots(-2.0, 3.0, n_coef=k + 9, k=k)
-        x = points_on_every_span(t, k, np.random.default_rng(k))
-        got = design_rows(x, t, k)
-        monkeypatch.setattr(bspline, "_local_values", full_horner_values)
-        want = design_rows(x, t, k)
-        npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        x = points_on_every_span(t, k, rng)
+        for c in (rng.uniform(-1.0, 1.0, size=(4, k + 9)), np.eye(k + 9)):
+            got, _ = power_values(x, t, k, c)
+            want = full_horner_values(x, t, k, c)
+            npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestPowerForm:
     """``power_values`` sums each spline in per-span power form and
     ``power_pull`` takes the control-point gradient from power sums; they
-    give what the dense design rows give, the linear extension included."""
+    give what the dense Cox-de Boor rows give, the linear extension included."""
 
     @staticmethod
     def splines(k, mode, rng):
@@ -362,7 +372,7 @@ class TestPowerForm:
     def test_values_equal_design_rows(self, k, mode):
         t, x, c = self.splines(k, mode, np.random.default_rng(20 + k))
         got, _ = power_values(x, t, k, c)
-        want = np.einsum("dnb,sb->dsn", design_rows(x, t, k), c)
+        want = np.einsum("dnb,sb->dsn", np.stack(dense_design_rows(x, t, k)), c)
         assert got.shape == want.shape == (3, 4, x.size)
         for order, (g, w) in enumerate(zip(got, want)):
             npt.assert_allclose(g, w, rtol=0, atol=1e-13 * np.abs(w).max(),

@@ -557,9 +557,11 @@ def layer_points(model, r, rng):
 
 
 class TestLocalProducts:
-    """Layers fed by the parameters read the k + 1 basis values live at each
-    point, gathered from the control points and pulled back with one
-    bincount; that gives what the dense design rows give."""
+    """Layers fed by the parameters sum each edge in per-span power form and
+    pull its gradient back from power sums; that gives what the dense design
+    rows give.  The rows are the same kernel at unit control points, so this
+    checks the layers' wiring: which inputs, knots, scales and control points
+    each edge reads."""
 
     @staticmethod
     def model(mode, dims, knots, order):
